@@ -2,7 +2,7 @@
 deterministic JSON reports on stdout.
 
 Exit codes: 0 success, 1 failed verification or --expect mismatch,
-2 malformed input.
+2 malformed input, exhausted search budget or non-converged certificate.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ def run(argv) -> int:
         return args.cmd(args)
     except FileNotFoundError as exc:
         return _fail(f"no such file: {exc.filename}")
-    except (ValueError, KeyError, ArithmeticError, json.JSONDecodeError) as exc:
+    except (ValueError, LookupError, ArithmeticError) as exc:
         return _fail(f"{type(exc).__name__}: {exc}")
 
 

@@ -26,8 +26,7 @@ from .numfield import (
     Embedding,
     FieldElement,
     NumberField,
-    _isolate_all_roots,
-    _refine_box_once,
+    RootSet,
     exact_sign,
     exact_sign_imag,
     minpoly_factor_at,
@@ -358,19 +357,6 @@ def _apply_automorphism(tau_image: FieldElement, x: FieldElement) -> FieldElemen
 # Value-field extraction
 
 
-def _match_embedding(value_encloser, embs, start_width=Fraction(1, 1 << 16)):
-    """Index (1-based) of the unique embedding whose enclosure meets the value."""
-    width = start_width
-    while True:
-        v = value_encloser(width)
-        hits = [e for e in embs if not e.enclosure().disjoint(v)]
-        if len(hits) == 1:
-            return hits[0].index
-        width /= 1 << 4
-        for e in embs:
-            e.refine(width)
-
-
 def _extract_real_values(k: NumberField, base: Embedding, entries):
     """Find a field with a real designated embedding carrying all values.
 
@@ -421,13 +407,9 @@ def _try_generator(k: NumberField, base: Embedding, gamma: AElt, entries):
             [c * Fraction(scale) ** (len(p) - 1 - i) for i, c in enumerate(p)]
         )
     f = NumberField([int(c) for c in p])
-    if f.degree == 1:
-        femb = f.embeddings()[0]
-    else:
-        femb_idx = _match_embedding(lambda w: gamma.enclosure(base, w), f.embeddings())
-        femb = f.embeddings()[femb_idx - 1]
-        if not femb.is_real:
-            return None
+    femb = f.embeddings()[f.roots.locate(lambda w: gamma.enclosure(base, w))]
+    if not femb.is_real:
+        return None
     values = []
     for e in entries:
         coords = _express_value(k, base, e, gamma, f)
@@ -543,7 +525,7 @@ def cm_torus(inp: CmInput):
     base = embs[inp.phi[0] - 1]
     auto_by_emb = {}
     for tau in autos:
-        idx = _match_embedding(lambda w, t=tau: t.enclosure(base, w), embs)
+        idx = k.roots.locate(lambda w, t=tau: t.enclosure(base, w)) + 1
         auto_by_emb[idx] = tau
     if len(auto_by_emb) != d:
         raise UnsupportedField("automorphisms do not separate the embeddings")
@@ -603,13 +585,8 @@ def find_beta(k: NumberField, basis, phi, budget: int) -> FieldElement:
         parts.append(use)
     if not parts:
         raise NotFoundWithinBudget("basis has no conj-antisymmetric part")
-    coords = sorted(
-        itertools.product(range(-budget, budget + 1), repeat=len(parts)),
-        key=lambda c: (max(abs(x) for x in c), c),
-    )
-    for c in coords:
-        if all(x == 0 for x in c):
-            continue
+    shells = (_shell(len(parts), m) for m in range(1, budget + 1))
+    for c in itertools.chain.from_iterable(shells):
         beta = k.zero()
         for x, p in zip(c, parts):
             if x:
@@ -620,6 +597,17 @@ def find_beta(k: NumberField, basis, phi, budget: int) -> FieldElement:
         except BetaNotAdmissible:
             continue
     raise NotFoundWithinBudget(f"no admissible beta with coordinates up to {budget}")
+
+
+def _shell(n: int, m: int):
+    """Integer n-tuples with max |c| == m, lazily and in lexicographic order."""
+    for x in range(-m, m + 1):
+        if abs(x) == m:
+            rests = itertools.product(range(-m, m + 1), repeat=n - 1)
+        else:
+            rests = _shell(n - 1, m) if n > 1 else ()
+        for rest in rests:
+            yield (x,) + rest
 
 
 def _in_span_integral(bmat: FieldMatrix, x: FieldElement) -> bool:
@@ -939,19 +927,6 @@ def _values_equal(x: FieldElement, ea: Embedding, eb: Embedding) -> bool:
     mp = element_minpoly(x)
     if polyq.degree(mp) == 1:
         return True
-    reals, uppers = _isolate_all_roots(mp)
-    boxes = list(reals) + list(uppers) + [b.conj() for b in uppers]
-    dp = polyq.pderiv(mp)
-
-    def locate(emb):
-        width = Fraction(1, 1 << 16)
-        while True:
-            v = x.enclosure(emb, width)
-            hits = [i for i, b in enumerate(boxes) if not b.disjoint(v)]
-            if len(hits) == 1:
-                return hits[0]
-            width /= 1 << 4
-            for i in range(len(boxes)):
-                boxes[i] = _refine_box_once(mp, dp, boxes[i])
-
-    return locate(ea) == locate(eb)
+    roots = RootSet(mp)
+    at_a = roots.locate(lambda w: x.enclosure(ea, w))
+    return at_a == roots.locate(lambda w: x.enclosure(eb, w))

@@ -6,6 +6,15 @@ complex enclosures of the roots of m: real roots isolated by Sturm
 sequences, complex roots by interval-Newton certification of boxes seeded
 with Durand-Kerner approximations.  No floating-point value ever decides
 anything; floats only pick where to *try* a certificate.
+
+`RootSet` holds the isolated boxes of one squarefree polynomial and is the
+single place that decides which root a value is (`locate`) and whether a
+polynomial vanishes at a root (`vanishes_at`); it backs the embeddings of a
+`NumberField` and the factor extraction in `minpoly_factor_at`.  The loops
+that wait for a certificate (`locate`, `vanishes_at`, the factor candidates
+of `minpoly_factor_at` and the sign test behind `exact_sign`) stop after
+`MAX_ROUNDS` rounds and raise `NotConverged`; box refinement raises it when
+a bisection makes no progress, and leaves an exact-point box as it is.
 """
 
 from __future__ import annotations
@@ -37,6 +46,15 @@ class NotRealUnderEmbedding(ValueError):
 
 class ZeroDivisor(ArithmeticError):
     """Division by an element that is not invertible mod the minpoly."""
+
+
+class NotConverged(ArithmeticError):
+    """A certificate was not reached within `MAX_ROUNDS` refinement rounds."""
+
+
+# rounds of a refine-and-retry loop before it gives up; each round at least
+# halves a box or an enclosure width
+MAX_ROUNDS = 400
 
 
 def default_enclosure_width() -> Fraction:
@@ -113,7 +131,10 @@ def _refine_certified(p, dp, box: Box, width: Fraction) -> Box:
             if cut is not None and cut.width() <= box.width() * Fraction(3, 4):
                 box = cut.dyadic_outward(bits)
                 continue
-        box = _bisect_certified(p, dp, box)
+        half = _bisect_certified(p, dp, box)
+        if half is box:
+            raise NotConverged("no half of the box could be certified")
+        box = half
     return box
 
 
@@ -138,24 +159,38 @@ def _bisect_certified(p, dp, box: Box) -> Box:
 def _refine_box_once(p, dp, box: Box) -> Box:
     if box.width() == 0:
         return box  # an exact point cannot shrink further
-    # Newton first in all cases; _bisect_certified covers stalls, so real
-    # boxes never need a new Sturm chain after isolation
+    # Newton first in all cases; real boxes fall back to an exact sign
+    # bisection, so they never need a new Sturm chain after isolation
     if box.im.lo == box.im.hi == 0:
         n = _newton_step(p, dp, box)
         if n is not None:
             cut = n.intersect(box)
             if cut is not None and cut.width() <= box.width() * Fraction(3, 4):
                 # grid must be much finer than the contraction or the
-                # outward rounding eats the progress
+                # outward rounding eats the progress; clipping to the box
+                # keeps a close neighbouring root out
                 bits = 16
                 while Fraction(1, 1 << bits) > box.width() / 64:
                     bits += 16
-                out = cut.dyadic_outward(bits)
+                out = cut.dyadic_outward(bits).intersect(box)
                 if out.width() < box.width():
                     return Box(out.re, Iv.point(0))
-        half = _bisect_certified(p, dp, box)
-        return Box(half.re, Iv.point(0))
+        return _bisect_real(p, box)
     return _refine_certified(p, dp, box, box.width() / 2)
+
+
+def _bisect_real(p, box: Box) -> Box:
+    """Half of a real isolating box that keeps the root, by exact signs
+    (interval evaluation can allow zero on both halves near a close root)."""
+    lo, m = box.re.lo, box.re.mid()
+    at_lo, at_m = polyq.peval(p, lo), polyq.peval(p, m)
+    if at_lo == 0:
+        return Box.point(lo)
+    if at_m == 0:
+        return Box.point(m)
+    if (at_lo > 0) != (at_m > 0):
+        return Box(Iv(lo, m), Iv.point(0))
+    return Box(Iv(m, box.re.hi), Iv.point(0))
 
 
 def _merge_close(zs, tol=1e-9):
@@ -201,7 +236,7 @@ def _subdivision_upper_roots(p, dp, count, reals):
     while queue and len(found) < count:
         guard += 1
         if guard > 200000:
-            raise AssertionError("root subdivision failed to converge")
+            raise NotConverged("root subdivision failed to converge")
         box = queue.pop()
         if not poly_eval_box(p, box).contains_zero():
             continue
@@ -222,15 +257,15 @@ def _subdivision_upper_roots(p, dp, count, reals):
     return found
 
 
-def _isolate_all_roots(p):
-    """Pairwise-disjoint certified boxes for all roots of squarefree p.
+def _isolate_all_roots(p, dp):
+    """Certified boxes for all roots of squarefree p, one root each.
 
     Returns (real_boxes, upper_boxes): real roots ascending, strictly
     complex roots with Im > 0 ordered by (re, im); the conjugate roots are
-    the mirrored upper boxes.
+    the mirrored upper boxes.  Boxes may still overlap; `RootSet`
+    separates them.
     """
     d = polyq.degree(p)
-    dp = polyq.pderiv(p)
     reals = []
     chain = polyq.sturm_chain(p)
     for a, b in polyq.isolate_real_roots(p):
@@ -260,10 +295,7 @@ def _isolate_all_roots(p):
         ]
     else:
         uppers = []
-
-    boxes = reals + uppers
-    _make_disjoint(p, dp, boxes)
-    return boxes[: len(reals)], boxes[len(reals) :]
+    return reals, uppers
 
 
 def _strictly_upper(p, dp, box: Box) -> Box:
@@ -272,31 +304,87 @@ def _strictly_upper(p, dp, box: Box) -> Box:
     return box
 
 
-def _make_disjoint(p, dp, boxes):
-    """Refine in place until all boxes (and conjugates of complex ones) are
-    pairwise strictly disjoint."""
+class RootSet:
+    """Certified, pairwise-disjoint boxes for the roots of a squarefree
+    rational polynomial.
 
-    def views():
-        out = []
-        for b in boxes:
-            out.append(b)
-            if not (b.im.lo == b.im.hi == 0):
-                out.append(b.conj())
-        return out
+    Roots are indexed from 0 in embedding order: real roots ascending, then
+    each root with Im > 0 followed by its complex conjugate.
+    """
 
-    changed = True
-    while changed:
-        changed = False
-        vs = views()
-        for i in range(len(vs)):
-            for j in range(i + 1, len(vs)):
-                if not vs[i].disjoint(vs[j]):
-                    for k in range(len(boxes)):
-                        boxes[k] = _refine_box_once(p, dp, boxes[k])
-                    changed = True
-                    break
-            if changed:
-                break
+    def __init__(self, p):
+        self.poly = polyq.poly(p)
+        self._dpoly = polyq.pderiv(self.poly)
+        reals, uppers = _isolate_all_roots(self.poly, self._dpoly)
+        self.nreal = len(reals)
+        self.boxes = list(reals)
+        for b in uppers:
+            self.boxes += [b, b.conj()]
+        while any(not a.disjoint(b) for a, b in itertools.combinations(self.boxes, 2)):
+            for i in range(len(self.boxes)):
+                if self.conj(i) >= i:  # a real or upper box; its conjugate follows
+                    self.boxes[i] = _refine_box_once(self.poly, self._dpoly, self.boxes[i])
+                    self.boxes[self.conj(i)] = self.boxes[i].conj()
+
+    def is_real(self, i) -> bool:
+        return i < self.nreal
+
+    def conj(self, i) -> int:
+        """Index of the complex conjugate of root i."""
+        if self.is_real(i):
+            return i
+        return i + 1 if (i - self.nreal) % 2 == 0 else i - 1
+
+    def refine(self, i, width) -> Box:
+        """Shrink box i below `width`, or to an exact point; the conjugate's
+        box follows along."""
+        box = self.boxes[i]
+        while box.width() >= width and box.width() > 0:
+            box = _refine_box_once(self.poly, self._dpoly, box)
+        self.boxes[i] = box
+        j = self.conj(i)
+        if self.boxes[j].width() > box.width():
+            self.boxes[j] = box.conj()
+        return box
+
+    def locate(self, value_encloser) -> int:
+        """Index of the root equal to a value known to be a root.
+
+        `value_encloser(width)` returns a Box around the value; the answer
+        is the only root whose box meets it.
+        """
+        width = Fraction(1, 1 << 16)
+        for _ in range(MAX_ROUNDS):
+            v = value_encloser(width)
+            hits = [i for i, b in enumerate(self.boxes) if not b.disjoint(v)]
+            if len(hits) == 1:
+                return hits[0]
+            width /= 1 << 4
+            for i in range(len(self.boxes)):
+                self.refine(i, width)
+        raise NotConverged("value enclosure never met exactly one root box")
+
+    def vanishes_at(self, g, i) -> bool:
+        """Certified: does the rational polynomial g vanish at root i?"""
+        g = polyq.pgcd(g, self.poly)  # roots of g outside this set cannot mislead
+        if polyq.degree(g) < 1:
+            return False
+        dg = polyq.pderiv(g)
+        for _ in range(MAX_ROUNDS):
+            box = self.boxes[i]
+            if not poly_eval_box(g, box).contains_zero():
+                return False
+            if self.is_real(i):
+                # root i is the only root of self.poly in [a, b], and g divides
+                # self.poly, so a root of g there is root i
+                a, b = box.re.lo, box.re.hi
+                if polyq.peval(g, a) == 0 or polyq.peval(g, b) == 0:
+                    return True
+                return polyq.count_roots(polyq.sturm_chain(g), a, b) == 1
+            if _certify(g, dg, box):  # also settles an exact-point box
+                return True
+            self.refine(i, box.width() / 2)
+        raise NotConverged("root membership test did not converge")
 
 
 # ---------------------------------------------------------------------------
@@ -304,32 +392,26 @@ def _make_disjoint(p, dp, boxes):
 
 
 class Embedding:
-    """A certified complex embedding: one isolated root of the minpoly."""
+    """A certified complex embedding: a view on one root of the field's
+    `RootSet`."""
 
-    def __init__(self, field, index, box, is_real, conj_index):
+    def __init__(self, field, roots: RootSet, i):
         self.field = field
-        self.index = index  # 1-based
-        self.is_real = is_real
-        self.conj_index = conj_index
-        self._box = box
+        self.roots = roots
+        self.index = i + 1  # 1-based
+        self.is_real = roots.is_real(i)
+        self.conj_index = None if self.is_real else roots.conj(i) + 1
 
     def enclosure(self, width=None) -> Box:
         if width is not None:
             self.refine(width)
-        return self._box
+        return self.roots.boxes[self.index - 1]
 
     def refine(self, width) -> Box:
-        p, dp = self.field.minpoly, self.field._dminpoly
-        while self._box.width() >= width:
-            self._box = _refine_box_once(p, dp, self._box)
-        if self.conj_index is not None:
-            mate = self.field.embeddings()[self.conj_index - 1]
-            if mate._box.width() > self._box.width():
-                mate._box = self._box.conj()
-        return self._box
+        return self.roots.refine(self.index - 1, width)
 
     def __repr__(self):
-        return f"Embedding(#{self.index}, ~{self._box.approx():.6g}, real={self.is_real})"
+        return f"Embedding(#{self.index}, ~{self.enclosure().approx():.6g}, real={self.is_real})"
 
 
 class NumberField:
@@ -347,9 +429,9 @@ class NumberField:
             raise NotSquarefree("gcd(m, m') is not constant")
         self.minpoly = m
         self.degree = polyq.degree(m)
-        self._dminpoly = polyq.pderiv(m)
         self._red = self._reduction_rows()
         self._embeddings = None
+        self._roots = None
         self.conj_image = None
         self._conj_matrix = None
         if conj_image is not None:
@@ -453,24 +535,21 @@ class NumberField:
 
     def embeddings(self, width=None):
         if self._embeddings is None:
-            reals, uppers = _isolate_all_roots(self.minpoly)
-            embs = []
-            idx = 1
-            for b in reals:
-                embs.append(Embedding(self, idx, b, True, None))
-                idx += 1
-            for b in uppers:
-                embs.append(Embedding(self, idx, b, False, idx + 1))
-                embs.append(Embedding(self, idx + 1, b.conj(), False, idx))
-                idx += 2
-            self._embeddings = embs
+            self._roots = RootSet(self.minpoly)
+            self._embeddings = [Embedding(self, self._roots, i) for i in range(self.degree)]
             initial = default_enclosure_width()
-            for e in embs:
+            for e in self._embeddings:
                 e.refine(initial)
         if width is not None:
             for e in self._embeddings:
                 e.refine(width)
         return self._embeddings
+
+    @property
+    def roots(self) -> RootSet:
+        """The certified root boxes of the minpoly that back `embeddings()`."""
+        self.embeddings()
+        return self._roots
 
     def real_embeddings(self):
         return [e for e in self.embeddings() if e.is_real]
@@ -646,58 +725,34 @@ def _is_real_under(x: FieldElement, emb: Embedding) -> bool:
     f = x.field
     if f.has_conj:
         diff = f.conj(x) - x  # image is -2i Im(sigma(x))
-        return diff.is_zero() or _image_is_zero(diff, emb)
+        return _image_is_zero(diff, emb)
     raise NotRealUnderEmbedding("cannot certify a real image without conj")
 
 
 def _image_is_zero(x: FieldElement, emb: Embedding) -> bool:
     """Exact zero test for the image of x under one embedding."""
-    if x.is_zero():
-        return True
-    g = polyq.pgcd(polyq.poly(x.coords), x.field.minpoly)
-    if polyq.degree(g) == 0:
-        return False
-    return _root_in_box(g, emb)
+    return x.is_zero() or emb.roots.vanishes_at(polyq.poly(x.coords), emb.index - 1)
 
 
-def _root_in_box(g, emb: Embedding) -> bool:
-    """Does the root isolated by emb satisfy g = 0? Exact and terminating."""
-    dg = polyq.pderiv(g)
+def _nonzero_sign(x: FieldElement, emb: Embedding, part: str) -> int:
+    """Sign of one part ("re" or "im") of an image certified nonzero."""
     width = emb.enclosure().width()
-    for _ in range(400):
-        box = emb.enclosure()
-        if box.width() == 0:  # the isolated root is an exact rational point
-            val = poly_eval_box(g, box)
-            return val.re.lo == 0 and val.im.lo == 0
-        if not poly_eval_box(g, box).contains_zero():
-            return False
-        if emb.is_real:
-            a, b = box.re.lo, box.re.hi
-            if polyq.peval(g, a) != 0 and polyq.peval(g, b) != 0:
-                return polyq.count_roots(polyq.sturm_chain(g), a, b) == 1
-        else:
-            if _certify(g, dg, box):
-                return True
-        width /= 2
+    for _ in range(MAX_ROUNDS):
+        s = getattr(x.enclosure(emb), part).sign()
+        if s:
+            return s
+        width /= 1 << 4
         emb.refine(width)
-    raise AssertionError("root membership test did not converge")
+    raise NotConverged("sign of a nonzero image was not resolved")
 
 
 def exact_sign(x: FieldElement, emb: Embedding) -> int:
     """Sign of the (real) image of x: interval first, exact zero fallback."""
     if not _is_real_under(x, emb):
         raise NotRealUnderEmbedding("image of x is not real under this embedding")
-    if x.is_zero():
-        return 0
     if _image_is_zero(x, emb):
         return 0
-    width = emb.enclosure().width()
-    while True:
-        s = x.enclosure(emb).re.sign()
-        if s:
-            return s
-        width /= 1 << 4
-        emb.refine(width)
+    return _nonzero_sign(x, emb, "re")
 
 
 def exact_sign_imag(x: FieldElement, emb: Embedding) -> int:
@@ -705,15 +760,9 @@ def exact_sign_imag(x: FieldElement, emb: Embedding) -> int:
     f = x.field
     if f.has_conj and not (f.conj(x) + x).is_zero():
         raise NotRealUnderEmbedding("image of x is not purely imaginary")
-    if x.is_zero() or _image_is_zero(x, emb):
+    if _image_is_zero(x, emb):
         return 0
-    width = emb.enclosure().width()
-    while True:
-        s = x.enclosure(emb).im.sign()
-        if s:
-            return s
-        width /= 1 << 4
-        emb.refine(width)
+    return _nonzero_sign(x, emb, "im")
 
 
 # ---------------------------------------------------------------------------
@@ -734,40 +783,20 @@ def minpoly_factor_at(mp, value_encloser):
     d = polyq.degree(mp)
     den = math.lcm(*[c.denominator for c in mp])
     den_bound = den**d  # factor coefficient denominators divide this (Gauss)
-    reals, uppers = _isolate_all_roots(mp)
-    boxes = list(reals) + list(uppers) + [b.conj() for b in uppers]
-    dp = polyq.pderiv(mp)
-
-    width = Fraction(1, 1 << 16)
-    target = None
-    while target is None:
-        v = value_encloser(width)
-        hits = [i for i, b in enumerate(boxes) if not b.disjoint(v)]
-        if len(hits) == 1:
-            target = hits[0]
-        else:
-            width /= 1 << 4
-            boxes = [_refine_box_once(mp, dp, b) for b in boxes]
-
-    nreal, nup = len(reals), len(uppers)
-
-    def conj_of(i):
-        if i < nreal:
-            return i
-        return i + nup if i < nreal + nup else i - nup
-
+    roots = RootSet(mp)
+    target = roots.locate(value_encloser)
     for size in range(1, d + 1):
         for subset in itertools.combinations(range(d), size):
             ss = set(subset)
-            if target not in ss or {conj_of(i) for i in ss} != ss:
+            if target not in ss or {roots.conj(i) for i in ss} != ss:
                 continue
-            cand = _candidate_factor(mp, dp, boxes, subset, den_bound, target)
+            cand = _candidate_factor(roots, subset, den_bound, target)
             if cand is not None:
                 return cand
     raise AssertionError("no factor found")
 
 
-def _candidate_factor(mp, dp, boxes, subset, den_bound, target):
+def _candidate_factor(roots: RootSet, subset, den_bound, target):
     """Try to certify prod_{i in subset} (x - root_i) as an exact factor.
 
     Candidates are rounded from coefficient intervals and confirmed by
@@ -776,10 +805,10 @@ def _candidate_factor(mp, dp, boxes, subset, den_bound, target):
     guaranteed uniqueness width rejects the subset.
     """
     unique_width = Fraction(1, 2 * den_bound * den_bound)
-    for _ in range(400):
+    for _ in range(MAX_ROUNDS):
         coeffs = [Box.point(1)]  # ascending coefficients of prod (x - root_i)
         for i in subset:
-            b = boxes[i]
+            b = roots.boxes[i]
             new = [Box.point(0)] * (len(coeffs) + 1)
             for k, c in enumerate(coeffs):
                 new[k + 1] = new[k + 1] + c
@@ -803,34 +832,13 @@ def _candidate_factor(mp, dp, boxes, subset, den_bound, target):
             cand.append(r)
         if usable:
             candidate = polyq.poly(cand + [Fraction(1)])
-            if polyq.is_zero(polyq.pmod(mp, candidate)) and _target_vanishes(
-                candidate, mp, dp, boxes, target
+            if polyq.is_zero(polyq.pmod(roots.poly, candidate)) and roots.vanishes_at(
+                candidate, target
             ):
                 return candidate
         if guaranteed:
             # intervals this tight pin the only possible rational factor
             return None
-        for i in set(subset):
-            boxes[i] = _refine_box_once(mp, dp, boxes[i])
-    raise AssertionError("factor candidate refinement did not converge")
-
-
-def _target_vanishes(g, mp, dp, boxes, target):
-    """Certified: does the root isolated by boxes[target] satisfy g = 0?"""
-    dg = polyq.pderiv(g)
-    for _ in range(200):
-        box = boxes[target]
-        if box.width() == 0:
-            val = poly_eval_box(g, box)
-            return val.re.lo == 0 and val.im.lo == 0
-        if not poly_eval_box(g, box).contains_zero():
-            return False
-        if box.im.lo == box.im.hi == 0:
-            a, b = box.re.lo, box.re.hi
-            if polyq.peval(g, a) != 0 and polyq.peval(g, b) != 0:
-                if polyq.count_roots(polyq.sturm_chain(g), a, b) == 1:
-                    return True
-        elif _certify(g, dg, box):
-            return True
-        boxes[target] = _refine_box_once(mp, dp, boxes[target])
-    raise AssertionError("target membership test did not converge")
+        for i in subset:
+            roots.refine(i, roots.boxes[i].width() / 2)
+    raise NotConverged("factor candidate refinement did not converge")

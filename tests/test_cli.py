@@ -32,6 +32,15 @@ def test_malformed_json_exits_2(capsys):
     assert code == 2
 
 
+def test_cm_build_budget_exhaustion_exits_2(capsys, fixture_dir):
+    doc = json.load(open(fixture_dir / "tau_i.json"))
+    doc["cm"]["beta"] = None
+    code, out = invoke(capsys, ["cm", "build", "--input", json.dumps(doc), "--budget", "0"])
+    assert code == 2
+    rep = json.loads(out)
+    assert rep["ok"] is False and rep["error"].startswith("NotFoundWithinBudget")
+
+
 def test_gks_induce_and_rationality(capsys, fixture_dir):
     code, out = invoke(capsys, ["gks", "induce", "--torus", str(fixture_dir / "tau_i.json")])
     assert code == 0

@@ -255,3 +255,36 @@ def test_find_beta_budget_exhaustion():
     k = make_field([1, 0, 1], conj_image=[0, -1])
     with pytest.raises(NotFoundWithinBudget):
         find_beta(k, [k.one(), k.gen()], [_embedding_near(k, 0.0, 1.0)], 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("budget", [0, 1, 2, 3])
+def test_find_beta_shells_match_sorted_order(n, budget):
+    import itertools
+
+    from toruscm.cm import _shell
+
+    lazy = [c for m in range(1, budget + 1) for c in _shell(n, m)]
+    eager = sorted(
+        itertools.product(range(-budget, budget + 1), repeat=n),
+        key=lambda c: (max(abs(x) for x in c), c),
+    )
+    assert lazy == [c for c in eager if any(c)]
+
+
+def test_find_beta_memory_is_bounded(zeta5_cm):
+    import tracemalloc
+
+    inp = zeta5_cm["input"]
+    k = inp.field
+    xi = k.gen()
+    # three distinct conj-antisymmetric parts; budget 40 spans 81^3 > 5e5 tuples
+    basis = [k.one(), xi, xi**2, xi**3 + xi]
+    tracemalloc.start()
+    try:
+        beta = find_beta(k, basis, inp.phi, 40)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (k.conj(beta) + beta).is_zero()
+    assert peak < 5 * 1024 * 1024

@@ -1,0 +1,59 @@
+"""CLI reports on the shipped fixtures, compared byte for byte.
+
+`tests/golden/<case>.json` holds the stdout of each command below.  A change
+that means to alter a report regenerates the files with
+`PYTHONPATH=src python tests/test_golden.py` and says why in CHANGES.md.
+"""
+
+import pathlib
+
+import pytest
+
+from toruscm.cli import run
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+
+
+def _fixture(name):
+    return str(ROOT / "fixtures" / f"{name}.json")
+
+
+def _cases():
+    cases = {}
+    for name in ("tau_i", "tau_2pow14", "zeta5"):
+        cases[f"va_chiral_{name}"] = ["va", "chiral", "--torus", _fixture(name)]
+        cases[f"gks_rationality_{name}"] = ["gks", "rationality", "--torus", _fixture(name)]
+        cases[f"cm_certificate_{name}"] = [
+            "cm", "certificate", "--torus", _fixture(name), "--seed", "1"
+        ]
+    for name in ("tau_i", "zeta5"):
+        cases[f"cm_build_{name}"] = ["cm", "build", "--input", _fixture(name), "--budget", "2"]
+    cases["demo_section4"] = ["demo", "section4"]
+    return cases
+
+
+CASES = _cases()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_report_matches_golden(case, capsys):
+    code = run(CASES[case])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN / f"{case}.json").read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+
+    GOLDEN.mkdir(exist_ok=True)
+    for case, argv in sorted(CASES.items()):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = run(argv)
+        if code != 0:
+            raise SystemExit(f"{case}: exit {code}")
+        (GOLDEN / f"{case}.json").write_text(buf.getvalue(), encoding="utf-8")
+        print(case)

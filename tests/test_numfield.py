@@ -5,14 +5,18 @@ from fractions import Fraction
 import pytest
 
 from toruscm import polyq
+from toruscm.boxes import Box, Iv
 from toruscm.numfield import (
     ConjNotAutomorphism,
     ConjNotInvolution,
+    NotConverged,
     NotSquarefree,
+    RootSet,
     embeddings,
     exact_sign,
     exact_sign_imag,
     make_field,
+    minpoly_factor_at,
     rational_part,
     rationals,
     trace_q,
@@ -211,3 +215,173 @@ def test_rationals_field():
     e = qq.embeddings()[0]
     assert e.is_real
     assert exact_sign(qq.from_rational(Fraction(-3, 7)), e) == -1
+
+
+def _point_encloser(v, widths):
+    def enclose(width):
+        widths.append(width)
+        return Box(Iv(v - width / 2, v + width / 2), Iv.point(0))
+
+    return enclose
+
+
+def test_locate_refines_between_close_rational_roots():
+    a = Fraction(1, 3)
+    b = a + Fraction(1, 1 << 22)  # closer than 2^-20
+    roots = RootSet(polyq.pmul(polyq.poly([-a, 1]), polyq.poly([-b, 1])))
+    widths = []
+    assert roots.locate(_point_encloser(a, widths)) == 0
+    assert len(widths) > 1  # the first enclosure met both root boxes
+    assert roots.locate(_point_encloser(b, [])) == 1
+    assert roots.boxes[0].disjoint(roots.boxes[1])
+
+
+def test_locate_raises_not_converged_when_encloser_ignores_width():
+    roots = RootSet([-2, 0, 1])
+    with pytest.raises(NotConverged):
+        roots.locate(lambda width: Box(Iv.of(-2, 2), Iv.of(-1, 1)))
+
+
+@pytest.mark.parametrize(
+    "p, g, g_roots",
+    [
+        # (x^2-2)(x^2-3) against x^2-2
+        ([6, 0, -5, 0, 1], [-2, 0, 1], [2**0.5, -(2**0.5)]),
+        # (x^2+2)(x^2+3) against x^2+2
+        ([6, 0, 5, 0, 1], [2, 0, 1], [1j * 2**0.5, -1j * 2**0.5]),
+    ],
+)
+def test_vanishes_at(p, g, g_roots):
+    roots = RootSet(p)
+    # read the roots of g off the boxes: the two upper roots of (x^2+2)(x^2+3)
+    # tie on real part 0, so their order is not fixed
+    expected = [any(abs(b.approx() - z) < 0.1 for z in g_roots) for b in roots.boxes]
+    assert sum(expected) == 2
+    assert [roots.vanishes_at(polyq.poly(g), i) for i in range(len(roots.boxes))] == expected
+
+
+def test_vanishes_at_exact_point_root():
+    roots = RootSet([0, -1, 1])  # x^2 - x: roots 0 and 1
+    for i in range(2):
+        roots.refine(i, Fraction(1, 1 << 30))
+    assert [b.width() for b in roots.boxes] == [0, 0]
+    x, x_minus_1 = polyq.poly([0, 1]), polyq.poly([-1, 1])
+    assert [roots.vanishes_at(x, i) for i in range(2)] == [True, False]
+    assert [roots.vanishes_at(x_minus_1, i) for i in range(2)] == [False, True]
+
+
+def test_minpoly_factor_at_keeps_an_exact_point_root():
+    # (x - 16)(x^2 - c): the wide first enclosures make `locate` refine every
+    # box, which shrinks the box of the dyadic root 16 to an exact point; the
+    # subset {-sqrt(c), 16} then needs more rounds, which must leave it alone
+    c = Fraction(257258, 1001)
+    quad = polyq.poly([-c, 0, 1])
+    mp = polyq.pmul(polyq.poly([-16, 1]), quad)
+    own = RootSet(mp)
+
+    def encloser(width):
+        if width > Fraction(1, 1 << 32):
+            return Box(Iv.of(-100, 100), Iv.point(0))  # meets every root box
+        return own.refine(0, width)  # -sqrt(c)
+
+    assert minpoly_factor_at(mp, encloser) == quad
+
+
+def test_refine_leaves_an_exact_point_box():
+    roots = RootSet([0, -1, 1])  # x^2 - x
+    point = roots.refine(0, Fraction(1, 1 << 30))
+    assert point.width() == 0
+    assert roots.refine(0, point.width() / 2) == point
+
+
+# -- sympy oracle ------------------------------------------------------------
+
+_EPS = Fraction(1, 1 << 32)
+
+
+def _sympy_root_boxes(p):
+    """Closed rectangles from sympy's exact isolation, one per root of p."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    sp = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p)], x)
+    reals, cplx = sp.intervals(all=True, eps=sympy.Rational(1, 1 << 32))
+
+    def q(r):
+        r = sympy.Rational(r)
+        return Fraction(int(r.p), int(r.q))
+
+    out = [Box(Iv(q(a), q(b)), Iv.point(0)) for (a, b), _ in reals]
+    for (c0, c1), _ in cplx:
+        (x0, y0), (x1, y1) = (sympy.re(c0), sympy.im(c0)), (sympy.re(c1), sympy.im(c1))
+        out.append(Box(Iv(q(x0), q(x1)), Iv(q(y0), q(y1))))
+    return out
+
+
+def _monic_factors():
+    from hypothesis import strategies as st
+
+    factor = st.lists(st.integers(-6, 6), min_size=1, max_size=3).map(lambda cs: cs + [1])
+    return st.lists(factor, min_size=1, max_size=3).map(
+        lambda fs: [polyq.poly(f) for f in fs]
+    ).filter(lambda fs: sum(len(f) - 1 for f in fs) <= 6)
+
+
+def _product(factors):
+    p = polyq.poly([1])
+    for f in factors:
+        p = polyq.pmul(p, f)
+    return p
+
+
+def test_rootset_boxes_match_sympy_isolation():
+    pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=30, deadline=None, derandomize=True)
+    @hypothesis.given(_monic_factors())
+    def check(factors):
+        p = _product(factors)
+        hypothesis.assume(polyq.is_squarefree(p))
+        roots = RootSet(p)
+        for i in range(len(roots.boxes)):
+            roots.refine(i, _EPS)
+        boxes = roots.boxes
+        assert len(boxes) == polyq.degree(p)
+        for i in range(len(boxes)):
+            if not roots.is_real(i):  # each upper root is followed by its conjugate
+                assert boxes[i].im.strictly_positive() == (roots.conj(i) == i + 1)
+                assert boxes[roots.conj(i)] == boxes[i].conj()
+            for j in range(i + 1, len(boxes)):
+                assert boxes[i].disjoint(boxes[j])
+        oracle = _sympy_root_boxes(p)
+        for b in boxes:
+            assert sum(not b.disjoint(r) for r in oracle) == 1
+
+    check()
+
+
+def test_minpoly_factor_at_matches_sympy_factor_list():
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+
+    x = sympy.Symbol("x")
+
+    @hypothesis.settings(max_examples=30, deadline=None, derandomize=True)
+    @hypothesis.given(_monic_factors(), st.data())
+    def check(factors, data):
+        p = _product(factors)
+        hypothesis.assume(polyq.is_squarefree(p))
+        i = data.draw(st.integers(0, polyq.degree(p) - 1))
+        encloser_roots = RootSet(p)
+        got = minpoly_factor_at(p, lambda w: encloser_roots.refine(i, w))
+        target = encloser_roots.refine(i, _EPS)
+        sp = sympy.Poly([int(c) for c in reversed(p)], x)
+        owners = []
+        for f, _ in sympy.factor_list(sp)[1]:
+            coeffs = polyq.poly(reversed([int(c) for c in f.all_coeffs()]))
+            if any(not target.disjoint(r) for r in _sympy_root_boxes(coeffs)):
+                owners.append(coeffs)
+        assert owners == [got]
+
+    check()
