@@ -2,13 +2,15 @@
 structure, endomorphism algebras, CM certificates, rational-metric search,
 the eta-involution checks, and the simplicity criterion.
 
-The complex structure of C^g / Phi(O) is computed symbolically in the
-quadratic extension ring A = K[y]/(y^2 + 1) (pairs of K-elements), which is
-etale even when i already lies in K.  Entries are certified fixed by the
-extended conjugation and their real values are extracted into an explicit
-coefficient field via Krylov minimal polynomials and certified-enclosure
-factor selection.  Every decision is exact; enclosures only steer which
-exact verification to attempt.
+The complex structure I of C^g / Phi(O) is R^-1 D R, where R holds the
+images sigma_j(a) of the basis for j in Phi and their complex conjugates,
+and D = diag(i, .., i, -i, .., -i).  It is computed exactly over the number
+field L = Q(sigma(K), i), built from a primitive element of K[y]/(y^2 + 1)
+and the factor of its minimal polynomial that vanishes at the base
+embedding; L is a field whether or not i lies in K.  The real values of I
+are then expressed in F = Q(entries) by exact solves in the power span of a
+generator, and F's embedding is certified real.  Every decision is exact;
+enclosures only pick which root or embedding a value is.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import polyq
-from .boxes import Box, poly_eval_box
+from .boxes import Box
 from .exactla import FieldMatrix, Inconsistent, Singular, positive_definite
 from .numfield import (
     Embedding,
@@ -48,6 +50,10 @@ class UnsupportedField(ValueError):
     pass
 
 
+class ConjNotComplexConjugation(ValueError):
+    pass
+
+
 class IncompatiblePolarization(ValueError):
     pass
 
@@ -71,25 +77,19 @@ def krylov_minpoly(vec_of_power):
     ambient space; dependence is detected by exact elimination.
     """
     qq = rationals()
-    cols = []
-    k = 0
-    while True:
+    cols = [list(vec_of_power(0))]
+    if all(x == 0 for x in cols[0]):
+        return polyq.poly([0, 1])
+    for k in range(1, len(cols[0]) + 1):  # n + 1 powers in dimension n are dependent
         v = vec_of_power(k)
-        if cols:
-            a = FieldMatrix(qq, [[cols[j][i] for j in range(k)] for i in range(len(v))])
-            b = FieldMatrix(qq, [[x] for x in v])
-            try:
-                sol = a.solve(b)
-                coeffs = [-sol[j, 0].as_rational() for j in range(k)]
-                return polyq.poly(coeffs + [Fraction(1)])
-            except (Inconsistent, Singular):
-                pass
-        elif all(x == 0 for x in v):
-            return polyq.poly([0, 1])
-        cols.append(list(v))
-        k += 1
-        if k > len(cols[0]) + 1:
-            raise AssertionError("no dependence found")
+        a = FieldMatrix(qq, [[col[i] for col in cols] for i in range(len(v))])
+        try:
+            sol = a.solve(FieldMatrix(qq, [[x] for x in v]))
+        except Inconsistent:
+            cols.append(list(v))
+            continue
+        return polyq.poly([-sol[j, 0].as_rational() for j in range(k)] + [Fraction(1)])
+    raise AssertionError("no dependence found")
 
 
 def matrix_minpoly(m: FieldMatrix):
@@ -118,151 +118,6 @@ def element_minpoly(x: FieldElement):
 
 
 # ---------------------------------------------------------------------------
-# The quadratic extension ring A = K[y]/(y^2+1)
-
-
-@dataclass(frozen=True)
-class AElt:
-    re: FieldElement
-    im: FieldElement
-
-    def __add__(self, o):
-        return AElt(self.re + o.re, self.im + o.im)
-
-    def __sub__(self, o):
-        return AElt(self.re - o.re, self.im - o.im)
-
-    def __neg__(self):
-        return AElt(-self.re, -self.im)
-
-    def __mul__(self, o):
-        return AElt(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
-
-    def inverse(self):
-        n = self.re * self.re + self.im * self.im
-        ninv = n.inverse()  # ZeroDivisor iff not a unit of A
-        return AElt(self.re * ninv, -(self.im * ninv))
-
-    def is_zero(self):
-        return self.re.is_zero() and self.im.is_zero()
-
-    def conj(self):
-        f = self.re.field
-        return AElt(f.conj(self.re), -f.conj(self.im))
-
-    def vec(self):
-        return list(self.re.coords) + list(self.im.coords)
-
-    def enclosure(self, emb: Embedding, width) -> Box:
-        """Box around sigma(re) + i*sigma(im) through one embedding of K."""
-        a = self.re.enclosure(emb, width)
-        b = self.im.enclosure(emb, width)
-        return Box(a.re - b.im, a.im + b.re)
-
-
-def _a_from_k(x: FieldElement) -> AElt:
-    return AElt(x, x.field.zero())
-
-
-def _a_scale(x: AElt, c: Fraction) -> AElt:
-    f = x.re.field
-    ce = f.from_rational(c)
-    return AElt(x.re * ce, x.im * ce)
-
-
-def _a_matmul(a, b):
-    n, m, p = len(a), len(b), len(b[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(p):
-            acc = a[i][0] * b[0][j]
-            for k in range(1, m):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def _a_inverse(mat):
-    from .numfield import ZeroDivisor
-
-    n = len(mat)
-    f = mat[0][0].re.field
-    zero, one = _a_from_k(f.zero()), _a_from_k(f.one())
-    a = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(mat)]
-
-    def invertible(e):
-        try:
-            return e.inverse()
-        except ZeroDivisor:
-            return None
-
-    r = 0
-    for c in range(n):
-        sel = inv = None
-        for i in range(r, n):
-            if a[i][c].is_zero():
-                continue
-            inv = invertible(a[i][c])
-            if inv is not None:
-                sel = i
-                break
-        if sel is None:
-            # zero-divisor repair (etale A): a row sum may yield a unit pivot
-            for i in range(r, n):
-                for j in range(r, n):
-                    if i == j:
-                        continue
-                    inv = invertible(a[i][c] + a[j][c])
-                    if inv is not None:
-                        a[i] = [x + y for x, y in zip(a[i], a[j])]
-                        sel = i
-                        break
-                if sel is not None:
-                    break
-        if sel is None:
-            raise Singular("matrix over A is not invertible")
-        a[r], a[sel] = a[sel], a[r]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(n):
-            if i != r and not a[i][c].is_zero():
-                fac = a[i][c]
-                a[i] = [x - fac * y for x, y in zip(a[i], a[r])]
-        r += 1
-    return [row[n:] for row in a]
-
-
-def _a_krylov_minpoly(u: AElt):
-    powers = [_a_from_k(u.re.field.one())]
-
-    def vec(k):
-        while len(powers) <= k:
-            powers.append(powers[-1] * u)
-        return powers[k].vec()
-
-    return krylov_minpoly(vec)
-
-
-def _a_value_is_zero(u: AElt, emb: Embedding) -> bool:
-    """Exact test: is the complex value of u under the base embedding zero?"""
-    if u.is_zero():
-        return True
-    mu = _a_krylov_minpoly(u)
-    if mu[0] != 0:
-        return False  # zero is not a root of the annihilator
-    h = polyq.pdivmod(mu, polyq.poly([0, 1]))[0]
-    width = Fraction(1, 1 << 16)
-    while True:
-        box = u.enclosure(emb, width)
-        if not box.contains_zero():
-            return False
-        if not poly_eval_box(h, box).contains_zero():
-            return True
-        width /= 1 << 6
-
-
-# ---------------------------------------------------------------------------
 # CM input
 
 
@@ -281,6 +136,12 @@ class CmInput:
             raise ValueError("CM input needs a field with conjugation")
         if d % 2:
             raise ValueError("CM field must have even degree")
+        cg = k.conj(k.gen())
+        for j, emb in enumerate(k.embeddings()):
+            if k.roots.locate(lambda w, e=emb: cg.enclosure(e, w)) != k.roots.conj(j):
+                raise ConjNotComplexConjugation(
+                    f"conj is not complex conjugation under embedding {j + 1}"
+                )
         if len(self.basis) != d:
             raise ValueError("basis must have 2g elements")
         qq = rationals()
@@ -321,19 +182,6 @@ class CmInput:
 # Multiplication matrices
 
 
-def mult_matrix_power_basis(x: FieldElement) -> FieldMatrix:
-    """Matrix of multiplication by x on the power basis (rational)."""
-    k = x.field
-    qq = rationals()
-    gen = k.gen()
-    cols = []
-    p = k.one()
-    for _ in range(k.degree):
-        cols.append((x * p).coords)
-        p = p * gen
-    return FieldMatrix(qq, [[cols[j][i] for j in range(k.degree)] for i in range(k.degree)])
-
-
 def mult_matrix_in_basis(x: FieldElement, basis) -> FieldMatrix:
     """Matrix of multiplication by x in a given Q-basis (rational)."""
     k = x.field
@@ -343,136 +191,117 @@ def mult_matrix_in_basis(x: FieldElement, basis) -> FieldMatrix:
     return bmat.solve(rhs)
 
 
-def _apply_automorphism(tau_image: FieldElement, x: FieldElement) -> FieldElement:
-    acc = x.field.zero()
-    p = x.field.one()
-    for c in x.coords:
+def _substitute(coords, image: FieldElement) -> FieldElement:
+    """sum_k coords[k] * image^k: a power-basis element with the generator
+    sent to `image` (an automorphism, or the map of K into L)."""
+    acc = image.field.zero()
+    p = image.field.one()
+    for c in coords:
         if c:
-            acc = acc + p * x.field.from_rational(c)
-        p = p * tau_image
+            acc = acc + p * c
+        p = p * image
     return acc
 
 
+def _integral(p):
+    """(s, q): q is the monic integer minimal polynomial of s*x when the
+    monic rational p is that of x, with s the lcm of p's denominators."""
+    s = math.lcm(*[c.denominator for c in p])
+    n = len(p) - 1
+    return s, [int(c * s ** (n - i)) for i, c in enumerate(p)]
+
+
 # ---------------------------------------------------------------------------
-# Value-field extraction
+# The field L = Q(sigma(K), i) and the real value field F
 
 
-def _extract_real_values(k: NumberField, base: Embedding, entries):
-    """Find a field with a real designated embedding carrying all values.
+def _value_field(base: Embedding):
+    """L = Q(sigma(K), i) as a NumberField with its embedding, and the images
+    in L of the generator of K and of i.
 
-    `entries` are conj-fixed AElts (real complex values under `base`).
-    Returns (field, embedding, values-as-FieldElements).
+    L is the image of A = K[y]/(y^2+1) under sigma and y -> i.  The element
+    u = gen*(1 + c*y) has 2d distinct images under the 2d maps A -> C
+    (sigma_j with y -> +-i) for all but at most d^2 values of c, so its
+    minimal polynomial M has degree 2d for some c <= d^2 + 1 and the powers
+    of u are a Q-basis of A.  L's generator is a multiple of the image of u,
+    whose minimal polynomial is the factor of M vanishing there; L is a field
+    whether or not i lies in K.
+    """
+    k = base.field
+    d = k.degree
+    qq = rationals()
+    gpow = [k.one()]
+    for _ in range(2 * d):
+        gpow.append(gpow[-1] * k.gen())
+    for c in range(1, d * d + 2):
+        # A-coordinates (re | im) of u^n = gen^n * (a + b*y), a + b*i = (1 + c*i)^n
+        gauss = [(1, 0)]
+        for _ in range(2 * d):
+            a, b = gauss[-1]
+            gauss.append((a - c * b, b + c * a))
+
+        def vec(n, gauss=gauss):
+            a, b = gauss[n]
+            return [a * x for x in gpow[n].coords] + [b * x for x in gpow[n].coords]
+
+        m = krylov_minpoly(vec)
+        if polyq.degree(m) == 2 * d:
+            break
+    else:
+        raise AssertionError("no primitive element gen*(1 + c*y) of A")
+
+    def u_value(w):
+        return base.enclosure(w) * Box.point(1, c)  # sigma(gen) * (1 + c*i)
+
+    s, p = _integral(minpoly_factor_at(m, u_value))
+    lf = NumberField(p)
+    lemb = lf.embeddings()[lf.roots.locate(lambda w: u_value(w).scale(s))]
+    # gen and y as rational combinations of u^0 .. u^(2d-1), mapped into L
+    cols = [vec(n) for n in range(2 * d)]
+    powers = FieldMatrix(qq, [[col[i] for col in cols] for i in range(2 * d)])
+    rhs = FieldMatrix(qq, [[x, 0] for x in k.gen().coords] + [[0, x] for x in k.one().coords])
+    sol = powers.solve(rhs).rational_entries()
+    u_l = lf.gen() * Fraction(1, s)
+    gen_l, i_l = (_substitute([row[j] for row in sol], u_l) for j in range(2))
+    return lf, lemb, gen_l, i_l
+
+
+def _real_value_field(lemb: Embedding, entries):
+    """F = Q(entries) with a real embedding, and the entries as F-elements.
+
+    The distinct irrational entries are tried in order as a generator gamma,
+    then seeded combinations of them; gamma is accepted when every entry
+    solves exactly in the Q-span of its powers.  F's generator is the
+    integral multiple of gamma from `_integral`.
     """
     qq = rationals()
-    if all(e.im.is_zero() and e.re.is_rational() for e in entries):
-        f = qq
-        emb = f.embeddings()[0]
-        return f, emb, [f.from_rational(e.re.as_rational()) for e in entries]
-
-    nontrivial = []
-    for e in entries:
-        if e.is_zero() or (e.im.is_zero() and e.re.is_rational()):
-            continue
-        if all(not _a_value_is_zero(e - x, base) for x in nontrivial):
-            nontrivial.append(e)
-    candidates = list(nontrivial)
-    for a, b in itertools.combinations(nontrivial, 2):
-        candidates.append(a + b)
+    if all(e.is_rational() for e in entries):
+        return qq, qq.embeddings()[0], [qq.from_rational(e.as_rational()) for e in entries]
+    lf = lemb.field
+    irrational = list(dict.fromkeys(e for e in entries if not e.is_rational()))
     rng = random.Random(20250809)
-    for _ in range(8):
-        combo = entries[0]
-        first = True
-        for e in nontrivial:
-            c = rng.randint(-3, 3)
-            term = _a_scale(e, Fraction(c))
-            combo = term if first else combo + term
-            first = False
-        if not first:
-            candidates.append(combo)
-
-    for gamma in candidates:
-        got = _try_generator(k, base, gamma, entries)
-        if got is not None:
-            return got
-    raise UnsupportedField("could not extract a real coefficient field for I")
-
-
-def _try_generator(k: NumberField, base: Embedding, gamma: AElt, entries):
-    mg = _a_krylov_minpoly(gamma)
-    p = minpoly_factor_at(mg, lambda w: gamma.enclosure(base, w))
-    scale = math.lcm(*[c.denominator for c in p])
-    if scale > 1:
-        gamma = _a_scale(gamma, Fraction(scale))
-        p = polyq.poly(
-            [c * Fraction(scale) ** (len(p) - 1 - i) for i, c in enumerate(p)]
-        )
-    f = NumberField([int(c) for c in p])
-    femb = f.embeddings()[f.roots.locate(lambda w: gamma.enclosure(base, w))]
-    if not femb.is_real:
-        return None
-    values = []
-    for e in entries:
-        coords = _express_value(k, base, e, gamma, f)
-        if coords is None:
-            return None
-        values.append(f.element(coords))
-    return f, femb, values
-
-
-def _express_value(k: NumberField, base: Embedding, e: AElt, gamma: AElt, f: NumberField):
-    """Rational coordinates of value(e) in the power basis of value(gamma)."""
-    deg = f.degree
-    if e.im.is_zero() and e.re.is_rational():
-        return [e.re.as_rational()] + [Fraction(0)] * (deg - 1)
-    if deg == 1:
-        return _rationalize_value(e, base)
-    gpow = [_a_from_k(k.one())]
-    for _ in range(deg - 1):
-        gpow.append(gpow[-1] * gamma)
-    embs = k.embeddings()
-    for bits in (64, 128, 256, 512):
-        width = Fraction(1, 1 << bits)
-        rows = []
-        rhs = []
-        used = []
-        for emb in embs:
-            gval = gamma.enclosure(emb, width)
-            if any(not gval.disjoint(u) for u in used):
-                continue
-            used.append(gval)
-            rows.append([p.enclosure(emb, width) for p in gpow])
-            rhs.append(e.enclosure(emb, width))
-            if len(rows) == deg:
-                break
-        if len(rows) < deg:
-            continue
-        qq = rationals()
+    combos = (
+        sum((e * rng.randint(-3, 3) for e in irrational), lf.zero()) for _ in range(8)
+    )
+    target = FieldMatrix(qq, [[e.coords[i] for e in entries] for i in range(lf.degree)])
+    for gamma in itertools.chain(irrational, combos):
+        s, p = _integral(element_minpoly(gamma))
+        gamma = gamma * s
+        gpow = [lf.one()]
+        for _ in range(len(p) - 2):
+            gpow.append(gpow[-1] * gamma)
+        span = FieldMatrix(qq, [[x.coords[i] for x in gpow] for i in range(lf.degree)])
         try:
-            a = FieldMatrix(qq, [[c.re.mid() for c in row] for row in rows])
-            b = FieldMatrix(qq, [[c.re.mid()] for c in rhs])
-            sol = a.solve(b)
-        except (Inconsistent, Singular):
+            sol = span.solve(target)
+        except Inconsistent:
             continue
-        approx = [sol[i, 0].as_rational() for i in range(deg)]
-        for dbound in (1 << 12, 1 << 24, 1 << 48):
-            cand = [x.limit_denominator(dbound) for x in approx]
-            diff = e
-            for c, p in zip(cand, gpow):
-                diff = diff - _a_scale(p, c)
-            if _a_value_is_zero(diff, base):
-                return cand
-    return None
-
-
-def _rationalize_value(e: AElt, base: Embedding):
-    for bits in (64, 128, 256):
-        box = e.enclosure(base, Fraction(1, 1 << bits))
-        for dbound in (1 << 12, 1 << 24, 1 << 48):
-            cand = box.re.mid().limit_denominator(dbound)
-            diff = e - _a_from_k(e.re.field.from_rational(cand))
-            if _a_value_is_zero(diff, base):
-                return [cand]
-    return None
+        f = NumberField(p)
+        femb = f.embeddings()[f.roots.locate(lambda w: gamma.enclosure(lemb, w))]
+        if not femb.is_real:
+            raise AssertionError("I has an entry that is not real")
+        coords = sol.rational_entries()
+        return f, femb, [f.element([row[j] for row in coords]) for j in range(len(entries))]
+    raise UnsupportedField("no generator of the value field of I was found")
 
 
 # ---------------------------------------------------------------------------
@@ -530,27 +359,16 @@ def cm_torus(inp: CmInput):
     if len(auto_by_emb) != d:
         raise UnsupportedField("automorphisms do not separate the embeddings")
 
-    rows = []
-    for idx in inp.phi:
-        tau = auto_by_emb[idx]
-        rows.append([_a_from_k(_apply_automorphism(tau, a)) for a in inp.basis])
-    for idx in inp.phi:
-        tau = auto_by_emb[idx]
-        rows.append([_a_from_k(k.conj(_apply_automorphism(tau, a))) for a in inp.basis])
-    y = AElt(k.zero(), k.one())
-    ny = AElt(k.zero(), -k.one())
-    diag = [y] * g + [ny] * g
-    dm = [
-        [diag[i] if i == j else _a_from_k(k.zero()) for j in range(d)] for i in range(d)
-    ]
-    i_a = _a_matmul(_a_matmul(_a_inverse(rows), dm), rows)
-    flat = []
-    for row in i_a:
-        for e in row:
-            if e.conj() != e:
-                raise AssertionError("I entry is not fixed by conjugation")
-            flat.append(e)
-    f, femb, values = _extract_real_values(k, base, flat)
+    # rows sigma_j(a) for j in Phi, then their complex conjugates, in L;
+    # I = R^-1 D R with D = diag(i, .., i, -i, .., -i)
+    lf, lemb, gen_l, i_l = _value_field(base)
+    images = [[_substitute(a.coords, auto_by_emb[idx]) for a in inp.basis] for idx in inp.phi]
+    images += [[k.conj(x) for x in row] for row in images]
+    r = FieldMatrix(lf, [[_substitute(x.coords, gen_l) for x in row] for row in images])
+    dr = FieldMatrix(lf, [[x * (i_l if n < g else -i_l) for x in r.row(n)] for n in range(d)])
+    i_l_mat = r.solve(dr)
+    flat = [e for row in i_l_mat.entries for e in row]
+    f, femb, values = _real_value_field(lemb, flat)
     i_f = FieldMatrix(f, [[values[i * d + j] for j in range(d)] for i in range(d)])
     torus = ComplexTorusData(g, f, i_f, femb)
     e_f = e_m.lift(f)

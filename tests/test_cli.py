@@ -41,6 +41,23 @@ def test_cm_build_budget_exhaustion_exits_2(capsys, fixture_dir):
     assert rep["ok"] is False and rep["error"].startswith("NotFoundWithinBudget")
 
 
+
+def test_cm_build_rejects_a_conj_that_is_not_complex_conjugation(capsys):
+    # Q(zeta8) with x -> -x: an involutive automorphism, but not complex
+    # conjugation under any embedding
+    doc = {
+        "field": {"minpoly": ["1", "0", "0", "0", "1"], "conj": ["0", "-1"]},
+        "basis": [["1"], ["0", "1"], ["0", "0", "1"], ["0", "0", "0", "1"]],
+        "phi": [1, 3],
+        "beta": None,
+        "automorphisms": None,
+    }
+    code, out = invoke(capsys, ["cm", "build", "--input", json.dumps(doc), "--budget", "2"])
+    assert code == 2
+    rep = json.loads(out)
+    assert rep["ok"] is False
+    assert rep["error"].startswith("ConjNotComplexConjugation: conj is not complex conjugation")
+
 def test_gks_induce_and_rationality(capsys, fixture_dir):
     code, out = invoke(capsys, ["gks", "induce", "--torus", str(fixture_dir / "tau_i.json")])
     assert code == 0

@@ -36,6 +36,19 @@ def test_cm_torus_gaussian(gaussian_cm):
     assert [[x.as_rational() for x in row] for row in t.I.entries] == [[0, -1], [1, 0]]
 
 
+
+@pytest.mark.parametrize("d", [10**15 + 37, 10**30 + 57])
+def test_cm_torus_large_discriminant(d):
+    # Q(sqrt(-d)) with basis {1, x} and beta = x: F = Q(sqrt(d)) has a
+    # generator of height far beyond any fixed rounding bound
+    k = make_field([d, 0, 1], conj_image=[0, -1])
+    phi = [_embedding_near(k, 0.0, math.sqrt(d))]
+    t, _, _ = cm_torus(CmInput(k, [k.one(), k.gen()], phi, k.gen()))
+    f = t.field
+    assert list(f.minpoly) == [-d, 0, 1]
+    s = f.gen()
+    assert t.I == FieldMatrix(f, [[f.zero(), s], [-s / d, f.zero()]])
+
 def test_cm_torus_zeta5_properties(zeta5_cm):
     t = zeta5_cm["torus"]
     inp = zeta5_cm["input"]

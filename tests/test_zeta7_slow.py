@@ -1,19 +1,15 @@
-"""Degree-6 cyclotomic stress test (g = 3). Opt in with TORUSCM_SLOW=1:
-the symbolic period construction takes about a minute."""
+"""Degree-6 cyclotomic stress test (g = 3): the full CM pipeline on Q(zeta7).
+
+The complex structure is computed over L = Q(sigma(K), i) of degree 12; the
+test takes several seconds, most of it in the endomorphism and metric
+searches."""
 
 import math
-import os
-
-import pytest
 
 from toruscm import polyq
 from toruscm.cm import CmInput, cm_certificate, cm_torus, endomorphism_algebra, rational_kahler_search
 from toruscm.fixtures import _embedding_near
 from toruscm.numfield import make_field
-
-pytestmark = pytest.mark.skipif(
-    not os.environ.get("TORUSCM_SLOW"), reason="set TORUSCM_SLOW=1 to run"
-)
 
 
 def test_zeta7_cm_pipeline():
