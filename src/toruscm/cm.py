@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from . import polyq
 from .boxes import Box
-from .exactla import FieldMatrix, Inconsistent, Singular, positive_definite
+from .exactla import FieldMatrix, Inconsistent, Singular, positive_definite, rational_kernel
 from .numfield import (
     Embedding,
     FieldElement,
@@ -447,32 +447,20 @@ class EndAlgebra:
 
 
 def endomorphism_algebra(t: ComplexTorusData) -> EndAlgebra:
-    """Rational solutions of M I = I M, via coordinatewise splitting."""
+    """Rational solutions of M I = I M: entry (i, j) is linear in the
+    unknowns M[a, b], flattened to column a * n + b."""
     n = 2 * t.g
-    deg = t.field.degree
     qq = rationals()
     rows = []
     for i in range(n):
         for j in range(n):
-            entries = {}
+            row = [t.field.zero()] * (n * n)
             for kk in range(n):
-                entries[(i, kk)] = entries.get((i, kk), t.field.zero()) + t.I[kk, j]
-                entries[(kk, j)] = entries.get((kk, j), t.field.zero()) - t.I[i, kk]
-            for c in range(deg):
-                row = [Fraction(0)] * (n * n)
-                nonzero = False
-                for (a, b), val in entries.items():
-                    if val.coords[c]:
-                        row[a * n + b] = val.coords[c]
-                        nonzero = True
-                if nonzero:
-                    rows.append(row)
-    mat = FieldMatrix(qq, rows)
-    ker = mat.kernel()
-    basis = []
-    for r in range(ker.rows):
-        flat = [ker[r, c].as_rational() for c in range(n * n)]
-        basis.append(FieldMatrix(qq, [flat[i * n : (i + 1) * n] for i in range(n)]))
+                row[i * n + kk] = row[i * n + kk] + t.I[kk, j]
+                row[kk * n + j] = row[kk * n + j] - t.I[i, kk]
+            rows.append(row)
+    ker = rational_kernel(FieldMatrix(t.field, rows))
+    basis = [FieldMatrix(qq, [flat[i * n : (i + 1) * n] for i in range(n)]) for flat in ker]
     return EndAlgebra(basis, len(basis))
 
 
@@ -535,41 +523,29 @@ def rational_kahler_search(t: ComplexTorusData, trials: int = 200, seed: int = 0
     [-8, 8] and denominators in [1, 8].
     """
     n = 2 * t.g
-    deg = t.field.degree
     qq = rationals()
     unknowns = [(i, j) for i in range(n) for j in range(i, n)]
     index = {u: c for c, u in enumerate(unknowns)}
     rows = []
     for i in range(n):
         for j in range(n):
-            coeffs = {}
+            row = [t.field.zero()] * len(unknowns)
             for a in range(n):
                 for b in range(n):
-                    key = (a, b) if a <= b else (b, a)
-                    val = t.I[a, i] * t.I[b, j]
-                    coeffs[key] = coeffs.get(key, t.field.zero()) + val
-            key = (i, j) if i <= j else (j, i)
-            coeffs[key] = coeffs.get(key, t.field.zero()) - t.field.one()
-            for c in range(deg):
-                row = [Fraction(0)] * len(unknowns)
-                nonzero = False
-                for kk, val in coeffs.items():
-                    if val.coords[c]:
-                        row[index[kk]] = val.coords[c]
-                        nonzero = True
-                if nonzero:
-                    rows.append(row)
-    ker = FieldMatrix(qq, rows).kernel()
-    dim = ker.rows
+                    c = index[(a, b) if a <= b else (b, a)]
+                    row[c] = row[c] + t.I[a, i] * t.I[b, j]
+            c = index[(i, j) if i <= j else (j, i)]
+            row[c] = row[c] - t.field.one()
+            rows.append(row)
+    ker = rational_kernel(FieldMatrix(t.field, rows))
+    dim = len(ker)
     if dim == 0:
         return None, 0
     basis = []
-    for r in range(dim):
+    for flat in ker:
         mat = [[Fraction(0)] * n for _ in range(n)]
         for (i, j), c in index.items():
-            v = ker[r, c].as_rational()
-            mat[i][j] = v
-            mat[j][i] = v
+            mat[i][j] = mat[j][i] = flat[c]
         basis.append(FieldMatrix(qq, mat))
     emb = qq.embeddings()[0]
     rng = random.Random(seed)
@@ -703,37 +679,23 @@ def _power_span_basis(u: FieldElement):
 
 
 def _conj_stable(k: NumberField, basis_l) -> bool:
+    """conj maps span(basis_l) into itself: appending the conjugates as
+    columns leaves the rank unchanged."""
     qq = rationals()
-    bmat = FieldMatrix(qq, [[b.coords[i] for b in basis_l] for i in range(k.degree)])
-    for b in basis_l:
-        target = FieldMatrix(qq, [[c] for c in k.conj(b).coords])
-        try:
-            aug = FieldMatrix(
-                qq,
-                [list(bmat.entries[i]) + list(target.entries[i]) for i in range(k.degree)],
-            )
-            if aug.rank() != bmat.rank():
-                return False
-        except ValueError:
-            return False
-    return True
+    images = basis_l + [k.conj(b) for b in basis_l]
+    both = FieldMatrix(qq, [[b.coords[i] for b in images] for i in range(k.degree)])
+    span = FieldMatrix(qq, [row[: len(basis_l)] for row in both.entries])
+    return both.rank() == span.rank()
 
 
 def _fixed_subbasis(k: NumberField, basis_l):
-    """Basis of the conj-fixed subspace of span(basis_l)."""
-    qq = rationals()
-    rows = []
-    for b in basis_l:
-        diff = k.conj(b) - b
-        rows.append(list(diff.coords))
-    # kernel of c -> sum c_i (conj(b_i) - b_i)
-    mat = FieldMatrix(qq, [[rows[j][i] for j in range(len(basis_l))] for i in range(k.degree)])
-    ker = mat.kernel()
+    """Basis of the conj-fixed subspace of span(basis_l): the kernel of
+    c -> sum c_i (conj(b_i) - b_i)."""
+    ker = rational_kernel(FieldMatrix(k, [[k.conj(b) - b for b in basis_l]]))
     out = []
-    for r in range(ker.rows):
+    for coeffs in ker:
         x = k.zero()
-        for j, b in enumerate(basis_l):
-            c = ker[r, j].as_rational()
+        for c, b in zip(coeffs, basis_l):
             if c:
                 x = x + b * k.from_rational(c)
         out.append(x)

@@ -134,11 +134,13 @@ class FieldMatrix:
             zero = self.field.zero()
             out = []
             for row in self.entries:
+                # zero entries add nothing; block matrices here are mostly zeros
+                terms = [(k, a) for k, a in enumerate(row) if not a.is_zero()]
                 orow = []
                 for c in ocols:
                     acc = zero
-                    for a, b in zip(row, c):
-                        acc = acc + a * b
+                    for k, a in terms:
+                        acc = acc + a * c[k]
                     orow.append(acc)
                 out.append(orow)
             return FieldMatrix(self.field, out)
@@ -192,14 +194,17 @@ class FieldMatrix:
     # -- elimination ------------------------------------------------------------
 
     def _echelon(self, aug_cols=0):
-        """Row-reduce in place on a copy; returns (rows, pivot_cols).
+        """Row-reduce in place on a copy; returns (rows, pivot_cols, scale).
 
         Pivots must be invertible field elements; over an etale (reducible)
-        field a zero-divisor pivot candidate is skipped like a zero.
+        field a zero-divisor pivot candidate is skipped like a zero.  `scale`
+        is the product of the pivots times the sign of the row swaps, which
+        is the determinant when every column of a square matrix has a pivot.
         """
         rows = [list(r) for r in self.entries]
         m, n = self.rows, self.cols
         piv_cols = []
+        scale = self.field.one()
         r = 0
         for c in range(n - aug_cols):
             sel = None
@@ -216,7 +221,10 @@ class FieldMatrix:
                     continue
             if sel is None:
                 continue
-            rows[r], rows[sel] = rows[sel], rows[r]
+            if sel != r:
+                rows[r], rows[sel] = rows[sel], rows[r]
+                scale = -scale
+            scale = scale * rows[r][c]
             rows[r] = [x * inv for x in rows[r]]
             for i in range(m):
                 if i != r and not rows[i][c].is_zero():
@@ -226,14 +234,14 @@ class FieldMatrix:
             r += 1
             if r == m:
                 break
-        return rows, piv_cols
+        return rows, piv_cols, scale
 
     def rank(self) -> int:
         return len(self._echelon()[1])
 
     def kernel(self) -> "FieldMatrix":
         """Basis (as rows) of the right kernel; 0 x cols matrix if trivial."""
-        rows, piv = self._echelon()
+        rows, piv, _ = self._echelon()
         free = [c for c in range(self.cols) if c not in piv]
         basis = []
         one = self.field.one()
@@ -253,7 +261,7 @@ class FieldMatrix:
             self.field,
             [list(self.entries[i]) + list(b.entries[i]) for i in range(self.rows)],
         )
-        rows, piv = aug._echelon(aug_cols=b.cols)
+        rows, piv, _ = aug._echelon(aug_cols=b.cols)
         for i in range(len(piv), self.rows):
             if any(not e.is_zero() for e in rows[i][self.cols :]):
                 raise Inconsistent("no solution")
@@ -276,31 +284,8 @@ class FieldMatrix:
     def det(self) -> FieldElement:
         if self.rows != self.cols:
             raise ValueError("not square")
-        rows = [list(r) for r in self.entries]
-        n = self.rows
-        det = self.field.one()
-        for c in range(n):
-            sel = None
-            for i in range(c, n):
-                if not rows[i][c].is_zero():
-                    try:
-                        rows[i][c].inverse()
-                        sel = i
-                        break
-                    except ZeroDivisor:
-                        continue
-            if sel is None:
-                return self.field.zero()
-            if sel != c:
-                rows[c], rows[sel] = rows[sel], rows[c]
-                det = -det
-            det = det * rows[c][c]
-            inv = rows[c][c].inverse()
-            for i in range(c + 1, n):
-                if not rows[i][c].is_zero():
-                    f = rows[i][c] * inv
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-        return det
+        _, piv, scale = self._echelon()
+        return scale if len(piv) == self.rows else self.field.zero()
 
 
 def solve_linear(a: FieldMatrix, b: FieldMatrix | None = None):
@@ -311,17 +296,24 @@ def solve_linear(a: FieldMatrix, b: FieldMatrix | None = None):
 
 
 # ---------------------------------------------------------------------------
-# Rational helpers (plain Fractions, used by the field-splitting pipelines)
+# Rational solutions of field-linear systems
 
 
-def rational_kernel(rows):
-    """Kernel basis (rows of Fractions) of a rational matrix given as rows."""
-    if not rows:
-        return None  # meaning: full space; caller decides dimension
+def rational_kernel(conditions: FieldMatrix):
+    """Basis rows (Fractions) of {x in Q^cols : conditions * x = 0}.
+
+    Each row over the field splits into one rational row per power-basis
+    coordinate; with every row zero the kernel is all of Q^cols.
+    """
     qq = rationals()
-    m = FieldMatrix(qq, rows)
-    k = m.kernel()
-    return [[e.as_rational() for e in row] for row in k.entries]
+    rows = []
+    for row in conditions.entries:
+        for c in range(conditions.field.degree):
+            r = [e.coords[c] for e in row]
+            if any(r):
+                rows.append(r)
+    ker = FieldMatrix(qq, rows).kernel() if rows else FieldMatrix.identity(qq, conditions.cols)
+    return ker.rational_entries()
 
 
 # ---------------------------------------------------------------------------

@@ -51,25 +51,10 @@ class MirrorMap:
         return abs(int_det(self.phi)) == 1
 
     def q_compatible(self) -> bool:
-        n = len(self.phi)
-        two_g = n // 2
-        q = [[0] * n for _ in range(n)]
-        for i in range(two_g):
-            q[i][two_g + i] = -1
-            q[two_g + i][i] = -1
-        lhs = _imatmul(_imatmul(_itranspose(self.phi), q), self.phi)
-        return lhs == q
-
-
-def _imatmul(a, b):
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
-        for i in range(len(a))
-    ]
-
-
-def _itranspose(a):
-    return [list(col) for col in zip(*a)]
+        qq = rationals()
+        q = q_matrix(qq, len(self.phi) // 2)
+        phi = self.as_field_matrix(qq)
+        return phi.transpose() * q * phi == q
 
 
 @dataclass

@@ -207,15 +207,12 @@ def _graph_from_projector(proj: FieldMatrix, g: int) -> FieldMatrix:
 
 
 def _independent_columns(m: FieldMatrix, want: int):
-    cols = []
-    for j in range(m.cols):
-        trial = cols + [j]
-        sub = FieldMatrix(m.field, [[m[i, c] for c in trial] for i in range(m.rows)])
-        if sub.rank() == len(trial):
-            cols = trial
-            if len(cols) == want:
-                return cols
-    raise ValueError("projector top block has deficient rank")
+    """The first `want` columns independent of those before them: the pivot
+    columns of one row reduction."""
+    cols = m._echelon()[1]
+    if len(cols) < want:
+        raise ValueError("projector top block has deficient rank")
+    return cols[:want]
 
 
 def ij_rational(p: GksPair) -> bool:

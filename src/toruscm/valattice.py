@@ -18,7 +18,7 @@ from .exactla import (
     snf,
 )
 from .numfield import FieldElement
-from .torus import ComplexTorusData, GksPair, KahlerData, induce_gks, q_matrix
+from .torus import ComplexTorusData, KahlerData, q_matrix
 
 
 class ModeParityMismatch(ValueError):
@@ -34,7 +34,6 @@ class PairingLattice:
     n: int  # 4g
     q: FieldMatrix
     p_plus: FieldMatrix
-    gks: GksPair
 
     @property
     def field(self):
@@ -53,22 +52,35 @@ class ChiralReport:
 
 
 def build_pairing_lattice(t: ComplexTorusData, k: KahlerData) -> PairingLattice:
-    """Lattice data of V(T, G, B): q and the projector onto the z-side."""
-    pair = induce_gks(t, k)
+    """Lattice data of V(T, G, B): q and the projector P+ = (1 + IJ)/2 onto
+    the z-side.
+
+    IJ = [[G^-1 B, -G^-1], [B G^-1 B - G, -B G^-1]] depends only on (G, B):
+    with omega = G I, I omega^-1 = G^-1 and I^T omega = G, so the complex
+    structure drops out of the product of the induced pair.
+    """
+    k.validate_for(t)
+    fld = t.field
     n = 4 * t.g
-    ident = FieldMatrix.identity(pair.field, n)
-    p_plus = (ident + pair.composition()).scale(Fraction(1, 2))
+    g_inv = k.G.inverse()
+    ij = FieldMatrix.block(
+        [
+            [g_inv * k.B, -g_inv],
+            [k.B * g_inv * k.B - k.G, -(k.B * g_inv)],
+        ]
+    )
+    p_plus = (FieldMatrix.identity(fld, n) + ij).scale(Fraction(1, 2))
     # image(P+) is the graph of -G+B: check on the graph basis
     s = k.B - k.G
     for col in range(2 * t.g):
-        v = [pair.field.zero()] * n
-        v[col] = pair.field.one()
+        v = [fld.zero()] * n
+        v[col] = fld.one()
         for i in range(2 * t.g):
             v[2 * t.g + i] = s[i, col]
-        vec = FieldMatrix(pair.field, [[x] for x in v])
+        vec = FieldMatrix(fld, [[x] for x in v])
         if p_plus * vec != vec:
             raise AssertionError("image(P+) != graph(-G+B)")
-    return PairingLattice(n, q_matrix(pair.field, 2 * t.g), p_plus, pair)
+    return PairingLattice(n, q_matrix(fld, 2 * t.g), p_plus)
 
 
 def chiral_sublattice(lat: PairingLattice) -> ChiralReport:
@@ -99,25 +111,8 @@ def _part_rank(lat: PairingLattice, basis, zbar: bool) -> int:
     proj = lat.p_plus
     if not zbar:
         proj = FieldMatrix.identity(lat.field, lat.n) - proj  # kill z vectors: P- v = 0
-    rows = []
-    deg = lat.field.degree
-    r = len(basis)
-    for i in range(lat.n):
-        entries = []
-        for b in basis:
-            acc = lat.field.zero()
-            for j in range(lat.n):
-                if b[j]:
-                    acc = acc + proj[i, j] * lat.field.from_rational(b[j])
-            entries.append(acc)
-        for c in range(deg):
-            row = [e.coords[c] for e in entries]
-            if any(row):
-                rows.append(row)
-    ker = rational_kernel(rows)
-    if ker is None:
-        return r
-    return len(ker)
+    columns = FieldMatrix(lat.field, basis).transpose()
+    return len(rational_kernel(proj * columns))
 
 
 def va_rational(report: ChiralReport) -> bool:

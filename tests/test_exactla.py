@@ -12,6 +12,7 @@ from toruscm.exactla import (
     int_hnf_with_transform,
     int_kernel,
     positive_definite,
+    rational_kernel,
     row_lattice_index,
     saturate_integer_solutions,
     snf,
@@ -51,6 +52,34 @@ def test_kernel_of_ones():
     assert k.rows == 1
     v = [k[0, 0].as_rational(), k[0, 1].as_rational()]
     assert v[0] == -v[1] and v[0] != 0
+
+
+def test_rational_kernel_splits_irrational_rows():
+    f5 = make_field([-5, 0, 1])
+    r5 = f5.gen()
+    # sqrt5 * x + y = 0 over Q forces x = y = 0
+    assert rational_kernel(FieldMatrix(f5, [[r5, f5.one()]])) == []
+    # (1 + sqrt5) (x + 2y) = 0: both coordinates give x + 2y = 0
+    row = [f5.one() + r5, (f5.one() + r5) * f5.from_rational(2)]
+    assert rational_kernel(FieldMatrix(f5, [row])) == [[Fraction(-2), Fraction(1)]]
+    # no nonzero coordinate row: the kernel is all of Q^3
+    zero = FieldMatrix.zeros(f5, 2, 3)
+    assert rational_kernel(zero) == [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+
+
+def test_det_matches_oracle():
+    rng = random.Random(29)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        # many zeros, so pivots move and some matrices are singular
+        m = [[rng.choice([0, 0, rng.randint(-5, 5)]) for _ in range(n)] for _ in range(n)]
+        assert qmat(m).det().as_rational() == frac_det(m)
+    f5 = make_field([-5, 0, 1])
+    r5 = f5.gen()
+    assert FieldMatrix(f5, [[0, r5], [1, 0]]).det() == -r5
+    assert FieldMatrix(f5, [[r5, 1], [1, r5]]).det() == f5.from_rational(4)
+    assert FieldMatrix(f5, [[r5, 5], [1, r5]]).det().is_zero()
+    assert FieldMatrix.identity(f5, 0).det() == f5.one()
 
 
 def test_commutation_solution_space():

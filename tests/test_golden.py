@@ -6,6 +6,7 @@ that means to alter a report regenerates the files with
 """
 
 import pathlib
+from fractions import Fraction
 
 import pytest
 
@@ -27,8 +28,17 @@ def _cases():
         cases[f"cm_certificate_{name}"] = [
             "cm", "certificate", "--torus", _fixture(name), "--seed", "1"
         ]
+        cases[f"cm_metric_search_{name}"] = ["cm", "metric-search", "--torus", _fixture(name)]
     for name in ("tau_i", "zeta5"):
         cases[f"cm_build_{name}"] = ["cm", "build", "--input", _fixture(name), "--budget", "2"]
+    # fermionic modes are half-integers, so the README's 3 and -3 become 3/2 and -3/2
+    for kind, mode in (("boson", 3), ("fermion", Fraction(3, 2))):
+        cases[f"va_commutator_tau_i_{kind}"] = [
+            "va", "commutator", "--torus", _fixture("tau_i"), "--kind", kind,
+            "--h", '["1","0","-1","0"]', "--mode-a", str(mode),
+            "--hp", '["1","0","-1","0"]', "--mode-b", str(-mode),
+        ]
+    cases["mirror_construct_a1_rho_minus1"] = ["mirror", "construct", "--A", '[["1"]]', "--rho", "[[-1]]"]
     cases["demo_section4"] = ["demo", "section4"]
     return cases
 

@@ -17,7 +17,8 @@ from toruscm.mirror import (
     verify_mirror,
 )
 from toruscm.numfield import rationals
-from toruscm.torus import complex_structure_from_period, ij_rational, induce_gks
+from toruscm.torus import KahlerData, complex_structure_from_period, ij_rational, induce_gks
+from toruscm.valattice import build_pairing_lattice
 
 QQ = rationals()
 QEMB = QQ.embeddings()[0]
@@ -74,6 +75,14 @@ def test_verify_fails_for_identity_map():
     assert rep.unimodular and rep.q_compatible
     assert not rep.i_conjugated and not rep.j_conjugated
     assert not rep.ok
+
+
+def test_q_compatible_rejects_a_unimodular_non_isometry():
+    phi = [[-1 if i == j == 0 else int(i == j) for j in range(4)] for i in range(4)]
+    assert MirrorMap(phi).unimodular()
+    assert not MirrorMap(phi).q_compatible()
+    swap = [[int(j == (i + 2) % 4) for j in range(4)] for i in range(4)]
+    assert MirrorMap(swap).q_compatible()
 
 
 def test_verify_fails_for_scaled_row():
@@ -187,3 +196,20 @@ def test_section4_demo_report():
     assert rep["mirror_verified"] is True
     assert rep["va_rational_left"] is False and rep["va_rational_right"] is False
     assert rep["module_count_left"] == "inf"
+
+
+def test_pairing_lattice_projector_matches_induced_pair(zeta5_mirror):
+    # P+ read off (G, B) alone equals (1 + IJ)/2 of the induced pair
+    square = complex_structure_from_period(qmat([[0]]), qmat([[1]]), QEMB)
+    k = KahlerData(qmat([[2, 0], [0, 2]]), qmat([[0, Fraction(1, 2)], [Fraction(-1, 2), 0]]))
+    sides = [(square, k)]
+    rng = random.Random(612)
+    for g in (1, 2, 3):
+        pair = construct_mirror(random_invertible(rng, g), random_rho(rng, g))
+        sides += [(s.torus, s.kahler) for s in (pair.left, pair.right)]
+    zeta5 = zeta5_mirror["pair"]
+    sides += [(s.torus, s.kahler) for s in (zeta5.left, zeta5.right)]
+    for t, k in sides:
+        ident = FieldMatrix.identity(t.field, 4 * t.g)
+        induced = (ident + induce_gks(t, k).composition()).scale(Fraction(1, 2))
+        assert build_pairing_lattice(t, k).p_plus == induced

@@ -148,16 +148,17 @@ def test_chiral_section4_not_maximal(zeta5_mirror):
 
 def test_chiral_rank_matches_rationality_cross_check(zeta5_mirror):
     # Rationality equivalence: va_rational == ij_rational on fixtures
-    from toruscm.torus import ij_rational
+    from toruscm.torus import ij_rational, induce_gks
 
     t = square_torus()
     for a, c in ((1, 0), (2, Fraction(1, 2)), (3, Fraction(2, 3))):
         k = kahler(a, c)
         lat = build_pairing_lattice(t, k)
-        assert va_rational(chiral_sublattice(lat)) == ij_rational(lat.gks) is True
+        assert va_rational(chiral_sublattice(lat)) == ij_rational(induce_gks(t, k)) is True
     side = zeta5_mirror["pair"].left
     lat = build_pairing_lattice(side.torus, side.kahler)
-    assert va_rational(chiral_sublattice(lat)) == ij_rational(lat.gks) is False
+    rational = ij_rational(induce_gks(side.torus, side.kahler))
+    assert va_rational(chiral_sublattice(lat)) == rational is False
 
 
 def test_chiral_stable_under_unimodular_basis_change():
@@ -177,7 +178,6 @@ def test_chiral_stable_under_unimodular_basis_change():
         lat.n,
         uf.transpose() * lat.q * uf,
         ufi * lat.p_plus * uf,
-        lat.gks,
     )
     rep2 = chiral_sublattice(lat2)
     assert rep2.rank == rep.rank
@@ -244,10 +244,10 @@ def test_supercommutator_parity_errors():
 
 def test_supercommutator_graded_antisymmetry():
     t = square_torus()
-    lat = build_pairing_lattice(t, kahler(2, Fraction(1, 2)))
+    k = kahler(2, Fraction(1, 2))
+    lat = build_pairing_lattice(t, k)
     rng = random.Random(3)
     # z-side vectors: (v, (-G+B)v)
-    k = lat.gks.induced_from[1]
     s = k.B - k.G
     for _ in range(10):
         v1 = [Fraction(rng.randint(-3, 3)) for _ in range(2)]
