@@ -71,9 +71,6 @@ class Iv:
     def strictly_positive(self) -> bool:
         return self.lo > 0
 
-    def strictly_negative(self) -> bool:
-        return self.hi < 0
-
     def sign(self) -> int | None:
         """Definite sign, or None if the interval straddles zero."""
         if self.lo > 0:

@@ -70,51 +70,46 @@ class NotFoundWithinBudget(LookupError):
 # Krylov minimal polynomials
 
 
-def krylov_minpoly(vec_of_power):
-    """Monic minimal polynomial from the first linear dependence of powers.
+def krylov_minpoly(powers):
+    """Monic minimal polynomial of u from the rational coordinate vectors of
+    u^0 .. u^m, where m bounds its degree.
 
-    `vec_of_power(k)` returns the rational coordinate vector of u^k in some
-    ambient space; dependence is detected by exact elimination.
+    With those vectors as columns, the first kernel row is (c_0, .., c_{k-1},
+    1, 0, ..): u^k is the first power in the span of the powers before it,
+    and every later power is too, so the reduced rows give zeros after k.
     """
-    qq = rationals()
-    cols = [list(vec_of_power(0))]
-    if all(x == 0 for x in cols[0]):
-        return polyq.poly([0, 1])
-    for k in range(1, len(cols[0]) + 1):  # n + 1 powers in dimension n are dependent
-        v = vec_of_power(k)
-        a = FieldMatrix(qq, [[col[i] for col in cols] for i in range(len(v))])
-        try:
-            sol = a.solve(FieldMatrix(qq, [[x] for x in v]))
-        except Inconsistent:
-            cols.append(list(v))
-            continue
-        return polyq.poly([-sol[j, 0].as_rational() for j in range(k)] + [Fraction(1)])
-    raise AssertionError("no dependence found")
+    ker = FieldMatrix(rationals(), list(zip(*powers))).kernel().rational_entries()
+    if not ker:
+        raise AssertionError("no dependence found")
+    return polyq.poly(ker[0])
 
 
 def matrix_minpoly(m: FieldMatrix):
     """Minimal polynomial of a rational square matrix."""
-    powers = [FieldMatrix.identity(m.field, m.rows)]
-
-    def vec(k):
-        while len(powers) <= k:
-            powers.append(powers[-1] * m)
-        p = powers[k]
-        return [p[i, j].as_rational() for i in range(p.rows) for j in range(p.cols)]
-
-    return krylov_minpoly(vec)
+    powers = _powers(FieldMatrix.identity(m.field, m.rows), m, m.rows)  # Cayley-Hamilton
+    return krylov_minpoly([e for row in p.rational_entries() for e in row] for p in powers)
 
 
 def element_minpoly(x: FieldElement):
     """Minimal polynomial over Q of a field element."""
-    powers = [x.field.one()]
+    return krylov_minpoly(p.coords for p in _powers(x.field.one(), x, x.field.degree))
 
-    def vec(k):
-        while len(powers) <= k:
-            powers.append(powers[-1] * x)
-        return list(powers[k].coords)
 
-    return krylov_minpoly(vec)
+def _powers(one, x, m: int):
+    """[x^0, .., x^m] with x^0 = one."""
+    out = [one]
+    for _ in range(m):
+        out.append(out[-1] * x)
+    return out
+
+
+def _combine(zero, coeffs, basis):
+    """zero + sum of c * b over the nonzero coefficients c."""
+    acc = zero
+    for c, b in zip(coeffs, basis):
+        if c:
+            acc = acc + b * c
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -194,13 +189,8 @@ def mult_matrix_in_basis(x: FieldElement, basis) -> FieldMatrix:
 def _substitute(coords, image: FieldElement) -> FieldElement:
     """sum_k coords[k] * image^k: a power-basis element with the generator
     sent to `image` (an automorphism, or the map of K into L)."""
-    acc = image.field.zero()
-    p = image.field.one()
-    for c in coords:
-        if c:
-            acc = acc + p * c
-        p = p * image
-    return acc
+    powers = _powers(image.field.one(), image, len(coords) - 1)
+    return _combine(image.field.zero(), coords, powers)
 
 
 def _integral(p):
@@ -230,9 +220,7 @@ def _value_field(base: Embedding):
     k = base.field
     d = k.degree
     qq = rationals()
-    gpow = [k.one()]
-    for _ in range(2 * d):
-        gpow.append(gpow[-1] * k.gen())
+    gpow = _powers(k.one(), k.gen(), 2 * d)
     for c in range(1, d * d + 2):
         # A-coordinates (re | im) of u^n = gen^n * (a + b*y), a + b*i = (1 + c*i)^n
         gauss = [(1, 0)]
@@ -240,11 +228,11 @@ def _value_field(base: Embedding):
             a, b = gauss[-1]
             gauss.append((a - c * b, b + c * a))
 
-        def vec(n, gauss=gauss):
-            a, b = gauss[n]
-            return [a * x for x in gpow[n].coords] + [b * x for x in gpow[n].coords]
-
-        m = krylov_minpoly(vec)
+        cols = [
+            [a * x for x in gp.coords] + [b * x for x in gp.coords]
+            for (a, b), gp in zip(gauss, gpow)
+        ]
+        m = krylov_minpoly(cols)
         if polyq.degree(m) == 2 * d:
             break
     else:
@@ -257,8 +245,7 @@ def _value_field(base: Embedding):
     lf = NumberField(p)
     lemb = lf.embeddings()[lf.roots.locate(lambda w: u_value(w).scale(s))]
     # gen and y as rational combinations of u^0 .. u^(2d-1), mapped into L
-    cols = [vec(n) for n in range(2 * d)]
-    powers = FieldMatrix(qq, [[col[i] for col in cols] for i in range(2 * d)])
+    powers = FieldMatrix(qq, [[col[i] for col in cols[:-1]] for i in range(2 * d)])
     rhs = FieldMatrix(qq, [[x, 0] for x in k.gen().coords] + [[0, x] for x in k.one().coords])
     sol = powers.solve(rhs).rational_entries()
     u_l = lf.gen() * Fraction(1, s)
@@ -287,9 +274,7 @@ def _real_value_field(lemb: Embedding, entries):
     for gamma in itertools.chain(irrational, combos):
         s, p = _integral(element_minpoly(gamma))
         gamma = gamma * s
-        gpow = [lf.one()]
-        for _ in range(len(p) - 2):
-            gpow.append(gpow[-1] * gamma)
+        gpow = _powers(lf.one(), gamma, len(p) - 2)
         span = FieldMatrix(qq, [[x.coords[i] for x in gpow] for i in range(lf.degree)])
         try:
             sol = span.solve(target)
@@ -405,10 +390,7 @@ def find_beta(k: NumberField, basis, phi, budget: int) -> FieldElement:
         raise NotFoundWithinBudget("basis has no conj-antisymmetric part")
     shells = (_shell(len(parts), m) for m in range(1, budget + 1))
     for c in itertools.chain.from_iterable(shells):
-        beta = k.zero()
-        for x, p in zip(c, parts):
-            if x:
-                beta = beta + p * k.from_rational(x)
+        beta = _combine(k.zero(), c, parts)
         try:
             inp.check_beta(beta)
             return beta
@@ -447,21 +429,28 @@ class EndAlgebra:
 
 
 def endomorphism_algebra(t: ComplexTorusData) -> EndAlgebra:
-    """Rational solutions of M I = I M: entry (i, j) is linear in the
-    unknowns M[a, b], flattened to column a * n + b."""
+    """Rational solutions of M I = I M: the kernel of M -> M I - I M over the
+    n^2 entries, with M[a, b] the unknown a * n + b."""
     n = 2 * t.g
     qq = rationals()
+    ker = _rational_solutions(t, t.I, lambda a, b: a * n + b, n * n)
+    basis = [FieldMatrix(qq, [flat[i * n : (i + 1) * n] for i in range(n)]) for flat in ker]
+    return EndAlgebra(basis, len(basis))
+
+
+def _rational_solutions(t: ComplexTorusData, c: FieldMatrix, col, ncols: int):
+    """Rational kernel of the Sylvester operator X -> X I - C X, with X[a, b]
+    the unknown col(a, b) among ncols: one row per entry (i, j)."""
+    n = 2 * t.g
     rows = []
     for i in range(n):
         for j in range(n):
-            row = [t.field.zero()] * (n * n)
+            row = [t.field.zero()] * ncols
             for kk in range(n):
-                row[i * n + kk] = row[i * n + kk] + t.I[kk, j]
-                row[kk * n + j] = row[kk * n + j] - t.I[i, kk]
+                row[col(i, kk)] = row[col(i, kk)] + t.I[kk, j]
+                row[col(kk, j)] = row[col(kk, j)] - c[i, kk]
             rows.append(row)
-    ker = rational_kernel(FieldMatrix(t.field, rows))
-    basis = [FieldMatrix(qq, [flat[i * n : (i + 1) * n] for i in range(n)]) for flat in ker]
-    return EndAlgebra(basis, len(basis))
+    return rational_kernel(FieldMatrix(t.field, rows))
 
 
 @dataclass
@@ -497,10 +486,7 @@ def cm_certificate(t: ComplexTorusData, trials: int = 64, seed: int = 0) -> CmVe
         coeffs = [rng.randint(-3, 3) for _ in end.basis]
         if not any(coeffs):
             continue
-        m = FieldMatrix.zeros(rationals(), n, n)
-        for c, b in zip(coeffs, end.basis):
-            if c:
-                m = m + b.scale(c)
+        m = _combine(FieldMatrix.zeros(rationals(), n, n), coeffs, end.basis)
         got = _certificate_from(m, n)
         if got:
             return CmVerdict("CM", m, got, end.dim)
@@ -518,35 +504,26 @@ def rational_kahler_search(t: ComplexTorusData, trials: int = 200, seed: int = 0
     """Search the rational solution space of {G = G^T, I^T G I = G} for a
     positive definite element.
 
+    Since I^-1 = -I, I^T G I = G is G I = -I^T G: the space is the kernel
+    of G -> G I + I^T G over the upper-triangular unknowns G[a, b], a <= b.
     Returns (G or None, solution_space_dimension).  Sampling: deterministic
     unit/sum vectors first, then seeded coefficients with numerators in
     [-8, 8] and denominators in [1, 8].
     """
     n = 2 * t.g
     qq = rationals()
-    unknowns = [(i, j) for i in range(n) for j in range(i, n)]
-    index = {u: c for c, u in enumerate(unknowns)}
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            row = [t.field.zero()] * len(unknowns)
-            for a in range(n):
-                for b in range(n):
-                    c = index[(a, b) if a <= b else (b, a)]
-                    row[c] = row[c] + t.I[a, i] * t.I[b, j]
-            c = index[(i, j) if i <= j else (j, i)]
-            row[c] = row[c] - t.field.one()
-            rows.append(row)
-    ker = rational_kernel(FieldMatrix(t.field, rows))
+    index = {u: c for c, u in enumerate((i, j) for i in range(n) for j in range(i, n))}
+
+    def col(a, b):
+        return index[(a, b) if a <= b else (b, a)]
+
+    ker = _rational_solutions(t, -t.I.transpose(), col, len(index))
     dim = len(ker)
     if dim == 0:
         return None, 0
-    basis = []
-    for flat in ker:
-        mat = [[Fraction(0)] * n for _ in range(n)]
-        for (i, j), c in index.items():
-            mat[i][j] = mat[j][i] = flat[c]
-        basis.append(FieldMatrix(qq, mat))
+    basis = [
+        FieldMatrix(qq, [[flat[col(i, j)] for j in range(n)] for i in range(n)]) for flat in ker
+    ]
     emb = qq.embeddings()[0]
     rng = random.Random(seed)
     tried = 0
@@ -556,10 +533,7 @@ def rational_kahler_search(t: ComplexTorusData, trials: int = 200, seed: int = 0
         if tried >= trials or not any(coeffs):
             return None
         tried += 1
-        g = FieldMatrix.zeros(qq, n, n)
-        for c, b in zip(coeffs, basis):
-            if c:
-                g = g + b.scale(c)
+        g = _combine(FieldMatrix.zeros(qq, n, n), coeffs, basis)
         if g.is_zero():
             return None
         if positive_definite(g, emb):
@@ -670,12 +644,7 @@ def simplicity_check(inp: CmInput, subfield_data) -> bool:
 
 
 def _power_span_basis(u: FieldElement):
-    mp = element_minpoly(u)
-    deg = polyq.degree(mp)
-    out = [u.field.one()]
-    for _ in range(deg - 1):
-        out.append(out[-1] * u)
-    return out
+    return _powers(u.field.one(), u, polyq.degree(element_minpoly(u)) - 1)
 
 
 def _conj_stable(k: NumberField, basis_l) -> bool:
@@ -692,14 +661,7 @@ def _fixed_subbasis(k: NumberField, basis_l):
     """Basis of the conj-fixed subspace of span(basis_l): the kernel of
     c -> sum c_i (conj(b_i) - b_i)."""
     ker = rational_kernel(FieldMatrix(k, [[k.conj(b) - b for b in basis_l]]))
-    out = []
-    for coeffs in ker:
-        x = k.zero()
-        for c, b in zip(coeffs, basis_l):
-            if c:
-                x = x + b * k.from_rational(c)
-        out.append(x)
-    return out
+    return [_combine(k.zero(), coeffs, basis_l) for coeffs in ker]
 
 
 def _values_equal(x: FieldElement, ea: Embedding, eb: Embedding) -> bool:

@@ -95,9 +95,6 @@ class FieldMatrix:
     def row(self, i):
         return list(self.entries[i])
 
-    def col(self, j):
-        return [self.entries[i][j] for i in range(self.rows)]
-
     def transpose(self) -> "FieldMatrix":
         return FieldMatrix(
             self.field, [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]

@@ -139,6 +139,8 @@ def _refine_certified(p, dp, box: Box, width: Fraction) -> Box:
 
 
 def _bisect_certified(p, dp, box: Box) -> Box:
+    """Half of a box holding one root of p that provably keeps the root, or
+    the box itself when neither half can be proven to."""
     wide_re = box.re.width() >= box.im.width()
     if wide_re:
         m = box.re.mid()
@@ -149,11 +151,24 @@ def _bisect_certified(p, dp, box: Box) -> Box:
     for h in halves:
         if _certify(p, dp, h):
             return h
-    # root may sit on the cut: keep the half whose evaluation allows zero
-    for h in halves:
-        if poly_eval_box(p, h).contains_zero():
+    # the root may sit near the cut, where neither half certifies: keep a
+    # half only when the other provably holds no root, else return the box.
+    # The box's root lies in its own Newton image, so that image missing a
+    # half excludes it too.
+    whole = _newton_step(p, dp, box)
+    for h, other in zip(halves, reversed(halves)):
+        if _excludes_root(p, dp, other) or (whole is not None and whole.disjoint(other)):
             return h
     return box
+
+
+def _excludes_root(p, dp, box: Box) -> bool:
+    """Proof that box holds no root of p: p's value box misses 0, or the
+    interval-Newton image misses the box."""
+    if not poly_eval_box(p, box).contains_zero():
+        return True
+    n = _newton_step(p, dp, box)
+    return n is not None and n.disjoint(box)
 
 
 def _refine_box_once(p, dp, box: Box) -> Box:

@@ -27,11 +27,6 @@ def is_zero(p) -> bool:
     return not p
 
 
-def padd(p, q):
-    n = max(len(p), len(q))
-    return poly([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)])
-
-
 def psub(p, q):
     n = max(len(p), len(q))
     return poly([(p[i] if i < len(p) else 0) - (q[i] if i < len(q) else 0) for i in range(n)])

@@ -124,7 +124,6 @@ def induce_gks(t: ComplexTorusData, k: KahlerData) -> GksPair:
     k.validate_for(t)
     fld = t.field
     n = 2 * t.g
-    ident = FieldMatrix.identity(fld, n)
     zero = FieldMatrix.zeros(fld, n, n)
     i_m, g_m, b_m = t.I, k.G, k.B
     omega = g_m * i_m
@@ -176,16 +175,9 @@ def eigenspace_graphs(p: GksPair) -> EigenspaceGraphs:
     graphs = []
     for proj, sign in ((p_plus, 1), (p_minus, -1)):
         s = _graph_from_projector(proj, p.g)
-        for kcol in range(2 * p.g):
-            v = [s.field.zero()] * n
-            v[kcol] = s.field.one()
-            for i in range(2 * p.g):
-                v[2 * p.g + i] = s[i, kcol]
-            vec = FieldMatrix(s.field, [[x] for x in v])
-            lhs = comp * vec
-            rhs = vec.scale(sign)
-            if lhs != rhs:
-                raise AssertionError("graph vector is not an eigenvector")
+        graph = FieldMatrix.block([[FieldMatrix.identity(p.field, 2 * p.g)], [s]])
+        if comp * graph != graph.scale(sign):
+            raise AssertionError("graph vector is not an eigenvector")
         graphs.append(s)
     out = EigenspaceGraphs(p_plus, p_minus, graphs[0], graphs[1])
     if p.induced_from is not None:

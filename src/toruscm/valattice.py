@@ -71,15 +71,9 @@ def build_pairing_lattice(t: ComplexTorusData, k: KahlerData) -> PairingLattice:
     )
     p_plus = (FieldMatrix.identity(fld, n) + ij).scale(Fraction(1, 2))
     # image(P+) is the graph of -G+B: check on the graph basis
-    s = k.B - k.G
-    for col in range(2 * t.g):
-        v = [fld.zero()] * n
-        v[col] = fld.one()
-        for i in range(2 * t.g):
-            v[2 * t.g + i] = s[i, col]
-        vec = FieldMatrix(fld, [[x] for x in v])
-        if p_plus * vec != vec:
-            raise AssertionError("image(P+) != graph(-G+B)")
+    graph = FieldMatrix.block([[FieldMatrix.identity(fld, 2 * t.g)], [k.B - k.G]])
+    if p_plus * graph != graph:
+        raise AssertionError("image(P+) != graph(-G+B)")
     return PairingLattice(n, q_matrix(fld, 2 * t.g), p_plus)
 
 

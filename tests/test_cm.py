@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -262,6 +263,82 @@ def test_element_minpoly():
     k = make_field([1, 1, 1, 1, 1], conj_image=[-1, -1, -1, -1])
     mp = element_minpoly(k.gen() + k.conj(k.gen()))  # 2cos(2pi/5): x^2+x-1
     assert list(mp) == [-1, 1, 1]
+
+
+def _matrix_at(p, rows):
+    """p(M) by Horner over Fractions."""
+    n = len(rows)
+    acc = [[Fraction(0)] * n for _ in range(n)]
+    for c in reversed(p):
+        acc = [
+            [sum(acc[i][k] * rows[k][j] for k in range(n)) + (c if i == j else 0) for j in range(n)]
+            for i in range(n)
+        ]
+    return acc
+
+
+def _block_diag(a, b):
+    return [r + [0] * len(b) for r in a] + [[0] * len(a) + r for r in b]
+
+
+def test_matrix_minpoly_matches_sympy_factorization():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(41)
+
+    def entry(density):
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 3)) if rng.random() < density else 0
+
+    def rand(n, density=0.7):
+        return [[entry(density) for _ in range(n)] for _ in range(n)]
+
+    a = rand(2)
+    jordan = [[2, 1, 0], [0, 2, 1], [0, 0, 2]]
+    cases = [rand(n) for n in (1, 2, 3, 4, 5) for _ in range(2)] + [rand(4, 0.3)]
+    cases += [
+        [[3 if i == j else 0 for j in range(3)] for i in range(3)],  # scalar
+        _block_diag(a, a),
+        [[0] * 3 for _ in range(3)],
+        _block_diag(jordan, [[2]]),  # (x - 2)^3
+    ]
+    for rows in cases:
+        rows = [[Fraction(e) for e in r] for r in rows]
+        p = matrix_minpoly(FieldMatrix(QQ, rows))
+        assert p[-1] == 1
+        assert all(e == 0 for r in _matrix_at(p, rows) for e in r)
+        sp = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p)], x)
+        for f, _ in sympy.factor_list(sp)[1]:
+            q = sympy.quo(sp, f).all_coeffs()
+            q = [Fraction(int(c.p), int(c.q)) for c in reversed(q)]
+            assert any(e != 0 for r in _matrix_at(q, rows) for e in r)
+
+
+@pytest.mark.parametrize(
+    "minpoly, conj",
+    [([1, 1, 1, 1, 1], [-1, -1, -1, -1]), ([-2, 0, 0, 0, 1], None), ([-5, 0, 1], None)],
+    ids=["zeta5", "2^(1/4)", "sqrt5"],
+)
+def test_element_minpoly_matches_sympy(minpoly, conj):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    k = make_field(minpoly, conj_image=conj)
+    rng = random.Random(43)
+    # gen^2 lies in a proper subfield of Q(2^(1/4)) and of Q(sqrt5)
+    elements = [k.one(), k.from_rational(Fraction(-3, 2)), k.gen(), k.gen() * k.gen()]
+    for _ in range(6):
+        coords = [Fraction(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(k.degree)]
+        elements.append(k.element(coords))
+    if conj is not None:
+        elements.append(k.gen() + k.conj(k.gen()))
+    for u in elements:
+        p = element_minpoly(u)
+        assert p[-1] == 1
+        acc = k.zero()
+        for c in reversed(p):
+            acc = acc * u + c
+        assert acc.is_zero()
+        sp = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p)], x)
+        assert sp.is_irreducible
 
 
 def test_find_beta_budget_exhaustion():

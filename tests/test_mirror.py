@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from toruscm.cm import endomorphism_algebra, rational_kahler_search
 from toruscm.exactla import FieldMatrix, Singular
+from toruscm.fixtures import tau_i_torus
 from toruscm.mirror import (
     MirrorMap,
     MirrorPair,
@@ -213,3 +215,33 @@ def test_pairing_lattice_projector_matches_induced_pair(zeta5_mirror):
         ident = FieldMatrix.identity(t.field, 4 * t.g)
         induced = (ident + induce_gks(t, k).composition()).scale(Fraction(1, 2))
         assert build_pairing_lattice(t, k).p_plus == induced
+
+
+def test_sylvester_kernels_match_sympy_nullspace():
+    # End(T) = {M : M I = I M} and the metrics {G = G^T : I^T G I = G},
+    # against sympy on the commutator and on the quadratic system
+    sympy = pytest.importorskip("sympy")
+    tori = [tau_i_torus()[0]]
+    rng = random.Random(612)
+    for g in (1, 2, 3):
+        pair = construct_mirror(random_invertible(rng, g), random_rho(rng, g))
+        tori += [pair.left.torus, pair.right.torus]
+    for t in tori:
+        assert t.I.is_rational()
+        n = 2 * t.g
+
+        def q(e):
+            x = e.as_rational()
+            return sympy.Rational(x.numerator, x.denominator)
+
+        i_m = sympy.Matrix(n, n, lambda a, b: q(t.I[a, b]))
+        m = sympy.Matrix(n, n, lambda a, b: sympy.Symbol(f"m{a}_{b}"))
+        eqs, _ = sympy.linear_eq_to_matrix(list(m * i_m - i_m * m), list(m))
+        oracle = sympy.Matrix.hstack(*eqs.nullspace())
+        end = endomorphism_algebra(t)
+        ours = sympy.Matrix([[q(e) for row in b.entries for e in row] for b in end.basis]).T
+        assert end.dim == ours.rank() == oracle.rank() == sympy.Matrix.hstack(ours, oracle).rank()
+        sym = {(a, b): sympy.Symbol(f"g{a}_{b}") for a in range(n) for b in range(a, n)}
+        gm = sympy.Matrix(n, n, lambda a, b: sym[(min(a, b), max(a, b))])
+        eqs, _ = sympy.linear_eq_to_matrix(list(i_m.T * gm * i_m - gm), list(sym.values()))
+        assert rational_kahler_search(t)[1] == len(eqs.nullspace())

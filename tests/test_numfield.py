@@ -287,6 +287,29 @@ def test_minpoly_factor_at_keeps_an_exact_point_root():
     assert minpoly_factor_at(mp, encloser) == quad
 
 
+def test_bisect_certified_keeps_the_root_when_no_half_certifies():
+    from toruscm.numfield import _bisect_certified, _certify
+
+    # x^2 + 2x + 2 has the root -1 + i; neither half of these certified
+    # boxes certifies, and a half can allow 0 in its value box without
+    # holding the root
+    p, dp = polyq.poly([2, 2, 1]), polyq.poly([2, 2])
+
+    def keeps_root(box):
+        return box.re.contains(-1) and box.im.contains(1)
+
+    boxes = [Box(Iv(Fraction(-31, 20), Fraction(-11, 20)), Iv(Fraction(1, 2), Fraction(3, 2)))]
+    rng = random.Random(1)
+    for _ in range(3000):
+        x0, y0 = Fraction(rng.randint(-40, -1), 20), Fraction(rng.randint(0, 20), 20)
+        dx, dy = Fraction(rng.randint(1, 30), 20), Fraction(rng.randint(1, 30), 20)
+        boxes.append(Box(Iv(x0, x0 + dx), Iv(y0, y0 + dy)))
+    certified = [b for b in boxes if keeps_root(b) and _certify(p, dp, b)]
+    assert certified[0] is boxes[0] and len(certified) > 10
+    for box in certified:
+        assert keeps_root(_bisect_certified(p, dp, box))
+
+
 def test_refine_leaves_an_exact_point_box():
     roots = RootSet([0, -1, 1])  # x^2 - x
     point = roots.refine(0, Fraction(1, 1 << 30))
