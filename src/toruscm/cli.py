@@ -27,6 +27,17 @@ def _load_json(arg: str):
         return json.load(fh)
 
 
+def _decode(arg: str, decode):
+    """Load a JSON document and decode it.  A document of the wrong shape
+    raises TypeError or AttributeError inside the decoder; either becomes a
+    ValueError, so it exits 2 like any other malformed input."""
+    doc = _load_json(arg)
+    try:
+        return decode(doc)
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed document: {type(exc).__name__}: {exc}") from exc
+
+
 def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True, indent=2))
 
@@ -43,7 +54,7 @@ def _expect_check(report: dict, key: str, expect) -> int:
 
 
 def _torus_bundle(arg: str) -> dict:
-    return jsonio.decode_torus(_load_json(arg))
+    return _decode(arg, jsonio.decode_torus)
 
 
 def _need_kahler(bundle: dict):
@@ -173,10 +184,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_torus_validate(args) -> int:
-    try:
-        bundle = _torus_bundle(args.torus)
-    except Exception as exc:  # malformed documents exit 2 with a diagnostic
-        return _fail(f"{type(exc).__name__}: {exc}")
+    bundle = _torus_bundle(args.torus)
     t = bundle["torus"]
     _emit(
         {
@@ -214,9 +222,7 @@ def _cmd_gks_rationality(args) -> int:
 def _cmd_cm_build(args) -> int:
     from .cm import cm_torus, find_beta
 
-    doc = _load_json(args.input)
-    cm_doc = doc.get("cm", doc)
-    inp = jsonio.decode_cm_input(cm_doc)
+    inp = _decode(args.input, lambda doc: jsonio.decode_cm_input(doc.get("cm", doc)))
     if inp.beta is None:
         inp.beta = find_beta(inp.field, inp.basis, inp.phi, args.budget)
     torus, e_m, g_m = cm_torus(inp)
@@ -262,10 +268,8 @@ def _cmd_cm_metric_search(args) -> int:
 
 
 def _cmd_mirror_construct(args) -> int:
-    a_raw = _load_json(args.a)
-    rho = [[int(v) for v in row] for row in _load_json(args.rho)]
-    qq = rationals()
-    a_m = jsonio.decode_matrix(qq, a_raw)
+    a_m = _decode(args.a, lambda raw: jsonio.decode_matrix(rationals(), raw))
+    rho = _decode(args.rho, lambda raw: [[int(v) for v in row] for row in raw])
     pair = mirror.construct_mirror(a_m, rho)
     doc = jsonio.encode_pair(pair)
     doc["report"] = mirror.verify_mirror(pair).as_dict()
@@ -274,14 +278,14 @@ def _cmd_mirror_construct(args) -> int:
 
 
 def _cmd_mirror_verify(args) -> int:
-    pair = jsonio.decode_pair(_load_json(args.pair))
+    pair = _decode(args.pair, jsonio.decode_pair)
     report = mirror.verify_mirror(pair)
     _emit(report.as_dict())
     return 0 if report.ok else 1
 
 
 def _cmd_mirror_isogeny(args) -> int:
-    pair = jsonio.decode_pair(_load_json(args.pair))
+    pair = _decode(args.pair, jsonio.decode_pair)
     res = mirror.isogeny_from_mirror(pair)
     report = {
         "found": res.found,
@@ -306,8 +310,8 @@ def _cmd_va_commutator(args) -> int:
     bundle = _torus_bundle(args.torus)
     lat = valattice.build_pairing_lattice(bundle["torus"], _need_kahler(bundle))
     f = lat.field
-    h = [jsonio.decode_element(f, x) for x in _load_json(args.h)]
-    hp = [jsonio.decode_element(f, x) for x in _load_json(args.hp)]
+    h = _decode(args.h, lambda raw: [jsonio.decode_element(f, x) for x in raw])
+    hp = _decode(args.hp, lambda raw: [jsonio.decode_element(f, x) for x in raw])
     coeff = valattice.supercommutator(
         lat, args.kind, h, Fraction(args.mode_a), hp, Fraction(args.mode_b)
     )

@@ -23,7 +23,14 @@ from fractions import Fraction
 
 from . import polyq
 from .boxes import Box
-from .exactla import FieldMatrix, Inconsistent, Singular, positive_definite, rational_kernel
+from .exactla import (
+    FieldMatrix,
+    Inconsistent,
+    Singular,
+    kernel_rows,
+    positive_definite,
+    rational_kernel,
+)
 from .numfield import (
     Embedding,
     FieldElement,
@@ -33,6 +40,7 @@ from .numfield import (
     exact_sign_imag,
     minpoly_factor_at,
     rationals,
+    require_irreducible,
     trace_q,
 )
 from .torus import ComplexTorusData
@@ -78,7 +86,8 @@ def krylov_minpoly(powers):
     1, 0, ..): u^k is the first power in the span of the powers before it,
     and every later power is too, so the reduced rows give zeros after k.
     """
-    ker = FieldMatrix(rationals(), list(zip(*powers))).kernel().rational_entries()
+    powers = list(powers)
+    ker = kernel_rows(list(zip(*powers)), len(powers))
     if not ker:
         raise AssertionError("no dependence found")
     return polyq.poly(ker[0])
@@ -131,6 +140,7 @@ class CmInput:
             raise ValueError("CM input needs a field with conjugation")
         if d % 2:
             raise ValueError("CM field must have even degree")
+        require_irreducible(k.embeddings()[0])
         cg = k.conj(k.gen())
         for j, emb in enumerate(k.embeddings()):
             if k.roots.locate(lambda w, e=emb: cg.enclosure(e, w)) != k.roots.conj(j):

@@ -1,10 +1,14 @@
 """Exact linear algebra over Q and over a NumberField.
 
 FieldMatrix is a dense matrix of FieldElements sharing one field (rational
-matrices are the degree-1 case).  Integer lattices get Hermite/Smith normal
-forms with unimodular transforms; positive definiteness is certified by
-exact LDL pivots signed through a designated embedding.  Nothing here ever
-touches floating point.
+matrices are the degree-1 case).  One row reduction, `_rref`, written with
+field operations only, backs every rank, kernel, solve, inverse and
+determinant: it reduces FieldElement rows and plain Fraction rows alike, so
+rational kernels (`kernel_rows`, `rational_kernel`) never pass through
+degree-1 elements.  Integer lattices get Hermite/Smith normal forms with
+unimodular transforms, and a lattice index is the product of the HNF
+diagonal; positive definiteness is certified by exact LDL pivots signed
+through a designated embedding.  Nothing here ever touches floating point.
 """
 
 from __future__ import annotations
@@ -18,9 +22,7 @@ from .numfield import (
     FieldElement,
     NotRealUnderEmbedding,
     NumberField,
-    ZeroDivisor,
     exact_sign,
-    rationals,
 )
 
 
@@ -101,24 +103,10 @@ class FieldMatrix:
         )
 
     def __add__(self, o: "FieldMatrix") -> "FieldMatrix":
-        self._conform(o)
-        return FieldMatrix(
-            self.field,
-            [
-                [self.entries[i][j] + o.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ],
-        )
+        return self._entrywise(o, lambda a, b: a + b)
 
     def __sub__(self, o: "FieldMatrix") -> "FieldMatrix":
-        self._conform(o)
-        return FieldMatrix(
-            self.field,
-            [
-                [self.entries[i][j] - o.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ],
-        )
+        return self._entrywise(o, lambda a, b: a - b)
 
     def __neg__(self) -> "FieldMatrix":
         return FieldMatrix(self.field, [[-e for e in row] for row in self.entries])
@@ -132,7 +120,7 @@ class FieldMatrix:
             out = []
             for row in self.entries:
                 # zero entries add nothing; block matrices here are mostly zeros
-                terms = [(k, a) for k, a in enumerate(row) if not a.is_zero()]
+                terms = [(k, a) for k, a in enumerate(row) if a]
                 orow = []
                 for c in ocols:
                     acc = zero
@@ -157,9 +145,12 @@ class FieldMatrix:
     def __hash__(self):
         return hash((self.field, self.entries))
 
-    def _conform(self, o):
+    def _entrywise(self, o: "FieldMatrix", op) -> "FieldMatrix":
         if self.rows != o.rows or self.cols != o.cols or self.field != o.field:
             raise ValueError("matrix mismatch")
+        return FieldMatrix(
+            self.field, [[op(a, b) for a, b in zip(r, s)] for r, s in zip(self.entries, o.entries)]
+        )
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.entries for e in row)
@@ -190,99 +181,41 @@ class FieldMatrix:
 
     # -- elimination ------------------------------------------------------------
 
-    def _echelon(self, aug_cols=0):
-        """Row-reduce in place on a copy; returns (rows, pivot_cols, scale).
-
-        Pivots must be invertible field elements; over an etale (reducible)
-        field a zero-divisor pivot candidate is skipped like a zero.  `scale`
-        is the product of the pivots times the sign of the row swaps, which
-        is the determinant when every column of a square matrix has a pivot.
-        """
-        rows = [list(r) for r in self.entries]
-        m, n = self.rows, self.cols
-        piv_cols = []
-        scale = self.field.one()
-        r = 0
-        for c in range(n - aug_cols):
-            sel = None
-            inv = None
-            for i in range(r, m):
-                e = rows[i][c]
-                if e.is_zero():
-                    continue
-                try:
-                    inv = e.inverse()
-                    sel = i
-                    break
-                except ZeroDivisor:
-                    continue
-            if sel is None:
-                continue
-            if sel != r:
-                rows[r], rows[sel] = rows[sel], rows[r]
-                scale = -scale
-            scale = scale * rows[r][c]
-            rows[r] = [x * inv for x in rows[r]]
-            for i in range(m):
-                if i != r and not rows[i][c].is_zero():
-                    f = rows[i][c]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-            piv_cols.append(c)
-            r += 1
-            if r == m:
-                break
-        return rows, piv_cols, scale
+    def pivot_columns(self) -> list:
+        """The columns independent of those before them, in order."""
+        return _rref(self.entries, self.cols)[1]
 
     def rank(self) -> int:
-        return len(self._echelon()[1])
+        return len(_rref(self.entries, self.cols)[1])
 
     def kernel(self) -> "FieldMatrix":
-        """Basis (as rows) of the right kernel; 0 x cols matrix if trivial."""
-        rows, piv, _ = self._echelon()
-        free = [c for c in range(self.cols) if c not in piv]
-        basis = []
-        one = self.field.one()
-        for fc in free:
-            v = [self.field.zero()] * self.cols
-            v[fc] = one
-            for r, pc in enumerate(piv):
-                v[pc] = -rows[r][fc]
-            basis.append(v)
-        return FieldMatrix(self.field, basis) if basis else FieldMatrix(self.field, [])
+        """Basis (as rows) of the right kernel; 0 x 0 matrix if trivial."""
+        return FieldMatrix(self.field, kernel_rows(self.entries, self.cols))
 
     def solve(self, b: "FieldMatrix") -> "FieldMatrix":
         """Solve self * X = b exactly (raises Inconsistent / Singular)."""
         if b.rows != self.rows:
             raise ValueError("dimension mismatch")
-        aug = FieldMatrix(
-            self.field,
-            [list(self.entries[i]) + list(b.entries[i]) for i in range(self.rows)],
-        )
-        rows, piv, _ = aug._echelon(aug_cols=b.cols)
-        for i in range(len(piv), self.rows):
-            if any(not e.is_zero() for e in rows[i][self.cols :]):
-                raise Inconsistent("no solution")
+        rows, piv, _ = _rref([a + c for a, c in zip(self.entries, b.entries)], self.cols)
+        if any(x for row in rows[len(piv) :] for x in row[self.cols :]):
+            raise Inconsistent("no solution")
         if len(piv) < self.cols:
             raise Singular("solution space is not unique")
-        sol = [[None] * b.cols for _ in range(self.cols)]
-        for r, pc in enumerate(piv):
-            for j in range(b.cols):
-                sol[pc][j] = rows[r][self.cols + j]
-        return FieldMatrix(self.field, sol)
+        return FieldMatrix(self.field, [row[self.cols :] for row in rows[: self.cols]])
 
     def inverse(self) -> "FieldMatrix":
         if self.rows != self.cols:
             raise ValueError("not square")
         try:
             return self.solve(FieldMatrix.identity(self.field, self.rows))
-        except Inconsistent as exc:  # pragma: no cover - solve raises Singular first
+        except Inconsistent as exc:  # singular: a zero row of A meets a nonzero row of Id
             raise Singular(str(exc))
 
     def det(self) -> FieldElement:
         if self.rows != self.cols:
             raise ValueError("not square")
-        _, piv, scale = self._echelon()
-        return scale if len(piv) == self.rows else self.field.zero()
+        _, piv, scale = _rref(self.entries, self.cols)
+        return self.field.one() * scale if len(piv) == self.rows else self.field.zero()
 
 
 def solve_linear(a: FieldMatrix, b: FieldMatrix | None = None):
@@ -293,24 +226,74 @@ def solve_linear(a: FieldMatrix, b: FieldMatrix | None = None):
 
 
 # ---------------------------------------------------------------------------
-# Rational solutions of field-linear systems
+# Row reduction over a field
+
+
+def _rref(rows, ncols):
+    """Reduced row echelon form of a copy of `rows`, pivoting in the first
+    `ncols` columns (later columns ride along, as in an augmented system).
+
+    Returns (rows, pivot_cols, scale).  The entries meet only field
+    operations, so rows of Fractions (ints allowed; a pivot is inverted as
+    Fraction(1) / x, never as a float) and rows of FieldElements reduce
+    alike; over a reducible algebra a zero-divisor pivot raises ZeroDivisor.
+    `scale` is the product of the pivots times the sign of the row swaps,
+    which is the determinant when every column of a square matrix has a
+    pivot.
+    """
+    rows = [list(r) for r in rows]
+    m = len(rows)
+    piv = []
+    scale = 1
+    for c in range(ncols):
+        r = len(piv)
+        if r == m:
+            break
+        sel = next((i for i in range(r, m) if rows[i][c]), None)
+        if sel is None:
+            continue
+        if sel != r:
+            rows[r], rows[sel] = rows[sel], rows[r]
+            scale = -scale
+        scale = scale * rows[r][c]
+        inv = Fraction(1) / rows[r][c]
+        prow = rows[r] = [x * inv for x in rows[r]]
+        for i in range(m):
+            f = rows[i][c]
+            if i != r and f:
+                # zero entries of the pivot row change nothing
+                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], prow)]
+        piv.append(c)
+    return rows, piv, scale
+
+
+def kernel_rows(rows, ncols):
+    """Basis rows of {v : row . v = 0 for every row}, one per free column.
+
+    With no rows every column is free.  Rational rows give Fraction
+    entries; FieldElement rows give FieldElements plus the Fractions 0 and
+    1 at the free columns.
+    """
+    red, piv, _ = _rref(rows, ncols)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in piv):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(piv):
+            v[pc] = -red[r][fc]
+        basis.append(v)
+    return basis
 
 
 def rational_kernel(conditions: FieldMatrix):
     """Basis rows (Fractions) of {x in Q^cols : conditions * x = 0}.
 
     Each row over the field splits into one rational row per power-basis
-    coordinate; with every row zero the kernel is all of Q^cols.
+    coordinate; zero coordinate rows are dropped.
     """
-    qq = rationals()
-    rows = []
-    for row in conditions.entries:
-        for c in range(conditions.field.degree):
-            r = [e.coords[c] for e in row]
-            if any(r):
-                rows.append(r)
-    ker = FieldMatrix(qq, rows).kernel() if rows else FieldMatrix.identity(qq, conditions.cols)
-    return ker.rational_entries()
+    d = conditions.field.degree
+    rows = [[e.coords[c] for e in row] for row in conditions.entries for c in range(d)]
+    return kernel_rows([r for r in rows if any(r)], conditions.cols)
 
 
 # ---------------------------------------------------------------------------
@@ -324,31 +307,6 @@ def _xgcd(a: int, b: int):
         x0, x1 = x1, x0 - q * x1
         y0, y1 = y1, y0 - q * y1
     return x0, y0, a
-
-
-def int_det(mat) -> int:
-    """Fraction-free Bareiss determinant of a square integer matrix."""
-    a = [list(map(int, row)) for row in mat]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[-1][-1]
 
 
 def int_hnf_with_transform(mat):
@@ -495,15 +453,18 @@ def int_kernel(mat):
     return [u[i] for i in range(n) if not any(h[i])]
 
 
-def row_lattice_index(basis_rows, n) -> Fraction | int:
-    """Index [Z^n : L] for L spanned by basis_rows; inf if rank < n."""
+def row_lattice_index(basis_rows, n):
+    """Index [Z^n : L] for L spanned by basis_rows; inf if rank < n.
+
+    At full rank the row HNF is lower triangular, so the index is the
+    product of its diagonal.
+    """
     if len(basis_rows) < n:
         return math.inf
     rows = hnf(basis_rows)
     if len(rows) < n:
         return math.inf
-    d = abs(int_det(rows))
-    return d if d else math.inf
+    return math.prod(row[i] for i, row in enumerate(rows))
 
 
 # ---------------------------------------------------------------------------

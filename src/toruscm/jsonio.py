@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from .cm import CmInput
 from .exactla import FieldMatrix
-from .numfield import FieldElement, NumberField, make_field
+from .numfield import FieldElement, NumberField, make_field, require_irreducible
 from .torus import ComplexTorusData, KahlerData
 
 
@@ -89,6 +89,7 @@ def decode_torus(doc: dict) -> dict:
     idx = int(doc["embedding"])
     if not 1 <= idx <= len(embs):
         raise ValueError("embedding index out of range")
+    require_irreducible(embs[idx - 1])
     torus = ComplexTorusData(int(doc["g"]), f, decode_matrix(f, doc["I"]), embs[idx - 1])
     kahler = None
     if doc.get("G") is not None:

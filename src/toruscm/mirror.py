@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactla import FieldMatrix, Singular, int_det, positive_definite
+from .exactla import FieldMatrix, Singular, positive_definite, row_lattice_index
 from .numfield import NumberField, rationals
 from .torus import (
     ComplexTorusData,
@@ -48,7 +48,7 @@ class MirrorMap:
         return FieldMatrix(fld, self.phi)
 
     def unimodular(self) -> bool:
-        return abs(int_det(self.phi)) == 1
+        return row_lattice_index(self.phi, len(self.phi)) == 1
 
     def q_compatible(self) -> bool:
         qq = rationals()

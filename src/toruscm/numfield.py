@@ -1,11 +1,14 @@
 """Exact arithmetic in Q[x]/(m(x)) with certified complex embeddings.
 
 A field is given by a monic squarefree integer polynomial; elements are
-power-basis coordinate vectors of rationals.  Embeddings are certified
-complex enclosures of the roots of m: real roots isolated by Sturm
-sequences, complex roots by interval-Newton certification of boxes seeded
-with Durand-Kerner approximations.  No floating-point value ever decides
-anything; floats only pick where to *try* a certificate.
+power-basis coordinate vectors of rationals.  `make_field` also accepts a
+reducible squarefree m, whose algebra has zero divisors: inverting one
+raises `ZeroDivisor`.  `require_irreducible`, run on the field of every
+torus document and CM input, raises `ReducibleMinpoly` for such an m.
+Embeddings are certified complex enclosures of the roots of m: real roots
+isolated by Sturm sequences, complex roots by interval-Newton certification
+of boxes seeded with Durand-Kerner approximations.  No floating-point value
+ever decides anything; floats only pick where to *try* a certificate.
 
 `RootSet` holds the isolated boxes of one squarefree polynomial and is the
 single place that decides which root a value is (`locate`) and whether a
@@ -21,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from fractions import Fraction
 
 from . import polyq
@@ -48,6 +50,10 @@ class ZeroDivisor(ArithmeticError):
     """Division by an element that is not invertible mod the minpoly."""
 
 
+class ReducibleMinpoly(ValueError):
+    """A document's minpoly is reducible, so Q[x]/(m) is not a field."""
+
+
 class NotConverged(ArithmeticError):
     """A certificate was not reached within `MAX_ROUNDS` refinement rounds."""
 
@@ -56,12 +62,9 @@ class NotConverged(ArithmeticError):
 # halves a box or an enclosure width
 MAX_ROUNDS = 400
 
-
-def default_enclosure_width() -> Fraction:
-    raw = os.environ.get("TORUSCM_PRECISION")
-    if raw:
-        return Fraction(raw)
-    return Fraction(1, 1 << 24)
+# width every embedding enclosure is first refined to; certificates refine
+# further on demand, so this never changes a result
+ENCLOSURE_WIDTH = Fraction(1, 1 << 24)
 
 
 # ---------------------------------------------------------------------------
@@ -552,9 +555,8 @@ class NumberField:
         if self._embeddings is None:
             self._roots = RootSet(self.minpoly)
             self._embeddings = [Embedding(self, self._roots, i) for i in range(self.degree)]
-            initial = default_enclosure_width()
             for e in self._embeddings:
-                e.refine(initial)
+                e.refine(ENCLOSURE_WIDTH)
         if width is not None:
             for e in self._embeddings:
                 e.refine(width)
@@ -665,6 +667,9 @@ class FieldElement:
 
     def __hash__(self):
         return hash((self.field, self.coords))
+
+    def __bool__(self):
+        return any(self.coords)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
@@ -794,12 +799,24 @@ def minpoly_factor_at(mp, value_encloser):
     size; candidate coefficients come from interval products and are
     verified by exact polynomial division, so the answer is exact.
     """
-    mp = polyq.poly(mp)
+    roots = RootSet(mp)
+    return _factor_at(roots, roots.locate(value_encloser))
+
+
+def require_irreducible(emb: Embedding) -> None:
+    """Raise ReducibleMinpoly unless the field's minpoly is its own factor
+    at the root that `emb` picks, i.e. unless Q[x]/(m) is a field."""
+    m = emb.field.minpoly
+    if _factor_at(emb.roots, emb.index - 1) != m:
+        raise ReducibleMinpoly(f"minpoly {[str(c) for c in m]} is reducible over Q")
+
+
+def _factor_at(roots: RootSet, target: int):
+    """The factor of `minpoly_factor_at` for root `target` of `roots`."""
+    mp = roots.poly
     d = polyq.degree(mp)
     den = math.lcm(*[c.denominator for c in mp])
     den_bound = den**d  # factor coefficient denominators divide this (Gauss)
-    roots = RootSet(mp)
-    target = roots.locate(value_encloser)
     for size in range(1, d + 1):
         for subset in itertools.combinations(range(d), size):
             ss = set(subset)

@@ -192,19 +192,12 @@ def _graph_from_projector(proj: FieldMatrix, g: int) -> FieldMatrix:
     n = 4 * g
     top = FieldMatrix(proj.field, [proj.row(i) for i in range(2 * g)])
     bot = FieldMatrix(proj.field, [proj.row(i) for i in range(2 * g, n)])
-    cols = _independent_columns(top, 2 * g)
+    cols = top.pivot_columns()
+    if len(cols) < 2 * g:
+        raise ValueError("projector top block has deficient rank")
     x = FieldMatrix(proj.field, [[top[i, j] for j in cols] for i in range(2 * g)])
     y = FieldMatrix(proj.field, [[bot[i, j] for j in cols] for i in range(2 * g)])
     return y * x.inverse()
-
-
-def _independent_columns(m: FieldMatrix, want: int):
-    """The first `want` columns independent of those before them: the pivot
-    columns of one row reduction."""
-    cols = m._echelon()[1]
-    if len(cols) < want:
-        raise ValueError("projector top block has deficient rank")
-    return cols[:want]
 
 
 def ij_rational(p: GksPair) -> bool:

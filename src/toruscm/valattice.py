@@ -11,9 +11,8 @@ from fractions import Fraction
 
 from .exactla import (
     FieldMatrix,
-    hnf,
-    int_det,
     rational_kernel,
+    row_lattice_index,
     saturate_integer_solutions,
     snf,
 )
@@ -86,13 +85,8 @@ def chiral_sublattice(lat: PairingLattice) -> ChiralReport:
     conditions = lat.q * lat.p_plus
     basis = saturate_integer_solutions(conditions)
     rank = len(basis)
-    if rank == lat.n:
-        index = abs(int_det(basis))
-        if index == 0:
-            index = math.inf
-    else:
-        index = math.inf
-    rational = rank == lat.n and index != math.inf
+    index = row_lattice_index(basis, lat.n)
+    rational = index != math.inf
     zr = _part_rank(lat, basis, zbar=False)
     zbr = _part_rank(lat, basis, zbar=True)
     return ChiralReport(basis, lat.n, rank, index, rational, zr, zbr)

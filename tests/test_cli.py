@@ -32,6 +32,76 @@ def test_malformed_json_exits_2(capsys):
     assert code == 2
 
 
+# Q[x]/(x^2 - x) at its root 1: G = (1 + x) Id is 2 Id there, but the
+# algebra is not a field
+REDUCIBLE_TORUS = {
+    "g": 1,
+    "field": {"minpoly": ["0", "-1", "1"], "conj": None},
+    "embedding": 2,
+    "I": [[["0"], ["-1"]], [["1"], ["0"]]],
+    "G": [[["1", "1"], ["0"]], [["0"], ["1", "1"]]],
+    "B": None,
+}
+
+
+@pytest.mark.parametrize("cmd", [["va", "chiral"], ["gks", "rationality"], ["torus", "validate"]])
+def test_reducible_minpoly_exits_2(capsys, cmd):
+    code, out = invoke(capsys, cmd + ["--torus", json.dumps(REDUCIBLE_TORUS)])
+    assert code == 2
+    rep = json.loads(out)
+    assert rep["ok"] is False and rep["error"].startswith("ReducibleMinpoly")
+
+
+def test_reducible_cm_field_exits_2(capsys):
+    # (x^2 + 1)(x^2 + 4) with x -> -x: an involution, but not a field
+    doc = {
+        "field": {"minpoly": ["4", "0", "5", "0", "1"], "conj": ["0", "-1"]},
+        "basis": [["1"], ["0", "1"], ["0", "0", "1"], ["0", "0", "0", "1"]],
+        "phi": [1, 3],
+        "beta": None,
+        "automorphisms": None,
+    }
+    code, out = invoke(capsys, ["cm", "build", "--input", json.dumps(doc)])
+    assert code == 2
+    assert json.loads(out)["error"].startswith("ReducibleMinpoly")
+
+
+def _malformed_tori(fixture_dir):
+    good = json.load(open(fixture_dir / "tau_i.json"))
+    bad = [[1], dict(good, embedding=None), dict(good, field=["0", "1"])]
+    bad.append(dict(good, I=[[["0"], ["-1"]], 3]))
+    return [json.dumps(d) for d in bad]
+
+
+def test_malformed_documents_exit_2_without_traceback(capsys, fixture_dir):
+    argvs = []
+    for doc in _malformed_tori(fixture_dir):
+        for cmd in (
+            ["torus", "validate"],
+            ["gks", "induce"],
+            ["gks", "rationality"],
+            ["cm", "certificate"],
+            ["cm", "metric-search"],
+            ["va", "chiral"],
+            ["va", "commutator", "--kind", "boson", "--h", "[0, 0, 0, 0]", "--mode-a", "1"]
+            + ["--hp", "[0, 0, 0, 0]", "--mode-b", "-1"],
+        ):
+            argvs.append(cmd + ["--torus", doc])
+    argvs += [
+        ["cm", "build", "--input", "[]"],
+        ["cm", "build", "--input", "[1]"],
+        ["mirror", "verify", "--pair", "[]"],
+        ["mirror", "isogeny", "--pair", "[]"],
+        ["mirror", "construct", "--A", '[["1"]]', "--rho", "[[null]]"],
+        ["mirror", "construct", "--A", "[1]", "--rho", "[[-1]]"],
+    ]
+    for argv in argvs:
+        code, out = invoke(capsys, argv)
+        assert code == 2, argv
+        rep = json.loads(out)
+        assert rep["ok"] is False and rep["error"], argv
+
+
 def test_cm_build_budget_exhaustion_exits_2(capsys, fixture_dir):
     doc = json.load(open(fixture_dir / "tau_i.json"))
     doc["cm"]["beta"] = None

@@ -8,9 +8,9 @@ from toruscm.exactla import (
     FieldMatrix,
     Inconsistent,
     hnf,
-    int_det,
     int_hnf_with_transform,
     int_kernel,
+    kernel_rows,
     positive_definite,
     rational_kernel,
     row_lattice_index,
@@ -18,7 +18,7 @@ from toruscm.exactla import (
     snf,
     solve_linear,
 )
-from toruscm.numfield import make_field, rationals
+from toruscm.numfield import ZeroDivisor, make_field, rationals
 
 QQ = rationals()
 
@@ -65,6 +65,66 @@ def test_rational_kernel_splits_irrational_rows():
     # no nonzero coordinate row: the kernel is all of Q^3
     zero = FieldMatrix.zeros(f5, 2, 3)
     assert rational_kernel(zero) == [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+
+
+def _sparse_entry(rng):
+    x = rng.choice([0, 0, 0, rng.randint(-4, 4)])
+    return Fraction(x, rng.randint(1, 3)) if rng.random() < 0.5 else x  # ints and Fractions
+
+
+def test_kernel_rows_matches_sympy_nullspace_on_rational_rows():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(61)
+    for _ in range(40):
+        m, n = rng.randint(0, 6), rng.randint(1, 8)
+        rows = [[_sparse_entry(rng) for _ in range(n)] for _ in range(m)]
+        ker = kernel_rows(rows, n)
+        want = sympy.Matrix(m, n, lambda i, j: sympy.Rational(str(rows[i][j]))).nullspace()
+        assert len(ker) == len(want)
+        for v in ker:
+            assert len(v) == n and all(type(x) is Fraction for x in v)
+            assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
+
+
+def test_kernel_rows_matches_sympy_nullspace_over_q_sqrt5():
+    sympy = pytest.importorskip("sympy")
+    f5 = make_field([-5, 0, 1])
+    rng = random.Random(67)
+    for _ in range(20):
+        m, n = rng.randint(1, 4), rng.randint(1, 5)
+        coords = [[(_sparse_entry(rng), _sparse_entry(rng)) for _ in range(n)] for _ in range(m)]
+        rows = [[f5.element(c) for c in row] for row in coords]
+        if rng.random() < 0.5 and m > 1:  # a dependent row, so kernels grow
+            rows[-1] = [a * (f5.gen() + 1) for a in rows[0]]
+            coords[-1] = [tuple(e.coords) for e in rows[-1]]
+        ker = kernel_rows(rows, n)
+        want = sympy.Matrix(
+            m, n, lambda i, j: sympy.Rational(str(coords[i][j][0]))
+            + sympy.Rational(str(coords[i][j][1])) * sympy.sqrt(5)
+        ).nullspace()
+        assert len(ker) == len(want)
+        for v in ker:
+            assert all(sum((a * x for a, x in zip(row, v)), f5.zero()).is_zero() for row in rows)
+
+
+def test_field_matrix_over_a_reducible_algebra_raises_zero_divisor():
+    f = make_field([0, -1, 1])  # Q[x]/(x^2 - x) = Q x Q: x is a zero divisor
+    m = FieldMatrix(f, [[f.gen(), 0], [0, 1]])
+    for op in (m.kernel, m.rank, m.det):
+        with pytest.raises(ZeroDivisor):
+            op()
+
+
+def test_row_lattice_index_is_the_absolute_determinant():
+    rng = random.Random(71)
+    checked = 0
+    while checked < 30:
+        n = rng.randint(2, 4)
+        m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        if frac_det(m) == 0:
+            continue
+        assert row_lattice_index(m, n) == abs(frac_det(m))
+        checked += 1
 
 
 def test_det_matches_oracle():
@@ -137,7 +197,7 @@ def _pivot(row):
 
 def _coset_count_oracle(rows):
     """Enumerate Z^2 / rowspan by canonical reduction over a box."""
-    d = abs(int_det(rows))
+    d = abs(frac_det(rows))
     assert d > 0
     reps = set()
     h = hnf(rows)
@@ -179,14 +239,14 @@ def test_hnf_snf_random_properties():
             for j in range(c):
                 want = res.diag[i] if i == j and i < len(res.diag) else 0
                 assert umv[i][j] == want
-        assert abs(int_det(res.u)) == 1 and abs(int_det(res.v)) == 1
+        assert abs(frac_det(res.u)) == 1 and abs(frac_det(res.v)) == 1
         for i in range(len(res.diag) - 1):
             if res.diag[i + 1] == 0:
                 continue
             assert res.diag[i] != 0 and res.diag[i + 1] % res.diag[i] == 0
         if r == c:
-            assert abs(int_det(m)) == abs(
-                int_det([[res.diag[i] if i == j else 0 for j in range(c)] for i in range(r)])
+            assert abs(frac_det(m)) == abs(
+                frac_det([[res.diag[i] if i == j else 0 for j in range(c)] for i in range(r)])
             )
 
 
@@ -222,14 +282,6 @@ def test_int_kernel():
     assert len(ker) == 2
     for v in ker:
         assert all(sum(r[j] * v[j] for j in range(3)) == 0 for r in m)
-
-
-def test_bareiss_det_matches_oracle():
-    rng = random.Random(13)
-    for _ in range(20):
-        n = rng.randint(1, 4)
-        m = [[rng.randint(-7, 7) for _ in range(n)] for _ in range(n)]
-        assert int_det(m) == frac_det(m)
 
 
 def test_saturate_halving_condition():

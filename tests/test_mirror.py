@@ -87,6 +87,15 @@ def test_q_compatible_rejects_a_unimodular_non_isometry():
     assert MirrorMap(swap).q_compatible()
 
 
+def test_unimodular_means_determinant_plus_or_minus_one():
+    signed_perm = [[(-1) ** i if j == (i + 1) % 4 else 0 for j in range(4)] for i in range(4)]
+    assert MirrorMap(signed_perm).unimodular()
+    det2 = [[2 if i == j == 0 else int(i == j) for j in range(4)] for i in range(4)]
+    assert not MirrorMap(det2).unimodular()
+    singular = [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    assert not MirrorMap(singular).unimodular()
+
+
 def test_verify_fails_for_scaled_row():
     pair = construct_mirror(qmat([[1]]), [[-1]])
     phi = [row[:] for row in pair.map.phi]

@@ -56,6 +56,15 @@ def test_make_field_allows_reducible_squarefree():
     assert f.degree == 2
 
 
+def test_field_element_truth_is_nonzero():
+    f = make_field([-5, 0, 1])
+    rng = random.Random(73)
+    elems = [f.zero(), f.one(), f.gen(), f.gen() - f.gen()]
+    elems += [f.element([rng.choice([0, rng.randint(-3, 3)]) for _ in range(2)]) for _ in range(20)]
+    for x in elems:
+        assert bool(x) is not x.is_zero()
+
+
 def test_conj_must_be_automorphism():
     with pytest.raises(ConjNotAutomorphism):
         make_field([1, 0, 1], conj_image=[1, 1])
