@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exactla import FieldMatrix, Singular, positive_definite, row_lattice_index
 from .numfield import NumberField, rationals
@@ -14,7 +13,6 @@ from .torus import (
     ComplexTorusData,
     GksPair,
     KahlerData,
-    complex_structure_from_period,
     ij_rational,
     induce_gks,
     q_matrix,
@@ -101,12 +99,12 @@ def verify_mirror(pair: MirrorPair) -> MirrorReport:
     if gl.field != gr.field:
         raise DimensionMismatch("sides live over different fields")
     phi = pair.map.as_field_matrix(gl.field)
-    phi_inv = phi.inverse()
+    # I' = phi J phi^-1 and J' = phi I phi^-1, cleared of the inverse
     return MirrorReport(
         pair.map.unimodular(),
         pair.map.q_compatible(),
-        gr.calI == phi * gl.calJ * phi_inv,
-        gr.calJ == phi * gl.calI * phi_inv,
+        gr.calI * phi == phi * gl.calJ,
+        gr.calJ * phi == phi * gl.calI,
     )
 
 

@@ -1,6 +1,10 @@
 """Complex torus data, induced generalized Kahler pairs, and their exact
 invariants: rationality of IJ, eigenspace graph decomposition, and the
-denominator-free charge-lattice isometry identity."""
+denominator-free charge-lattice isometry identity.
+
+IJ of the induced pair is read off (G, B) in one place, `ij_matrix`; the
+pair stores it, and J, the metric q(., IJ.) and the rationality verdict are
+derived from the stored value."""
 
 from __future__ import annotations
 
@@ -77,23 +81,25 @@ class GksPair:
     calI: FieldMatrix
     calJ: FieldMatrix
     q: FieldMatrix
-    induced_from: tuple | None = dfield(default=None, repr=False)
+    ij: FieldMatrix
+    induced_from: tuple = dfield(repr=False)
 
     def composition(self) -> FieldMatrix:
-        return self.calI * self.calJ
+        return self.ij
 
     def metric(self) -> FieldMatrix:
-        return self.q * self.composition()
+        return self.q * self.ij
 
     def verify(self) -> None:
         n = 4 * self.g
         ident = FieldMatrix.identity(self.field, n)
         if self.calI * self.calI != -ident or self.calJ * self.calJ != -ident:
             raise ValueError("generalized structures must square to -Id")
-        if self.calI * self.calJ != self.calJ * self.calI:
-            raise ValueError("structures do not commute")
+        if not self.calI * self.calJ == self.ij == self.calJ * self.calI:
+            raise ValueError("structures do not commute to IJ")
+        # with m^2 = -Id, m^T q m = q is the same as q m being antisymmetric
         for m in (self.calI, self.calJ):
-            if m.transpose() * self.q * m != self.q:
+            if not (self.q * m).is_antisymmetric():
                 raise ValueError("structure does not preserve q")
         gm = self.metric()
         if not gm.is_symmetric():
@@ -119,37 +125,33 @@ def complex_structure_from_period(
     return ComplexTorusData(g, fld, i_mat, embedding)
 
 
+def ij_matrix(k: KahlerData) -> FieldMatrix:
+    """IJ = [[G^-1 B, -G^-1], [B G^-1 B - G, -B G^-1]] of the pair induced
+    by (T, G, B).
+
+    With omega = G I, I omega^-1 = G^-1 and I^T omega = G, so the complex
+    structure drops out of the product of the B-transformed pair.
+    """
+    g_inv = k.G.inverse()
+    g_inv_b = g_inv * k.B
+    return FieldMatrix.block([[g_inv_b, -g_inv], [k.B * g_inv_b - k.G, -(k.B * g_inv)]])
+
+
 def induce_gks(t: ComplexTorusData, k: KahlerData) -> GksPair:
-    """The B-transformed pair (I, J) induced by (T, G, B)."""
+    """The B-transformed pair (I, J) induced by (T, G, B); J = -I (IJ)
+    because I^2 = -Id."""
     k.validate_for(t)
     fld = t.field
     n = 2 * t.g
-    zero = FieldMatrix.zeros(fld, n, n)
-    i_m, g_m, b_m = t.I, k.G, k.B
-    omega = g_m * i_m
-    omega_inv = omega.inverse()
+    i_m, b_m = t.I, k.B
     cal_i = FieldMatrix.block(
         [
-            [i_m, zero],
+            [i_m, FieldMatrix.zeros(fld, n, n)],
             [b_m * i_m + i_m.transpose() * b_m, -i_m.transpose()],
         ]
     )
-    cal_j = FieldMatrix.block(
-        [
-            [omega_inv * b_m, -omega_inv],
-            [omega + b_m * omega_inv * b_m, -(b_m * omega_inv)],
-        ]
-    )
-    g_inv = g_m.inverse()
-    alt = FieldMatrix.block(
-        [
-            [-(i_m * g_inv * b_m), i_m * g_inv],
-            [g_m * i_m - b_m * i_m * g_inv * b_m, b_m * i_m * g_inv],
-        ]
-    )
-    if cal_j != alt:
-        raise AssertionError("two forms of J disagree")
-    pair = GksPair(t.g, fld, t.embedding, cal_i, cal_j, q_matrix(fld, n), (t, k))
+    ij = ij_matrix(k)
+    pair = GksPair(t.g, fld, t.embedding, cal_i, -(cal_i * ij), q_matrix(fld, n), ij, (t, k))
     pair.verify()
     return pair
 
@@ -180,10 +182,9 @@ def eigenspace_graphs(p: GksPair) -> EigenspaceGraphs:
             raise AssertionError("graph vector is not an eigenvector")
         graphs.append(s)
     out = EigenspaceGraphs(p_plus, p_minus, graphs[0], graphs[1])
-    if p.induced_from is not None:
-        _, k = p.induced_from
-        if out.graph_plus != -k.G + k.B or out.graph_minus != k.G + k.B:
-            raise AssertionError("graphs disagree with -G+B / G+B")
+    _, k = p.induced_from
+    if out.graph_plus != -k.G + k.B or out.graph_minus != k.G + k.B:
+        raise AssertionError("graphs disagree with -G+B / G+B")
     return out
 
 
@@ -202,7 +203,7 @@ def _graph_from_projector(proj: FieldMatrix, g: int) -> FieldMatrix:
 
 def ij_rational(p: GksPair) -> bool:
     """True iff IJ preserves the rational lattice (all entries rational)."""
-    return p.composition().is_rational()
+    return p.ij.is_rational()
 
 
 def charge_isometry_check(k: KahlerData) -> bool:

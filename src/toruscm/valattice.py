@@ -1,7 +1,10 @@
 """The lattice side of the toroidal vertex algebra: the pairing lattice
 Lambda = Gamma + Gamma* with its (z, zbar)-decomposition, the chiral
 sublattice and rationality verdict, module count, dual bases, and the mode
-supercommutator table."""
+supercommutator table.
+
+The z-side projector is (1 + IJ)/2 with IJ read off (G, B) in the one place
+that defines it, `torus.ij_matrix`; no generalized Kahler pair is induced."""
 
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ from .exactla import (
     snf,
 )
 from .numfield import FieldElement
-from .torus import ComplexTorusData, KahlerData, q_matrix
+from .torus import ComplexTorusData, KahlerData, ij_matrix, q_matrix
 
 
 class ModeParityMismatch(ValueError):
@@ -52,28 +55,11 @@ class ChiralReport:
 
 def build_pairing_lattice(t: ComplexTorusData, k: KahlerData) -> PairingLattice:
     """Lattice data of V(T, G, B): q and the projector P+ = (1 + IJ)/2 onto
-    the z-side.
-
-    IJ = [[G^-1 B, -G^-1], [B G^-1 B - G, -B G^-1]] depends only on (G, B):
-    with omega = G I, I omega^-1 = G^-1 and I^T omega = G, so the complex
-    structure drops out of the product of the induced pair.
-    """
+    the z-side, with IJ read off (G, B) by `torus.ij_matrix`."""
     k.validate_for(t)
-    fld = t.field
     n = 4 * t.g
-    g_inv = k.G.inverse()
-    ij = FieldMatrix.block(
-        [
-            [g_inv * k.B, -g_inv],
-            [k.B * g_inv * k.B - k.G, -(k.B * g_inv)],
-        ]
-    )
-    p_plus = (FieldMatrix.identity(fld, n) + ij).scale(Fraction(1, 2))
-    # image(P+) is the graph of -G+B: check on the graph basis
-    graph = FieldMatrix.block([[FieldMatrix.identity(fld, 2 * t.g)], [k.B - k.G]])
-    if p_plus * graph != graph:
-        raise AssertionError("image(P+) != graph(-G+B)")
-    return PairingLattice(n, q_matrix(fld, 2 * t.g), p_plus)
+    p_plus = (FieldMatrix.identity(t.field, n) + ij_matrix(k)).scale(Fraction(1, 2))
+    return PairingLattice(n, q_matrix(t.field, 2 * t.g), p_plus)
 
 
 def chiral_sublattice(lat: PairingLattice) -> ChiralReport:

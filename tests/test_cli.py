@@ -226,6 +226,21 @@ def test_mirror_roundtrip_cli(capsys, tmp_path):
     assert json.loads(out)["ok"] is False
 
 
+def test_mirror_verify_singular_phi_exits_1(capsys, tmp_path):
+    # a singular phi gets the per-condition report, not a solver error
+    code, out = invoke(capsys, ["mirror", "construct", "--A", '[["1"]]', "--rho", "[[-1]]"])
+    assert code == 0
+    pair_doc = json.loads(out)
+    pair_doc["phi"][1] = pair_doc["phi"][0]
+    p = tmp_path / "pair.json"
+    p.write_text(json.dumps(pair_doc))
+    code, out = invoke(capsys, ["mirror", "verify", "--pair", str(p)])
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["ok"] is False and rep["unimodular"] is False and rep["q_compatible"] is False
+    assert set(rep) == {"unimodular", "q_compatible", "i_conjugated", "j_conjugated", "ok"}
+
+
 def test_va_chiral_cli(capsys, fixture_dir):
     code, out = invoke(capsys, ["va", "chiral", "--torus", str(fixture_dir / "tau_i.json")])
     assert code == 0

@@ -24,6 +24,7 @@ def _cases():
     cases = {}
     for name in ("tau_i", "tau_2pow14", "zeta5"):
         cases[f"va_chiral_{name}"] = ["va", "chiral", "--torus", _fixture(name)]
+        cases[f"gks_induce_{name}"] = ["gks", "induce", "--torus", _fixture(name)]
         cases[f"gks_rationality_{name}"] = ["gks", "rationality", "--torus", _fixture(name)]
         cases[f"cm_certificate_{name}"] = [
             "cm", "certificate", "--torus", _fixture(name), "--seed", "1"

@@ -1,0 +1,31 @@
+"""Every name a `toruscm` module imports is used in that module.
+
+The package `__init__` is left out: its imports are the public API, which
+`__all__` re-exports from `dir()`.
+"""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "toruscm"
+
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used)
+
+
+def test_no_unused_imports_in_src():
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    unused = [entry for path in modules for entry in _unused_imports(path)]
+    assert unused == []

@@ -210,7 +210,8 @@ def test_section4_demo_report():
 
 
 def test_pairing_lattice_projector_matches_induced_pair(zeta5_mirror):
-    # P+ read off (G, B) alone equals (1 + IJ)/2 of the induced pair
+    # P+ read off (G, B) alone equals (1 + calI calJ)/2 of the induced pair,
+    # and it fixes the graph of B - G
     square = complex_structure_from_period(qmat([[0]]), qmat([[1]]), QEMB)
     k = KahlerData(qmat([[2, 0], [0, 2]]), qmat([[0, Fraction(1, 2)], [Fraction(-1, 2), 0]]))
     sides = [(square, k)]
@@ -222,8 +223,11 @@ def test_pairing_lattice_projector_matches_induced_pair(zeta5_mirror):
     sides += [(s.torus, s.kahler) for s in (zeta5.left, zeta5.right)]
     for t, k in sides:
         ident = FieldMatrix.identity(t.field, 4 * t.g)
-        induced = (ident + induce_gks(t, k).composition()).scale(Fraction(1, 2))
-        assert build_pairing_lattice(t, k).p_plus == induced
+        pair = induce_gks(t, k)
+        p_plus = build_pairing_lattice(t, k).p_plus
+        assert p_plus == (ident + pair.calI * pair.calJ).scale(Fraction(1, 2))
+        graph = FieldMatrix.block([[FieldMatrix.identity(t.field, 2 * t.g)], [k.B - k.G]])
+        assert p_plus * graph == graph
 
 
 def test_sylvester_kernels_match_sympy_nullspace():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -141,6 +142,68 @@ def test_gks_axioms_random(square_torus):
         gm = q * comp
         assert gm.is_symmetric()
         assert positive_definite(gm, QEMB).positive
+
+
+def random_rational_kahler(rng, g):
+    """Rational (T, G, B) with B != 0: I = P^-1 I0 P and G = P^T P for a
+    random invertible P, so G is positive definite and I-compatible."""
+    n = 2 * g
+    while True:
+        p = qmat([[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)])
+        if p.rank() == n:
+            break
+    zero, ident = FieldMatrix.zeros(QQ, g, g), FieldMatrix.identity(QQ, g)
+    i0 = FieldMatrix.block([[zero, -ident], [ident, zero]])
+    b = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for c in range(a + 1, n):
+            b[a][c] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            b[c][a] = -b[a][c]
+    b[0][1], b[1][0] = Fraction(1, 2), Fraction(-1, 2)  # B != 0
+    t = ComplexTorusData(g, QQ, p.inverse() * i0 * p, QEMB)
+    return t, KahlerData(p.transpose() * p, qmat(b))
+
+
+def test_induced_j_matches_explicit_b_transform_sympy():
+    # the paper's J = [[w^-1 B, -w^-1], [w + B w^-1 B, -B w^-1]], w = G I,
+    # built by sympy, against calJ = -calI (IJ), and calI calJ against IJ
+    sympy = pytest.importorskip("sympy")
+
+    def sym(m):
+        def q(e):
+            x = e.as_rational()
+            return sympy.Rational(x.numerator, x.denominator)
+
+        return sympy.Matrix(m.rows, m.cols, lambda a, b: q(m[a, b]))
+
+    rng = random.Random(2718)
+    for g in (1, 2):
+        for _ in range(3):
+            t, k = random_rational_kahler(rng, g)
+            pair = induce_gks(t, k)
+            b = sym(k.B)
+            w = sym(k.G) * sym(t.I)
+            w_inv = w.inv()
+            oracle = sympy.BlockMatrix([[w_inv * b, -w_inv], [w + b * w_inv * b, -b * w_inv]])
+            assert sym(pair.calJ) == oracle.as_explicit()
+            assert sym(pair.calI) * sym(pair.calJ) == sym(pair.ij)
+
+
+def test_verify_rejects_negated_ij():
+    t, k = random_rational_kahler(random.Random(5), 2)
+    pair = induce_gks(t, k)
+    with pytest.raises(ValueError, match="commute"):
+        dataclasses.replace(pair, ij=-pair.ij).verify()
+
+
+def test_verify_rejects_structures_not_preserving_q():
+    # conjugating by a shear keeps the squares and IJ but breaks q
+    pair = induce_gks(*random_rational_kahler(random.Random(6), 1))
+    s = FieldMatrix.identity(QQ, 4) + qmat([[0, 0, 0, 0]] * 3 + [[1, 0, 0, 0]])
+    s_inv = s.inverse()
+    conj = {name: s * getattr(pair, name) * s_inv for name in ("calI", "calJ", "ij")}
+    with pytest.raises(ValueError, match="preserve q"):
+        dataclasses.replace(pair, **conj).verify()
 
 
 def test_eigenspace_graphs_identity(square_torus):
