@@ -7,8 +7,11 @@ determinant: it reduces FieldElement rows and plain Fraction rows alike, so
 rational kernels (`kernel_rows`, `rational_kernel`) never pass through
 degree-1 elements.  Integer lattices get Hermite/Smith normal forms with
 unimodular transforms, and a lattice index is the product of the HNF
-diagonal; positive definiteness is certified by exact LDL pivots signed
-through a designated embedding.  Nothing here ever touches floating point.
+diagonal.  Integrality conditions are saturated by a modular HNF that keeps
+every entry below the lcm D of their denominators, because the solution
+lattice contains D*Z^n.  Positive definiteness is certified by exact LDL
+pivots signed through a designated embedding.  Nothing here ever touches
+floating point.
 """
 
 from __future__ import annotations
@@ -442,17 +445,6 @@ def snf(mat) -> SnfResult:
     return SnfResult(diag, u, v)
 
 
-def int_kernel(mat):
-    """Basis rows of {x in Z^n : M x = 0} (saturated by construction)."""
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    if m == 0:
-        raise ValueError("use the caller's dimension for an empty system")
-    transpose = [[mat[i][j] for i in range(m)] for j in range(n)]
-    h, u, _ = int_hnf_with_transform(transpose)
-    return [u[i] for i in range(n) if not any(h[i])]
-
-
 def row_lattice_index(basis_rows, n):
     """Index [Z^n : L] for L spanned by basis_rows; inf if rank < n.
 
@@ -471,54 +463,69 @@ def row_lattice_index(basis_rows, n):
 # Saturation of field-linear integrality conditions
 
 
+def _hnf_mod(rows, n, d):
+    """Lower-triangular HNF (n x n) of the lattice spanned by `rows` and d*Z^n.
+
+    No stored entry leaves [0, d], as d*Z^n lies in the lattice: column by
+    column from the right, d*e_col absorbs each row's entry by xgcd, which
+    leaves a pivot dividing d, and every other entry is taken mod d; then
+    each row is reduced below the pivots, so off-pivot entries end in
+    [0, pivot of their column).
+    """
+    work = [r for r in ([x % d for x in row] for row in rows) if any(r)]
+    h = [None] * n
+    for c in range(n - 1, -1, -1):
+        p = [0] * n
+        p[c] = d
+        for i, r in enumerate(work):
+            if r[c]:
+                x, y, g = _xgcd(p[c], r[c])
+                a, b = p[c] // g, r[c] // g
+                p, work[i] = (
+                    [(x * u + y * v) % d for u, v in zip(p[:c], r)] + [g] + [0] * (n - c - 1),
+                    [(a * v - b * u) % d for u, v in zip(p, r)],
+                )
+        h[c] = p
+    for c, p in enumerate(h):
+        for j in range(c - 1, -1, -1):
+            f = p[j] // h[j][j]
+            if f:
+                p[:j + 1] = [(u - f * v) % d for u, v in zip(p[:j], h[j])] + [p[j] - f * h[j][j]]
+    return h
+
+
 def saturate_integer_solutions(conditions: FieldMatrix):
     """Sublattice of Z^n where each field-linear functional takes Z values.
 
-    Splits every coefficient via rational_part: the irrational power-basis
-    components must vanish (a rational kernel), the rational component must
-    be integral (denominator-cleared HNF congruence).  Returns basis rows
+    The irrational power-basis coordinates must vanish: x = y V with V a
+    rational kernel basis whose free coordinates are y.  What is left says
+    R y in Z^t for one rational R (x itself and the rational coordinates),
+    so with D the lcm of R's denominators the solutions y form
+    D * dual(M), M spanned by D*Z^s and the rows of D*R.  Both M and the
+    solutions contain D*Z^s, so each gets its HNF modulo D, and the dual is
+    one exact inverse of a triangular matrix.  Returns basis rows
     (canonical HNF), possibly empty.
     """
     n = conditions.cols
     d = conditions.field.degree
-    irr_rows = []
-    rat_rows = []
-    for row in conditions.entries:
-        rat_rows.append([e.coords[0] for e in row])
-        for k in range(1, d):
-            r = [e.coords[k] for e in row]
-            if any(r):
-                irr_rows.append(r)
-    # (a) irrational components vanish
-    if irr_rows:
-        den = math.lcm(*[f.denominator for row in irr_rows for f in row])
-        int_rows = [[int(f * den) for f in row] for row in irr_rows]
-        w = int_kernel(int_rows)
-        if not w:
-            return []
-    else:
-        w = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    r = len(w)
-    # (b) rational components integral on the span of w
-    qp = [
-        [sum(Fraction(cond[j]) * w[i][j] for j in range(n)) for i in range(r)]
-        for cond in rat_rows
-    ]
-    den = 1
-    for row in qp:
-        for f in row:
-            den = math.lcm(den, f.denominator)
-    if den > 1:
-        mint = [[int(f * den) for f in row] + [0] * len(qp) for row in qp]
-        for i in range(len(qp)):
-            mint[i][r + i] = den
-        ker = int_kernel(mint)
-        coeffs = [k[:r] for k in ker]
-        coeffs = hnf(coeffs)
-    else:
-        coeffs = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    basis = [[sum(c[i] * w[i][j] for i in range(r)) for j in range(n)] for c in coeffs]
-    return hnf(basis)
+    coords = [[[e.coords[k] for e in row] for row in conditions.entries] for k in range(d)]
+    v = kernel_rows([r for k in range(1, d) for r in coords[k] if any(r)], n)
+    s = len(v)
+    if not s:
+        return []
+    cols = list(zip(*v))
+    r = cols + [[sum(a * b for a, b in zip(row, w) if a and b) for w in v] for row in coords[0]]
+    den = math.lcm(*(x.denominator for row in r for x in row))
+    m = _hnf_mod([[int(x * den) for x in row] for row in r], s, den)
+    # den * M^-1 is integral because den*Z^s lies in M; its columns span the solutions
+    inv = [[0] * s for _ in range(s)]
+    for i in range(s):
+        inv[i][i] = den // m[i][i]
+        for j in range(i - 1, -1, -1):
+            inv[i][j] = -sum(inv[i][k] * m[k][j] for k in range(j + 1, i + 1)) // m[j][j]
+    y = _hnf_mod(list(zip(*inv)), s, den)
+    x = [[int(sum(a * b for a, b in zip(row, col) if a and b)) for col in cols] for row in y]
+    return hnf(x)
 
 
 # ---------------------------------------------------------------------------

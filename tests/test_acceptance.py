@@ -5,22 +5,15 @@ asserted with a wall clock.
 """
 
 import itertools
-import math
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
-from toruscm import polyq
 from toruscm.cm import cm_certificate, endomorphism_algebra, eta_checks, rational_kahler_search
 from toruscm.exactla import FieldMatrix, hnf, positive_definite
-from toruscm.fixtures import (
-    gaussian_cm_input,
-    tau_2pow14_torus,
-    tau_i_torus,
-    zeta5_cm_input,
-)
+from toruscm.fixtures import tau_2pow14_torus, tau_i_torus
 from toruscm.mirror import (
     construct_mirror,
     isogeny_from_mirror,

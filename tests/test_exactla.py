@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -7,9 +8,8 @@ import pytest
 from toruscm.exactla import (
     FieldMatrix,
     Inconsistent,
+    _hnf_mod,
     hnf,
-    int_hnf_with_transform,
-    int_kernel,
     kernel_rows,
     positive_definite,
     rational_kernel,
@@ -276,12 +276,29 @@ def test_hnf_preserves_row_lattice():
                 assert 0 <= h[rr][pivots[r]] < row[pivots[r]]
 
 
-def test_int_kernel():
+def test_saturate_integer_kernel():
+    # sqrt5 * (M x) is integral only where M x = 0: the saturated integer kernel
+    f5 = make_field([-5, 0, 1])
     m = [[1, 2, 3], [2, 4, 6]]
-    ker = int_kernel(m)
-    assert len(ker) == 2
-    for v in ker:
+    basis = saturate_integer_solutions(FieldMatrix(f5, [[f5.gen() * x for x in r] for r in m]))
+    assert len(basis) == 2 and row_lattice_index(basis + [[1, 0, 0]], 3) == 1  # saturated
+    for v in basis:
         assert all(sum(r[j] * v[j] for j in range(3)) == 0 for r in m)
+
+
+def test_hnf_mod_is_the_bounded_canonical_hnf():
+    rng = random.Random(73)
+    for _ in range(40):
+        n, d = rng.randint(1, 5), rng.choice([1, 2, 6, 12, 30, 360, 2**40 * 3])
+        rows = [[rng.randint(-d, d) for _ in range(n)] for _ in range(rng.randint(0, 5))]
+        h = _hnf_mod(rows, n, d)
+        assert len(h) == n
+        for i, row in enumerate(h):
+            assert all(0 <= x < d or (j == i and x == d) for j, x in enumerate(row))
+            assert row[i] > 0 and d % row[i] == 0 and not any(row[i + 1 :])
+            assert all(h[k][i] < row[i] for k in range(i + 1, n))
+        scaled = [[d * int(i == j) for j in range(n)] for i in range(n)]
+        assert h == hnf(rows + scaled)
 
 
 def test_saturate_halving_condition():
@@ -308,23 +325,21 @@ def test_saturate_identity_chiral_conditions():
     assert row_lattice_index(basis, 4) == 4
 
 
+def _satisfies(cond: FieldMatrix, v):
+    """Every functional of `cond` takes an integer value at v."""
+    for row in cond.entries:
+        acc = cond.field.zero()
+        for c, x in zip(row, v):
+            if x:
+                acc = acc + c * cond.field.from_rational(x)
+        if not acc.is_rational() or acc.as_rational().denominator != 1:
+            return False
+    return True
+
+
 def _brute_force_lattice(cond: FieldMatrix, bound=4):
-    out = []
-    n = cond.cols
-    deg = cond.field.degree
-    for v in itertools.product(range(-bound, bound + 1), repeat=n):
-        ok = True
-        for row in cond.entries:
-            acc = cond.field.zero()
-            for c, x in zip(row, v):
-                if x:
-                    acc = acc + c * cond.field.from_rational(x)
-            if any(acc.coords[k] != 0 for k in range(1, deg)) or acc.coords[0].denominator != 1:
-                ok = False
-                break
-        if ok:
-            out.append(list(v))
-    return out
+    box = itertools.product(range(-bound, bound + 1), repeat=cond.cols)
+    return [list(v) for v in box if _satisfies(cond, v)]
 
 
 def test_saturate_matches_brute_force():
@@ -345,6 +360,39 @@ def test_saturate_matches_brute_force():
         for row in basis:
             if max(abs(x) for x in row) <= 4:
                 assert row in brute or [-x for x in row] in brute
+
+
+def test_saturate_matches_smith_and_brute_force_oracles():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+
+    f5 = make_field([-5, 0, 1])
+    rng = random.Random(79)
+
+    def q():
+        return Fraction(rng.choice([0, 0, rng.randint(-6, 6)]), rng.randint(1, 6))
+
+    for trial in range(36):
+        m, n = rng.randint(1, 3), rng.randint(1, 5)
+        if trial % 3:
+            rows = [[q() for _ in range(n)] for _ in range(m)]
+            cond = qmat(rows)
+        else:
+            cond = FieldMatrix(f5, [[f5.element([q(), q()]) for _ in range(n)] for _ in range(m)])
+        basis = saturate_integer_solutions(cond)
+        assert hnf(basis) == basis
+        assert all(_satisfies(cond, v) for v in basis)
+        if n <= 4:
+            brute = {tuple(v) for v in _brute_force_lattice(cond, bound=2)}
+            for v in itertools.product(range(-2, 3), repeat=n):
+                assert _in_row_lattice(basis, v) == (v in brute)
+        if trial % 3:
+            den = math.lcm(*(x.denominator for row in rows for x in row))
+            a = sympy.Matrix(m, n, lambda i, j: int(rows[i][j] * den))
+            d = smith_normal_form(a, domain=sympy.ZZ)
+            inv = [abs(int(d[i, i])) if i < m else 0 for i in range(n)]
+            want = math.prod(den // math.gcd(den, x) for x in inv)
+            assert row_lattice_index(basis, n) == want
 
 
 def test_positive_definite_identity():

@@ -1,4 +1,4 @@
-"""CLI reports on the shipped fixtures, compared byte for byte.
+"""CLI reports on the shipped fixtures and `tests/data`, compared byte for byte.
 
 `tests/golden/<case>.json` holds the stdout of each command below.  A change
 that means to alter a report regenerates the files with
@@ -41,6 +41,9 @@ def _cases():
         ]
     cases["mirror_construct_a1_rho_minus1"] = ["mirror", "construct", "--A", '[["1"]]', "--rho", "[[-1]]"]
     cases["demo_section4"] = ["demo", "section4"]
+    # a rational g = 3 document whose saturation once made integer kernels grow
+    data = str(ROOT / "tests" / "data" / "g3_rational_seed1.json")
+    cases["va_chiral_g3_rational_seed1"] = ["va", "chiral", "--torus", data]
     return cases
 
 

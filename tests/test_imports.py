@@ -1,4 +1,4 @@
-"""Every name a `toruscm` module imports is used in that module.
+"""Every name a `toruscm` module or a test file imports is used there.
 
 The package `__init__` is left out: its imports are the public API, which
 `__all__` re-exports from `dir()`.
@@ -7,7 +7,8 @@ The package `__init__` is left out: its imports are the public API, which
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "toruscm"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "toruscm"
 
 
 def _unused_imports(path):
@@ -28,4 +29,11 @@ def test_no_unused_imports_in_src():
     modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
     assert modules
     unused = [entry for path in modules for entry in _unused_imports(path)]
+    assert unused == []
+
+
+def test_no_unused_imports_in_tests():
+    files = sorted(TESTS.glob("*.py"))
+    assert files
+    unused = [entry for path in files for entry in _unused_imports(path)]
     assert unused == []

@@ -9,7 +9,6 @@ from toruscm.fixtures import tau_i_torus
 from toruscm.mirror import (
     MirrorMap,
     MirrorPair,
-    MirrorSide,
     RhoNotNegativeDefinite,
     construct_mirror,
     isogeny_from_mirror,
