@@ -40,6 +40,14 @@ def _cases():
             "--hp", '["1","0","-1","0"]', "--mode-b", str(-mode),
         ]
     cases["mirror_construct_a1_rho_minus1"] = ["mirror", "construct", "--A", '[["1"]]', "--rho", "[[-1]]"]
+    # pair documents: the g = 1 construction above and a seeded g = 2 one
+    pairs = {
+        "a1_rho_minus1": GOLDEN / "mirror_construct_a1_rho_minus1.json",
+        "g2_seed2": ROOT / "tests" / "data" / "mirror_g2_seed2.json",
+    }
+    for name, path in pairs.items():
+        cases[f"mirror_verify_{name}"] = ["mirror", "verify", "--pair", str(path)]
+        cases[f"mirror_isogeny_{name}"] = ["mirror", "isogeny", "--pair", str(path)]
     cases["demo_section4"] = ["demo", "section4"]
     # a rational g = 3 document whose saturation once made integer kernels grow
     data = str(ROOT / "tests" / "data" / "g3_rational_seed1.json")
