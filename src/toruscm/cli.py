@@ -200,6 +200,7 @@ def _cmd_torus_validate(args) -> int:
 def _cmd_gks_induce(args) -> int:
     bundle = _torus_bundle(args.torus)
     pair = induce_gks(bundle["torus"], _need_kahler(bundle))
+    pair.verify()
     _emit(
         {
             "calI": jsonio.encode_matrix(pair.calI),

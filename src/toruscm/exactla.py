@@ -184,10 +184,6 @@ class FieldMatrix:
 
     # -- elimination ------------------------------------------------------------
 
-    def pivot_columns(self) -> list:
-        """The columns independent of those before them, in order."""
-        return _rref(self.entries, self.cols)[1]
-
     def rank(self) -> int:
         return len(_rref(self.entries, self.cols)[1])
 

@@ -4,7 +4,12 @@ denominator-free charge-lattice isometry identity.
 
 IJ of the induced pair is read off (G, B) in one place, `ij_matrix`; the
 pair stores it, and J, the metric q(., IJ.) and the rationality verdict are
-derived from the stored value."""
+derived from the stored value.
+
+Data is checked where it enters, in `ComplexTorusData` and
+`KahlerData.validate_for`.  The identities that follow from checked data (the
+pair's axioms, the eigenspace graphs of IJ) are held by the tests, not re-run
+on every call; `GksPair.verify` checks the axioms for a report that states them."""
 
 from __future__ import annotations
 
@@ -20,10 +25,6 @@ class IncompatibleMetric(ValueError):
 
 
 class NotPositiveDefinite(ValueError):
-    pass
-
-
-class NotInvolution(ValueError):
     pass
 
 
@@ -83,9 +84,6 @@ class GksPair:
     q: FieldMatrix
     ij: FieldMatrix
     induced_from: tuple = dfield(repr=False)
-
-    def composition(self) -> FieldMatrix:
-        return self.ij
 
     def metric(self) -> FieldMatrix:
         return self.q * self.ij
@@ -151,9 +149,7 @@ def induce_gks(t: ComplexTorusData, k: KahlerData) -> GksPair:
         ]
     )
     ij = ij_matrix(k)
-    pair = GksPair(t.g, fld, t.embedding, cal_i, -(cal_i * ij), q_matrix(fld, n), ij, (t, k))
-    pair.verify()
-    return pair
+    return GksPair(t.g, fld, t.embedding, cal_i, -(cal_i * ij), q_matrix(fld, n), ij, (t, k))
 
 
 @dataclass
@@ -165,40 +161,14 @@ class EigenspaceGraphs:
 
 
 def eigenspace_graphs(p: GksPair) -> EigenspaceGraphs:
-    """Projectors onto the (+1/-1) eigenspaces of IJ and their graph maps."""
-    n = 4 * p.g
-    comp = p.composition()
-    ident = FieldMatrix.identity(p.field, n)
-    if comp * comp != ident:
-        raise NotInvolution("(IJ)^2 != Id")
+    """Projectors P+- = (1 +- IJ)/2 onto the (+1/-1) eigenspaces of IJ, whose
+    images are the graphs of -G+B and G+B over Gamma_R."""
+    ident = FieldMatrix.identity(p.field, 4 * p.g)
     half = Fraction(1, 2)
-    p_plus = (ident + comp).scale(half)
-    p_minus = (ident - comp).scale(half)
-    graphs = []
-    for proj, sign in ((p_plus, 1), (p_minus, -1)):
-        s = _graph_from_projector(proj, p.g)
-        graph = FieldMatrix.block([[FieldMatrix.identity(p.field, 2 * p.g)], [s]])
-        if comp * graph != graph.scale(sign):
-            raise AssertionError("graph vector is not an eigenvector")
-        graphs.append(s)
-    out = EigenspaceGraphs(p_plus, p_minus, graphs[0], graphs[1])
     _, k = p.induced_from
-    if out.graph_plus != -k.G + k.B or out.graph_minus != k.G + k.B:
-        raise AssertionError("graphs disagree with -G+B / G+B")
-    return out
-
-
-def _graph_from_projector(proj: FieldMatrix, g: int) -> FieldMatrix:
-    """Write the column space of a rank-2g projector as a graph over Gamma_R."""
-    n = 4 * g
-    top = FieldMatrix(proj.field, [proj.row(i) for i in range(2 * g)])
-    bot = FieldMatrix(proj.field, [proj.row(i) for i in range(2 * g, n)])
-    cols = top.pivot_columns()
-    if len(cols) < 2 * g:
-        raise ValueError("projector top block has deficient rank")
-    x = FieldMatrix(proj.field, [[top[i, j] for j in cols] for i in range(2 * g)])
-    y = FieldMatrix(proj.field, [[bot[i, j] for j in cols] for i in range(2 * g)])
-    return y * x.inverse()
+    return EigenspaceGraphs(
+        (ident + p.ij).scale(half), (ident - p.ij).scale(half), k.B - k.G, k.B + k.G
+    )
 
 
 def ij_rational(p: GksPair) -> bool:

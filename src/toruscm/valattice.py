@@ -66,27 +66,27 @@ def chiral_sublattice(lat: PairingLattice) -> ChiralReport:
     """Saturate the integrality conditions q(P+ lambda, e_i) in Z.
 
     Since q is unimodular this is exactly lambda_z in Lambda; rank, index
-    and the z/zbar part ranks are computed from the saturated basis.
+    and the z part rank are computed from the saturated basis.  If lambda_z
+    is in Lambda then so is lambda_zbar = lambda - lambda_z, so Lambda_ch is
+    the sum of its z and zbar parts and the zbar part rank is the rest.
     """
     conditions = lat.q * lat.p_plus
     basis = saturate_integer_solutions(conditions)
     rank = len(basis)
     index = row_lattice_index(basis, lat.n)
     rational = index != math.inf
-    zr = _part_rank(lat, basis, zbar=False)
-    zbr = _part_rank(lat, basis, zbar=True)
-    return ChiralReport(basis, lat.n, rank, index, rational, zr, zbr)
+    zr = _part_rank(lat, basis)
+    return ChiralReport(basis, lat.n, rank, index, rational, zr, rank - zr)
 
 
-def _part_rank(lat: PairingLattice, basis, zbar: bool) -> int:
-    """Rank of Lambda_ch intersected with the (+1 or -1) eigenspace."""
+def _part_rank(lat: PairingLattice, basis) -> int:
+    """Rank of Lambda_ch intersected with the z side, the +1 eigenspace:
+    the rational combinations of the basis that P- = 1 - P+ kills."""
     if not basis:
         return 0
-    proj = lat.p_plus
-    if not zbar:
-        proj = FieldMatrix.identity(lat.field, lat.n) - proj  # kill z vectors: P- v = 0
+    p_minus = FieldMatrix.identity(lat.field, lat.n) - lat.p_plus
     columns = FieldMatrix(lat.field, basis).transpose()
-    return len(rational_kernel(proj * columns))
+    return len(rational_kernel(p_minus * columns))
 
 
 def va_rational(report: ChiralReport) -> bool:

@@ -139,9 +139,13 @@ def test_criterion_3_gks_axioms(sample_set):
         metric = pair.metric()
         assert metric.is_symmetric()
         assert positive_definite(metric, t.embedding).positive
+        # P+- fixes the graph of -+G+B and has rank 2g
         graphs = eigenspace_graphs(pair)
-        assert graphs.graph_plus == k.B - k.G
-        assert graphs.graph_minus == k.B + k.G
+        top = FieldMatrix.identity(pair.field, 2 * t.g)
+        for proj, s in ((graphs.p_plus, graphs.graph_plus), (graphs.p_minus, graphs.graph_minus)):
+            graph = FieldMatrix.block([[top], [s]])
+            assert proj * graph == graph
+            assert proj.rank() == 2 * t.g
     _report(3, f"GKS axioms exact on {len(sample_set)} samples", time.monotonic() - start)
 
 

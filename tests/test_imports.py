@@ -1,4 +1,5 @@
-"""Every name a `toruscm` module or a test file imports is used there.
+"""Every name a `toruscm` module or a test file imports is used there, and
+every function, class and method a `toruscm` module defines is used somewhere.
 
 The package `__init__` is left out: its imports are the public API, which
 `__all__` re-exports from `dir()`.
@@ -9,6 +10,7 @@ import pathlib
 
 TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "toruscm"
+PERFBENCH = TESTS.parent / "perfbench"
 
 
 def _unused_imports(path):
@@ -37,3 +39,34 @@ def test_no_unused_imports_in_tests():
     assert files
     unused = [entry for path in files for entry in _unused_imports(path)]
     assert unused == []
+
+
+def _used_names(path):
+    """Names a file uses: AST `Name`s, `Attribute` names and import aliases."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.update(filter(None, (node.name.split(".")[-1], node.asname)))
+    return used
+
+
+def test_no_dead_definitions_in_src():
+    # dunders are called by the language, not by name
+    modules = sorted(SRC.glob("*.py"))
+    users = [p for p in modules if p.name != "__init__.py"]
+    users += sorted(TESTS.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
+    used = set().union(*(_used_names(path) for path in users))
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    dead = [
+        f"{path.name}:{node.lineno}: {node.name}"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, defs)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in used
+    ]
+    assert dead == []

@@ -73,7 +73,7 @@ def test_induce_identity_example(square_torus):
     zero = FieldMatrix.zeros(QQ, 2, 2)
     assert pair.calJ == FieldMatrix.block([[zero, i2], [i2, zero]])
     ident = FieldMatrix.identity(QQ, 2)
-    assert pair.composition() == FieldMatrix.block([[zero, -ident], [-ident, zero]])
+    assert pair.ij == FieldMatrix.block([[zero, -ident], [-ident, zero]])
     assert pair.metric() == FieldMatrix.identity(QQ, 4)
 
 
@@ -133,7 +133,7 @@ def test_gks_axioms_random(square_torus):
     for _ in range(10):
         k, _ = random_square_kahler(rng)
         pair = induce_gks(square_torus, k)
-        comp = pair.composition()
+        comp = pair.ij
         assert pair.calI * pair.calI == -ident
         assert pair.calJ * pair.calJ == -ident
         assert pair.calI * pair.calJ == pair.calJ * pair.calI
@@ -187,6 +187,21 @@ def test_induced_j_matches_explicit_b_transform_sympy():
             oracle = sympy.BlockMatrix([[w_inv * b, -w_inv], [w + b * w_inv * b, -b * w_inv]])
             assert sym(pair.calJ) == oracle.as_explicit()
             assert sym(pair.calI) * sym(pair.calJ) == sym(pair.ij)
+
+
+def test_induced_pair_verifies():
+    # induce_gks does not re-check the pair axioms; they hold for every
+    # validated (T, G, B), here with B != 0 and with an irrational B
+    rng = random.Random(1618)
+    cases = [random_rational_kahler(rng, g) for g in (1, 2, 3)]
+    f5 = make_field([-5, 0, 1])
+    t5 = ComplexTorusData(1, f5, FieldMatrix(f5, [[0, -1], [1, 0]]), f5.embeddings()[1])
+    irr = f5.gen() * Fraction(1, 5)
+    b5 = FieldMatrix(f5, [[f5.zero(), irr], [-irr, f5.zero()]])
+    cases.append((t5, KahlerData(FieldMatrix.identity(f5, 2), b5)))
+    for t, k in cases:
+        assert not k.B.is_zero()
+        induce_gks(t, k).verify()
 
 
 def test_verify_rejects_negated_ij():

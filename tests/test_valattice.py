@@ -1,12 +1,15 @@
 import itertools
+import json
 import math
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from toruscm.exactla import FieldMatrix, hnf
-from toruscm.numfield import rationals
+from toruscm.exactla import FieldMatrix, hnf, rational_kernel
+from toruscm.jsonio import decode_torus
+from toruscm.numfield import make_field, rationals
 from toruscm.torus import ComplexTorusData, KahlerData
 from toruscm.valattice import (
     ModeParityMismatch,
@@ -21,6 +24,7 @@ from toruscm.valattice import (
 
 QQ = rationals()
 QEMB = QQ.embeddings()[0]
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def qmat(rows):
@@ -184,13 +188,64 @@ def test_chiral_stable_under_unimodular_basis_change():
     assert module_count(rep2) == module_count(rep)
 
 
-def test_maximal_rank_part_sum():
-    t = square_torus()
-    for a, c in ((1, 0), (2, 0), (1, Fraction(1, 2))):
-        lat = build_pairing_lattice(t, kahler(a, c))
+def random_rational_kahler(rng, g):
+    """Rational (G, B) on the product of g square tori, B != 0: G averages
+    M M^T + Id with its I-conjugate, so it is positive and I-compatible."""
+    n = 2 * g
+    zero, ident = FieldMatrix.zeros(QQ, g, g), FieldMatrix.identity(QQ, g)
+    t = ComplexTorusData(g, QQ, FieldMatrix.block([[zero, -ident], [ident, zero]]), QEMB)
+    m = qmat([[Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(n)]
+              for _ in range(n)])
+    g0 = m * m.transpose() + FieldMatrix.identity(QQ, n)
+    b = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            b[i][j] = Fraction(rng.randint(-8, 8), rng.randint(1, 5))
+            b[j][i] = -b[i][j]
+    b[0][1], b[1][0] = Fraction(1, 2), Fraction(-1, 2)
+    return t, KahlerData((g0 + t.I.transpose() * g0 * t.I).scale(Fraction(1, 2)), qmat(b))
+
+
+def cube_root_kahler():
+    """g = 2 over Q(2^(1/3)) with unequal part ranks: B - G has irrational
+    parts a (E12 + E34) and a^2 (E22 + E44), a = 2^(1/3), and B + G is minus
+    its transpose, so Lambda & V+ has rank 2 and Lambda & V- rank 0."""
+    f = make_field([-2, 0, 0, 1])
+    a, z = f.gen(), f.zero()
+    h, a2 = a * Fraction(1, 2), a * a
+    zero, ident = FieldMatrix.zeros(f, 2, 2), FieldMatrix.identity(f, 2)
+    i_m = FieldMatrix.block([[zero, -ident], [ident, zero]])
+    t = ComplexTorusData(2, f, i_m, f.real_embeddings()[0])
+    g_m = FieldMatrix(f, [[5, -h, 0, 0], [-h, 5 - a2, 0, 0], [0, 0, 5, -h], [0, 0, -h, 5 - a2]])
+    b_m = FieldMatrix(f, [[z, h, z, z], [-h, z, z, z], [z, z, z, h], [z, z, -h, z]])
+    return t, KahlerData(g_m, b_m)
+
+
+def test_part_ranks_match_two_sided_kernels():
+    # oracle: the z part rank from the combinations P- kills and the zbar
+    # part rank from those P+ kills, two kernels; the report derives zbar
+    # as rank - z because Lambda_ch = (Lambda_ch & V+) + (Lambda_ch & V-)
+    rng = random.Random(4242)
+    sides = [random_rational_kahler(rng, g) for g in (1, 1, 2, 2, 3, 3)]
+    sides.append(cube_root_kahler())
+    docs = [ROOT / "tests" / "data" / "g3_rational_seed1.json"]
+    docs += [ROOT / "fixtures" / f"{name}.json" for name in ("tau_i", "tau_2pow14", "zeta5")]
+    for path in docs:
+        got = decode_torus(json.loads(path.read_text(encoding="utf-8")))
+        sides.append((got["torus"], got["kahler"]))
+    for t, k in sides:
+        lat = build_pairing_lattice(t, k)
         rep = chiral_sublattice(lat)
-        if rep.rank == 4:
-            assert rep.zpart_rank + rep.zbarpart_rank == 4
+        columns = FieldMatrix(lat.field, rep.basis).transpose()
+        p_minus = FieldMatrix.identity(lat.field, lat.n) - lat.p_plus
+        z = len(rational_kernel(p_minus * columns))
+        zbar = len(rational_kernel(lat.p_plus * columns))
+        assert (rep.zpart_rank, rep.zbarpart_rank) == (z, zbar)
+        assert z + zbar == rep.rank
+        if k.G.is_rational() and k.B.is_rational():
+            assert rep.rank == lat.n and z == zbar == lat.n // 2
+    rep = chiral_sublattice(build_pairing_lattice(*cube_root_kahler()))
+    assert (rep.rank, rep.zpart_rank, rep.zbarpart_rank) == (2, 2, 0)
 
 
 def test_dual_basis_identity_case():
