@@ -16,7 +16,7 @@ from . import jsonio, mirror, valattice
 from .cm import cm_certificate, rational_kahler_search
 from .exactla import FieldMatrix
 from .numfield import rationals
-from .torus import ij_rational, induce_gks
+from .torus import KahlerData, induce_gks
 
 
 def _load_json(arg: str):
@@ -198,8 +198,7 @@ def _cmd_torus_validate(args) -> int:
 
 
 def _cmd_gks_induce(args) -> int:
-    bundle = _torus_bundle(args.torus)
-    pair = induce_gks(bundle["torus"], _need_kahler(bundle))
+    pair = induce_gks(_need_kahler(_torus_bundle(args.torus)))
     pair.verify()
     _emit(
         {
@@ -213,9 +212,8 @@ def _cmd_gks_induce(args) -> int:
 
 
 def _cmd_gks_rationality(args) -> int:
-    bundle = _torus_bundle(args.torus)
-    pair = induce_gks(bundle["torus"], _need_kahler(bundle))
-    report = {"ij_rational": ij_rational(pair)}
+    k = _need_kahler(_torus_bundle(args.torus))
+    report = {"ij_rational": k.ij.is_rational()}
     _emit(report)
     return _expect_check(report, "ij_rational", args.expect)
 
@@ -227,10 +225,9 @@ def _cmd_cm_build(args) -> int:
     if inp.beta is None:
         inp.beta = find_beta(inp.field, inp.basis, inp.phi, args.budget)
     torus, e_m, g_m = cm_torus(inp)
-    kahler_g = g_m.lift(torus.field)
-    from .torus import KahlerData
-
-    k = KahlerData(kahler_g, FieldMatrix.zeros(torus.field, 2 * torus.g, 2 * torus.g))
+    k = KahlerData(
+        torus, g_m.lift(torus.field), FieldMatrix.zeros(torus.field, 2 * torus.g, 2 * torus.g)
+    )
     _emit(
         {
             "torus": jsonio.encode_torus(torus, k, polarization=e_m.lift(torus.field)),

@@ -18,7 +18,7 @@ def tau_i_torus():
     qq = rationals()
     emb = qq.embeddings()[0]
     t = ComplexTorusData(1, qq, FieldMatrix(qq, [[0, -1], [1, 0]]), emb)
-    k = KahlerData(FieldMatrix.identity(qq, 2), FieldMatrix.zeros(qq, 2, 2))
+    k = KahlerData(t, FieldMatrix.identity(qq, 2), FieldMatrix.zeros(qq, 2, 2))
     pol = FieldMatrix(qq, [[0, 1], [-1, 0]])
     return t, k, pol
 
@@ -41,6 +41,7 @@ def tau_2pow14_torus():
         1, f, FieldMatrix(f, [[f.zero(), -t], [t * t * t * half, f.zero()]]), emb
     )
     k = KahlerData(
+        torus,
         FieldMatrix(f, [[f.one(), f.zero()], [f.zero(), t * t]]),
         FieldMatrix.zeros(f, 2, 2),
     )

@@ -1,5 +1,7 @@
 """JSON encodings: rationals as "p/q" strings, fields, elements, matrices,
-torus documents, CM blocks, and mirror-pair documents."""
+torus documents, CM blocks, and mirror-pair documents.  A decoded torus
+document is checked here, once: `ComplexTorusData` checks I, and
+`KahlerData` checks (G, B) against it; nothing downstream re-checks them."""
 
 from __future__ import annotations
 
@@ -98,8 +100,7 @@ def decode_torus(doc: dict) -> dict:
             b_m = decode_matrix(f, doc["B"])
         else:
             b_m = FieldMatrix.zeros(f, 2 * torus.g, 2 * torus.g)
-        kahler = KahlerData(g_m, b_m)
-        kahler.validate_for(torus)
+        kahler = KahlerData(torus, g_m, b_m)
     pol = None
     if doc.get("polarization") is not None:
         pol = decode_matrix(f, doc["polarization"])
@@ -145,11 +146,9 @@ def decode_pair(doc: dict):
 
     sides = []
     for key in ("left", "right"):
-        got = decode_torus(doc[key])
-        if got["kahler"] is None:
+        k = decode_torus(doc[key])["kahler"]
+        if k is None:
             raise ValueError(f"{key} side needs G (and B) for a mirror pair")
-        sides.append(
-            MirrorSide(got["torus"], got["kahler"], induce_gks(got["torus"], got["kahler"]))
-        )
+        sides.append(MirrorSide(k.torus, k, induce_gks(k)))
     phi = [[int(v) for v in row] for row in doc["phi"]]
     return MirrorPair(sides[0], sides[1], MirrorMap(phi))

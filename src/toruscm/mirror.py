@@ -19,7 +19,6 @@ from .torus import (
     KahlerData,
     ij_rational,
     induce_gks,
-    q_matrix,
 )
 
 
@@ -53,10 +52,17 @@ class MirrorMap:
         return row_lattice_index(self.phi, len(self.phi)) == 1
 
     def q_compatible(self) -> bool:
-        qq = rationals()
-        q = q_matrix(qq, len(self.phi) // 2)
-        phi = self.as_field_matrix(qq)
-        return phi.transpose() * q * phi == q
+        """phi^T q phi = q on the integer rows: with h = n/2, entry (i, j) of
+        phi^T q phi is -sum_k (phi[k][i] phi[k+h][j] + phi[k+h][i] phi[k][j])."""
+        n = len(self.phi)
+        h = n // 2
+        cols = list(zip(*self.phi))
+        return len(cols) == n == 2 * h and all(
+            -sum(ci[k] * cj[k + h] + ci[k + h] * cj[k] for k in range(h))
+            == (-1 if abs(i - j) == h else 0)
+            for i, ci in enumerate(cols)
+            for j, cj in enumerate(cols)
+        )
 
 
 @dataclass
@@ -97,12 +103,13 @@ class MirrorReport:
 def verify_mirror(pair: MirrorPair) -> MirrorReport:
     """Exact per-condition check of the mirror-map axioms."""
     gl, gr = pair.left.gks, pair.right.gks
-    n = 4 * gl.g
-    if gr.g != gl.g or pair.map.size() != n:
+    tl, tr = pair.left.torus, pair.right.torus
+    n = 4 * tl.g
+    if tr.g != tl.g or pair.map.size() != n:
         raise DimensionMismatch("mirror map size does not match the pair")
-    if gl.field != gr.field:
+    if tl.field != tr.field:
         raise DimensionMismatch("sides live over different fields")
-    phi = pair.map.as_field_matrix(gl.field)
+    phi = pair.map.as_field_matrix(tl.field)
     # I' = phi J phi^-1 and J' = phi I phi^-1, cleared of the inverse
     return MirrorReport(
         pair.map.unimodular(),
@@ -146,21 +153,15 @@ def construct_mirror(a_m: FieldMatrix, rho_rows, embedding=None) -> MirrorPair:
         g, fld, FieldMatrix.block([[zero, -a_m], [a_inv, zero]]), embedding
     )
     bottom = -(a_m.transpose() * rho * a_m)
-    big_zero = FieldMatrix.zeros(fld, g, g)
-    left_k = KahlerData(
-        FieldMatrix.block([[-rho, big_zero], [big_zero, bottom]]),
-        FieldMatrix.zeros(fld, 2 * g, 2 * g),
-    )
+    b_zero = FieldMatrix.zeros(fld, 2 * g, 2 * g)
+    left_k = KahlerData(left_t, FieldMatrix.block([[-rho, zero], [zero, bottom]]), b_zero)
     right_t = ComplexTorusData(
         g,
         fld,
         FieldMatrix.block([[zero, -(rho * a_m)], [a_inv * rho_inv, zero]]),
         embedding,
     )
-    right_k = KahlerData(
-        FieldMatrix.block([[-rho_inv, big_zero], [big_zero, bottom]]),
-        FieldMatrix.zeros(fld, 2 * g, 2 * g),
-    )
+    right_k = KahlerData(right_t, FieldMatrix.block([[-rho_inv, zero], [zero, bottom]]), b_zero)
     phi = [[0] * (4 * g) for _ in range(4 * g)]
     for i in range(g):
         phi[i][2 * g + i] = 1
@@ -168,8 +169,8 @@ def construct_mirror(a_m: FieldMatrix, rho_rows, embedding=None) -> MirrorPair:
         phi[2 * g + i][i] = 1
         phi[3 * g + i][3 * g + i] = -1
     return MirrorPair(
-        MirrorSide(left_t, left_k, induce_gks(left_t, left_k)),
-        MirrorSide(right_t, right_k, induce_gks(right_t, right_k)),
+        MirrorSide(left_t, left_k, induce_gks(left_k)),
+        MirrorSide(right_t, right_k, induce_gks(right_k)),
         MirrorMap(phi),
     )
 
@@ -178,9 +179,8 @@ def psi_maps(pair: MirrorPair):
     """Extract psi+- from phi on the graph vectors and verify their
     defining identities: graph compatibility, the G-isometry, and the
     conjugation (psi- conjugates I to I'; psi+ conjugates I to -I')."""
-    fld = pair.left.gks.field
-    g = pair.left.gks.g
-    two_g = 2 * g
+    fld = pair.left.torus.field
+    two_g = 2 * pair.left.torus.g
     phi = pair.map.as_field_matrix(fld)
     blocks = {
         (bi, bj): FieldMatrix(

@@ -2,19 +2,19 @@
 invariants: rationality of IJ, eigenspace graph decomposition, and the
 denominator-free charge-lattice isometry identity.
 
-IJ of the induced pair is read off (G, B) in one place, `ij_matrix`; the
-pair stores it, and J, the metric q(., IJ.) and the rationality verdict are
-derived from the stored value.
-
-Data is checked where it enters, in `ComplexTorusData` and
-`KahlerData.validate_for`.  The identities that follow from checked data (the
-pair's axioms, the eigenspace graphs of IJ) are held by the tests, not re-run
-on every call; `GksPair.verify` checks the axioms for a report that states them."""
+Data is checked where it enters: `ComplexTorusData` checks I, and
+`KahlerData` checks (G, B) against its torus once, when it is built; it is
+frozen, so a checked metric cannot be swapped out.  IJ is read off (G, B) in
+one place, `KahlerData.ij`, once per metric; J, q(., IJ.) and the rationality
+verdict derive from it.  The pair's axioms and the eigenspace graphs of IJ
+follow from checked data and are held by the tests; `GksPair.verify` checks
+the axioms for a report that states them."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
 from fractions import Fraction
+from functools import cached_property
 
 from .exactla import FieldMatrix, Singular, positive_definite
 from .numfield import Embedding, NumberField
@@ -55,12 +55,16 @@ class ComplexTorusData:
             raise ValueError("I^2 != -Id")
 
 
-@dataclass
+@dataclass(frozen=True)
 class KahlerData:
+    """A Kahler metric G and a B-field on a torus, checked when built."""
+
+    torus: ComplexTorusData
     G: FieldMatrix
     B: FieldMatrix
 
-    def validate_for(self, t: ComplexTorusData) -> None:
+    def __post_init__(self):
+        t = self.torus
         n = 2 * t.g
         if self.G.rows != n or self.B.rows != n or self.G.cols != n or self.B.cols != n:
             raise ValueError("G and B must be 2g x 2g")
@@ -73,24 +77,38 @@ class KahlerData:
         if not positive_definite(self.G, t.embedding):
             raise NotPositiveDefinite("G is not positive definite")
 
+    @cached_property
+    def ij(self) -> FieldMatrix:
+        """IJ = [[G^-1 B, -G^-1], [B G^-1 B - G, -B G^-1]] of the pair induced
+        by (T, G, B).
+
+        With omega = G I, I omega^-1 = G^-1 and I^T omega = G, so the complex
+        structure drops out of the product of the B-transformed pair.
+        """
+        g_inv = self.G.inverse()
+        g_inv_b = g_inv * self.B
+        return FieldMatrix.block(
+            [[g_inv_b, -g_inv], [self.B * g_inv_b - self.G, -(self.B * g_inv)]]
+        )
+
 
 @dataclass
 class GksPair:
-    g: int
-    field: NumberField
-    embedding: Embedding
     calI: FieldMatrix
     calJ: FieldMatrix
     q: FieldMatrix
-    ij: FieldMatrix
-    induced_from: tuple = dfield(repr=False)
+    kahler: KahlerData = dfield(repr=False)
+
+    @property
+    def ij(self) -> FieldMatrix:
+        return self.kahler.ij
 
     def metric(self) -> FieldMatrix:
         return self.q * self.ij
 
     def verify(self) -> None:
-        n = 4 * self.g
-        ident = FieldMatrix.identity(self.field, n)
+        t = self.kahler.torus
+        ident = FieldMatrix.identity(t.field, 4 * t.g)
         if self.calI * self.calI != -ident or self.calJ * self.calJ != -ident:
             raise ValueError("generalized structures must square to -Id")
         if not self.calI * self.calJ == self.ij == self.calJ * self.calI:
@@ -102,16 +120,14 @@ class GksPair:
         gm = self.metric()
         if not gm.is_symmetric():
             raise ValueError("q(., IJ.) is not symmetric")
-        if not positive_definite(gm, self.embedding):
+        if not positive_definite(gm, t.embedding):
             raise NotPositiveDefinite("q(., IJ.) is not positive definite")
 
 
 def complex_structure_from_period(
-    t1: FieldMatrix, t2: FieldMatrix, embedding: Embedding, g: int | None = None
+    t1: FieldMatrix, t2: FieldMatrix, embedding: Embedding
 ) -> ComplexTorusData:
     """Complex structure of the torus with period matrix (1  T1 + T2 i)."""
-    fld = t2.field
-    g = g if g is not None else t2.rows
     try:
         t2inv = t2.inverse()
     except Singular:
@@ -120,25 +136,13 @@ def complex_structure_from_period(
     top = [(-a), (-(a * t1) - t2)]
     bot = [t2inv, t2inv * t1]
     i_mat = FieldMatrix.block([top, bot])
-    return ComplexTorusData(g, fld, i_mat, embedding)
+    return ComplexTorusData(t2.rows, t2.field, i_mat, embedding)
 
 
-def ij_matrix(k: KahlerData) -> FieldMatrix:
-    """IJ = [[G^-1 B, -G^-1], [B G^-1 B - G, -B G^-1]] of the pair induced
-    by (T, G, B).
-
-    With omega = G I, I omega^-1 = G^-1 and I^T omega = G, so the complex
-    structure drops out of the product of the B-transformed pair.
-    """
-    g_inv = k.G.inverse()
-    g_inv_b = g_inv * k.B
-    return FieldMatrix.block([[g_inv_b, -g_inv], [k.B * g_inv_b - k.G, -(k.B * g_inv)]])
-
-
-def induce_gks(t: ComplexTorusData, k: KahlerData) -> GksPair:
+def induce_gks(k: KahlerData) -> GksPair:
     """The B-transformed pair (I, J) induced by (T, G, B); J = -I (IJ)
     because I^2 = -Id."""
-    k.validate_for(t)
+    t = k.torus
     fld = t.field
     n = 2 * t.g
     i_m, b_m = t.I, k.B
@@ -148,8 +152,7 @@ def induce_gks(t: ComplexTorusData, k: KahlerData) -> GksPair:
             [b_m * i_m + i_m.transpose() * b_m, -i_m.transpose()],
         ]
     )
-    ij = ij_matrix(k)
-    return GksPair(t.g, fld, t.embedding, cal_i, -(cal_i * ij), q_matrix(fld, n), ij, (t, k))
+    return GksPair(cal_i, -(cal_i * k.ij), q_matrix(fld, n), k)
 
 
 @dataclass
@@ -163,9 +166,9 @@ class EigenspaceGraphs:
 def eigenspace_graphs(p: GksPair) -> EigenspaceGraphs:
     """Projectors P+- = (1 +- IJ)/2 onto the (+1/-1) eigenspaces of IJ, whose
     images are the graphs of -G+B and G+B over Gamma_R."""
-    ident = FieldMatrix.identity(p.field, 4 * p.g)
+    k = p.kahler
+    ident = FieldMatrix.identity(k.torus.field, 4 * k.torus.g)
     half = Fraction(1, 2)
-    _, k = p.induced_from
     return EigenspaceGraphs(
         (ident + p.ij).scale(half), (ident - p.ij).scale(half), k.B - k.G, k.B + k.G
     )
@@ -181,10 +184,7 @@ def charge_isometry_check(k: KahlerData) -> bool:
     g_m, b_m = k.G, k.B
     fld = g_m.field
     n = g_m.rows
-    try:
-        g_inv = g_m.inverse()
-    except Singular:
-        raise Singular("G is singular")
+    g_inv = g_m.inverse()  # G is positive definite
     ident = FieldMatrix.identity(fld, n)
     m = FieldMatrix.block(
         [

@@ -3,8 +3,9 @@ Lambda = Gamma + Gamma* with its (z, zbar)-decomposition, the chiral
 sublattice and rationality verdict, module count, dual bases, and the mode
 supercommutator table.
 
-The z-side projector is (1 + IJ)/2 with IJ read off (G, B) in the one place
-that defines it, `torus.ij_matrix`; no generalized Kahler pair is induced."""
+The z-side projector is (1 + IJ)/2 with IJ read off the checked metric,
+`KahlerData.ij`, so a lattice and the pair induced by the same metric share
+one IJ; no generalized Kahler pair is induced here."""
 
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from .exactla import (
     snf,
 )
 from .numfield import FieldElement
-from .torus import ComplexTorusData, KahlerData, ij_matrix, q_matrix
+from .torus import ComplexTorusData, KahlerData, q_matrix
 
 
 class ModeParityMismatch(ValueError):
@@ -55,10 +56,9 @@ class ChiralReport:
 
 def build_pairing_lattice(t: ComplexTorusData, k: KahlerData) -> PairingLattice:
     """Lattice data of V(T, G, B): q and the projector P+ = (1 + IJ)/2 onto
-    the z-side, with IJ read off (G, B) by `torus.ij_matrix`."""
-    k.validate_for(t)
+    the z-side, with IJ read off the metric by `KahlerData.ij`."""
     n = 4 * t.g
-    p_plus = (FieldMatrix.identity(t.field, n) + ij_matrix(k)).scale(Fraction(1, 2))
+    p_plus = (FieldMatrix.identity(t.field, n) + k.ij).scale(Fraction(1, 2))
     return PairingLattice(n, q_matrix(t.field, 2 * t.g), p_plus)
 
 

@@ -51,6 +51,7 @@ def _square_samples(count, seed):
         a = Fraction(rng.randint(1, 9), rng.randint(1, 4))
         c = Fraction(rng.randint(-8, 8), rng.randint(1, 5))
         out.append((t, KahlerData(
+            t,
             FieldMatrix(QQ, [[a, 0], [0, a]]),
             FieldMatrix(QQ, [[0, c], [-c, 0]]),
         )))
@@ -127,10 +128,10 @@ def test_criterion_2_metric_iff_cm(zeta5_mirror):
 def test_criterion_3_gks_axioms(sample_set):
     start = time.monotonic()
     for t, k in sample_set:
-        pair = induce_gks(t, k)
+        pair = induce_gks(k)
         n = 4 * t.g
-        ident = FieldMatrix.identity(pair.field, n)
-        q = q_matrix(pair.field, 2 * t.g)
+        ident = FieldMatrix.identity(t.field, n)
+        q = q_matrix(t.field, 2 * t.g)
         assert pair.calI * pair.calI == -ident
         assert pair.calJ * pair.calJ == -ident
         assert pair.calI * pair.calJ == pair.calJ * pair.calI
@@ -141,7 +142,7 @@ def test_criterion_3_gks_axioms(sample_set):
         assert positive_definite(metric, t.embedding).positive
         # P+- fixes the graph of -+G+B and has rank 2g
         graphs = eigenspace_graphs(pair)
-        top = FieldMatrix.identity(pair.field, 2 * t.g)
+        top = FieldMatrix.identity(t.field, 2 * t.g)
         for proj, s in ((graphs.p_plus, graphs.graph_plus), (graphs.p_minus, graphs.graph_minus)):
             graph = FieldMatrix.block([[top], [s]])
             assert proj * graph == graph
@@ -163,6 +164,7 @@ def test_criterion_4_rationality_equivalence(sample_set, zeta5_mirror):
         (
             t5,
             KahlerData(
+                t5,
                 FieldMatrix.identity(f5, 2),
                 FieldMatrix(f5, [[f5.zero(), irr], [-irr, f5.zero()]]),
             ),
@@ -170,7 +172,7 @@ def test_criterion_4_rationality_equivalence(sample_set, zeta5_mirror):
     )
     checked = 0
     for t, k in list(sample_set) + extra:
-        pair = induce_gks(t, k)
+        pair = induce_gks(k)
         lat = build_pairing_lattice(t, k)
         rep = chiral_sublattice(lat)
         gb_rational = k.G.is_rational() and k.B.is_rational()
@@ -190,6 +192,7 @@ def test_criterion_5_chiral_oracle():
     ]
     for a, c in cases:
         k = KahlerData(
+            t,
             FieldMatrix(QQ, [[a, 0], [0, a]]),
             FieldMatrix(QQ, [[0, c], [-c, 0]]),
         )
@@ -198,7 +201,7 @@ def test_criterion_5_chiral_oracle():
         brute = _brute_force_chiral(lat)
         assert hnf(rep.basis) == hnf(brute)
     # module count for (G=Id, B=0) equals the enumerated coset count
-    k = KahlerData(FieldMatrix.identity(QQ, 2), FieldMatrix.zeros(QQ, 2, 2))
+    k = KahlerData(t, FieldMatrix.identity(QQ, 2), FieldMatrix.zeros(QQ, 2, 2))
     rep = chiral_sublattice(build_pairing_lattice(t, k))
     assert _coset_count(rep.basis, 4) == 4
     assert module_count(rep) == 4

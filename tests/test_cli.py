@@ -1,8 +1,11 @@
 import json
+import pathlib
 
 import pytest
 
 from toruscm.cli import run
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def invoke(capsys, argv):
@@ -66,26 +69,59 @@ def test_reducible_cm_field_exits_2(capsys):
     assert json.loads(out)["error"].startswith("ReducibleMinpoly")
 
 
+# one bad (G, B) on tau_i each, and the error every command reports for it
+BAD_METRICS = [
+    ({"G": [[["1"], ["1"]], [["0"], ["1"]]]}, "IncompatibleMetric: G is not symmetric"),
+    ({"B": [[["0"], ["1"]], [["1"], ["0"]]]}, "IncompatibleMetric: B is not antisymmetric"),
+    ({"G": [[["1"], ["0"]], [["0"], ["2"]]]}, "IncompatibleMetric: G(I., I.) != G"),
+    ({"G": [[["-1"], ["0"]], [["0"], ["-1"]]]}, "NotPositiveDefinite: G is not positive definite"),
+    ({"G": [[["1"]]]}, "ValueError: G and B must be 2g x 2g"),
+]
+
+TORUS_COMMANDS = (
+    ["torus", "validate"],
+    ["gks", "induce"],
+    ["gks", "rationality"],
+    ["cm", "certificate"],
+    ["cm", "metric-search"],
+    ["va", "chiral"],
+    ["va", "commutator", "--kind", "boson", "--h", "[0, 0, 0, 0]", "--mode-a", "1"]
+    + ["--hp", "[0, 0, 0, 0]", "--mode-b", "-1"],
+)
+
+
 def _malformed_tori(fixture_dir):
     good = json.load(open(fixture_dir / "tau_i.json"))
     bad = [[1], dict(good, embedding=None), dict(good, field=["0", "1"])]
     bad.append(dict(good, I=[[["0"], ["-1"]], 3]))
+    bad += [dict(good, **change) for change, _ in BAD_METRICS]
     return [json.dumps(d) for d in bad]
+
+
+@pytest.mark.parametrize("change, error", BAD_METRICS)
+def test_bad_metric_exits_2_with_the_failed_check(capsys, fixture_dir, change, error):
+    doc = dict(json.load(open(fixture_dir / "tau_i.json")), **change)
+    for cmd in TORUS_COMMANDS:
+        code, out = invoke(capsys, cmd + ["--torus", json.dumps(doc)])
+        assert code == 2, cmd
+        assert json.loads(out) == {"ok": False, "error": error}, cmd
+
+
+@pytest.mark.parametrize("change, error", BAD_METRICS)
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_pair_with_a_bad_metric_exits_2(capsys, side, change, error):
+    pair = json.load(open(GOLDEN / "mirror_construct_a1_rho_minus1.json"))
+    pair[side] = dict(pair[side], **change)
+    for cmd in (["mirror", "verify"], ["mirror", "isogeny"]):
+        code, out = invoke(capsys, cmd + ["--pair", json.dumps(pair)])
+        assert code == 2, cmd
+        assert json.loads(out) == {"ok": False, "error": error}, cmd
 
 
 def test_malformed_documents_exit_2_without_traceback(capsys, fixture_dir):
     argvs = []
     for doc in _malformed_tori(fixture_dir):
-        for cmd in (
-            ["torus", "validate"],
-            ["gks", "induce"],
-            ["gks", "rationality"],
-            ["cm", "certificate"],
-            ["cm", "metric-search"],
-            ["va", "chiral"],
-            ["va", "commutator", "--kind", "boson", "--h", "[0, 0, 0, 0]", "--mode-a", "1"]
-            + ["--hp", "[0, 0, 0, 0]", "--mode-b", "-1"],
-        ):
+        for cmd in TORUS_COMMANDS:
             argvs.append(cmd + ["--torus", doc])
     argvs += [
         ["cm", "build", "--input", "[]"],
@@ -318,3 +354,71 @@ def test_outputs_deterministic(capsys, fixture_dir):
         capsys, ["cm", "certificate", "--torus", str(fixture_dir / "tau_i.json"), "--seed", "5"]
     )
     assert d1 == d2
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Counters on the metric check, the IJ computation and induce_gks
+    (under every module name that binds it)."""
+    from toruscm import cli, mirror, torus
+
+    got = {"checks": 0, "ij": 0, "induce_gks": 0}
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            got[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    kahler = torus.KahlerData
+    monkeypatch.setattr(kahler, "__post_init__", counting("checks", kahler.__post_init__))
+    monkeypatch.setattr(kahler.ij, "func", counting("ij", kahler.ij.func))
+    induce = counting("induce_gks", torus.induce_gks)
+    for mod in (torus, cli, mirror):
+        monkeypatch.setattr(mod, "induce_gks", induce)
+    return got
+
+
+def _mirror_commands():
+    pair = str(GOLDEN / "mirror_construct_a1_rho_minus1.json")
+    return [
+        ["mirror", "construct", "--A", '[["1"]]', "--rho", "[[-1]]"],
+        ["mirror", "verify", "--pair", pair],
+        ["mirror", "isogeny", "--pair", pair],
+    ]
+
+
+# (checks, IJs, induce_gks calls): one check per metric a command reads,
+# and one IJ per metric whose IJ it needs
+EXPECTED_COUNTS = {
+    "torus validate": (1, 0, 0),
+    "gks induce": (1, 1, 1),
+    "gks rationality": (1, 1, 0),
+    "cm certificate": (1, 0, 0),
+    "cm metric-search": (1, 0, 0),
+    "va chiral": (1, 1, 0),
+    "va commutator": (1, 1, 0),
+    "mirror construct": (2, 2, 2),
+    "mirror verify": (2, 2, 2),
+    "mirror isogeny": (2, 2, 2),
+}
+
+
+def test_each_metric_is_checked_once_per_command(capsys, fixture_dir, counts):
+    torus_doc = str(fixture_dir / "tau_i.json")
+    argvs = [cmd + ["--torus", torus_doc] for cmd in TORUS_COMMANDS] + _mirror_commands()
+    seen = {}
+    for argv in argvs:
+        before = dict(counts)
+        code, _ = invoke(capsys, argv)
+        assert code == 0, argv
+        seen[" ".join(argv[:2])] = tuple(counts[k] - before[k] for k in ("checks", "ij", "induce_gks"))
+    assert seen == EXPECTED_COUNTS
+
+
+def test_section4_checks_and_derives_each_side_once(counts):
+    from toruscm.mirror import section4_demo
+
+    section4_demo()
+    assert (counts["checks"], counts["ij"]) == (2, 2)

@@ -23,6 +23,7 @@ def _fixture(name):
 def _cases():
     cases = {}
     for name in ("tau_i", "tau_2pow14", "zeta5"):
+        cases[f"torus_validate_{name}"] = ["torus", "validate", "--torus", _fixture(name)]
         cases[f"va_chiral_{name}"] = ["va", "chiral", "--torus", _fixture(name)]
         cases[f"gks_induce_{name}"] = ["gks", "induce", "--torus", _fixture(name)]
         cases[f"gks_rationality_{name}"] = ["gks", "rationality", "--torus", _fixture(name)]
@@ -52,6 +53,7 @@ def _cases():
     # a rational g = 3 document whose saturation once made integer kernels grow
     data = str(ROOT / "tests" / "data" / "g3_rational_seed1.json")
     cases["va_chiral_g3_rational_seed1"] = ["va", "chiral", "--torus", data]
+    cases["torus_validate_g3_rational_seed1"] = ["torus", "validate", "--torus", data]
     return cases
 
 

@@ -78,12 +78,50 @@ def test_verify_fails_for_identity_map():
     assert not rep.ok
 
 
+def _preserves_q(phi):
+    """phi^T q phi == q over Fractions, q = [[0, -Id], [-Id, 0]]."""
+    n = len(phi)
+    q = [[Fraction(-1 if abs(i - j) == n // 2 else 0) for j in range(n)] for i in range(n)]
+    qphi = [[sum(q[i][k] * phi[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    return all(
+        sum(phi[k][i] * qphi[k][j] for k in range(n)) == q[i][j]
+        for i in range(n)
+        for j in range(n)
+    )
+
+
+def _add_row(phi, i, j, c):
+    out = [row[:] for row in phi]
+    out[i] = [a + c * b for a, b in zip(out[i], out[j])]
+    return out
+
+
 def test_q_compatible_rejects_a_unimodular_non_isometry():
     phi = [[-1 if i == j == 0 else int(i == j) for j in range(4)] for i in range(4)]
     assert MirrorMap(phi).unimodular()
     assert not MirrorMap(phi).q_compatible()
     swap = [[int(j == (i + 2) % 4) for j in range(4)] for i in range(4)]
     assert MirrorMap(swap).q_compatible()
+    # criterion-6 maps and unimodular perturbations of them, against the
+    # Fraction oracle: one row addition breaks q; the two row additions of a
+    # B-field transform [[1, 0], [S, 1]], S antisymmetric, keep it
+    rng = random.Random(77)
+    verdicts = []
+    for g in (1, 2, 3):
+        phi = construct_mirror(random_invertible(rng, g), random_rho(rng, g)).map.phi
+        h = 2 * g
+        maps = [phi]
+        for _ in range(6):
+            i, j = rng.sample(range(2 * h), 2)
+            maps.append(_add_row(phi, i, j, rng.choice([-3, -2, -1, 1, 2, 3])))
+            a, b = rng.sample(range(h), 2)
+            c = rng.randint(1, 3)
+            maps.append(_add_row(_add_row(phi, h + a, b, c), h + b, a, -c))
+        for m in maps:
+            assert MirrorMap(m).unimodular()
+            verdicts.append(MirrorMap(m).q_compatible())
+            assert verdicts[-1] == _preserves_q(m)
+    assert True in verdicts and False in verdicts
 
 
 def test_unimodular_means_determinant_plus_or_minus_one():
@@ -212,7 +250,7 @@ def test_pairing_lattice_projector_matches_induced_pair(zeta5_mirror):
     # P+ read off (G, B) alone equals (1 + calI calJ)/2 of the induced pair,
     # and it fixes the graph of B - G
     square = complex_structure_from_period(qmat([[0]]), qmat([[1]]), QEMB)
-    k = KahlerData(qmat([[2, 0], [0, 2]]), qmat([[0, Fraction(1, 2)], [Fraction(-1, 2), 0]]))
+    k = KahlerData(square, qmat([[2, 0], [0, 2]]), qmat([[0, Fraction(1, 2)], [Fraction(-1, 2), 0]]))
     sides = [(square, k)]
     rng = random.Random(612)
     for g in (1, 2, 3):
@@ -222,7 +260,7 @@ def test_pairing_lattice_projector_matches_induced_pair(zeta5_mirror):
     sides += [(s.torus, s.kahler) for s in (zeta5.left, zeta5.right)]
     for t, k in sides:
         ident = FieldMatrix.identity(t.field, 4 * t.g)
-        pair = induce_gks(t, k)
+        pair = induce_gks(k)
         p_plus = build_pairing_lattice(t, k).p_plus
         assert p_plus == (ident + pair.calI * pair.calJ).scale(Fraction(1, 2))
         graph = FieldMatrix.block([[FieldMatrix.identity(t.field, 2 * t.g)], [k.B - k.G]])
@@ -262,7 +300,7 @@ def test_construction_meets_mirror_axioms_sympy():
         ]
         structures = []
         for i_m, g_m in sides:
-            # validate_for's I-compatibility, and I^2 = -Id
+            # KahlerData's I-compatibility check, and I^2 = -Id
             assert zero_rational(i_m * i_m + sympy.eye(2 * g))
             assert zero_rational(i_m.T * g_m * i_m - g_m)
             # the B = 0 pair: calI = diag(I, -I^T), calJ = [[0, -w^-1], [w, 0]], w = G I

@@ -27,15 +27,15 @@ def qmat(rows):
     return FieldMatrix(QQ, rows)
 
 
-def random_square_kahler(rng):
-    """I-compatible G and antisymmetric B on the tau=i torus.
+def random_square_kahler(rng, t):
+    """I-compatible G and antisymmetric B on the tau=i torus t.
 
     Compatibility with I = [[0,-1],[1,0]] forces G to be a positive scalar.
     """
     a = Fraction(rng.randint(1, 9), rng.randint(1, 4))
     c = Fraction(rng.randint(-8, 8), rng.randint(1, 5))
     return (
-        KahlerData(qmat([[a, 0], [0, a]]), qmat([[0, c], [-c, 0]])),
+        KahlerData(t, qmat([[a, 0], [0, a]]), qmat([[0, c], [-c, 0]])),
         (a, c),
     )
 
@@ -67,8 +67,8 @@ def test_period_section4_entries(zeta5_mirror):
 
 
 def test_induce_identity_example(square_torus):
-    k = KahlerData(FieldMatrix.identity(QQ, 2), FieldMatrix.zeros(QQ, 2, 2))
-    pair = induce_gks(square_torus, k)
+    k = KahlerData(square_torus, FieldMatrix.identity(QQ, 2), FieldMatrix.zeros(QQ, 2, 2))
+    pair = induce_gks(k)
     i2 = qmat([[0, -1], [1, 0]])
     zero = FieldMatrix.zeros(QQ, 2, 2)
     assert pair.calJ == FieldMatrix.block([[zero, i2], [i2, zero]])
@@ -79,24 +79,30 @@ def test_induce_identity_example(square_torus):
 
 def test_induce_b_zero_block_diagonal(square_torus):
     rng = random.Random(2)
-    k, _ = random_square_kahler(rng)
-    k = KahlerData(k.G, FieldMatrix.zeros(QQ, 2, 2))
-    pair = induce_gks(square_torus, k)
+    k, _ = random_square_kahler(rng, square_torus)
+    k = KahlerData(square_torus, k.G, FieldMatrix.zeros(QQ, 2, 2))
+    pair = induce_gks(k)
     i_m = square_torus.I
     zero = FieldMatrix.zeros(QQ, 2, 2)
     assert pair.calI == FieldMatrix.block([[i_m, zero], [zero, -i_m.transpose()]])
 
 
+def test_checked_metric_cannot_be_swapped_and_keeps_one_ij(square_torus):
+    k = KahlerData(square_torus, FieldMatrix.identity(QQ, 2), FieldMatrix.zeros(QQ, 2, 2))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        k.G = qmat([[1, 0], [0, 2]])
+    assert induce_gks(k).ij is k.ij is induce_gks(k).ij
+
+
 def test_induce_rejects_incompatible_metric(square_torus):
-    k = KahlerData(qmat([[1, 0], [0, 2]]), FieldMatrix.zeros(QQ, 2, 2))
+    # a metric is checked when it is built, so no pair is ever induced from it
     with pytest.raises(IncompatibleMetric):
-        induce_gks(square_torus, k)
+        KahlerData(square_torus, qmat([[1, 0], [0, 2]]), FieldMatrix.zeros(QQ, 2, 2))
 
 
 def test_induce_rejects_indefinite(square_torus):
-    k = KahlerData(qmat([[-1, 0], [0, -1]]), FieldMatrix.zeros(QQ, 2, 2))
     with pytest.raises(NotPositiveDefinite):
-        induce_gks(square_torus, k)
+        KahlerData(square_torus, qmat([[-1, 0], [0, -1]]), FieldMatrix.zeros(QQ, 2, 2))
 
 
 def test_induce_section4_matches_displayed_blocks(zeta5_mirror):
@@ -131,8 +137,8 @@ def test_gks_axioms_random(square_torus):
     q = q_matrix(QQ, 2)
     ident = FieldMatrix.identity(QQ, 4)
     for _ in range(10):
-        k, _ = random_square_kahler(rng)
-        pair = induce_gks(square_torus, k)
+        k, _ = random_square_kahler(rng, square_torus)
+        pair = induce_gks(k)
         comp = pair.ij
         assert pair.calI * pair.calI == -ident
         assert pair.calJ * pair.calJ == -ident
@@ -161,7 +167,7 @@ def random_rational_kahler(rng, g):
             b[c][a] = -b[a][c]
     b[0][1], b[1][0] = Fraction(1, 2), Fraction(-1, 2)  # B != 0
     t = ComplexTorusData(g, QQ, p.inverse() * i0 * p, QEMB)
-    return t, KahlerData(p.transpose() * p, qmat(b))
+    return t, KahlerData(t, p.transpose() * p, qmat(b))
 
 
 def test_induced_j_matches_explicit_b_transform_sympy():
@@ -180,7 +186,7 @@ def test_induced_j_matches_explicit_b_transform_sympy():
     for g in (1, 2):
         for _ in range(3):
             t, k = random_rational_kahler(rng, g)
-            pair = induce_gks(t, k)
+            pair = induce_gks(k)
             b = sym(k.B)
             w = sym(k.G) * sym(t.I)
             w_inv = w.inv()
@@ -198,32 +204,32 @@ def test_induced_pair_verifies():
     t5 = ComplexTorusData(1, f5, FieldMatrix(f5, [[0, -1], [1, 0]]), f5.embeddings()[1])
     irr = f5.gen() * Fraction(1, 5)
     b5 = FieldMatrix(f5, [[f5.zero(), irr], [-irr, f5.zero()]])
-    cases.append((t5, KahlerData(FieldMatrix.identity(f5, 2), b5)))
+    cases.append((t5, KahlerData(t5, FieldMatrix.identity(f5, 2), b5)))
     for t, k in cases:
         assert not k.B.is_zero()
-        induce_gks(t, k).verify()
+        induce_gks(k).verify()
 
 
 def test_verify_rejects_negated_ij():
-    t, k = random_rational_kahler(random.Random(5), 2)
-    pair = induce_gks(t, k)
+    # negating J keeps the squares and makes the structures commute to -IJ
+    _, k = random_rational_kahler(random.Random(5), 2)
+    pair = induce_gks(k)
     with pytest.raises(ValueError, match="commute"):
-        dataclasses.replace(pair, ij=-pair.ij).verify()
+        dataclasses.replace(pair, calJ=-pair.calJ).verify()
 
 
 def test_verify_rejects_structures_not_preserving_q():
-    # conjugating by a shear keeps the squares and IJ but breaks q
-    pair = induce_gks(*random_rational_kahler(random.Random(6), 1))
+    # the structures preserve q; they preserve s^T q s for a shear s only if
+    # their s-conjugates preserve q, which the shear breaks
+    pair = induce_gks(random_rational_kahler(random.Random(6), 1)[1])
     s = FieldMatrix.identity(QQ, 4) + qmat([[0, 0, 0, 0]] * 3 + [[1, 0, 0, 0]])
-    s_inv = s.inverse()
-    conj = {name: s * getattr(pair, name) * s_inv for name in ("calI", "calJ", "ij")}
     with pytest.raises(ValueError, match="preserve q"):
-        dataclasses.replace(pair, **conj).verify()
+        dataclasses.replace(pair, q=s.transpose() * pair.q * s).verify()
 
 
 def test_eigenspace_graphs_identity(square_torus):
-    k = KahlerData(FieldMatrix.identity(QQ, 2), FieldMatrix.zeros(QQ, 2, 2))
-    pair = induce_gks(square_torus, k)
+    k = KahlerData(square_torus, FieldMatrix.identity(QQ, 2), FieldMatrix.zeros(QQ, 2, 2))
+    pair = induce_gks(k)
     eg = eigenspace_graphs(pair)
     assert eg.graph_plus == qmat([[-1, 0], [0, -1]])
     assert eg.graph_minus == FieldMatrix.identity(QQ, 2)
@@ -244,8 +250,8 @@ def test_q_positive_on_c_plus(square_torus):
 def test_q_signs_on_eigenspaces_random(square_torus):
     rng = random.Random(23)
     for _ in range(6):
-        k, _ = random_square_kahler(rng)
-        pair = induce_gks(square_torus, k)
+        k, _ = random_square_kahler(rng, square_torus)
+        pair = induce_gks(k)
         eg = eigenspace_graphs(pair)
         for graph, sign in ((eg.graph_plus, 1), (eg.graph_minus, -1)):
             rows = []
@@ -260,7 +266,7 @@ def test_q_signs_on_eigenspaces_random(square_torus):
             cert = positive_definite(gram.scale(sign), QEMB)
             assert cert.positive
             # and the restriction is +-2G exactly
-            assert gram == pair.induced_from[1].G.scale(2 * sign)
+            assert gram == pair.kahler.G.scale(2 * sign)
 
 
 def test_eigenspace_section4(zeta5_mirror):
@@ -270,8 +276,8 @@ def test_eigenspace_section4(zeta5_mirror):
 
 
 def test_ij_rational_cases(square_torus, zeta5_mirror):
-    k = KahlerData(FieldMatrix.identity(QQ, 2), FieldMatrix.zeros(QQ, 2, 2))
-    assert ij_rational(induce_gks(square_torus, k))
+    k = KahlerData(square_torus, FieldMatrix.identity(QQ, 2), FieldMatrix.zeros(QQ, 2, 2))
+    assert ij_rational(induce_gks(k))
     assert not ij_rational(zeta5_mirror["pair"].left.gks)
     # rational G, irrational B entry
     f5 = make_field([-5, 0, 1])
@@ -279,16 +285,16 @@ def test_ij_rational_cases(square_torus, zeta5_mirror):
     t5 = ComplexTorusData(1, f5, FieldMatrix(f5, [[0, -1], [1, 0]]), emb)
     root_fifth = f5.gen() * Fraction(1, 5)  # 1/sqrt5 = sqrt5/5
     b = FieldMatrix(f5, [[f5.zero(), root_fifth], [-root_fifth, f5.zero()]])
-    k5 = KahlerData(FieldMatrix.identity(f5, 2), b)
-    assert not ij_rational(induce_gks(t5, k5))
+    k5 = KahlerData(t5, FieldMatrix.identity(f5, 2), b)
+    assert not ij_rational(induce_gks(k5))
 
 
 def test_charge_isometry_trivial_and_random(square_torus):
-    k = KahlerData(FieldMatrix.identity(QQ, 2), FieldMatrix.zeros(QQ, 2, 2))
+    k = KahlerData(square_torus, FieldMatrix.identity(QQ, 2), FieldMatrix.zeros(QQ, 2, 2))
     assert charge_isometry_check(k)
     rng = random.Random(31)
     for _ in range(20):
-        k, _ = random_square_kahler(rng)
+        k, _ = random_square_kahler(rng, square_torus)
         assert charge_isometry_check(k)
 
 
