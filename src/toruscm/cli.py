@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 failed verification or --expect mismatch,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -107,6 +108,7 @@ def run(argv) -> int:
         return _fail(f"{type(exc).__name__}: {exc}")
 
 
+@functools.cache  # parse_args does not mutate the parser
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="toruscm", description=__doc__)
     sub = p.add_subparsers()

@@ -340,7 +340,7 @@ def cm_torus(inp: CmInput):
         else:
             raise UnsupportedField("no automorphisms supplied for a degree>2 field")
     for tau in autos:
-        if any(c != 0 for c in k._minpoly_at(tau.coords)):
+        if k.evaluate(k.minpoly, tau):
             raise UnsupportedField("supplied automorphism image is not a root of minpoly")
     if len(autos) != d or len({tau.coords for tau in autos}) != d:
         raise UnsupportedField("need the full set of distinct automorphisms (Galois)")

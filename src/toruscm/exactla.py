@@ -1,7 +1,9 @@
 """Exact linear algebra over Q and over a NumberField.
 
 FieldMatrix is a dense matrix of FieldElements sharing one field (rational
-matrices are the degree-1 case).  One row reduction, `_rref`, written with
+matrices are the degree-1 case).  A product entry is one call of the field's
+product kernel, `NumberField.dot`, which reduces mod the minpoly once per
+entry instead of once per term.  One row reduction, `_rref`, written with
 field operations only, backs every rank, kernel, solve, inverse and
 determinant: it reduces FieldElement rows and plain Fraction rows alike, so
 rational kernels (`kernel_rows`, `rational_kernel`) never pass through
@@ -118,25 +120,17 @@ class FieldMatrix:
         if isinstance(o, FieldMatrix):
             if self.cols != o.rows:
                 raise ValueError("dimension mismatch")
-            ocols = list(zip(*o.entries)) if o.entries else []
-            zero = self.field.zero()
-            out = []
-            for row in self.entries:
-                # zero entries add nothing; block matrices here are mostly zeros
-                terms = [(k, a) for k, a in enumerate(row) if a]
-                orow = []
-                for c in ocols:
-                    acc = zero
-                    for k, a in terms:
-                        acc = acc + a * c[k]
-                    orow.append(acc)
-                out.append(orow)
-            return FieldMatrix(self.field, out)
+            if self.field != o.field:
+                raise ValueError("field mismatch")
+            dot = self.field.dot
+            ocols = list(zip(*o.entries))
+            return FieldMatrix(self.field, [[dot(r, c) for c in ocols] for r in self.entries])
         return self.scale(o)
 
     def scale(self, c) -> "FieldMatrix":
-        c = c if isinstance(c, FieldElement) else self.field.from_rational(c)
-        return FieldMatrix(self.field, [[e * c for e in row] for row in self.entries])
+        c = (self.field.zero() + c,)  # coerces a rational, rejects a foreign element
+        dot = self.field.dot
+        return FieldMatrix(self.field, [[dot((e,), c) for e in row] for row in self.entries])
 
     def __eq__(self, o):
         return (

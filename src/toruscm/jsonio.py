@@ -94,6 +94,8 @@ def decode_torus(doc: dict) -> dict:
     require_irreducible(embs[idx - 1])
     torus = ComplexTorusData(int(doc["g"]), f, decode_matrix(f, doc["I"]), embs[idx - 1])
     kahler = None
+    if doc.get("G") is None and doc.get("B") is not None:
+        raise ValueError("B given without G")
     if doc.get("G") is not None:
         g_m = decode_matrix(f, doc["G"])
         if doc.get("B") is not None:

@@ -66,6 +66,8 @@ MAX_ROUNDS = 400
 # further on demand, so this never changes a result
 ENCLOSURE_WIDTH = Fraction(1, 1 << 24)
 
+_ZERO = Fraction(0)
+
 
 # ---------------------------------------------------------------------------
 # Root isolation
@@ -451,16 +453,15 @@ class NumberField:
         self._embeddings = None
         self._roots = None
         self.conj_image = None
-        self._conj_matrix = None
+        self._conj_powers = None
         if conj_image is not None:
-            img = self._coords(conj_image)
-            if any(c != 0 for c in self._minpoly_at(img)):
+            img = self.element(conj_image)
+            if self.evaluate(self.minpoly, img):
                 raise ConjNotAutomorphism("minpoly(conj_image) != 0 mod minpoly")
-            cm = self._power_matrix(img)
-            if tuple(_mat_apply(cm, list(img))) != self._gen_coords():
+            self._conj_powers = self._powers(img, self.degree)
+            if self.conj(img) != self.gen():
                 raise ConjNotInvolution("conj(conj(x)) != x")
-            self.conj_image = img
-            self._conj_matrix = cm
+            self.conj_image = img.coords
 
     # -- internal ------------------------------------------------------------
 
@@ -491,47 +492,51 @@ class NumberField:
         return rows
 
     def _reduce(self, raw):
+        """Coordinates of a length-(2d - 1) coefficient list mod m."""
         d = self.degree
-        out = list(raw[:d]) + [Fraction(0)] * max(0, d - len(raw))
+        out = raw[:d]
         for k in range(d, len(raw)):
             c = raw[k]
             if c:
                 row = self._red[k - d]
                 for i in range(d):
                     out[i] += c * row[i]
-        return tuple(out[:d])
+        return tuple(out)
 
-    def _mul_coords(self, a, b):
-        d = self.degree
-        raw = [Fraction(0)] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    raw[i + j] += x * y
-        return self._reduce(raw)
-
-    def _minpoly_at(self, coords):
-        acc = self._coords([self.minpoly[-1]])
-        for c in reversed(self.minpoly[:-1]):
-            acc = self._mul_coords(acc, coords)
-            acc = tuple(a + (c if i == 0 else 0) for i, a in enumerate(acc))
-        return acc
-
-    def _power_matrix(self, coords):
-        """Matrix (on coordinates) of the ring map gen -> element(coords)."""
-        d = self.degree
-        cols = [self._coords([1])]
-        for _ in range(d - 1):
-            cols.append(self._mul_coords(cols[-1], coords))
-        return [[cols[j][i] for j in range(d)] for i in range(d)]
+    def _powers(self, x, n):
+        """x^0 .. x^(n-1)."""
+        out = [self.one()]
+        for _ in range(n - 1):
+            out.append(out[-1] * x)
+        return out
 
     # -- public --------------------------------------------------------------
+
+    def dot(self, xs, ys) -> "FieldElement":
+        """sum(x * y for x, y in zip(xs, ys)), the one product kernel.
+
+        The unreduced length-(2d - 1) coordinate products of the pairs are
+        summed, skipping zero coordinates, and the sum is reduced mod m
+        once.  The empty sum is zero.
+        """
+        raw = [_ZERO] * (2 * self.degree - 1)
+        for x, y in zip(xs, ys):
+            for i, a in enumerate(x.coords):
+                if a:
+                    for j, c in enumerate(y.coords, i):
+                        if c:
+                            raw[j] += a * c
+        return FieldElement(self, self._reduce(raw))
+
+    def evaluate(self, p, x: "FieldElement") -> "FieldElement":
+        """p(x) for a rational polynomial p (ascending coefficients)."""
+        return self.dot([self.from_rational(c) for c in p], self._powers(x, len(p)))
 
     def element(self, coords) -> "FieldElement":
         return FieldElement(self, self._coords(coords))
 
     def from_rational(self, r) -> "FieldElement":
-        return self.element([Fraction(r)])
+        return FieldElement(self, (Fraction(r),) + (_ZERO,) * (self.degree - 1))
 
     def zero(self) -> "FieldElement":
         return self.from_rational(0)
@@ -547,9 +552,9 @@ class NumberField:
         return self.conj_image is not None
 
     def conj(self, x: "FieldElement") -> "FieldElement":
-        if self._conj_matrix is None:
+        if self._conj_powers is None:
             raise ValueError("field has no conjugation")
-        return FieldElement(self, tuple(_mat_apply(self._conj_matrix, list(x.coords))))
+        return self.dot([self.from_rational(c) for c in x.coords], self._conj_powers)
 
     def embeddings(self, width=None):
         if self._embeddings is None:
@@ -572,7 +577,7 @@ class NumberField:
         return [e for e in self.embeddings() if e.is_real]
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, NumberField)
             and self.minpoly == other.minpoly
             and self.conj_image == other.conj_image
@@ -583,10 +588,6 @@ class NumberField:
 
     def __repr__(self):
         return f"NumberField(deg {self.degree}, m={[str(c) for c in self.minpoly]})"
-
-
-def _mat_apply(mat, vec):
-    return [sum(row[j] * vec[j] for j in range(len(vec))) for row in mat]
 
 
 _QQ = None
@@ -632,7 +633,7 @@ class FieldElement:
 
     def __mul__(self, o):
         o = self._co(o)
-        return FieldElement(self.field, self.field._mul_coords(self.coords, o.coords))
+        return self.field.dot((self,), (o,))
 
     __rmul__ = __mul__
 

@@ -1,11 +1,15 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from toruscm.cli import run
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def invoke(capsys, argv):
@@ -94,6 +98,7 @@ def _malformed_tori(fixture_dir):
     good = json.load(open(fixture_dir / "tau_i.json"))
     bad = [[1], dict(good, embedding=None), dict(good, field=["0", "1"])]
     bad.append(dict(good, I=[[["0"], ["-1"]], 3]))
+    bad.append(dict(good, G=None, B=[[1, 2], [3]]))
     bad += [dict(good, **change) for change, _ in BAD_METRICS]
     return [json.dumps(d) for d in bad]
 
@@ -422,3 +427,27 @@ def test_section4_checks_and_derives_each_side_once(counts):
 
     section4_demo()
     assert (counts["checks"], counts["ij"]) == (2, 2)
+
+
+def _run_in_fresh_process(argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "toruscm.cli", *argv], capture_output=True, text=True, env=env
+    )
+    return proc.returncode, proc.stdout
+
+
+@pytest.mark.parametrize("failing", ["usage", "document"])
+def test_one_process_runs_each_argv_as_a_fresh_process_does(capsys, fixture_dir, failing):
+    # the parser is built once per process; a failed parse must not leave
+    # state behind that changes the next run
+    tau_i = str(fixture_dir / "tau_i.json")
+    bad = dict(json.load(open(tau_i)), G=None, B=[[1, 2], [3]])
+    fail = {
+        "usage": ["torus", "validate", "--expect", "true"],
+        "document": ["torus", "validate", "--torus", json.dumps(bad)],
+    }[failing]
+    succeed = ["torus", "validate", "--torus", tau_i]
+    for argv in (fail, succeed, fail):
+        assert invoke(capsys, argv) == _run_in_fresh_process(argv), argv
+    assert invoke(capsys, fail)[0] == 2 and invoke(capsys, succeed)[0] == 0

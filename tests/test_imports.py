@@ -1,5 +1,6 @@
 """Every name a `toruscm` module or a test file imports is used there, and
-every function, class and method a `toruscm` module defines is used somewhere.
+every function, class and method a `toruscm` module defines is used somewhere,
+and only `numfield` reads the private reduction mod the minpoly.
 
 The package `__init__` is left out: its imports are the public API, which
 `__all__` re-exports from `dir()`.
@@ -70,3 +71,16 @@ def test_no_dead_definitions_in_src():
         and node.name not in used
     ]
     assert dead == []
+
+
+def test_only_numfield_reduces_mod_the_minpoly():
+    # reduction mod m stays behind the field's one product kernel
+    private = {"_reduce", "_red", "_mul_coords"}
+    reads = [
+        f"{path.name}:{node.lineno}: {node.attr}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "numfield.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in private
+    ]
+    assert reads == []

@@ -6,6 +6,7 @@ import pytest
 
 from toruscm import polyq
 from toruscm.boxes import Box, Iv
+from toruscm.exactla import FieldMatrix
 from toruscm.numfield import (
     ConjNotAutomorphism,
     ConjNotInvolution,
@@ -417,3 +418,77 @@ def test_minpoly_factor_at_matches_sympy_factor_list():
         assert owners == [got]
 
     check()
+
+
+# Q, Q(i), Q(2 sin 2pi/5), Q(zeta5), Q(zeta7)
+_ORACLE_MINPOLYS = [[0, 1], [1, 0, 1], [5, 0, -5, 0, 1], [1] * 5, [1] * 7]
+
+
+def _seeded_element(rng, f):
+    """A seeded element with some zero coordinates (all zero one time in four)."""
+    if rng.random() < 0.25:
+        return f.zero()
+    coords = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(f.degree)]
+    return f.element([c if rng.random() < 0.6 else 0 for c in coords])
+
+
+def _sympy_product_oracle(f):
+    """(a, b) -> coordinates of rem(a * b, m) computed by sympy."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+
+    def expr(coords):
+        return sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(coords))
+
+    m = expr(f.minpoly)
+
+    def rem(a, b):
+        r = sympy.Poly(sympy.rem(sympy.expand(expr(a.coords) * expr(b.coords)), m, x), x)
+        cs = [Fraction(int(c.p), int(c.q)) for c in reversed(r.all_coeffs())]
+        return cs + [Fraction(0)] * (f.degree - len(cs))
+
+    return rem
+
+
+def _sum_coords(rows, degree):
+    return tuple(sum((r[i] for r in rows), Fraction(0)) for i in range(degree))
+
+
+@pytest.mark.parametrize("minpoly", _ORACLE_MINPOLYS, ids=lambda m: f"deg{len(m) - 1}")
+def test_field_products_match_sympy_remainders(minpoly):
+    f = make_field(minpoly)
+    rem = _sympy_product_oracle(f)
+    rng = random.Random(len(minpoly))
+    zero = (Fraction(0),) * f.degree
+    for _ in range(12):
+        a, b = _seeded_element(rng, f), _seeded_element(rng, f)
+        assert (a * b).coords == tuple(rem(a, b))
+    assert f.dot([], []).coords == zero
+    zs = [f.zero()] * 3
+    assert f.dot(zs, [_seeded_element(rng, f) for _ in zs]).coords == zero
+    for n in range(1, 5):
+        xs = [_seeded_element(rng, f) for _ in range(n)]
+        ys = [_seeded_element(rng, f) for _ in range(n)]
+        want = _sum_coords([rem(x, y) for x, y in zip(xs, ys)], f.degree)
+        assert f.dot(xs, ys).coords == want
+    a = [[_seeded_element(rng, f) for _ in range(3)] for _ in range(2)]
+    b = [[_seeded_element(rng, f) for _ in range(2)] for _ in range(3)]
+    got = FieldMatrix(f, a) * FieldMatrix(f, b)
+    for i in range(2):
+        for j in range(2):
+            want = _sum_coords([rem(a[i][k], b[k][j]) for k in range(3)], f.degree)
+            assert got[i, j].coords == want
+
+
+def test_rational_matrix_products_match_fraction_matmul():
+    rng = random.Random(7)
+    qq = rationals()
+
+    def rand(r, c):
+        return [[Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(c)] for _ in range(r)]
+
+    for rows, inner, cols in [(1, 3, 2), (3, 1, 4), (2, 5, 3), (4, 2, 1)]:
+        a, b = rand(rows, inner), rand(inner, cols)
+        want = [[sum((x * y for x, y in zip(r, c)), Fraction(0)) for c in zip(*b)] for r in a]
+        got = FieldMatrix(qq, a) * FieldMatrix(qq, b)
+        assert got.rational_entries() == want
