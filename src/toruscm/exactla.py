@@ -170,9 +170,6 @@ class FieldMatrix:
             return self
         return FieldMatrix(field, self.rational_entries())
 
-    def map(self, fn) -> "FieldMatrix":
-        return FieldMatrix(self.field, [[fn(e) for e in row] for row in self.entries])
-
     def __repr__(self):
         return f"FieldMatrix({self.rows}x{self.cols} over deg-{self.field.degree})"
 

@@ -7,17 +7,21 @@ raises `ZeroDivisor`.  `require_irreducible`, run on the field of every
 torus document and CM input, raises `ReducibleMinpoly` for such an m.
 Embeddings are certified complex enclosures of the roots of m: real roots
 isolated by Sturm sequences, complex roots by interval-Newton certification
-of boxes seeded with Durand-Kerner approximations.  No floating-point value
-ever decides anything; floats only pick where to *try* a certificate.
+of boxes seeded with Durand-Kerner approximations, or else by exact counts.
+No floating-point value ever decides anything; floats only pick where to
+*try* a certificate.
 
 `RootSet` holds the isolated boxes of one squarefree polynomial and is the
 single place that decides which root a value is (`locate`) and whether a
 polynomial vanishes at a root (`vanishes_at`); it backs the embeddings of a
-`NumberField` and the factor extraction in `minpoly_factor_at`.  The loops
-that wait for a certificate (`locate`, `vanishes_at`, the factor candidates
-of `minpoly_factor_at` and the sign test behind `exact_sign`) stop after
-`MAX_ROUNDS` rounds and raise `NotConverged`; box refinement raises it when
-a bisection makes no progress, and leaves an exact-point box as it is.
+`NumberField`, which refine only on demand, and the factor extraction in
+`minpoly_factor_at`.  The loops that wait for a certificate (`locate`,
+`vanishes_at`, the factor candidates of `minpoly_factor_at` and the sign
+test behind `exact_sign`) stop after `MAX_ROUNDS` rounds and raise
+`NotConverged`.  Isolation and refinement never raise it: where Newton has
+no proof, `_root_count` counts the roots in a rectangle exactly (the
+argument principle) and picks the half that keeps the root.  Refinement
+leaves an exact-point box as it is.
 """
 
 from __future__ import annotations
@@ -61,10 +65,6 @@ class NotConverged(ArithmeticError):
 # rounds of a refine-and-retry loop before it gives up; each round at least
 # halves a box or an enclosure width
 MAX_ROUNDS = 400
-
-# width every embedding enclosure is first refined to; certificates refine
-# further on demand, so this never changes a result
-ENCLOSURE_WIDTH = Fraction(1, 1 << 24)
 
 _ZERO = Fraction(0)
 
@@ -125,7 +125,8 @@ def _certify(p, dp, box: Box) -> bool:
 
 
 def _refine_certified(p, dp, box: Box, width: Fraction) -> Box:
-    """Shrink a certified box below `width` (Newton with bisection fallback)."""
+    """Shrink a box holding one root of p below `width` (Newton with
+    bisection fallback)."""
     bits = 16
     while Fraction(1, 1 << bits) > width / 4:
         bits += 16
@@ -134,46 +135,70 @@ def _refine_certified(p, dp, box: Box, width: Fraction) -> Box:
         if n is not None:
             cut = n.intersect(box)
             if cut is not None and cut.width() <= box.width() * Fraction(3, 4):
-                box = cut.dyadic_outward(bits)
+                box = cut.dyadic_outward(bits).intersect(box)  # no neighbour gets in
                 continue
-        half = _bisect_certified(p, dp, box)
-        if half is box:
-            raise NotConverged("no half of the box could be certified")
-        box = half
+        box = _bisect_certified(p, dp, box)
     return box
 
 
 def _bisect_certified(p, dp, box: Box) -> Box:
-    """Half of a box holding one root of p that provably keeps the root, or
-    the box itself when neither half can be proven to."""
-    wide_re = box.re.width() >= box.im.width()
-    if wide_re:
-        m = box.re.mid()
-        halves = [Box(Iv(box.re.lo, m), box.im), Box(Iv(m, box.re.hi), box.im)]
-    else:
-        m = box.im.mid()
-        halves = [Box(box.re, Iv(box.im.lo, m)), Box(box.re, Iv(m, box.im.hi))]
-    for h in halves:
+    """A strict half of a box holding one root of p that keeps the root: a
+    half of the midpoint cut that interval Newton certifies, else the half
+    that the exact count gives the root."""
+    for h in _halves(box, Fraction(1, 2)):
         if _certify(p, dp, h):
             return h
-    # the root may sit near the cut, where neither half certifies: keep a
-    # half only when the other provably holds no root, else return the box.
-    # The box's root lies in its own Newton image, so that image missing a
-    # half excludes it too.
-    whole = _newton_step(p, dp, box)
-    for h, other in zip(halves, reversed(halves)):
-        if _excludes_root(p, dp, other) or (whole is not None and whole.disjoint(other)):
-            return h
-    return box
+    low, high, n = _cut(p, box)
+    return high if n == 0 else low
 
 
-def _excludes_root(p, dp, box: Box) -> bool:
-    """Proof that box holds no root of p: p's value box misses 0, or the
-    interval-Newton image misses the box."""
-    if not poly_eval_box(p, box).contains_zero():
-        return True
-    n = _newton_step(p, dp, box)
-    return n is not None and n.disjoint(box)
+def _halves(box: Box, frac: Fraction) -> tuple[Box, Box]:
+    """The two parts of a box cut across its wider side at `frac` of it."""
+    if box.re.width() >= box.im.width():
+        m = box.re.lo + box.re.width() * frac
+        return Box(Iv(box.re.lo, m), box.im), Box(Iv(m, box.re.hi), box.im)
+    m = box.im.lo + box.im.width() * frac
+    return Box(box.re, Iv(box.im.lo, m)), Box(box.re, Iv(m, box.im.hi))
+
+
+def _cut(p, box: Box):
+    """(low, high, count of low) for the first cut at k/(2k + 1), k = 1 ..
+    d + 1, with no root on low's boundary.  One of these d + 1 lines misses
+    the d roots, so the count is None only when a root lies on the part of
+    the box's boundary that every low part shares (and keeps)."""
+    for k in range(1, polyq.degree(p) + 2):
+        low, high = _halves(box, Fraction(k, 2 * k + 1))
+        n = _root_count(p, low)
+        if n is not None:
+            break
+    return low, high, n
+
+
+def _root_count(p, box: Box) -> int | None:
+    """Number of roots of squarefree p in the open box, or None when p
+    vanishes on its boundary (the argument principle; Wilf, J. ACM 25 (1978)).
+
+    On each edge a -> b, counterclockwise, p(a + t (b - a)) = U(t) + i V(t);
+    the count is minus half the sum of the Cauchy indices of V/U on [0, 1],
+    and a root on the edge is a root of the squarefree gcd(U, V) in [0, 1].
+    """
+    re, im = box.re, box.im
+    corners = [(re.lo, im.lo), (re.hi, im.lo), (re.hi, im.hi), (re.lo, im.hi)]
+    index = 0
+    for (x0, y0), (x1, y1) in zip(corners, corners[1:] + corners[:1]):
+        x, y = polyq.poly([x0, x1 - x0]), polyq.poly([y0, y1 - y0])
+        u = v = ()
+        for c in reversed(p):  # Horner: (u + iv)(x + iy) + c
+            u, v = (
+                polyq.psub(polyq.pmul(u, x), polyq.psub(polyq.pmul(v, y), (c,))),
+                polyq.psub(polyq.pmul(u, y), polyq.pneg(polyq.pmul(v, x))),
+            )
+        chain = polyq.sturm_chain(u, v)
+        gcd = polyq.sturm_chain(chain[-1])
+        if polyq.variations(gcd, 0) != polyq.variations(gcd, 1):
+            return None
+        index += polyq.variations(chain, 0) - polyq.variations(chain, 1)
+    return -index // 4  # `variations` counts twice
 
 
 def _refine_box_once(p, dp, box: Box) -> Box:
@@ -246,39 +271,32 @@ def _certify_around(p, dp, z: complex, sep: float) -> Box | None:
     return None
 
 
-def _subdivision_upper_roots(p, dp, count, reals):
-    """Exhaustive fallback: subdivide the upper half of a Cauchy box."""
+def _subdivision_upper_roots(p, count):
+    """Boxes strictly above the real axis, one per root with Im > 0: the
+    Cauchy box above a floor y > 0, once it counts all `count` upper roots,
+    split by counts.  Mahler's bound on sep(p) bounds the floor's halvings
+    (Im a >= sep(p) / 2 for an upper root a) and the splits' depth (a box
+    with two roots is at least sep(p) / 2 wide)."""
     bound = polyq.cauchy_bound(p)
-    eps = Fraction(1, 257)  # asymmetry keeps roots off the cut lines
-    queue = [Box(Iv(-bound - eps, bound + eps), Iv(Fraction(0), bound + eps))]
-    found = []
-    guard = 0
-    while queue and len(found) < count:
-        guard += 1
-        if guard > 200000:
-            raise NotConverged("root subdivision failed to converge")
-        box = queue.pop()
-        if not poly_eval_box(p, box).contains_zero():
+    floor, n = bound, None
+    while n != count:
+        floor /= 2
+        top = Box(Iv(-bound, bound), Iv(floor, bound))
+        n = _root_count(p, top)
+    found, queue = [], [(top, count)]
+    while queue:
+        box, n = queue.pop()
+        if n == 1:
+            found.append(box)
             continue
-        if _certify(p, dp, box):
-            box = _refine_certified(p, dp, box, Fraction(1, 1 << 16))
-            if box.im.strictly_positive():
-                found.append(box)
-            continue
-        if box.re.width() >= box.im.width():
-            m = box.re.mid() + box.re.width() / 17
-            queue += [Box(Iv(box.re.lo, m), box.im), Box(Iv(m, box.re.hi), box.im)]
-        else:
-            m = box.im.mid() + box.im.width() / 17
-            queue += [Box(box.re, Iv(box.im.lo, m)), Box(box.re, Iv(m, box.im.hi))]
-    if len(found) != count:
-        raise AssertionError("root subdivision missed roots")
+        low, high, k = _cut(p, box)  # box's boundary holds no root: k is a count
+        queue += [(h, c) for h, c in ((low, k), (high, n - k)) if c]
     found.sort(key=lambda b: (b.re.mid(), b.im.mid()))
     return found
 
 
 def _isolate_all_roots(p, dp):
-    """Certified boxes for all roots of squarefree p, one root each.
+    """Boxes for all roots of squarefree p, one root each.
 
     Returns (real_boxes, upper_boxes): real roots ascending, strictly
     complex roots with Im > 0 ordered by (re, im); the conjugate roots are
@@ -291,30 +309,22 @@ def _isolate_all_roots(p, dp):
     for a, b in polyq.isolate_real_roots(p):
         a, b = polyq.refine_real_root(p, a, b, Fraction(1, 1 << 8), chain)
         reals.append(Box(Iv(a, b), Iv.point(0)))
-    n_upper, rem = divmod(d - len(reals), 2)
-    if rem:
-        raise AssertionError("complex roots must pair up")
-
-    uppers = None
-    if n_upper:
-        seeds = _durand_kerner(p)
-        if seeds is not None:
-            approx = _merge_close(
-                sorted((z for z in seeds if z.imag > 1e-9), key=lambda z: (z.real, z.imag))
-            )
-            if len(approx) == n_upper:
-                sep = _min_separation(approx, reals)
-                boxes = [_certify_around(p, dp, z, sep) for z in approx]
-                if all(b is not None for b in boxes):
-                    uppers = boxes
-        if uppers is None:
-            uppers = _subdivision_upper_roots(p, dp, n_upper, reals)
-        # force boxes strictly off the real axis
-        uppers = [
-            b if b.im.strictly_positive() else _strictly_upper(p, dp, b) for b in uppers
-        ]
-    else:
-        uppers = []
+    n_upper = (d - len(reals)) // 2
+    uppers = []
+    seeds = _durand_kerner(p) if n_upper else None
+    if seeds is not None:
+        approx = _merge_close(
+            sorted((z for z in seeds if z.imag > 1e-9), key=lambda z: (z.real, z.imag))
+        )
+        if len(approx) == n_upper:
+            sep = _min_separation(approx, reals)
+            uppers = [_certify_around(p, dp, z, sep) for z in approx]
+    if len(uppers) < n_upper or None in uppers:
+        return reals, _subdivision_upper_roots(p, n_upper)
+    # force boxes strictly off the real axis
+    uppers = [
+        b if b.im.strictly_positive() else _strictly_upper(p, dp, b) for b in uppers
+    ]
     return reals, uppers
 
 
@@ -560,8 +570,6 @@ class NumberField:
         if self._embeddings is None:
             self._roots = RootSet(self.minpoly)
             self._embeddings = [Embedding(self, self._roots, i) for i in range(self.degree)]
-            for e in self._embeddings:
-                e.refine(ENCLOSURE_WIDTH)
         if width is not None:
             for e in self._embeddings:
                 e.refine(width)

@@ -119,27 +119,27 @@ def primitive_part(p):
     return pscale(p, Fraction(den, num))
 
 
-def sturm_chain(p):
+def sturm_chain(p, q=None):
+    """Sturm chain of (p, q), with q = p' by default."""
     # positive rescaling of each member keeps sign variations intact and
     # stops the coefficient blowup of the raw remainder sequence
-    chain = [primitive_part(poly(p)), primitive_part(pderiv(p))]
+    chain = [primitive_part(poly(p)), primitive_part(pderiv(p) if q is None else poly(q))]
     while chain[-1]:
         chain.append(primitive_part(pneg(pmod(chain[-2], chain[-1]))))
     return chain[:-1]
 
 
-def _variations(chain, x) -> int:
-    signs = []
-    for f in chain:
-        v = peval(f, x)
-        if v:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def variations(chain, x) -> int:
+    """Twice the sign variations of the chain at x, a zero counting half: the
+    drop from a to b is twice the Cauchy index of q/p on [a, b] for the chain
+    of (p, q), an endpoint at a root of p counting half (Eisermann 2012)."""
+    signs = [(v > 0) - (v < 0) for v in (peval(f, x) for f in chain)]
+    return sum(abs(a - b) for a, b in zip(signs, signs[1:]))
 
 
 def count_roots(chain, a, b) -> int:
-    """Number of distinct real roots in (a, b]."""
-    return _variations(chain, a) - _variations(chain, b)
+    """Number of distinct real roots in (a, b), for a and b not roots."""
+    return (variations(chain, a) - variations(chain, b)) // 2
 
 
 def _nonroot_point(p, a, b) -> Fraction:

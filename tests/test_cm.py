@@ -38,29 +38,72 @@ def test_cm_torus_gaussian(gaussian_cm):
 
 
 
+def _sqrt_minus_d_input(d):
+    """Q(sqrt(-d)) with basis {1, x} and beta = x."""
+    k = make_field([d, 0, 1], conj_image=[0, -1])
+    return CmInput(k, [k.one(), k.gen()], [_embedding_near(k, 0.0, math.sqrt(d))], k.gen())
+
+
+def _seeded_cm_input(seed):
+    """Q(sqrt(-D)) for a seeded D, with a seeded basis and `find_beta`'s beta."""
+    rng = random.Random(seed)
+    d = rng.randint(1, 500)
+    k = make_field([d, 0, 1], conj_image=[0, -1])
+    basis = [k.zero()] * 2
+    while basis[0].coords[0] * basis[1].coords[1] == basis[0].coords[1] * basis[1].coords[0]:
+        basis = [k.element([rng.randint(-3, 3), rng.randint(-3, 3)]) for _ in range(2)]
+    phi = [_embedding_near(k, 0.0, math.sqrt(d))]
+    return CmInput(k, basis, phi, find_beta(k, basis, phi, 3))
+
+
 @pytest.mark.parametrize("d", [10**15 + 37, 10**30 + 57])
 def test_cm_torus_large_discriminant(d):
     # Q(sqrt(-d)) with basis {1, x} and beta = x: F = Q(sqrt(d)) has a
     # generator of height far beyond any fixed rounding bound
-    k = make_field([d, 0, 1], conj_image=[0, -1])
-    phi = [_embedding_near(k, 0.0, math.sqrt(d))]
-    t, _, _ = cm_torus(CmInput(k, [k.one(), k.gen()], phi, k.gen()))
+    t, _, _ = cm_torus(_sqrt_minus_d_input(d))
     f = t.field
     assert list(f.minpoly) == [-d, 0, 1]
     s = f.gen()
     assert t.I == FieldMatrix(f, [[f.zero(), s], [-s / d, f.zero()]])
 
-def test_cm_torus_zeta5_properties(zeta5_cm):
-    t = zeta5_cm["torus"]
-    inp = zeta5_cm["input"]
-    assert t.g == 2 and t.field.degree == 4
-    # multiplication by xi in the Gamma-basis commutes with I exactly
-    m_xi = mult_matrix_in_basis(inp.field.gen(), inp.basis).lift(t.field)
-    assert m_xi * t.I == t.I * m_xi
-    # E and G are I-compatible (checked inside cm_torus; assert again)
-    e_f = zeta5_cm["E"].lift(t.field)
-    assert t.I.transpose() * e_f * t.I == e_f
-    assert positive_definite(zeta5_cm["G"], QEMB).positive
+
+@pytest.mark.parametrize(
+    "make, f_degree",
+    [
+        pytest.param("gaussian_cm", 1, id="gaussian"),
+        pytest.param("zeta5_cm", 4, id="zeta5"),
+        pytest.param(lambda: _sqrt_minus_d_input(10**15 + 37), 2, id="disc15"),
+        pytest.param(lambda: _sqrt_minus_d_input(10**30 + 57), 2, id="disc30"),
+        *(
+            pytest.param(lambda s=s: _seeded_cm_input(s), None, id=f"seed{s}")
+            for s in range(1, 5)
+        ),
+    ],
+)
+def test_cm_torus_identities(make, f_degree, request):
+    # cm_torus checks none of these: each follows from the checked input
+    if isinstance(make, str):  # a session fixture
+        data = request.getfixturevalue(make)
+        inp, t, e_m, g_m = data["input"], data["torus"], data["E"], data["G"]
+    else:
+        inp = make()
+        t, e_m, g_m = cm_torus(inp)
+    assert 2 * t.g == inp.field.degree
+    assert f_degree is None or t.field.degree == f_degree
+    # E is antisymmetric and G symmetric: Tr(conj x) = Tr(x) and conj(beta) = -beta
+    assert e_m.is_antisymmetric() and g_m.is_symmetric()
+    # G = E M_beta: column l of M_beta holds the coordinates of beta a_l
+    assert e_m * mult_matrix_in_basis(inp.beta, inp.basis) == g_m
+    # E and G are I-compatible: I multiplies sigma_j by i on Phi, and
+    # sigma_j(beta) is imaginary
+    for form in (e_m, g_m):
+        lifted = form.lift(t.field)
+        assert t.I.transpose() * lifted * t.I == lifted
+    # G(x, x) = sum over sigma of sigma(-beta^2) |sigma(x)|^2 > 0
+    assert positive_definite(g_m, QEMB).positive
+    # multiplication by the generator of K commutes with I exactly
+    m_gen = mult_matrix_in_basis(inp.field.gen(), inp.basis).lift(t.field)
+    assert m_gen * t.I == t.I * m_gen
 
 
 def test_cm_torus_zeta5_matches_fixture_numerically(zeta5_cm, zeta5_mirror):

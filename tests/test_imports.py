@@ -1,6 +1,7 @@
 """Every name a `toruscm` module or a test file imports is used there, and
-every function, class and method a `toruscm` module defines is used somewhere,
-and only `numfield` reads the private reduction mod the minpoly.
+every function, class, method and module-level name a `toruscm` module
+defines is used somewhere, and only `numfield` reads the private reduction
+mod the minpoly.
 
 The package `__init__` is left out: its imports are the public API, which
 `__all__` re-exports from `dir()`.
@@ -43,10 +44,11 @@ def test_no_unused_imports_in_tests():
 
 
 def _used_names(path):
-    """Names a file uses: AST `Name`s, `Attribute` names and import aliases."""
+    """Names a file uses: AST `Name`s it reads, `Attribute` names and import
+    aliases."""
     used = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)
@@ -62,14 +64,20 @@ def test_no_dead_definitions_in_src():
     users += sorted(TESTS.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
     used = set().union(*(_used_names(path) for path in users))
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    dead = [
-        f"{path.name}:{node.lineno}: {node.name}"
-        for path in modules
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, defs)
-        and not (node.name.startswith("__") and node.name.endswith("__"))
-        and node.name not in used
-    ]
+    dead = []
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        named = [(n.lineno, n.name) for n in ast.walk(tree) if isinstance(n, defs)]
+        # module-level assignments, such as constants
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                named += [(t.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
+        dead += [
+            f"{path.name}:{line}: {name}"
+            for line, name in named
+            if not (name.startswith("__") and name.endswith("__")) and name not in used
+        ]
     assert dead == []
 
 

@@ -300,9 +300,9 @@ def test_minpoly_factor_at_keeps_an_exact_point_root():
 def test_bisect_certified_keeps_the_root_when_no_half_certifies():
     from toruscm.numfield import _bisect_certified, _certify
 
-    # x^2 + 2x + 2 has the root -1 + i; neither half of these certified
-    # boxes certifies, and a half can allow 0 in its value box without
-    # holding the root
+    # x^2 + 2x + 2 has the root -1 + i; neither half of many of these
+    # certified boxes certifies, and a half can allow 0 in its value box
+    # without holding the root: the exact count must still pick a half
     p, dp = polyq.poly([2, 2, 1]), polyq.poly([2, 2])
 
     def keeps_root(box):
@@ -317,7 +317,75 @@ def test_bisect_certified_keeps_the_root_when_no_half_certifies():
     certified = [b for b in boxes if keeps_root(b) and _certify(p, dp, b)]
     assert certified[0] is boxes[0] and len(certified) > 10
     for box in certified:
-        assert keeps_root(_bisect_certified(p, dp, box))
+        half = _bisect_certified(p, dp, box)
+        assert keeps_root(half)
+        assert _is_strict_half(half, box)
+
+
+def _is_strict_half(part, box):
+    """part is box cut across one side, which it shortens."""
+
+    def cut(a, b):
+        inside = b.lo <= a.lo and a.hi <= b.hi
+        return inside and (a.lo == b.lo or a.hi == b.hi) and a.width() < b.width()
+
+    return (part.im == box.im and cut(part.re, box.re)) or (
+        part.re == box.re and cut(part.im, box.im)
+    )
+
+
+def _gaussian_rational_roots(rng):
+    """A seeded rational polynomial with distinct known roots (x, y) = x + iy:
+    real roots and conjugate pairs with small denominators."""
+    roots = set()
+    for _ in range(rng.randint(1, 3)):
+        x = Fraction(rng.randint(-8, 8), rng.randint(1, 3))
+        y = Fraction(rng.randint(-6, 6), rng.randint(1, 2))
+        roots |= {(x, y), (x, -y)}
+    p = polyq.poly([1])
+    for x, y in roots:
+        if y == 0:
+            p = polyq.pmul(p, polyq.poly([-x, 1]))
+        elif y > 0:  # with its conjugate x - iy
+            p = polyq.pmul(p, polyq.poly([x * x + y * y, -2 * x, 1]))
+    return p, roots
+
+
+def test_root_count_matches_known_roots_on_seeded_boxes():
+    from toruscm.numfield import _root_count
+
+    rng = random.Random(7)
+    on_boundary = 0
+    for _ in range(400):
+        p, roots = _gaussian_rational_roots(rng)
+        near = rng.choice(sorted(roots))
+        x0, y0 = (c - Fraction(rng.randint(0, 6), rng.randint(1, 3)) for c in near)
+        dx, dy = (Fraction(rng.randint(1, 12), rng.randint(1, 3)) for _ in range(2))
+        box = Box(Iv(x0, x0 + dx), Iv(y0, y0 + dy))
+        inside = sum(x0 < x < x0 + dx and y0 < y < y0 + dy for x, y in roots)
+        closed = sum(box.re.contains(x) and box.im.contains(y) for x, y in roots)
+        if closed > inside:  # a root on the boundary
+            on_boundary += 1
+            assert _root_count(p, box) is None
+        else:
+            assert _root_count(p, box) == inside
+    assert on_boundary > 100
+
+
+def test_root_count_halves_a_box_with_a_zero_of_re_p_at_a_corner():
+    from toruscm.numfield import _cut, _root_count
+
+    # Re(z^2 + 1) = 0 at the corner 3/4 + 5/4 i; the count must still be
+    # defined there, on the box and on every part that keeps the corner
+    p = polyq.poly([1, 0, 1])
+    box = Box(Iv(Fraction(-1, 2), Fraction(3, 4)), Iv(Fraction(1, 2), Fraction(5, 4)))
+    assert _root_count(p, box) == 1
+    for _ in range(40):
+        low, high, n = _cut(p, box)
+        assert n is not None and _is_strict_half(low, box)
+        box = low if n else high
+        assert box.re.contains(0) and box.im.contains(1)
+    assert box.width() < Fraction(1, 1 << 10)
 
 
 def test_refine_leaves_an_exact_point_box():
@@ -370,14 +438,10 @@ def test_rootset_boxes_match_sympy_isolation():
     pytest.importorskip("sympy")
     hypothesis = pytest.importorskip("hypothesis")
 
-    @hypothesis.settings(max_examples=30, deadline=None, derandomize=True)
-    @hypothesis.given(_monic_factors())
-    def check(factors):
-        p = _product(factors)
-        hypothesis.assume(polyq.is_squarefree(p))
+    def agree(p, width):
         roots = RootSet(p)
         for i in range(len(roots.boxes)):
-            roots.refine(i, _EPS)
+            roots.refine(i, width)
         boxes = roots.boxes
         assert len(boxes) == polyq.degree(p)
         for i in range(len(boxes)):
@@ -390,7 +454,19 @@ def test_rootset_boxes_match_sympy_isolation():
         for b in boxes:
             assert sum(not b.disjoint(r) for r in oracle) == 1
 
+    @hypothesis.settings(max_examples=30, deadline=None, derandomize=True)
+    @hypothesis.given(_monic_factors())
+    def check(factors):
+        p = _product(factors)
+        hypothesis.assume(polyq.is_squarefree(p))
+        agree(p, _EPS)
+
     check()
+    # x^4 + (2 + e) x^2 + (1 + e) has the roots +-i and +-i sqrt(1 + e), about
+    # e / 2 apart: too close for Durand-Kerner, so the exact counts isolate them
+    for k in (24, 30, 40):
+        e = Fraction(1, 1 << k)
+        agree(polyq.poly([1 + e, 0, 2 + e, 0, 1]), Fraction(1, 1 << (k + 8)))
 
 
 def test_minpoly_factor_at_matches_sympy_factor_list():

@@ -7,9 +7,17 @@ searches."""
 import math
 
 from toruscm import polyq
-from toruscm.cm import CmInput, cm_certificate, cm_torus, endomorphism_algebra, rational_kahler_search
+from toruscm.cm import (
+    CmInput,
+    cm_certificate,
+    cm_torus,
+    endomorphism_algebra,
+    mult_matrix_in_basis,
+    rational_kahler_search,
+)
+from toruscm.exactla import positive_definite
 from toruscm.fixtures import _embedding_near
-from toruscm.numfield import make_field
+from toruscm.numfield import make_field, rationals
 
 
 def test_zeta7_cm_pipeline():
@@ -23,6 +31,13 @@ def test_zeta7_cm_pipeline():
     inp = CmInput(k, basis, phi, beta, [k.gen() ** j for j in range(1, 7)])
     torus, e_m, g_m = cm_torus(inp)
     assert torus.g == 3 and torus.field.degree == 6
+    # the identities cm_torus leaves to its checked input
+    assert e_m.is_antisymmetric() and g_m.is_symmetric()
+    assert e_m * mult_matrix_in_basis(beta, basis) == g_m
+    for form in (e_m, g_m):
+        lifted = form.lift(torus.field)
+        assert torus.I.transpose() * lifted * torus.I == lifted
+    assert positive_definite(g_m, rationals().embeddings()[0]).positive
     end = endomorphism_algebra(torus)
     assert end.dim == 6
     verdict = cm_certificate(torus, trials=64, seed=3)
