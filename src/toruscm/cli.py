@@ -269,7 +269,7 @@ def _cmd_cm_metric_search(args) -> int:
 
 def _cmd_mirror_construct(args) -> int:
     a_m = _decode(args.a, lambda raw: jsonio.decode_matrix(rationals(), raw))
-    rho = _decode(args.rho, lambda raw: [[int(v) for v in row] for row in raw])
+    rho = _decode(args.rho, lambda raw: [[jsonio.decode_int(v) for v in row] for row in raw])
     pair = mirror.construct_mirror(a_m, rho)
     doc = jsonio.encode_pair(pair)
     doc["report"] = mirror.verify_mirror(pair).as_dict()
@@ -326,11 +326,11 @@ def _cmd_va_commutator(args) -> int:
 
 def _cmd_demo_section4(args) -> int:
     report = mirror.section4_demo()
-    _emit(report)
-    if args.out:
+    if args.out:  # written first, so a bad path prints only the error document
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(report, fh, sort_keys=True, indent=2)
             fh.write("\n")
+    _emit(report)
     expected = (
         report["metric_block_verified"]
         and not report["ij_rational"]

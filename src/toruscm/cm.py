@@ -161,6 +161,8 @@ class CmInput:
             raise ValueError("Phi must pick one embedding per conjugate pair")
         seen = set()
         for idx in self.phi:
+            if not 1 <= idx <= d:
+                raise ValueError(f"Phi index {idx} is not an embedding index 1..{d}")
             emb = embs[idx - 1]
             if emb.conj_index is None:
                 raise ValueError("CM field cannot have real embeddings")
@@ -216,9 +218,9 @@ def _value_field(base: Embedding):
     u = gen*(1 + c*y) has 2d distinct images under the 2d maps A -> C
     (sigma_j with y -> +-i) for all but at most d^2 values of c, so its
     minimal polynomial M has degree 2d for some c <= d^2 + 1 and the powers
-    of u are a Q-basis of A.  L's generator is a multiple of the image of u,
-    whose minimal polynomial is the factor of M vanishing there; L is a field
-    whether or not i lies in K.
+    of u are a Q-basis of A.  L's generator is the image of u, an algebraic
+    integer as gen is, so the factor of M vanishing there is integral (Gauss);
+    L is a field whether or not i lies in K.
     """
     k = base.field
     d = k.degree
@@ -244,15 +246,13 @@ def _value_field(base: Embedding):
     def u_value(w):
         return base.enclosure(w) * Box.point(1, c)  # sigma(gen) * (1 + c*i)
 
-    s, p = _integral(minpoly_factor_at(m, u_value))
-    lf = NumberField(p)
-    lemb = lf.embeddings()[lf.roots.locate(lambda w: u_value(w).scale(s))]
+    lf = NumberField(minpoly_factor_at(m, u_value))
+    lemb = lf.embeddings()[lf.roots.locate(u_value)]
     # gen and y as rational combinations of u^0 .. u^(2d-1), mapped into L
     powers = FieldMatrix(qq, [[col[i] for col in cols[:-1]] for i in range(2 * d)])
     rhs = FieldMatrix(qq, [[x, 0] for x in k.gen().coords] + [[0, x] for x in k.one().coords])
     sol = powers.solve(rhs).rational_entries()
-    u_l = lf.gen() * Fraction(1, s)
-    gen_l, i_l = (lf.evaluate([row[j] for row in sol], u_l) for j in range(2))
+    gen_l, i_l = (lf.evaluate([row[j] for row in sol], lf.gen()) for j in range(2))
     return lf, lemb, gen_l, i_l
 
 

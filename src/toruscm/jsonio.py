@@ -21,9 +21,16 @@ def encode_rational(x) -> str:
 def decode_rational(raw) -> Fraction:
     if isinstance(raw, str):
         return Fraction(raw)
-    if isinstance(raw, int):
+    if isinstance(raw, int) and not isinstance(raw, bool):  # JSON true is no number
         return Fraction(raw)
     raise ValueError(f"not a rational encoding: {raw!r}")
+
+
+def decode_int(raw) -> int:
+    x = decode_rational(raw)
+    if x.denominator != 1:
+        raise ValueError(f"not an integer: {raw!r}")
+    return x.numerator
 
 
 def encode_field(f: NumberField) -> dict:
@@ -88,11 +95,11 @@ def decode_torus(doc: dict) -> dict:
     """Torus document -> {torus, kahler, polarization, cm} (absent -> None)."""
     f = decode_field(doc["field"])
     embs = f.embeddings()
-    idx = int(doc["embedding"])
+    idx = decode_int(doc["embedding"])
     if not 1 <= idx <= len(embs):
         raise ValueError("embedding index out of range")
     require_irreducible(embs[idx - 1])
-    torus = ComplexTorusData(int(doc["g"]), f, decode_matrix(f, doc["I"]), embs[idx - 1])
+    torus = ComplexTorusData(decode_int(doc["g"]), f, decode_matrix(f, doc["I"]), embs[idx - 1])
     kahler = None
     if doc.get("G") is None and doc.get("B") is not None:
         raise ValueError("B given without G")
@@ -131,7 +138,7 @@ def decode_cm_input(doc: dict) -> CmInput:
     autos = None
     if doc.get("automorphisms") is not None:
         autos = [decode_element(f, a) for a in doc["automorphisms"]]
-    return CmInput(f, basis, [int(i) for i in doc["phi"]], beta, autos)
+    return CmInput(f, basis, [decode_int(i) for i in doc["phi"]], beta, autos)
 
 
 def encode_pair(pair) -> dict:
@@ -152,5 +159,5 @@ def decode_pair(doc: dict):
         if k is None:
             raise ValueError(f"{key} side needs G (and B) for a mirror pair")
         sides.append(MirrorSide(k.torus, k, induce_gks(k)))
-    phi = [[int(v) for v in row] for row in doc["phi"]]
+    phi = [[decode_int(v) for v in row] for row in doc["phi"]]
     return MirrorPair(sides[0], sides[1], MirrorMap(phi))

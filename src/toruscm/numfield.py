@@ -6,19 +6,19 @@ reducible squarefree m, whose algebra has zero divisors: inverting one
 raises `ZeroDivisor`.  `require_irreducible`, run on the field of every
 torus document and CM input, raises `ReducibleMinpoly` for such an m.
 Embeddings are certified complex enclosures of the roots of m: real roots
-isolated by Sturm sequences, complex roots by interval-Newton certification
-of boxes seeded with Durand-Kerner approximations, or else by exact counts.
-No floating-point value ever decides anything; floats only pick where to
-*try* a certificate.
+isolated by the counts of one Sturm chain, then refined and tested by exact
+signs; complex roots by interval-Newton certification of boxes seeded with
+Durand-Kerner approximations, or else by exact counts.  No floating-point
+value ever decides anything; floats only pick where to *try* a certificate.
 
 `RootSet` holds the isolated boxes of one squarefree polynomial and is the
 single place that decides which root a value is (`locate`) and whether a
 polynomial vanishes at a root (`vanishes_at`); it backs the embeddings of a
 `NumberField`, which refine only on demand, and the factor extraction in
 `minpoly_factor_at`.  The loops that wait for a certificate (`locate`,
-`vanishes_at`, the factor candidates of `minpoly_factor_at` and the sign
-test behind `exact_sign`) stop after `MAX_ROUNDS` rounds and raise
-`NotConverged`.  Isolation and refinement never raise it: where Newton has
+`vanishes_at` at a complex root, the factor candidates of `minpoly_factor_at`
+and the sign test behind `exact_sign`) stop after `MAX_ROUNDS` rounds and
+raise `NotConverged`.  Isolation and refinement never raise it: where Newton has
 no proof, `_root_count` counts the roots in a rectangle exactly (the
 argument principle) and picks the half that keeps the root.  Refinement
 leaves an exact-point box as it is.
@@ -305,10 +305,11 @@ def _isolate_all_roots(p, dp):
     """
     d = polyq.degree(p)
     reals = []
-    chain = polyq.sturm_chain(p)
     for a, b in polyq.isolate_real_roots(p):
-        a, b = polyq.refine_real_root(p, a, b, Fraction(1, 1 << 8), chain)
-        reals.append(Box(Iv(a, b), Iv.point(0)))
+        box = Box(Iv(a, b), Iv.point(0))  # p changes sign across it: no end is a root
+        while box.width() >= Fraction(1, 1 << 8):
+            box = _bisect_real(p, box)
+        reals.append(box)
     n_upper = (d - len(reals)) // 2
     uppers = []
     seeds = _durand_kerner(p) if n_upper else None
@@ -399,18 +400,17 @@ class RootSet:
         g = polyq.pgcd(g, self.poly)  # roots of g outside this set cannot mislead
         if polyq.degree(g) < 1:
             return False
+        if self.is_real(i):
+            # root i is the only root of self.poly in [a, b] and g divides the
+            # squarefree self.poly, so g(root i) = 0 exactly when g changes
+            # sign across [a, b] or vanishes at an end
+            box = self.boxes[i]
+            return polyq.peval(g, box.re.lo) * polyq.peval(g, box.re.hi) <= 0
         dg = polyq.pderiv(g)
         for _ in range(MAX_ROUNDS):
             box = self.boxes[i]
             if not poly_eval_box(g, box).contains_zero():
                 return False
-            if self.is_real(i):
-                # root i is the only root of self.poly in [a, b], and g divides
-                # self.poly, so a root of g there is root i
-                a, b = box.re.lo, box.re.hi
-                if polyq.peval(g, a) == 0 or polyq.peval(g, b) == 0:
-                    return True
-                return polyq.count_roots(polyq.sturm_chain(g), a, b) == 1
             if _certify(g, dg, box):  # also settles an exact-point box
                 return True
             self.refine(i, box.width() / 2)

@@ -2,8 +2,8 @@
 
 Polynomials are tuples of `Fraction` coefficients in ascending degree with
 no trailing zeros; the zero polynomial is the empty tuple.  Includes Sturm
-sequences and certified real-root isolation (the real half of the root
-machinery in :mod:`toruscm.numfield`).
+sequences and real-root isolation by the counts of one Sturm chain (the real
+half of the root machinery in :mod:`toruscm.numfield`, which refines by signs).
 """
 
 from __future__ import annotations
@@ -152,13 +152,11 @@ def _nonroot_point(p, a, b) -> Fraction:
 
 
 def isolate_real_roots(p):
-    """Disjoint isolating intervals (a, b], one simple real root each.
-
-    Requires a squarefree polynomial.
-    """
-    if not is_squarefree(p):
-        raise ValueError("polynomial must be squarefree")
+    """Disjoint isolating intervals (a, b], one simple real root each and no
+    end a root.  p must be squarefree: the chain ends in gcd(p, p')."""
     chain = sturm_chain(p)
+    if degree(chain[-1]) > 0:
+        raise ValueError("polynomial must be squarefree")
     bound = cauchy_bound(p)
     out = []
 
@@ -177,14 +175,3 @@ def isolate_real_roots(p):
     out.sort()
     return out
 
-
-def refine_real_root(p, a, b, width, chain=None):
-    """Shrink the isolating interval (a, b] below `width` by bisection."""
-    chain = chain or sturm_chain(p)
-    while b - a >= width:
-        m = _nonroot_point(p, a, b)
-        if count_roots(chain, a, m) == 1:
-            b = m
-        else:
-            a = m
-    return a, b

@@ -75,18 +75,16 @@ def chiral_sublattice(lat: PairingLattice) -> ChiralReport:
     rank = len(basis)
     index = row_lattice_index(basis, lat.n)
     rational = index != math.inf
-    zr = _part_rank(lat, basis)
+    zr = _part_rank(lat)
     return ChiralReport(basis, lat.n, rank, index, rational, zr, rank - zr)
 
 
-def _part_rank(lat: PairingLattice, basis) -> int:
-    """Rank of Lambda_ch intersected with the z side, the +1 eigenspace:
-    the rational combinations of the basis that P- = 1 - P+ kills."""
-    if not basis:
-        return 0
+def _part_rank(lat: PairingLattice) -> int:
+    """Rank of Lambda_ch meet the z side, the +1 eigenspace: a lambda there is
+    its own z part, so lies in Lambda_ch, and the rank is that of the
+    rational kernel of P- = 1 - P+."""
     p_minus = FieldMatrix.identity(lat.field, lat.n) - lat.p_plus
-    columns = FieldMatrix(lat.field, basis).transpose()
-    return len(rational_kernel(p_minus * columns))
+    return len(rational_kernel(p_minus))
 
 
 def va_rational(report: ChiralReport) -> bool:

@@ -99,6 +99,8 @@ def _malformed_tori(fixture_dir):
     bad = [[1], dict(good, embedding=None), dict(good, field=["0", "1"])]
     bad.append(dict(good, I=[[["0"], ["-1"]], 3]))
     bad.append(dict(good, G=None, B=[[1, 2], [3]]))
+    bad += [dict(good, embedding=e) for e in (1.5, True)]
+    bad += [dict(good, g=1.5), dict(good, g="3/2")]
     bad += [dict(good, **change) for change, _ in BAD_METRICS]
     return [json.dumps(d) for d in bad]
 
@@ -135,7 +137,15 @@ def test_malformed_documents_exit_2_without_traceback(capsys, fixture_dir):
         ["mirror", "isogeny", "--pair", "[]"],
         ["mirror", "construct", "--A", '[["1"]]', "--rho", "[[null]]"],
         ["mirror", "construct", "--A", "[1]", "--rho", "[[-1]]"],
+        ["mirror", "construct", "--A", '[["1"]]', "--rho", "[[-1.5]]"],
+        ["mirror", "construct", "--A", '[["1"]]', "--rho", '[["-3/2"]]'],
     ]
+    cm = dict(json.load(open(fixture_dir / "tau_i.json"))["cm"], phi=[1.5])
+    argvs.append(["cm", "build", "--input", json.dumps(cm)])
+    pair = json.load(open(GOLDEN / "mirror_construct_a1_rho_minus1.json"))
+    pair["phi"][0][2] = 1.5  # truncated, it would be the valid entry 1
+    for cmd in (["mirror", "verify"], ["mirror", "isogeny"]):
+        argvs.append(cmd + ["--pair", json.dumps(pair)])
     for argv in argvs:
         code, out = invoke(capsys, argv)
         assert code == 2, argv
@@ -346,6 +356,13 @@ def test_demo_section4_cli(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["ij_rational"] is False and doc["cm_left"] == "CM"
     assert json.loads(out_path.read_text()) == doc
+
+
+def test_demo_section4_with_an_unwritable_out_prints_only_the_error(capsys, tmp_path):
+    out_path = tmp_path / "missing" / "report.json"
+    code, out = invoke(capsys, ["demo", "section4", "--out", str(out_path)])
+    assert code == 2
+    assert json.loads(out) == {"ok": False, "error": f"no such file: {out_path}"}
 
 
 def test_outputs_deterministic(capsys, fixture_dir):

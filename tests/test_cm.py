@@ -150,6 +150,16 @@ def test_phi_with_conjugate_pair_rejected(zeta5_cm):
         bad.validate()
 
 
+@pytest.mark.parametrize("index", [0, 3, -1])
+def test_phi_index_outside_1_to_d_rejected(index):
+    k = make_field([1, 0, 1], conj_image=[0, -1])
+    basis = [k.one(), k.gen()]
+    with pytest.raises(ValueError, match=f"Phi index {index} is not an embedding index 1..2"):
+        CmInput(k, basis, [index]).validate()
+    with pytest.raises(ValueError, match=f"Phi index {index} "):
+        find_beta(k, basis, [index], 3)
+
+
 def test_endomorphism_algebra_tau_i():
     t, _, _ = tau_i_torus()
     end = endomorphism_algebra(t)

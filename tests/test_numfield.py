@@ -227,6 +227,18 @@ def test_rationals_field():
     assert exact_sign(qq.from_rational(Fraction(-3, 7)), e) == -1
 
 
+def test_rational_roots_embed_as_exact_points():
+    # the first sign bisection of an isolating interval hits these roots
+    fields = [(rationals(), 0), (make_field([0, 1], [0]), 0), (make_field([-3, 1]), 3)]
+    for f, root in fields:
+        assert f.embeddings()[0].enclosure() == Box.point(root)
+
+
+def test_isolate_real_roots_rejects_a_square():
+    with pytest.raises(ValueError, match="squarefree"):
+        polyq.isolate_real_roots(polyq.poly([0, 0, -1, 1]))  # x^2 (x - 1)
+
+
 def _point_encloser(v, widths):
     def enclose(width):
         widths.append(width)
@@ -400,12 +412,13 @@ def test_refine_leaves_an_exact_point_box():
 _EPS = Fraction(1, 1 << 32)
 
 
-def _sympy_root_boxes(p):
-    """Closed rectangles from sympy's exact isolation, one per root of p."""
+def _sympy_root_boxes(p, eps=_EPS):
+    """Closed rectangles from sympy's exact isolation, one per root of p,
+    refined below eps."""
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
     sp = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p)], x)
-    reals, cplx = sp.intervals(all=True, eps=sympy.Rational(1, 1 << 32))
+    reals, cplx = sp.intervals(all=True, eps=sympy.Rational(eps.numerator, eps.denominator))
 
     def q(r):
         r = sympy.Rational(r)
@@ -435,14 +448,22 @@ def _product(factors):
 
 
 def test_rootset_boxes_match_sympy_isolation():
-    pytest.importorskip("sympy")
+    sympy = pytest.importorskip("sympy")
     hypothesis = pytest.importorskip("hypothesis")
 
     def agree(p, width):
         roots = RootSet(p)
+        for i in range(roots.nreal):  # as built: sign bisection stops below 2^-8
+            assert roots.boxes[i].im == Iv.point(0)
+            assert roots.boxes[i].width() < Fraction(1, 1 << 8)
+        oracle = _sympy_root_boxes(p, width)  # finer than the roots' spacing
+        agree_boxes(roots, oracle)
         for i in range(len(roots.boxes)):
             roots.refine(i, width)
-        boxes = roots.boxes
+        agree_boxes(roots, oracle)
+
+    def agree_boxes(roots, oracle):
+        p, boxes = roots.poly, roots.boxes
         assert len(boxes) == polyq.degree(p)
         for i in range(len(boxes)):
             if not roots.is_real(i):  # each upper root is followed by its conjugate
@@ -450,9 +471,13 @@ def test_rootset_boxes_match_sympy_isolation():
                 assert boxes[roots.conj(i)] == boxes[i].conj()
             for j in range(i + 1, len(boxes)):
                 assert boxes[i].disjoint(boxes[j])
-        oracle = _sympy_root_boxes(p)
         for b in boxes:
             assert sum(not b.disjoint(r) for r in oracle) == 1
+
+    x = sympy.Symbol("x")
+
+    def sympy_real_roots(p):  # exact, ascending, as the real embeddings are
+        return sympy.Poly([int(c) for c in reversed(p)], x).real_roots()
 
     @hypothesis.settings(max_examples=30, deadline=None, derandomize=True)
     @hypothesis.given(_monic_factors())
@@ -460,6 +485,13 @@ def test_rootset_boxes_match_sympy_isolation():
         p = _product(factors)
         hypothesis.assume(polyq.is_squarefree(p))
         agree(p, _EPS)
+        roots = RootSet(p)  # real boxes as built, 2^-8 wide or exact points
+        exact = sympy_real_roots(p)
+        assert len(exact) == roots.nreal
+        for f in factors:
+            of_f = set(sympy_real_roots(f))
+            for i, r in enumerate(exact):
+                assert roots.vanishes_at(f, i) == (r in of_f)
 
     check()
     # x^4 + (2 + e) x^2 + (1 + e) has the roots +-i and +-i sqrt(1 + e), about
@@ -524,6 +556,29 @@ def _sympy_product_oracle(f):
         return cs + [Fraction(0)] * (f.degree - len(cs))
 
     return rem
+
+
+@pytest.mark.parametrize(
+    "minpoly",
+    # Q(i), Q(zeta5), Q(2 sin 2pi/5), Q(2^(1/4)), Q(zeta7)
+    [[1, 0, 1], [1] * 5, [5, 0, -5, 0, 1], [-2, 0, 0, 0, 1], [1] * 7],
+    ids=lambda m: "x^%d: %s" % (len(m) - 1, ",".join(map(str, m))),
+)
+def test_trace_matches_sympy_characteristic_polynomial(minpoly):
+    # Tr(x) is minus the y^(d-1) coefficient of res_t(m(t), y - x(t)), the
+    # characteristic polynomial of x
+    sympy = pytest.importorskip("sympy")
+    t, y = sympy.symbols("t y")
+    f = make_field(minpoly)
+    m = sum(c * t**i for i, c in enumerate(minpoly))
+    rng = random.Random(len(minpoly) * 100 + minpoly[0])
+    for _ in range(12):
+        x = _seeded_element(rng, f)
+        xt = sum(sympy.Rational(c.numerator, c.denominator) * t**i for i, c in enumerate(x.coords))
+        charpoly = sympy.Poly(sympy.resultant(m, y - xt, t), y).all_coeffs()
+        assert len(charpoly) == f.degree + 1 and charpoly[0] == 1
+        want = -charpoly[1]
+        assert trace_q(x) == Fraction(int(want.p), int(want.q))
 
 
 def _sum_coords(rows, degree):
