@@ -1,8 +1,13 @@
-"""Exact rational interval and complex-box arithmetic.
+"""Rational interval and complex-box arithmetic.
 
-Endpoints are `fractions.Fraction`; every operation is outward-exact, so a
-box computed from enclosures always contains the true value.  Used for the
-certified embedding enclosures in :mod:`toruscm.numfield`.
+Endpoints are `fractions.Fraction`, and every comparison is exact.  The
+arithmetic behind the root boxes of :mod:`toruscm.numfield`
+(`poly_eval_box`, `newton_step` and `root_product`) runs in fixed point:
+boxes move to integer mantissas at scale 2^prec with lo floored and hi
+ceiled, products shift back with the same outward rounding, and the result
+is a box with power-of-two denominators that contains the exact one.  prec
+is 64 guard bits past the width of the input, so enclosures tighten as
+their boxes shrink; exact points are evaluated exactly.
 """
 
 from __future__ import annotations
@@ -35,32 +40,8 @@ class Iv:
     def of(lo, hi) -> "Iv":
         return Iv(_frac(lo), _frac(hi))
 
-    def __add__(self, o: "Iv") -> "Iv":
-        return Iv(self.lo + o.lo, self.hi + o.hi)
-
-    def __sub__(self, o: "Iv") -> "Iv":
-        return Iv(self.lo - o.hi, self.hi - o.lo)
-
     def __neg__(self) -> "Iv":
         return Iv(-self.hi, -self.lo)
-
-    def __mul__(self, o: "Iv") -> "Iv":
-        c = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
-        return Iv(min(c), max(c))
-
-    def scale(self, c) -> "Iv":
-        c = _frac(c)
-        return Iv(self.lo * c, self.hi * c) if c >= 0 else Iv(self.hi * c, self.lo * c)
-
-    def recip(self) -> "Iv":
-        if self.contains_zero():
-            raise ZeroDivisionError("interval straddles zero")
-        return Iv(1 / self.hi, 1 / self.lo)
-
-    def sq(self) -> "Iv":
-        c = (self.lo * self.lo, self.hi * self.hi)
-        lo = Fraction(0) if self.contains_zero() else min(c)
-        return Iv(lo, max(c))
 
     def contains_zero(self) -> bool:
         return self.lo <= 0 <= self.hi
@@ -100,13 +81,6 @@ class Iv:
             return self.lo == o.lo
         return o.lo < self.lo and self.hi < o.hi
 
-    def dyadic_outward(self, bits: int) -> "Iv":
-        """Round endpoints outward onto the 2^-bits grid (caps denominators)."""
-        s = 1 << bits
-        import math
-
-        return Iv(Fraction(math.floor(self.lo * s), s), Fraction(math.ceil(self.hi * s), s))
-
 
 @dataclass(frozen=True)
 class Box:
@@ -119,34 +93,11 @@ class Box:
     def point(re, im=0) -> "Box":
         return Box(Iv.point(re), Iv.point(im))
 
-    def __add__(self, o: "Box") -> "Box":
-        return Box(self.re + o.re, self.im + o.im)
-
-    def __sub__(self, o: "Box") -> "Box":
-        return Box(self.re - o.re, self.im - o.im)
-
-    def __neg__(self) -> "Box":
-        return Box(-self.re, -self.im)
-
     def __mul__(self, o: "Box") -> "Box":
-        return Box(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
-
-    def scale(self, c) -> "Box":
-        return Box(self.re.scale(c), self.im.scale(c))
+        return _unfix(_mul(_fix(self, None), _fix(o, None), None), None)  # exact
 
     def conj(self) -> "Box":
         return Box(self.re, -self.im)
-
-    def mag2(self) -> Iv:
-        return self.re.sq() + self.im.sq()
-
-    def __truediv__(self, o: "Box") -> "Box":
-        m = o.mag2()
-        if m.contains_zero():
-            raise ZeroDivisionError("denominator box may contain zero")
-        num = self * o.conj()
-        r = m.recip()
-        return Box(num.re * r, num.im * r)
 
     def contains_zero(self) -> bool:
         return self.re.contains_zero() and self.im.contains_zero()
@@ -168,16 +119,108 @@ class Box:
     def mid(self) -> "Box":
         return Box.point(self.re.mid(), self.im.mid())
 
-    def dyadic_outward(self, bits: int) -> "Box":
-        return Box(self.re.dyadic_outward(bits), self.im.dyadic_outward(bits))
-
     def approx(self) -> complex:
         return complex(self.re.mid()) + 1j * complex(self.im.mid())
 
 
-def poly_eval_box(coeffs, z: Box) -> Box:
-    """Horner evaluation of a rational-coefficient polynomial on a box."""
-    acc = Box.point(0)
+# ---------------------------------------------------------------------------
+# Fixed-point kernel: a box as integer mantissas (re.lo, re.hi, im.lo, im.hi)
+# at scale 2^prec, or as its exact Fraction endpoints when prec is None
+
+
+def _prec(width: Fraction) -> int | None:
+    """64 guard bits past a box's width; None (exact) for a point."""
+    if width == 0:
+        return None
+    return 64 + max(0, width.denominator.bit_length() - width.numerator.bit_length())
+
+
+def _floor(x, prec):
+    return x if prec is None else (x.numerator << prec) // x.denominator
+
+
+def _ceil(x, prec):
+    return x if prec is None else -((-x.numerator << prec) // x.denominator)
+
+
+def _fix(z: Box, prec) -> tuple:
+    return _floor(z.re.lo, prec), _ceil(z.re.hi, prec), _floor(z.im.lo, prec), _ceil(z.im.hi, prec)
+
+
+def _unfix(m, prec) -> Box:
+    s = 1 if prec is None else 1 << prec
+    return Box(Iv(Fraction(m[0], s), Fraction(m[1], s)), Iv(Fraction(m[2], s), Fraction(m[3], s)))
+
+
+def _span(a, b, c, d):
+    """[a, b] * [c, d]."""
+    ps = (a * c, a * d, b * c, b * d)
+    return min(ps), max(ps)
+
+
+def _mul(x, y, prec):
+    """x * y, each part summed exactly and then shifted back outward."""
+    a, b, c, d = x
+    e, f, g, h = y
+    rl, rh = _span(a, b, e, f)
+    il, ih = _span(c, d, g, h)
+    sl, sh = _span(a, b, g, h)
+    tl, th = _span(c, d, e, f)
+    if prec is None:
+        return rl - ih, rh - il, sl + tl, sh + th
+    return (rl - ih) >> prec, -((il - rh) >> prec), (sl + tl) >> prec, -((-sh - th) >> prec)
+
+
+def _horner(coeffs, x, prec):
+    acc = (0, 0, 0, 0)
     for c in reversed(coeffs):
-        acc = acc * z + Box.point(c)
+        a, b, lo, hi = _mul(acc, x, prec)
+        acc = a + _floor(c, prec), b + _ceil(c, prec), lo, hi
     return acc
+
+
+def _sq(a, b):
+    """[a, b]^2 as a set of squares."""
+    return (0 if a <= 0 <= b else min(a * a, b * b)), max(a * a, b * b)
+
+
+def _div(lo, hi, nlo, nhi, prec):
+    """[lo, hi] / [nlo, nhi] at scale 2^prec, outward, for 0 < nlo: one exact
+    integer division, so the quotient keeps its relative precision."""
+    return (lo << prec) // (nhi if lo >= 0 else nlo), -((-hi << prec) // (nlo if hi >= 0 else nhi))
+
+
+def poly_eval_box(coeffs, z: Box) -> Box:
+    """Horner enclosure of a rational-coefficient polynomial on a box."""
+    prec = _prec(z.width())
+    return _unfix(_horner(coeffs, _fix(z, prec), prec), prec)
+
+
+def newton_step(p, dp, z: Box) -> Box | None:
+    """A box around the interval-Newton image m - p(m) / p'(z) of a box z of
+    positive width, m its midpoint; None if p'(z) may vanish."""
+    prec = _prec(z.width())
+    d = _horner(dp, _fix(z, prec), prec)
+    if d[0] <= 0 <= d[1] and d[2] <= 0 <= d[3]:
+        return None
+    m = _fix(z.mid(), prec)
+    # p(m) / d = p(m) conj(d) / |d|^2, both at scale 2^(2 prec)
+    g = _mul(_horner(p, m, prec), (d[0], d[1], -d[3], -d[2]), 0)
+    n = [a + b for a, b in zip(_sq(d[0], d[1]), _sq(d[2], d[3]))]
+    q = _div(g[0], g[1], *n, prec) + _div(g[2], g[3], *n, prec)
+    return _unfix((m[0] - q[1], m[1] - q[0], m[2] - q[3], m[3] - q[2]), prec)
+
+
+def root_product(zs) -> list:
+    """Ascending coefficient boxes of prod (x - z) over the boxes zs."""
+    prec = _prec(max(z.width() for z in zs))
+    cs = [_fix(Box.point(1), prec)]
+    for z in zs:
+        x = _fix(z, prec)
+        prods = [_mul(c, x, prec) for c in cs]
+        # (x - z) * sum c_k x^k: new c_k = c_(k-1) - z c_k
+        cs = [
+            (a[0] - b[1], a[1] - b[0], a[2] - b[3], a[3] - b[2])
+            for a, b in zip([(0, 0, 0, 0)] + cs, prods + [(0, 0, 0, 0)])
+        ]
+    return [_unfix(c, prec) for c in cs]

@@ -7,9 +7,11 @@ raises `ZeroDivisor`.  `require_irreducible`, run on the field of every
 torus document and CM input, raises `ReducibleMinpoly` for such an m.
 Embeddings are certified complex enclosures of the roots of m: real roots
 isolated by the counts of one Sturm chain, then refined and tested by exact
-signs; complex roots by interval-Newton certification of boxes seeded with
-Durand-Kerner approximations, or else by exact counts.  No floating-point
-value ever decides anything; floats only pick where to *try* a certificate.
+signs; complex roots by interval-Newton certification of dyadic boxes
+seeded with Durand-Kerner approximations, or else by exact counts.  Boxes
+are evaluated in outward-rounded fixed point (:mod:`toruscm.boxes`) and
+exact points exactly.  No floating-point value ever decides anything;
+floats only pick where to *try* a certificate.
 
 `RootSet` holds the isolated boxes of one squarefree polynomial and is the
 single place that decides which root a value is (`locate`) and whether a
@@ -26,12 +28,13 @@ leaves an exact-point box as it is.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from fractions import Fraction
 
 from . import polyq
-from .boxes import Box, Iv, poly_eval_box
+from .boxes import Box, Iv, newton_step, poly_eval_box, root_product
 
 
 class NotSquarefree(ValueError):
@@ -82,9 +85,7 @@ def _durand_kerner(p, iters=400):
     d = polyq.degree(p)
     try:
         cs = [complex(c) / complex(p[-1]) for c in p]
-        if any(
-            not (math.isfinite(x.real) and math.isfinite(x.imag)) for x in cs
-        ):
+        if not all(cmath.isfinite(x) for x in cs):
             return None
     except (OverflowError, ValueError):
         return None
@@ -109,35 +110,28 @@ def _durand_kerner(p, iters=400):
     return zs
 
 
-def _newton_step(p, dp, box: Box) -> Box | None:
-    """One interval-Newton step; None if the derivative box straddles 0."""
-    dval = poly_eval_box(dp, box)
-    if dval.contains_zero():
-        return None
-    mid = box.mid()
-    return mid - poly_eval_box(p, mid) / dval
+def _certify(p, dp, box: Box) -> Box | None:
+    """Interval-Newton proof that box contains exactly one root of p: the
+    Newton image, inside the box and holding that root, or None."""
+    if box.width() == 0:  # an exact point, evaluated exactly
+        return box if poly_eval_box(p, box).contains_zero() else None
+    n = newton_step(p, dp, box)
+    return n if n is not None and n.inside(box) else None
 
 
-def _certify(p, dp, box: Box) -> bool:
-    """Interval-Newton proof that box contains exactly one root of p."""
-    n = _newton_step(p, dp, box)
-    return n is not None and n.inside(box)
+def _newton_cut(p, dp, box: Box) -> Box | None:
+    """The part of a box holding one root of p that a Newton step keeps, if
+    it is at most 3/4 as wide (clipped to the box, so no neighbour gets in)."""
+    n = newton_step(p, dp, box)
+    cut = None if n is None else n.intersect(box)
+    return cut if cut is not None and cut.width() <= box.width() * Fraction(3, 4) else None
 
 
 def _refine_certified(p, dp, box: Box, width: Fraction) -> Box:
     """Shrink a box holding one root of p below `width` (Newton with
     bisection fallback)."""
-    bits = 16
-    while Fraction(1, 1 << bits) > width / 4:
-        bits += 16
     while box.width() >= width:
-        n = _newton_step(p, dp, box)
-        if n is not None:
-            cut = n.intersect(box)
-            if cut is not None and cut.width() <= box.width() * Fraction(3, 4):
-                box = cut.dyadic_outward(bits).intersect(box)  # no neighbour gets in
-                continue
-        box = _bisect_certified(p, dp, box)
+        box = _newton_cut(p, dp, box) or _bisect_certified(p, dp, box)
     return box
 
 
@@ -146,7 +140,7 @@ def _bisect_certified(p, dp, box: Box) -> Box:
     half of the midpoint cut that interval Newton certifies, else the half
     that the exact count gives the root."""
     for h in _halves(box, Fraction(1, 2)):
-        if _certify(p, dp, h):
+        if _certify(p, dp, h) is not None:
             return h
     low, high, n = _cut(p, box)
     return high if n == 0 else low
@@ -204,23 +198,10 @@ def _root_count(p, box: Box) -> int | None:
 def _refine_box_once(p, dp, box: Box) -> Box:
     if box.width() == 0:
         return box  # an exact point cannot shrink further
-    # Newton first in all cases; real boxes fall back to an exact sign
-    # bisection, so they never need a new Sturm chain after isolation
+    # Newton first (a real box has a real image); real boxes fall back to an
+    # exact sign bisection, so they never need a Sturm chain after isolation
     if box.im.lo == box.im.hi == 0:
-        n = _newton_step(p, dp, box)
-        if n is not None:
-            cut = n.intersect(box)
-            if cut is not None and cut.width() <= box.width() * Fraction(3, 4):
-                # grid must be much finer than the contraction or the
-                # outward rounding eats the progress; clipping to the box
-                # keeps a close neighbouring root out
-                bits = 16
-                while Fraction(1, 1 << bits) > box.width() / 64:
-                    bits += 16
-                out = cut.dyadic_outward(bits).intersect(box)
-                if out.width() < box.width():
-                    return Box(out.re, Iv.point(0))
-        return _bisect_real(p, box)
+        return _newton_cut(p, dp, box) or _bisect_real(p, box)
     return _refine_certified(p, dp, box, box.width() / 2)
 
 
@@ -258,16 +239,15 @@ def _min_separation(approx, reals):
 
 
 def _certify_around(p, dp, z: complex, sep: float) -> Box | None:
-    re = Fraction(z.real).limit_denominator(1 << 48)
-    im = Fraction(z.imag).limit_denominator(1 << 48)
-    base = Fraction(sep).limit_denominator(1 << 30) / 3
-    for shrink in range(14):
-        r = base / (1 << shrink)
-        if r == 0:
-            break
-        box = Box(Iv(re - r, re + r), Iv(im - r, im + r))
-        if _certify(p, dp, box):
-            return _refine_certified(p, dp, box, Fraction(1, 1 << 16))
+    """A certified box around the float root z, on the dyadic grid: centre
+    rounded to 2^-48, radius the powers of two from the largest <= sep/3."""
+    re, im = (Fraction(round(Fraction(x) * (1 << 48)), 1 << 48) for x in (z.real, z.imag))
+    r = Fraction(2) ** (math.frexp(sep / 3)[1] - 1)
+    for _ in range(14):
+        n = _certify(p, dp, Box(Iv(re - r, re + r), Iv(im - r, im + r)))
+        if n is not None:
+            return _refine_certified(p, dp, n, Fraction(1, 1 << 16))
+        r /= 2
     return None
 
 
@@ -319,20 +299,11 @@ def _isolate_all_roots(p, dp):
         )
         if len(approx) == n_upper:
             sep = _min_separation(approx, reals)
+            # sep <= 2 Im z, so each box lies strictly above the real axis
             uppers = [_certify_around(p, dp, z, sep) for z in approx]
     if len(uppers) < n_upper or None in uppers:
         return reals, _subdivision_upper_roots(p, n_upper)
-    # force boxes strictly off the real axis
-    uppers = [
-        b if b.im.strictly_positive() else _strictly_upper(p, dp, b) for b in uppers
-    ]
     return reals, uppers
-
-
-def _strictly_upper(p, dp, box: Box) -> Box:
-    while not box.im.strictly_positive():
-        box = _refine_certified(p, dp, box, box.width() / 2)
-    return box
 
 
 class RootSet:
@@ -411,7 +382,7 @@ class RootSet:
             box = self.boxes[i]
             if not poly_eval_box(g, box).contains_zero():
                 return False
-            if _certify(g, dg, box):  # also settles an exact-point box
+            if _certify(g, dg, box) is not None:  # also settles an exact-point box
                 return True
             self.refine(i, box.width() / 2)
         raise NotConverged("root membership test did not converge")
@@ -842,42 +813,27 @@ def _candidate_factor(roots: RootSet, subset, den_bound, target):
 
     Candidates are rounded from coefficient intervals and confirmed by
     exact polynomial division plus a certified check that the target root
-    vanishes, so coarse intervals are safe; only a failed division at the
-    guaranteed uniqueness width rejects the subset.
+    vanishes, so coarse intervals are safe.  The subset is rejected when a
+    coefficient box holds no rational of bounded denominator, or when a
+    failed division comes at the guaranteed uniqueness width.
     """
     unique_width = Fraction(1, 2 * den_bound * den_bound)
     for _ in range(MAX_ROUNDS):
-        coeffs = [Box.point(1)]  # ascending coefficients of prod (x - root_i)
-        for i in subset:
-            b = roots.boxes[i]
-            new = [Box.point(0)] * (len(coeffs) + 1)
-            for k, c in enumerate(coeffs):
-                new[k + 1] = new[k + 1] + c
-                new[k] = new[k] - c * b
-            coeffs = new
+        coeffs = root_product([roots.boxes[i] for i in subset])
         cand = []
-        guaranteed = True
-        usable = True
         for cbox in coeffs[:-1]:
-            if not cbox.im.contains_zero():
-                return None  # a conjugation-closed product has real coefficients
-            iv = cbox.re
-            if iv.width() >= unique_width:
-                guaranteed = False
             # limit_denominator returns the closest bounded-denominator
-            # rational, so a miss rules out every such rational in iv
-            r = iv.mid().limit_denominator(den_bound)
-            if not iv.contains(r):
-                usable = False
-                break
+            # rational, so a miss rules out every such rational in the box
+            r = cbox.re.mid().limit_denominator(den_bound)
+            if not (cbox.im.contains_zero() and cbox.re.contains(r)):
+                return None  # a factor has such rational coefficients
             cand.append(r)
-        if usable:
-            candidate = polyq.poly(cand + [Fraction(1)])
-            if polyq.is_zero(polyq.pmod(roots.poly, candidate)) and roots.vanishes_at(
-                candidate, target
-            ):
-                return candidate
-        if guaranteed:
+        candidate = polyq.poly(cand + [Fraction(1)])
+        if polyq.is_zero(polyq.pmod(roots.poly, candidate)) and roots.vanishes_at(
+            candidate, target
+        ):
+            return candidate
+        if all(c.re.width() < unique_width for c in coeffs):
             # intervals this tight pin the only possible rational factor
             return None
         for i in subset:

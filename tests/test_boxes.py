@@ -1,0 +1,131 @@
+"""The fixed-point kernel of `boxes` against exact complex Fraction arithmetic:
+every enclosure holds the exact value and lands on the dyadic grid, and an
+exact point is evaluated exactly."""
+
+from fractions import Fraction
+
+import pytest
+
+from toruscm import polyq
+from toruscm.boxes import Box, Iv, newton_step, poly_eval_box, root_product
+
+
+def _cmul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _cdiv(a, b):
+    n = b[0] * b[0] + b[1] * b[1]
+    re, im = _cmul(a, (b[0], -b[1]))
+    return re / n, im / n
+
+
+def _peval(p, z):
+    acc = (Fraction(0), Fraction(0))
+    for c in reversed(p):
+        re, im = _cmul(acc, z)
+        acc = (re + c, im)
+    return acc
+
+
+def _holds(box, z):
+    return box.re.contains(z[0]) and box.im.contains(z[1])
+
+
+def _dyadic(box):
+    ends = (box.re.lo, box.re.hi, box.im.lo, box.im.hi)
+    return all(e.denominator & (e.denominator - 1) == 0 for e in ends)
+
+
+def _strategies():
+    from hypothesis import strategies as st
+
+    # non-dyadic rationals (a denominator with an odd factor), and dyadic
+    # ones, whose products at the corners fill the bits below the grid
+    odd = st.integers(1, 10**6).map(lambda k: 2 * k + 1)
+    den = st.one_of(odd, st.integers(0, 80).map(lambda j: 1 << j))
+    centre = st.builds(Fraction, st.integers(-(10**15), 10**15), den)
+    # half-width 2^-k, or 2^-k times a non-dyadic factor in [1/2, 1)
+    factor = st.one_of(st.just(1), odd.map(lambda a: Fraction(a + 7, 2 * a + 7)))
+    half = st.builds(lambda k, f: Fraction(1, 1 << k) * f, st.integers(2, 60), factor)
+    box = st.builds(
+        lambda x, y, hx, hy, real: Box(
+            Iv(x - hx, x + hx), Iv.point(0) if real else Iv(y - hy, y + hy)
+        ),
+        centre, centre, half, half, st.booleans(),
+    )
+    coeff = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 7))
+    poly = st.lists(coeff, min_size=2, max_size=7).map(polyq.poly).filter(
+        lambda p: polyq.degree(p) >= 1
+    )
+    return st, box, poly
+
+
+def _points_in(st, box):
+    """A rational point of the box: a corner, the midpoint or between."""
+    t = st.builds(Fraction, st.integers(0, 1000), st.just(1000))
+    return st.tuples(t, t).map(
+        lambda ts: (box.re.lo + ts[0] * box.re.width(), box.im.lo + ts[1] * box.im.width())
+    )
+
+
+def test_poly_eval_box_encloses_the_exact_values():
+    hypothesis = pytest.importorskip("hypothesis")
+    st, boxes, polys = _strategies()
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(boxes, polys, st.data())
+    def check(box, p, data):
+        enclosure = poly_eval_box(p, box)
+        assert _dyadic(enclosure)
+        for _ in range(3):
+            z = data.draw(_points_in(st, box))
+            exact = _peval(p, z)
+            assert _holds(enclosure, exact)
+            assert poly_eval_box(p, Box.point(*z)) == Box.point(*exact)
+
+    check()
+
+
+def test_newton_step_encloses_the_exact_image_at_the_midpoint():
+    hypothesis = pytest.importorskip("hypothesis")
+    st, boxes, polys = _strategies()
+    images = []
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(boxes, polys)
+    def check(box, p):
+        image = newton_step(p, polyq.pderiv(p), box)
+        if image is None:  # p' may vanish on the box
+            return
+        images.append(image)
+        m = (box.re.mid(), box.im.mid())
+        exact = _cdiv(_peval(p, m), _peval(polyq.pderiv(p), m))
+        assert _holds(image, (m[0] - exact[0], m[1] - exact[1]))
+        assert _dyadic(image)
+
+    check()
+    assert len(images) > 100
+
+
+def test_root_product_encloses_the_exact_coefficients():
+    hypothesis = pytest.importorskip("hypothesis")
+    st, boxes, _ = _strategies()
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(st.lists(boxes, min_size=1, max_size=4), st.data())
+    def check(zs, data):
+        points = [data.draw(_points_in(st, z)) for z in zs]
+        exact = [(Fraction(1), Fraction(0))]  # ascending coefficients
+        for z in points:
+            shifted = [(Fraction(0), Fraction(0))] + exact
+            prods = [_cmul(c, z) for c in exact] + [(Fraction(0), Fraction(0))]
+            exact = [(a[0] - b[0], a[1] - b[1]) for a, b in zip(shifted, prods)]
+        got = root_product(zs)
+        assert len(got) == len(exact)
+        assert all(_holds(box, c) for box, c in zip(got, exact))
+        assert all(_dyadic(box) for box in got)
+        exact_points = root_product([Box.point(*z) for z in points])
+        assert exact_points == [Box.point(*c) for c in exact]
+
+    check()

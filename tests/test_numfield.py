@@ -407,6 +407,42 @@ def test_refine_leaves_an_exact_point_box():
     assert roots.refine(0, point.width() / 2) == point
 
 
+# the fields of the CM pipeline: L = Q(sigma zeta5, i), Q(zeta5), a real
+# quartic and Q(sqrt(-(10^27 + 57))), whose |p'|^2 ~ 4 10^27 asks for a
+# Newton quotient with relative precision
+_CM_FIELD_POLYS = {
+    "L_zeta5": [16, 16, 8, 0, -4, 0, 2, 2, 1],
+    "zeta5": [1, 1, 1, 1, 1],
+    "real_quartic": [2000, 0, -100, 0, 1],
+    "disc27": [10**27 + 57, 0, 1],
+}
+
+
+@pytest.mark.parametrize("coeffs", _CM_FIELD_POLYS.values(), ids=_CM_FIELD_POLYS.keys())
+def test_newton_certifies_every_complex_root_of_the_cm_fields(coeffs, monkeypatch):
+    from toruscm import numfield
+
+    subdivisions = []
+    exact_counts = numfield._subdivision_upper_roots
+
+    def counted(p, count):
+        subdivisions.append(count)
+        return exact_counts(p, count)
+
+    monkeypatch.setattr(numfield, "_subdivision_upper_roots", counted)
+    p = polyq.poly(coeffs)
+    reals, uppers = numfield._isolate_all_roots(p, polyq.pderiv(p))
+    assert subdivisions == []
+    assert len(reals) + 2 * len(uppers) == polyq.degree(p)
+
+
+@pytest.mark.parametrize("coeffs", _CM_FIELD_POLYS.values(), ids=_CM_FIELD_POLYS.keys())
+def test_isolated_root_boxes_have_power_of_two_denominators(coeffs):
+    roots = RootSet(coeffs)
+    ends = [e for b in roots.boxes for e in (b.re.lo, b.re.hi, b.im.lo, b.im.hi)]
+    assert all(e.denominator & (e.denominator - 1) == 0 for e in ends)
+
+
 # -- sympy oracle ------------------------------------------------------------
 
 _EPS = Fraction(1, 1 << 32)
