@@ -3,17 +3,17 @@
 FieldMatrix is a dense matrix of FieldElements sharing one field (rational
 matrices are the degree-1 case).  A product entry is one call of the field's
 product kernel, `NumberField.dot`, which reduces mod the minpoly once per
-entry instead of once per term.  One row reduction, `_rref`, written with
-field operations only, backs every rank, kernel, solve, inverse and
-determinant: it reduces FieldElement rows and plain Fraction rows alike, so
-rational kernels (`kernel_rows`, `rational_kernel`) never pass through
-degree-1 elements.  Integer lattices get Hermite/Smith normal forms with
-unimodular transforms, and a lattice index is the product of the HNF
-diagonal.  Integrality conditions are saturated by a modular HNF that keeps
-every entry below the lcm D of their denominators, because the solution
-lattice contains D*Z^n.  Positive definiteness is certified by exact LDL
-pivots signed through a designated embedding.  Nothing here ever touches
-floating point.
+entry instead of once per term.  One row reduction, `_rref`, backs every
+rank, kernel, solve, inverse and determinant: rational rows (`kernel_rows`,
+`rational_kernel`, degree-1 matrices) become int rows, reduced fraction-free
+by cross-multiplication and content division; over a larger field each
+pivot row is divided by its pivot.  Integer lattices get Hermite/Smith
+normal forms with unimodular transforms, and a lattice index is the product
+of the HNF diagonal.  Integrality conditions are saturated by a modular HNF
+that keeps every entry below the lcm D of their denominators, because the
+solution lattice contains D*Z^n.  Positive definiteness is certified by
+exact LDL pivots signed through a designated embedding.  Nothing here ever
+touches floating point.
 """
 
 from __future__ import annotations
@@ -52,17 +52,10 @@ class FieldMatrix:
 
     def __init__(self, field: NumberField, entries):
         self.field = field
-        ents = []
-        for row in entries:
-            r = []
-            for e in row:
-                if isinstance(e, FieldElement):
-                    if e.field != field:
-                        raise ValueError("entry from a different field")
-                    r.append(e)
-                else:
-                    r.append(field.from_rational(e))
-            ents.append(tuple(r))
+        of = field.from_rational
+        ents = [tuple(e if isinstance(e, FieldElement) else of(e) for e in row) for row in entries]
+        if any(e.field is not field and e.field != field for row in ents for e in row):
+            raise ValueError("entry from a different field")
         if ents and any(len(r) != len(ents[0]) for r in ents):
             raise ValueError("ragged rows")
         self.entries = tuple(ents)
@@ -128,9 +121,7 @@ class FieldMatrix:
         return self.scale(o)
 
     def scale(self, c) -> "FieldMatrix":
-        c = (self.field.zero() + c,)  # coerces a rational, rejects a foreign element
-        dot = self.field.dot
-        return FieldMatrix(self.field, [[dot((e,), c) for e in row] for row in self.entries])
+        return FieldMatrix(self.field, [[e * c for e in row] for row in self.entries])
 
     def __eq__(self, o):
         return (
@@ -186,12 +177,12 @@ class FieldMatrix:
         """Solve self * X = b exactly (raises Inconsistent / Singular)."""
         if b.rows != self.rows:
             raise ValueError("dimension mismatch")
-        rows, piv, _ = _rref([a + c for a, c in zip(self.entries, b.entries)], self.cols)
+        rows, piv, inv, _ = _rref([a + c for a, c in zip(self.entries, b.entries)], self.cols)
         if any(x for row in rows[len(piv) :] for x in row[self.cols :]):
             raise Inconsistent("no solution")
         if len(piv) < self.cols:
             raise Singular("solution space is not unique")
-        return FieldMatrix(self.field, [row[self.cols :] for row in rows[: self.cols]])
+        return FieldMatrix(self.field, [[x * q for x in r[self.cols :]] for r, q in zip(rows, inv)])
 
     def inverse(self) -> "FieldMatrix":
         if self.rows != self.cols:
@@ -204,8 +195,11 @@ class FieldMatrix:
     def det(self) -> FieldElement:
         if self.rows != self.cols:
             raise ValueError("not square")
-        _, piv, scale = _rref(self.entries, self.cols)
-        return self.field.one() * scale if len(piv) == self.rows else self.field.zero()
+        _, piv, _, (up, down) = _rref(self.entries, self.cols)
+        if len(piv) < self.rows:
+            return self.field.zero()
+        one = self.field.one()
+        return math.prod(down, start=one) / math.prod(up, start=one)
 
 
 def solve_linear(a: FieldMatrix, b: FieldMatrix | None = None):
@@ -219,42 +213,75 @@ def solve_linear(a: FieldMatrix, b: FieldMatrix | None = None):
 # Row reduction over a field
 
 
+def _primitive(row, down):
+    """The int row divided by the gcd g of its entries; g goes to `down`."""
+    g = math.gcd(*row) or 1
+    down.append(g)
+    return row if g == 1 else [x // g for x in row]
+
+
 def _rref(rows, ncols):
     """Reduced row echelon form of a copy of `rows`, pivoting in the first
     `ncols` columns (later columns ride along, as in an augmented system).
 
-    Returns (rows, pivot_cols, scale).  The entries meet only field
-    operations, so rows of Fractions (ints allowed; a pivot is inverted as
-    Fraction(1) / x, never as a float) and rows of FieldElements reduce
-    alike; over a reducible algebra a zero-divisor pivot raises ZeroDivisor.
-    `scale` is the product of the pivots times the sign of the row swaps,
-    which is the determinant when every column of a square matrix has a
-    pivot.
+    Rows over Q (rationals or degree-1 elements) are reduced fraction-free:
+    each becomes an int row, scaled by the lcm of its denominators; a pivot
+    p clears its column from every other row as p * row - f * pivot row,
+    and each updated row is divided by the gcd of its entries, which bounds
+    coefficient growth.  Over a field of degree > 1, where such rows would
+    grow exponentially, a pivot row is divided by its pivot at once.
+    Returns (rows, piv, inv, (up, down)): row r spans the reduced row, with
+    its pivot at column piv[r] left for the caller to divide out by inv[r];
+    the row operations and those divisions multiply the determinant by
+    prod(up) / prod(down).  A zero-divisor pivot raises ZeroDivisor.
     """
-    rows = [list(r) for r in rows]
-    m = len(rows)
+    ring = next((e.field for row in rows for e in row if isinstance(e, FieldElement)), None)
+    ring = ring if ring is not None and ring.degree > 1 else None
+    up, down, work = [], [], []
+    for row in rows:
+        if ring is None:
+            pairs = [(e.num[0], e.den) if isinstance(e, FieldElement)
+                     else (e.numerator, e.denominator) for e in row]
+            up.append(math.lcm(*(q for _, q in pairs)))
+            row = _primitive([n * (up[-1] // q) for n, q in pairs], down)
+        work.append(list(row))
+    m = len(work)
     piv = []
-    scale = 1
     for c in range(ncols):
         r = len(piv)
         if r == m:
             break
-        sel = next((i for i in range(r, m) if rows[i][c]), None)
+        sel = next((i for i in range(r, m) if work[i][c]), None)
         if sel is None:
             continue
         if sel != r:
-            rows[r], rows[sel] = rows[sel], rows[r]
-            scale = -scale
-        scale = scale * rows[r][c]
-        inv = Fraction(1) / rows[r][c]
-        prow = rows[r] = [x * inv for x in rows[r]]
+            work[r], work[sel] = work[sel], work[r]
+            down.append(-1)
+        prow = work[r]
+        p = prow[c]
+        if ring is not None:
+            down.append(p)
+            inv = p.inverse()
+            prow = work[r] = [x * inv if x else x for x in prow]
         for i in range(m):
-            f = rows[i][c]
-            if i != r and f:
-                # zero entries of the pivot row change nothing
-                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], prow)]
+            f = work[i][c]
+            if i == r or not f:
+                continue
+            if ring is None:
+                g = math.gcd(p, f)
+                a, b = p // g, f // g
+                up.append(a)
+                work[i] = _primitive([a * x - b * y for x, y in zip(work[i], prow)], down)
+            else:
+                work[i] = [x - f * y if y else x for x, y in zip(work[i], prow)]
         piv.append(c)
-    return rows, piv, scale
+    pivots = [work[r][c] for r, c in enumerate(piv)]
+    return work, piv, _inverses(pivots), (up, down + pivots)
+
+
+def _inverses(xs):
+    """1 / x for nonzero ints (Fractions) and field elements."""
+    return [Fraction(1, x) if isinstance(x, int) else x.inverse() for x in xs]
 
 
 def kernel_rows(rows, ncols):
@@ -264,15 +291,22 @@ def kernel_rows(rows, ncols):
     entries; FieldElement rows give FieldElements plus the Fractions 0 and
     1 at the free columns.
     """
-    red, piv, _ = _rref(rows, ncols)
+    red, piv, inv, _ = _rref(rows, ncols)
     basis = []
     for fc in (c for c in range(ncols) if c not in piv):
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
         for r, pc in enumerate(piv):
-            v[pc] = -red[r][fc]
+            v[pc] = -red[r][fc] * inv[r]
         basis.append(v)
     return basis
+
+
+def _coordinate_rows(row):
+    """One integer row per power-basis coordinate of a row of elements, all
+    scaled by the lcm of their denominators (the same rational row space)."""
+    den = math.lcm(*(e.den for e in row))
+    return list(zip(*(tuple(n * (den // e.den) for n in e.num) for e in row)))
 
 
 def rational_kernel(conditions: FieldMatrix):
@@ -281,8 +315,7 @@ def rational_kernel(conditions: FieldMatrix):
     Each row over the field splits into one rational row per power-basis
     coordinate; zero coordinate rows are dropped.
     """
-    d = conditions.field.degree
-    rows = [[e.coords[c] for e in row] for row in conditions.entries for c in range(d)]
+    rows = [r for row in conditions.entries for r in _coordinate_rows(row)]
     return kernel_rows([r for r in rows if any(r)], conditions.cols)
 
 
@@ -494,14 +527,14 @@ def saturate_integer_solutions(conditions: FieldMatrix):
     (canonical HNF), possibly empty.
     """
     n = conditions.cols
-    d = conditions.field.degree
-    coords = [[[e.coords[k] for e in row] for row in conditions.entries] for k in range(d)]
-    v = kernel_rows([r for k in range(1, d) for r in coords[k] if any(r)], n)
+    irrational = (r for row in conditions.entries for r in _coordinate_rows(row)[1:])
+    v = kernel_rows([r for r in irrational if any(r)], n)
     s = len(v)
     if not s:
         return []
     cols = list(zip(*v))
-    r = cols + [[sum(a * b for a, b in zip(row, w) if a and b) for w in v] for row in coords[0]]
+    rational = [[Fraction(e.num[0], e.den) for e in row] for row in conditions.entries]
+    r = cols + [[sum(a * b for a, b in zip(row, w) if a and b) for w in v] for row in rational]
     den = math.lcm(*(x.denominator for row in r for x in row))
     m = _hnf_mod([[int(x * den) for x in row] for row in r], s, den)
     # den * M^-1 is integral because den*Z^s lies in M; its columns span the solutions

@@ -1,17 +1,18 @@
 """Exact arithmetic in Q[x]/(m(x)) with certified complex embeddings.
 
-A field is given by a monic squarefree integer polynomial; elements are
-power-basis coordinate vectors of rationals.  `make_field` also accepts a
-reducible squarefree m, whose algebra has zero divisors: inverting one
-raises `ZeroDivisor`.  `require_irreducible`, run on the field of every
-torus document and CM input, raises `ReducibleMinpoly` for such an m.
-Embeddings are certified complex enclosures of the roots of m: real roots
-isolated by the counts of one Sturm chain, then refined and tested by exact
-signs; complex roots by interval-Newton certification of dyadic boxes
-seeded with Durand-Kerner approximations, or else by exact counts.  Boxes
-are evaluated in outward-rounded fixed point (:mod:`toruscm.boxes`) and
-exact points exactly.  No floating-point value ever decides anything;
-floats only pick where to *try* a certificate.
+A field is given by a monic squarefree integer polynomial; an element is its
+integer power-basis numerators over one denominator, in lowest terms, and
+products go through one kernel, `NumberField.dot`.  `make_field` also accepts a
+reducible squarefree m, whose algebra has zero divisors: inverting one raises
+`ZeroDivisor`.  `require_irreducible`, run on the field of every torus document
+and CM input, raises `ReducibleMinpoly` for such an m.  Embeddings are
+certified complex enclosures of the roots of m: real roots isolated by the
+counts of one Sturm chain, then refined and tested by exact signs; complex
+roots by interval-Newton certification of dyadic boxes seeded with
+Durand-Kerner approximations, or else by exact counts.  Boxes are evaluated in
+outward-rounded fixed point (:mod:`toruscm.boxes`) and exact points exactly.
+No floating-point value ever decides anything; floats only pick where to *try*
+a certificate.
 
 `RootSet` holds the isolated boxes of one squarefree polynomial and is the
 single place that decides which root a value is (`locate`) and whether a
@@ -68,9 +69,6 @@ class NotConverged(ArithmeticError):
 # rounds of a refine-and-retry loop before it gives up; each round at least
 # halves a box or an enclosure width
 MAX_ROUNDS = 400
-
-_ZERO = Fraction(0)
-
 
 # ---------------------------------------------------------------------------
 # Root isolation
@@ -446,26 +444,14 @@ class NumberField:
 
     # -- internal ------------------------------------------------------------
 
-    def _coords(self, raw):
-        cs = [Fraction(c) for c in raw]
-        if len(cs) > self.degree:
-            raise ValueError("coordinate vector too long")
-        cs += [Fraction(0)] * (self.degree - len(cs))
-        return tuple(cs)
-
-    def _gen_coords(self):
-        if self.degree == 1:
-            return (-self.minpoly[0],)
-        return self._coords([0, 1])
-
     def _reduction_rows(self):
-        """Coordinates of x^k mod m for k = d .. 2d-2."""
+        """Integer coordinates of x^k mod m for k = d .. 2d-2."""
         d = self.degree
-        rows = [tuple(-c for c in self.minpoly[:-1])]
+        rows = [tuple(-c.numerator for c in self.minpoly[:-1])]
         for _ in range(d - 2):
             prev = rows[-1]
             carry = prev[-1]
-            nxt = [Fraction(0)] + list(prev[:-1])
+            nxt = [0] + list(prev[:-1])
             if carry:
                 for i in range(d):
                     nxt[i] += carry * rows[0][i]
@@ -473,7 +459,7 @@ class NumberField:
         return rows
 
     def _reduce(self, raw):
-        """Coordinates of a length-(2d - 1) coefficient list mod m."""
+        """Coordinates of a length-(2d - 1) integer coefficient list mod m."""
         d = self.degree
         out = raw[:d]
         for k in range(d, len(raw)):
@@ -482,7 +468,7 @@ class NumberField:
                 row = self._red[k - d]
                 for i in range(d):
                     out[i] += c * row[i]
-        return tuple(out)
+        return out
 
     def _powers(self, x, n):
         """x^0 .. x^(n-1)."""
@@ -494,30 +480,46 @@ class NumberField:
     # -- public --------------------------------------------------------------
 
     def dot(self, xs, ys) -> "FieldElement":
-        """sum(x * y for x, y in zip(xs, ys)), the one product kernel.
-
-        The unreduced length-(2d - 1) coordinate products of the pairs are
-        summed, skipping zero coordinates, and the sum is reduced mod m
-        once.  The empty sum is zero.
-        """
-        raw = [_ZERO] * (2 * self.degree - 1)
+        """sum(x * y for x, y in zip(xs, ys)), the one product kernel: the
+        unreduced integer numerator products, skipping zeros, summed over one
+        running common denominator, then reduced mod m and by one gcd once.
+        The empty sum is zero."""
+        raw = [0] * (2 * self.degree - 1)
+        den = 1
         for x, y in zip(xs, ys):
-            for i, a in enumerate(x.coords):
+            q = x.den * y.den
+            f = den // q
+            if f * q != den:  # den becomes lcm(den, q)
+                s = q // math.gcd(den, q)
+                raw = [r * s for r in raw]
+                den *= s
+                f = den // q
+            for i, a in enumerate(x.num):
                 if a:
-                    for j, c in enumerate(y.coords, i):
+                    a *= f
+                    for j, c in enumerate(y.num, i):
                         if c:
                             raw[j] += a * c
-        return FieldElement(self, self._reduce(raw))
+        return FieldElement(self, self._reduce(raw), den)
 
     def evaluate(self, p, x: "FieldElement") -> "FieldElement":
         """p(x) for a rational polynomial p (ascending coefficients)."""
         return self.dot([self.from_rational(c) for c in p], self._powers(x, len(p)))
 
     def element(self, coords) -> "FieldElement":
-        return FieldElement(self, self._coords(coords))
+        """The element with these power-basis coordinates (rationals, as in
+        `from_rational`; missing trailing ones are zero)."""
+        pairs = [_rational_pair(c) for c in coords]
+        if len(pairs) > self.degree:
+            raise ValueError("coordinate vector too long")
+        den = math.lcm(*(q for _, q in pairs))
+        num = [n * (den // q) for n, q in pairs] + [0] * (self.degree - len(pairs))
+        return FieldElement(self, num, den)
 
     def from_rational(self, r) -> "FieldElement":
-        return FieldElement(self, (Fraction(r),) + (_ZERO,) * (self.degree - 1))
+        """r (an int, a Fraction or a rational string) as an element."""
+        n, q = _rational_pair(r)
+        return FieldElement(self, (n,) + (0,) * (self.degree - 1), q)
 
     def zero(self) -> "FieldElement":
         return self.from_rational(0)
@@ -526,7 +528,7 @@ class NumberField:
         return self.from_rational(1)
 
     def gen(self) -> "FieldElement":
-        return FieldElement(self, self._gen_coords())
+        return self.element([-self.minpoly[0]] if self.degree == 1 else [0, 1])
 
     @property
     def has_conj(self) -> bool:
@@ -535,7 +537,7 @@ class NumberField:
     def conj(self, x: "FieldElement") -> "FieldElement":
         if self._conj_powers is None:
             raise ValueError("field has no conjugation")
-        return self.dot([self.from_rational(c) for c in x.coords], self._conj_powers)
+        return self.dot([self.from_rational(n) for n in x.num], self._conj_powers) / x.den
 
     def embeddings(self, width=None):
         if self._embeddings is None:
@@ -580,12 +582,34 @@ def rationals() -> NumberField:
     return _QQ
 
 
-class FieldElement:
-    __slots__ = ("field", "coords")
+def _rational_pair(r):
+    """(numerator, denominator > 0) of an int, a Fraction or a rational
+    string; a float (0.1 is not 1/10) or a bool raises TypeError."""
+    if isinstance(r, str):
+        r = Fraction(r)
+    elif isinstance(r, bool) or not isinstance(r, (int, Fraction)):
+        raise TypeError(f"a rational is an int, a Fraction or a string, not {type(r).__name__}")
+    return r.numerator, r.denominator
 
-    def __init__(self, field: NumberField, coords):
+
+class FieldElement:
+    """num / den: integer power-basis numerators over one denominator, in
+    canonical form (den >= 1, gcd(den, *num) == 1), so equal elements have
+    equal (num, den) and zero is (0, .., 0) / 1.  Only this module builds
+    elements from (num, den)."""
+
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field: NumberField, num, den: int):
+        g = math.gcd(den, *num)  # den > 0
         self.field = field
-        self.coords = tuple(coords)
+        self.num = tuple(num) if g == 1 else tuple(n // g for n in num)
+        self.den = den // g
+
+    @property
+    def coords(self) -> tuple:
+        """The power-basis coordinates, as Fractions."""
+        return tuple(Fraction(n, self.den) for n in self.num)
 
     def _co(self, other) -> "FieldElement":
         if isinstance(other, FieldElement):
@@ -594,33 +618,42 @@ class FieldElement:
             return other
         return self.field.from_rational(other)
 
+    def _add(self, o, sign):
+        """self + sign * o."""
+        a, b = (1, 1) if self.den == o.den else (self.den, o.den)
+        num = [x * b + sign * y * a for x, y in zip(self.num, o.num)]
+        return FieldElement(self.field, num, self.den * b)
+
     def __add__(self, o):
-        o = self._co(o)
-        return FieldElement(self.field, tuple(a + b for a, b in zip(self.coords, o.coords)))
+        return self._add(self._co(o), 1)
 
     __radd__ = __add__
 
     def __sub__(self, o):
-        o = self._co(o)
-        return FieldElement(self.field, tuple(a - b for a, b in zip(self.coords, o.coords)))
+        return self._add(self._co(o), -1)
 
     def __rsub__(self, o):
         return self._co(o) - self
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(-a for a in self.coords))
+        return FieldElement(self.field, tuple(-a for a in self.num), self.den)
 
     def __mul__(self, o):
         o = self._co(o)
+        if o.is_rational():  # a scaling
+            return FieldElement(self.field, [x * o.num[0] for x in self.num], self.den * o.den)
         return self.field.dot((self,), (o,))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        u = _poly_inverse(polyq.poly(self.coords), self.field.minpoly)
+        n = self.num[0]
+        if n and self.is_rational():  # swap numerator and denominator
+            return self.field.from_rational(Fraction(self.den, n))
+        u = _poly_inverse(polyq.poly(self.num), self.field.minpoly)
         if u is None:
             raise ZeroDivisor("element shares a factor with the minpoly")
-        return FieldElement(self.field, self.field._coords(u))
+        return self.field.element(u) * self.den
 
     def __truediv__(self, o):
         return self * self._co(o).inverse()
@@ -642,25 +675,26 @@ class FieldElement:
 
     def __eq__(self, o):
         if isinstance(o, (int, Fraction)):
-            o = self.field.from_rational(o)
-        return isinstance(o, FieldElement) and self.field == o.field and self.coords == o.coords
+            return self.den == o.denominator and self.num[0] == o.numerator and self.is_rational()
+        same = isinstance(o, FieldElement) and self.field == o.field
+        return same and (self.num, self.den) == (o.num, o.den)
 
-    def __hash__(self):
-        return hash((self.field, self.coords))
+    def __hash__(self):  # a rational element hashes as the value it equals
+        return hash(self.as_rational() if self.is_rational() else (self.num, self.den))
 
     def __bool__(self):
-        return any(self.coords)
+        return any(self.num)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element is not rational")
-        return self.coords[0]
+        return Fraction(self.num[0], self.den)
 
     def conj(self) -> "FieldElement":
         return self.field.conj(self)
@@ -703,20 +737,13 @@ def embeddings(field: NumberField, width):
 
 def rational_part(x: FieldElement):
     """Split x into (rational, remainder with zero constant coordinate)."""
-    rem = (Fraction(0),) + x.coords[1:]
-    return x.coords[0], FieldElement(x.field, rem)
+    return Fraction(x.num[0], x.den), FieldElement(x.field, (0,) + x.num[1:], x.den)
 
 
 def trace_q(x: FieldElement) -> Fraction:
     """Tr_{K/Q}(x): trace of the multiplication-by-x matrix."""
-    field = x.field
-    gen = field.gen()
-    tr = Fraction(0)
-    power = field.one()
-    for k in range(field.degree):
-        tr += (x * power).coords[k]
-        power = power * gen
-    return tr
+    ys = (x * p for p in x.field._powers(x.field.gen(), x.field.degree))
+    return sum((Fraction(y.num[k], y.den) for k, y in enumerate(ys)), Fraction(0))
 
 
 def _is_real_under(x: FieldElement, emb: Embedding) -> bool:
@@ -731,7 +758,7 @@ def _is_real_under(x: FieldElement, emb: Embedding) -> bool:
 
 def _image_is_zero(x: FieldElement, emb: Embedding) -> bool:
     """Exact zero test for the image of x under one embedding."""
-    return x.is_zero() or emb.roots.vanishes_at(polyq.poly(x.coords), emb.index - 1)
+    return x.is_zero() or emb.roots.vanishes_at(polyq.poly(x.num), emb.index - 1)
 
 
 def _nonzero_sign(x: FieldElement, emb: Embedding, part: str) -> int:

@@ -8,6 +8,7 @@ import pytest
 from toruscm.exactla import (
     FieldMatrix,
     Inconsistent,
+    Singular,
     _hnf_mod,
     hnf,
     kernel_rows,
@@ -72,6 +73,100 @@ def _sparse_entry(rng):
     return Fraction(x, rng.randint(1, 3)) if rng.random() < 0.5 else x  # ints and Fractions
 
 
+# odd, pairwise coprime denominators up to 2^31 - 1: no entry is dyadic, and
+# no factor is shared for the elimination to cancel by luck
+_BIG_DENS = [1, 3, 7, 10007, 65537, 999983, 2**31 - 1]
+
+# the fields of the elimination oracle, each with the sympy generator that is
+# the root its power basis uses (2 sin(2 pi / 5) = sqrt((5 + sqrt 5) / 2))
+_SYMPY_FIELDS = [
+    ([0, 1], None),
+    ([-5, 0, 1], "sqrt(5)"),
+    ([5, 0, -5, 0, 1], "sqrt((5 + sqrt(5)) / 2)"),
+]
+
+
+def _big_element(rng, f):
+    """A sparse element of f with large, coprime, non-dyadic denominators."""
+    big = [Fraction(rng.randint(-(10**6), 10**6), rng.choice(_BIG_DENS)) for _ in range(f.degree)]
+    return f.element([c if rng.random() < 0.6 else 0 for c in big])
+
+
+def _seeded_systems(rng, f, count):
+    """(rows, ncols) over f in every shape the elimination meets: no rows,
+    wide, tall and square, some with a zero row or a row depending on two
+    others."""
+    for k in range(count):
+        m, n = [(0, 3), (2, 5), (5, 3), (4, 4), (3, 3), (1, 1)][k % 6]
+        rows = [[_big_element(rng, f) for _ in range(n)] for _ in range(m)]
+        rows = [[x if rng.random() < 0.7 else f.zero() for x in row] for row in rows]
+        if m > 2 and rng.random() < 0.5:
+            c = _big_element(rng, f)
+            rows[-1] = [a + c * b for a, b in zip(rows[0], rows[1])]
+        if m > 1 and rng.random() < 0.3:
+            rows[1] = [f.zero()] * n
+        yield rows, n
+
+
+def _sympy_domain(f, gen):
+    """(sympy's domain for f, the map of elements of f into it)."""
+    sympy = pytest.importorskip("sympy")
+    qq = sympy.QQ
+    if gen is None:
+        return qq, lambda e: qq(e.as_rational().numerator, e.as_rational().denominator)
+    k = qq.algebraic_field(sympy.sympify(gen))
+    assert [int(c) for c in k.mod.to_list()] == [int(c) for c in reversed(f.minpoly)]
+    return k, lambda e: k([qq(c.numerator, c.denominator) for c in reversed(e.coords)])
+
+
+def _check_rank_and_kernel(f, gen, rows, n):
+    """rank, kernel_rows and kernel of rows over f against sympy's rref: the
+    basis vector of free column c is 1 there, minus the rref column c at the
+    pivots, and 0 elsewhere."""
+    from sympy.polys.matrices import DomainMatrix
+
+    k, to_k = _sympy_domain(f, gen)
+    elems = FieldMatrix(f, rows).entries
+    red, piv = DomainMatrix([[to_k(e) for e in row] for row in elems], (len(rows), n), k).rref()
+    red = red.to_list()
+    want = []
+    for fc in (c for c in range(n) if c not in piv):
+        v = [k.zero] * n
+        v[fc] = k.one
+        for r, pc in enumerate(piv):
+            v[pc] = -red[r][fc]
+        want.append(v)
+    got = FieldMatrix(f, kernel_rows(rows, n))
+    assert [[to_k(e) for e in row] for row in got.entries] == want
+    if rows:
+        assert FieldMatrix(f, rows).rank() == len(piv)
+        assert FieldMatrix(f, rows).kernel() == got
+
+
+def _check_square(f, gen, a, b):
+    """det, inverse and solve of a X = b over f against sympy."""
+    from sympy.polys.matrices import DomainMatrix
+
+    k, to_k = _sympy_domain(f, gen)
+
+    def dm(m):
+        return DomainMatrix([[to_k(e) for e in row] for row in m.entries], (m.rows, m.cols), k)
+
+    det = dm(a).det()
+    assert to_k(a.det()) == det
+    if det == k.zero:
+        consistent = dm(a).hstack(dm(b)).rank() == dm(a).rank()
+        with pytest.raises(Singular if consistent else Inconsistent):
+            a.solve(b)
+        with pytest.raises(Singular):
+            a.inverse()
+        return
+    inv = dm(a).inv()
+    assert dm(a.inverse()).to_list() == inv.to_list()
+    x = a.solve(b)
+    assert dm(x).to_list() == (inv * dm(b)).to_list() and a * x == b
+
+
 def test_kernel_rows_matches_sympy_nullspace_on_rational_rows():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(61)
@@ -84,6 +179,12 @@ def test_kernel_rows_matches_sympy_nullspace_on_rational_rows():
         for v in ker:
             assert len(v) == n and all(type(x) is Fraction for x in v)
             assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
+        _check_rank_and_kernel(QQ, None, rows, n)
+    for rows, n in _seeded_systems(random.Random(62), QQ, 36):
+        _check_rank_and_kernel(QQ, None, rows, n)
+        # the same rows as Fractions give the same Fraction basis
+        ker = kernel_rows([[e.as_rational() for e in row] for row in rows], n)
+        assert ker == kernel_rows(rows, n) and all(type(x) is Fraction for v in ker for x in v)
 
 
 def test_kernel_rows_matches_sympy_nullspace_over_q_sqrt5():
@@ -105,6 +206,12 @@ def test_kernel_rows_matches_sympy_nullspace_over_q_sqrt5():
         assert len(ker) == len(want)
         for v in ker:
             assert all(sum((a * x for a, x in zip(row, v)), f5.zero()).is_zero() for row in rows)
+        _check_rank_and_kernel(f5, "sqrt(5)", rows, n)
+    # and seeded systems over Q(sqrt 5) and over Q(2 sin 2pi/5), which contains it
+    for minpoly, gen in _SYMPY_FIELDS[1:]:
+        f = make_field(minpoly)
+        for rows, n in _seeded_systems(random.Random(68), f, 18):
+            _check_rank_and_kernel(f, gen, rows, n)
 
 
 def test_field_matrix_over_a_reducible_algebra_raises_zero_divisor():
@@ -140,6 +247,17 @@ def test_det_matches_oracle():
     assert FieldMatrix(f5, [[r5, 1], [1, r5]]).det() == f5.from_rational(4)
     assert FieldMatrix(f5, [[r5, 5], [1, r5]]).det().is_zero()
     assert FieldMatrix.identity(f5, 0).det() == f5.one()
+    # det, inverse and solve of seeded square systems; half the right-hand
+    # sides are a * x0, so singular systems are consistent as often as not
+    rng = random.Random(31)
+    for minpoly, gen in _SYMPY_FIELDS:
+        f = make_field(minpoly)
+        for rows, n in _seeded_systems(rng, f, 30):
+            if len(rows) != n:
+                continue
+            a = FieldMatrix(f, rows)
+            b = FieldMatrix(f, [[_big_element(rng, f) for _ in range(2)] for _ in range(n)])
+            _check_square(f, gen, a, a * b if rng.random() < 0.5 else b)
 
 
 def test_commutation_solution_space():

@@ -1,7 +1,8 @@
-"""Every name a `toruscm` module or a test file imports is used there, and
+"""Every name a `toruscm` module or a test file imports is used there;
 every function, class, method and module-level name a `toruscm` module
-defines is used somewhere, and only `numfield` reads the private reduction
-mod the minpoly.
+defines is used somewhere; only `numfield` reads the private reduction mod
+the minpoly or builds elements from their numerators; and the product kernel
+and the one elimination never touch `Fraction`.
 
 The package `__init__` is left out: its imports are the public API, which
 `__all__` re-exports from `dir()`.
@@ -92,3 +93,47 @@ def test_only_numfield_reduces_mod_the_minpoly():
         if isinstance(node, ast.Attribute) and node.attr in private
     ]
     assert reads == []
+
+
+def _function(tree, name, cls=None):
+    """The definition of function `name`, or of method `cls.name`."""
+    scope = tree.body
+    if cls is not None:
+        scope = next(n for n in scope if isinstance(n, ast.ClassDef) and n.name == cls).body
+    return next(n for n in scope if isinstance(n, ast.FunctionDef) and n.name == name)
+
+
+def test_product_kernel_and_elimination_never_touch_fraction():
+    # field products and the one elimination run on integers under one
+    # denominator, so Fraction arithmetic cannot creep back into them
+    numfield = ast.parse((SRC / "numfield.py").read_text(encoding="utf-8"))
+    exactla = ast.parse((SRC / "exactla.py").read_text(encoding="utf-8"))
+    bodies = {
+        "NumberField.dot": _function(numfield, "dot", "NumberField"),
+        "NumberField._reduce": _function(numfield, "_reduce", "NumberField"),
+        "exactla._rref": _function(exactla, "_rref"),
+    }
+    touching = [
+        name
+        for name, body in bodies.items()
+        for node in ast.walk(body)
+        if (isinstance(node, ast.Name) and node.id == "Fraction")
+        or (isinstance(node, ast.Attribute) and node.attr == "Fraction")
+    ]
+    assert touching == []
+
+
+def test_only_numfield_builds_elements_from_num_and_den():
+    # the canonical (num, den) form stays behind one module
+    builds = [
+        f"{path.relative_to(TESTS.parent)}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
+        if path.name != "numfield.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and (
+            (isinstance(node.func, ast.Name) and node.func.id == "FieldElement")
+            or (isinstance(node.func, ast.Attribute) and node.func.attr == "FieldElement")
+        )
+    ]
+    assert builds == []

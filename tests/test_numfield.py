@@ -1,4 +1,5 @@
 import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -217,6 +218,77 @@ def test_element_inverse_and_pow():
     xi = f.gen()
     assert xi * xi.inverse() == f.one()
     assert xi ** (-1) == xi**4
+
+
+@pytest.mark.parametrize("bad", [0.1, 0.5, 2.0, True, False], ids=repr)
+def test_rational_constructors_refuse_floats_and_bools(bad):
+    # 0.1 would be 3602879701896397/2^55, and True would be 1
+    qq, f = rationals(), make_field([5, 0, -5, 0, 1])
+    builders = [
+        qq.from_rational,
+        f.from_rational,
+        lambda x: f.element([x, 0]),
+        lambda x: f.element([0, 0, 0, x]),
+        lambda x: FieldMatrix(qq, [[x]]),
+        lambda x: FieldMatrix(f, [[1, x]]),
+        lambda x: f.gen() * x,
+    ]
+    for build in builders:
+        with pytest.raises(TypeError):
+            build(bad)
+    # ints, Fractions and rational strings are the accepted spellings
+    assert f.element([1, Fraction(1, 10), "1/10", "0.1"]) == f.element([1] + [Fraction(1, 10)] * 3)
+    assert qq.from_rational("-3/6") == Fraction(-1, 2)
+
+
+def test_rational_elements_hash_as_their_value():
+    for f in (rationals(), make_field([-5, 0, 1]), zeta5()):
+        assert len({f.one(), 1}) == 1 and hash(f.one()) == hash(1)
+        assert len({f.zero(), 0, Fraction(0)}) == 1
+        half = f.from_rational(Fraction(1, 2))
+        assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+        assert len({half, Fraction(1, 2), f.one() / 2}) == 1
+        assert f.from_rational(-7) in {-7} and f.from_rational(Fraction(-7, 3)) in {Fraction(-7, 3)}
+    r5 = make_field([-5, 0, 1]).gen()
+    assert r5 != 0 and len({r5, r5 * 1, (r5 + 1) - 1}) == 1
+
+
+def test_canonical_form_survives_every_operation():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # fields with a conjugation, so conj is an operation too
+    fields = [
+        rationals(),
+        gaussian(),
+        zeta5(),
+        make_field([5, 0, -5, 0, 1], conj_image=[0, 1]),
+    ]
+    dens = st.sampled_from([1, 2, 3, 9, 10007, 65537, 999983, 2**61 - 1])
+    rational = st.builds(Fraction, st.integers(-(10**12), 10**12), dens)
+
+    def canonical(x):
+        return x.den >= 1 and math.gcd(x.den, *x.num) == 1 and len(x.num) == x.field.degree
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(st.data())
+    def check(data):
+        f = data.draw(st.sampled_from(fields))
+        coords = st.lists(rational, min_size=f.degree, max_size=f.degree)
+        x, y = f.element(data.draw(coords)), f.element(data.draw(coords))
+        p = data.draw(st.lists(rational, min_size=1, max_size=4))
+        results = [x + y, x - y, -x, x * y, f.dot([x, y, x], [y, x, x]), x.conj(), f.evaluate(p, x)]
+        results += [x.inverse()] if x else []
+        for z in [x, y] + results:
+            assert canonical(z)
+            assert f.element(z.coords) == z
+        # the same value reached two ways has the same (num, den) and hash
+        for a, b in [(x * y, y * x), ((x + y) - y, x), (x - x, f.zero()), (-(-x), x)]:
+            assert (a.num, a.den, hash(a)) == (b.num, b.den, hash(b))
+        if x:
+            one = x * x.inverse()
+            assert (one.num, one.den, hash(one)) == (f.one().num, f.one().den, hash(1))
+
+    check()
 
 
 def test_rationals_field():
@@ -572,7 +644,9 @@ def _seeded_element(rng, f):
     """A seeded element with some zero coordinates (all zero one time in four)."""
     if rng.random() < 0.25:
         return f.zero()
-    coords = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(f.degree)]
+    # small denominators, and odd large ones that share no factor
+    dens = [1, 2, 3, 4, 1, 2, 3, 4, 10007, 65537, 999983]
+    coords = [Fraction(rng.randint(-5, 5), rng.choice(dens)) for _ in range(f.degree)]
     return f.element([c if rng.random() < 0.6 else 0 for c in coords])
 
 
