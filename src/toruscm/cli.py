@@ -29,13 +29,13 @@ def _load_json(arg: str):
 
 
 def _decode(arg: str, decode):
-    """Load a JSON document and decode it.  A document of the wrong shape
-    raises TypeError or AttributeError inside the decoder; either becomes a
-    ValueError, so it exits 2 like any other malformed input."""
-    doc = _load_json(arg)
+    """Load a JSON document and decode it.  A document nested too deep for
+    the parser raises RecursionError, and one of the wrong shape TypeError
+    or AttributeError inside the decoder; each becomes a ValueError, so it
+    exits 2 like any other malformed input."""
     try:
-        return decode(doc)
-    except (TypeError, AttributeError) as exc:
+        return decode(_load_json(arg))
+    except (RecursionError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed document: {type(exc).__name__}: {exc}") from exc
 
 
@@ -104,7 +104,7 @@ def run(argv) -> int:
         return args.cmd(args)
     except FileNotFoundError as exc:
         return _fail(f"no such file: {exc.filename}")
-    except (ValueError, LookupError, ArithmeticError) as exc:
+    except (OSError, ValueError, LookupError, ArithmeticError) as exc:
         return _fail(f"{type(exc).__name__}: {exc}")
 
 

@@ -1,6 +1,6 @@
 """CM abelian varieties: trace/Riemann forms, the period-matrix complex
-structure, endomorphism algebras, CM certificates, rational-metric search,
-the eta-involution checks, and the simplicity criterion.
+structure, CM certificates, rational-metric search, the eta-involution
+checks, and the simplicity criterion.
 
 The complex structure I of C^g / Phi(O) is R^-1 D R, where R holds the
 images sigma_j(a) of the basis for j in Phi and their complex conjugates,
@@ -11,6 +11,9 @@ embedding; L is a field whether or not i lies in K.  The real values of I
 are then expressed in F = Q(entries) by exact solves in the power span of a
 generator, and F's embedding is certified real.  Every decision is exact;
 enclosures only pick which root or embedding a value is.
+
+The certificate searches End^0(T), which each torus computes once
+(`ComplexTorusData.end`); it and the metric search share one seeded search.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .numfield import (
     require_irreducible,
     trace_q,
 )
-from .torus import ComplexTorusData
+from .torus import ComplexTorusData, EndAlgebra, _rational_solutions
 
 
 class BetaNotAdmissible(ValueError):
@@ -412,35 +415,9 @@ def _in_span_integral(bmat: FieldMatrix, x: FieldElement) -> bool:
 # Endomorphism algebra and certificates
 
 
-@dataclass
-class EndAlgebra:
-    basis: list  # rational FieldMatrix over Q
-    dim: int
-
-
 def endomorphism_algebra(t: ComplexTorusData) -> EndAlgebra:
-    """Rational solutions of M I = I M: the kernel of M -> M I - I M over the
-    n^2 entries, with M[a, b] the unknown a * n + b."""
-    n = 2 * t.g
-    qq = rationals()
-    ker = _rational_solutions(t, t.I, lambda a, b: a * n + b, n * n)
-    basis = [FieldMatrix(qq, [flat[i * n : (i + 1) * n] for i in range(n)]) for flat in ker]
-    return EndAlgebra(basis, len(basis))
-
-
-def _rational_solutions(t: ComplexTorusData, c: FieldMatrix, col, ncols: int):
-    """Rational kernel of the Sylvester operator X -> X I - C X, with X[a, b]
-    the unknown col(a, b) among ncols: one row per entry (i, j)."""
-    n = 2 * t.g
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            row = [t.field.zero()] * ncols
-            for kk in range(n):
-                row[col(i, kk)] = row[col(i, kk)] + t.I[kk, j]
-                row[col(kk, j)] = row[col(kk, j)] - c[i, kk]
-            rows.append(row)
-    return rational_kernel(FieldMatrix(t.field, rows))
+    """End^0(T), computed once per torus (`ComplexTorusData.end`)."""
+    return t.end
 
 
 @dataclass
@@ -451,43 +428,39 @@ class CmVerdict:
     end_dim: int
 
 
+def _seeded_search(basis, extra, coeff, trials: int, accept):
+    """(m, accept(m)) for the first nonzero m with accept(m) truthy among the
+    first max(trials, 0) candidates, else (None, None): the basis, `extra`,
+    then combinations of the basis with coefficients drawn by coeff()."""
+    zero = FieldMatrix.zeros(basis[0].field, basis[0].rows, basis[0].cols)
+    draws = (_combine(zero, [coeff() for _ in basis], basis) for _ in itertools.count())
+    for m in itertools.islice(itertools.chain(basis, extra, draws), max(trials, 0)):
+        got = None if m.is_zero() else accept(m)
+        if got:
+            return m, got
+    return None, None
+
+
 def cm_certificate(t: ComplexTorusData, trials: int = 64, seed: int = 0) -> CmVerdict:
     """One-sided CM certificate search per the endomorphism criterion.
 
     CM: a rational endomorphism with squarefree minimal polynomial of
     degree 2g.  NotCM: only by the dimension obstruction dim End < 2g.
-    Anything else is Inconclusive after `trials` seeded samples.
+    Anything else is Inconclusive after `trials` candidates: the basis of
+    End, then seeded combinations with coefficients in [-3, 3].
     """
     end = endomorphism_algebra(t)
     n = 2 * t.g
     if end.dim < n:
         return CmVerdict("NotCM", None, None, end.dim)
+
+    def certificate(m):
+        mp = matrix_minpoly(m)
+        return mp if polyq.degree(mp) == n and polyq.is_squarefree(mp) else None
+
     rng = random.Random(seed)
-    tried = 0
-    for m in end.basis:
-        if tried >= trials:
-            break
-        tried += 1
-        got = _certificate_from(m, n)
-        if got:
-            return CmVerdict("CM", m, got, end.dim)
-    while tried < trials:
-        tried += 1
-        coeffs = [rng.randint(-3, 3) for _ in end.basis]
-        if not any(coeffs):
-            continue
-        m = _combine(FieldMatrix.zeros(rationals(), n, n), coeffs, end.basis)
-        got = _certificate_from(m, n)
-        if got:
-            return CmVerdict("CM", m, got, end.dim)
-    return CmVerdict("Inconclusive", None, None, end.dim)
-
-
-def _certificate_from(m: FieldMatrix, n: int):
-    mp = matrix_minpoly(m)
-    if polyq.degree(mp) == n and polyq.is_squarefree(mp):
-        return mp
-    return None
+    m, mp = _seeded_search(end.basis, (), lambda: rng.randint(-3, 3), trials, certificate)
+    return CmVerdict("Inconclusive" if m is None else "CM", m, mp, end.dim)
 
 
 def rational_kahler_search(t: ComplexTorusData, trials: int = 200, seed: int = 0):
@@ -496,9 +469,9 @@ def rational_kahler_search(t: ComplexTorusData, trials: int = 200, seed: int = 0
 
     Since I^-1 = -I, I^T G I = G is G I = -I^T G: the space is the kernel
     of G -> G I + I^T G over the upper-triangular unknowns G[a, b], a <= b.
-    Returns (G or None, solution_space_dimension).  Sampling: deterministic
-    unit/sum vectors first, then seeded coefficients with numerators in
-    [-8, 8] and denominators in [1, 8].
+    Returns (G or None, solution_space_dimension).  Sampling: the basis,
+    then its sum, then seeded coefficients with numerators in [-8, 8] and
+    denominators in [1, 8].
     """
     n = 2 * t.g
     qq = rationals()
@@ -508,41 +481,20 @@ def rational_kahler_search(t: ComplexTorusData, trials: int = 200, seed: int = 0
         return index[(a, b) if a <= b else (b, a)]
 
     ker = _rational_solutions(t, -t.I.transpose(), col, len(index))
-    dim = len(ker)
-    if dim == 0:
+    if not ker:
         return None, 0
     basis = [
         FieldMatrix(qq, [[flat[col(i, j)] for j in range(n)] for i in range(n)]) for flat in ker
     ]
-    emb = qq.embeddings()[0]
     rng = random.Random(seed)
-    tried = 0
-
-    def attempt(coeffs):
-        nonlocal tried
-        if tried >= trials or not any(coeffs):
-            return None
-        tried += 1
-        g = _combine(FieldMatrix.zeros(qq, n, n), coeffs, basis)
-        if g.is_zero():
-            return None
-        if positive_definite(g, emb):
-            return g
-        return None
-
-    for i in range(dim):
-        got = attempt([1 if j == i else 0 for j in range(dim)])
-        if got is not None:
-            return got, dim
-    got = attempt([1] * dim)
-    if got is not None:
-        return got, dim
-    while tried < trials:
-        coeffs = [Fraction(rng.randint(-8, 8), rng.randint(1, 8)) for _ in range(dim)]
-        got = attempt(coeffs)
-        if got is not None:
-            return got, dim
-    return None, dim
+    g, _ = _seeded_search(
+        basis,
+        [sum(basis[1:], basis[0])],
+        lambda: Fraction(rng.randint(-8, 8), rng.randint(1, 8)),
+        trials,
+        lambda g: positive_definite(g, qq.embeddings()[0]),
+    )
+    return g, len(ker)
 
 
 # ---------------------------------------------------------------------------
@@ -587,12 +539,7 @@ def eta_checks(
     anti = rosati(eta) == -eta
     g_inv = g_m.inverse()
     eta_inv = eta.inverse()
-    conj_ok = True
-    for f in end.basis:
-        f_g = g_inv * f.transpose() * g_m
-        if f_g != eta_inv * rosati(f) * eta:
-            conj_ok = False
-            break
+    conj_ok = all(g_inv * f.transpose() * g_m == eta_inv * rosati(f) * eta for f in end.basis)
     return EtaReport(eta, commutes, anti, conj_ok)
 
 

@@ -1,14 +1,16 @@
-"""Complex torus data, induced generalized Kahler pairs, and their exact
-invariants: rationality of IJ, eigenspace graph decomposition, and the
-denominator-free charge-lattice isometry identity.
+"""Complex torus data, its endomorphism algebra, induced generalized Kahler
+pairs, and their exact invariants: rationality of IJ, eigenspace graph
+decomposition, and the denominator-free charge-lattice isometry identity.
 
 Data is checked where it enters: `ComplexTorusData` checks I, and
-`KahlerData` checks (G, B) against its torus once, when it is built; it is
-frozen, so a checked metric cannot be swapped out.  IJ is read off (G, B) in
-one place, `KahlerData.ij`, once per metric; J, q(., IJ.) and the rationality
-verdict derive from it.  The pair's axioms and the eigenspace graphs of IJ
-follow from checked data and are held by the tests; `GksPair.verify` checks
-the axioms for a report that states them."""
+`KahlerData` checks (G, B) against its torus once, when it is built; both
+are frozen, so checked data cannot be swapped out.  End^0(T) is the cached
+`ComplexTorusData.end`, from the one Sylvester kernel, which the metric
+search of `cm` shares.  IJ is read off (G, B) in one place, `KahlerData.ij`,
+once per metric; J, q(., IJ.) and the rationality verdict derive from it.
+The pair's axioms and the eigenspace graphs of IJ follow from checked data
+and are held by the tests; `GksPair.verify` checks the axioms for a report
+that states them."""
 
 from __future__ import annotations
 
@@ -16,8 +18,8 @@ from dataclasses import dataclass, field as dfield
 from fractions import Fraction
 from functools import cached_property
 
-from .exactla import FieldMatrix, Singular, positive_definite
-from .numfield import Embedding, NumberField
+from .exactla import FieldMatrix, Singular, positive_definite, rational_kernel
+from .numfield import Embedding, NumberField, rationals
 
 
 class IncompatibleMetric(ValueError):
@@ -38,8 +40,16 @@ def q_matrix(fld: NumberField, two_g: int) -> FieldMatrix:
     return FieldMatrix(fld, rows)
 
 
-@dataclass
+@dataclass(frozen=True)
+class EndAlgebra:
+    basis: tuple  # rational FieldMatrix over Q
+    dim: int
+
+
+@dataclass(frozen=True)
 class ComplexTorusData:
+    """A complex torus: I on Gamma_Q with I^2 = -Id, checked when built."""
+
     g: int
     field: NumberField
     I: FieldMatrix
@@ -53,6 +63,32 @@ class ComplexTorusData:
             raise ValueError("designated embedding must be real")
         if self.I * self.I != -FieldMatrix.identity(self.field, n):
             raise ValueError("I^2 != -Id")
+
+    @cached_property
+    def end(self) -> EndAlgebra:
+        """End^0(T), the rational solutions of M I = I M: the kernel of
+        M -> M I - I M over the n^2 entries, with M[a, b] the unknown a * n + b."""
+        n = 2 * self.g
+        ker = _rational_solutions(self, self.I, lambda a, b: a * n + b, n * n)
+        basis = tuple(
+            FieldMatrix(rationals(), [flat[i * n : (i + 1) * n] for i in range(n)]) for flat in ker
+        )
+        return EndAlgebra(basis, len(basis))
+
+
+def _rational_solutions(t: ComplexTorusData, c: FieldMatrix, col, ncols: int):
+    """Rational kernel of the Sylvester operator X -> X I - C X, with X[a, b]
+    the unknown col(a, b) among ncols: one row per entry (i, j)."""
+    n = 2 * t.g
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            row = [t.field.zero()] * ncols
+            for kk in range(n):
+                row[col(i, kk)] = row[col(i, kk)] + t.I[kk, j]
+                row[col(kk, j)] = row[col(kk, j)] - c[i, kk]
+            rows.append(row)
+    return rational_kernel(FieldMatrix(t.field, rows))
 
 
 @dataclass(frozen=True)

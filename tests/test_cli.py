@@ -146,6 +146,13 @@ def test_malformed_documents_exit_2_without_traceback(capsys, fixture_dir):
     pair["phi"][0][2] = 1.5  # truncated, it would be the valid entry 1
     for cmd in (["mirror", "verify"], ["mirror", "isogeny"]):
         argvs.append(cmd + ["--pair", json.dumps(pair)])
+    deep = "[" * 100_000 + "]" * 100_000
+    argvs += [
+        ["torus", "validate", "--torus", deep],
+        ["mirror", "construct", "--A", deep, "--rho", "[[-1]]"],
+        ["va", "chiral", "--torus", str(fixture_dir)],
+        ["demo", "section4", "--out", str(fixture_dir)],
+    ]
     for argv in argvs:
         code, out = invoke(capsys, argv)
         assert code == 2, argv
@@ -380,11 +387,11 @@ def test_outputs_deterministic(capsys, fixture_dir):
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Counters on the metric check, the IJ computation and induce_gks
-    (under every module name that binds it)."""
+    """Counters on the metric check, the IJ computation, induce_gks (under
+    every module name that binds it) and End^0(T)."""
     from toruscm import cli, mirror, torus
 
-    got = {"checks": 0, "ij": 0, "induce_gks": 0}
+    got = {"checks": 0, "ij": 0, "induce_gks": 0, "end": 0}
 
     def counting(key, fn):
         def wrapped(*args, **kwargs):
@@ -396,6 +403,8 @@ def counts(monkeypatch):
     kahler = torus.KahlerData
     monkeypatch.setattr(kahler, "__post_init__", counting("checks", kahler.__post_init__))
     monkeypatch.setattr(kahler.ij, "func", counting("ij", kahler.ij.func))
+    end = torus.ComplexTorusData.end
+    monkeypatch.setattr(end, "func", counting("end", end.func))
     induce = counting("induce_gks", torus.induce_gks)
     for mod in (torus, cli, mirror):
         monkeypatch.setattr(mod, "induce_gks", induce)
@@ -411,19 +420,20 @@ def _mirror_commands():
     ]
 
 
-# (checks, IJs, induce_gks calls): one check per metric a command reads,
-# and one IJ per metric whose IJ it needs
+# (checks, IJs, induce_gks calls, End^0(T)s): one check per metric a
+# command reads, one IJ per metric whose IJ it needs, and End^0(T) only for
+# the CM certificate
 EXPECTED_COUNTS = {
-    "torus validate": (1, 0, 0),
-    "gks induce": (1, 1, 1),
-    "gks rationality": (1, 1, 0),
-    "cm certificate": (1, 0, 0),
-    "cm metric-search": (1, 0, 0),
-    "va chiral": (1, 1, 0),
-    "va commutator": (1, 1, 0),
-    "mirror construct": (2, 2, 2),
-    "mirror verify": (2, 2, 2),
-    "mirror isogeny": (2, 2, 2),
+    "torus validate": (1, 0, 0, 0),
+    "gks induce": (1, 1, 1, 0),
+    "gks rationality": (1, 1, 0, 0),
+    "cm certificate": (1, 0, 0, 1),
+    "cm metric-search": (1, 0, 0, 0),
+    "va chiral": (1, 1, 0, 0),
+    "va commutator": (1, 1, 0, 0),
+    "mirror construct": (2, 2, 2, 0),
+    "mirror verify": (2, 2, 2, 0),
+    "mirror isogeny": (2, 2, 2, 0),
 }
 
 
@@ -435,7 +445,7 @@ def test_each_metric_is_checked_once_per_command(capsys, fixture_dir, counts):
         before = dict(counts)
         code, _ = invoke(capsys, argv)
         assert code == 0, argv
-        seen[" ".join(argv[:2])] = tuple(counts[k] - before[k] for k in ("checks", "ij", "induce_gks"))
+        seen[" ".join(argv[:2])] = tuple(counts[k] - before[k] for k in counts)
     assert seen == EXPECTED_COUNTS
 
 
@@ -443,7 +453,18 @@ def test_section4_checks_and_derives_each_side_once(counts):
     from toruscm.mirror import section4_demo
 
     section4_demo()
-    assert (counts["checks"], counts["ij"]) == (2, 2)
+    assert (counts["checks"], counts["ij"], counts["end"]) == (2, 2, 2)
+
+
+def test_a_cm_pipeline_job_builds_end_once(counts):
+    from toruscm import cm, fixtures
+
+    t, e_m, g_m = cm.cm_torus(fixtures.zeta5_cm_input())
+    end = cm.endomorphism_algebra(t)
+    assert cm.cm_certificate(t).verdict == "CM"
+    assert cm.rational_kahler_search(t)[0] is not None
+    assert cm.eta_checks(t, g_m, e_m, end).passed
+    assert counts["end"] == 1
 
 
 def _run_in_fresh_process(argv):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from toruscm import polyq
+from toruscm import cm, polyq
 from toruscm.cm import (
     BetaNotAdmissible,
     CmInput,
@@ -23,6 +23,7 @@ from toruscm.cm import (
 from toruscm.exactla import FieldMatrix, positive_definite
 from toruscm.fixtures import _embedding_near, tau_2pow14_torus, tau_i_torus
 from toruscm.numfield import make_field, rationals
+from toruscm.torus import ComplexTorusData
 
 QQ = rationals()
 QEMB = QQ.embeddings()[0]
@@ -208,6 +209,54 @@ def test_cm_certificate_zeta5(zeta5_mirror):
 def test_cm_certificate_never_notcm_on_construction(gaussian_cm, zeta5_cm):
     for bundle in (gaussian_cm, zeta5_cm):
         assert cm_certificate(bundle["torus"]).verdict != "NotCM"
+
+
+def test_cm_witness_is_the_first_basis_element(zeta5_mirror):
+    for t in (zeta5_mirror["pair"].left.torus, tau_i_torus()[0]):
+        assert cm_certificate(t, trials=64, seed=1).witness == endomorphism_algebra(t).basis[0]
+
+
+def _product_over_2pow14(first, second):
+    """The torus first x second, with I block-diagonal over the field of the
+    2^(1/4) curve."""
+    e, _ = tau_2pow14_torus()
+    f = e.field
+    z = FieldMatrix.zeros(f, 2, 2)
+    return ComplexTorusData(
+        2, f, FieldMatrix.block([[first.I.lift(f), z], [z, second.I.lift(f)]]), e.embedding
+    )
+
+
+def _calls(monkeypatch, name):
+    """A list that grows by one per call of cm.<name>."""
+    calls = []
+    fn = getattr(cm, name)
+    monkeypatch.setattr(cm, name, lambda *args: calls.append(args) or fn(*args))
+    return calls
+
+
+def test_cm_certificate_spends_exactly_its_budget(monkeypatch):
+    # End(E x E) = M_2(Q) has dimension 2g, but no element of degree 4 with
+    # a squarefree minimal polynomial, so every trial is spent
+    e, _ = tau_2pow14_torus()
+    t = _product_over_2pow14(e, e)
+    minpolys = _calls(monkeypatch, "matrix_minpoly")
+    for trials, spent in ((9, 9), (0, 0), (-3, 0)):
+        minpolys.clear()
+        v = cm_certificate(t, trials=trials)
+        assert (v.verdict, v.witness, v.minpoly, v.end_dim) == ("Inconclusive", None, None, 4)
+        assert len(minpolys) == spent
+
+
+def test_product_without_cm_has_no_rational_metric(monkeypatch):
+    # Theorem 1 on E_i x E: no CM (dim End = 3 < 4), and the rational
+    # I-invariant forms are the multiples of E_i's metric, none definite
+    t = _product_over_2pow14(tau_i_torus()[0], tau_2pow14_torus()[0])
+    v = cm_certificate(t)
+    assert (v.verdict, v.end_dim) == ("NotCM", 3)
+    checks = _calls(monkeypatch, "positive_definite")
+    assert rational_kahler_search(t, trials=7) == (None, 1)
+    assert len(checks) == 7
 
 
 def test_matrix_minpoly_of_mult_by_xi(zeta5_cm):

@@ -1,8 +1,9 @@
 """Every name a `toruscm` module or a test file imports is used there;
 every function, class, method and module-level name a `toruscm` module
 defines is used somewhere; only `numfield` reads the private reduction mod
-the minpoly or builds elements from their numerators; and the product kernel
-and the one elimination never touch `Fraction`.
+the minpoly or builds elements from their numerators; the product kernel
+and the one elimination never touch `Fraction`; and every dataclass that
+checks itself or caches derived data is frozen.
 
 The package `__init__` is left out: its imports are the public API, which
 `__all__` re-exports from `dir()`.
@@ -137,3 +138,39 @@ def test_only_numfield_builds_elements_from_num_and_den():
         )
     ]
     assert builds == []
+
+
+def _decorator_name(node):
+    """`dataclass` for @dataclass, @dataclass(...) and @dataclasses.dataclass."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def _is_frozen(node):
+    return isinstance(node, ast.Call) and any(
+        kw.arg == "frozen" and isinstance(kw.value, ast.Constant) and kw.value.value is True
+        for kw in node.keywords
+    )
+
+
+def _checks_or_caches(cls):
+    return any(
+        node.name == "__post_init__"
+        or any(_decorator_name(d) == "cached_property" for d in node.decorator_list)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+    )
+
+
+def test_checked_or_cached_dataclasses_are_frozen():
+    # data checked in __post_init__ or derived once by a cached_property
+    # cannot go stale when no field can be assigned after construction
+    thawed = [
+        f"{path.name}:{node.lineno}: {node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef) and _checks_or_caches(node)
+        for dec in node.decorator_list
+        if _decorator_name(dec) == "dataclass" and not _is_frozen(dec)
+    ]
+    assert thawed == []

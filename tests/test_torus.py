@@ -306,3 +306,15 @@ def test_charge_isometry_section4(zeta5_mirror):
 def test_torus_rejects_bad_i():
     with pytest.raises(ValueError):
         ComplexTorusData(1, QQ, qmat([[0, 1], [1, 0]]), QEMB)
+
+
+def test_a_built_torus_cannot_be_changed():
+    # the I^2 = -Id check and the cached End^0(T) hold for the torus's lifetime
+    t = ComplexTorusData(1, QQ, qmat([[0, -1], [1, 0]]), QEMB)
+    end = t.end
+    for name in [f.name for f in dataclasses.fields(t)] + ["end"]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(t, name, getattr(t, name))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.I = FieldMatrix.identity(QQ, 2)
+    assert t.I == qmat([[0, -1], [1, 0]]) and t.end is end
