@@ -39,6 +39,7 @@ from .numfield import (
     FieldElement,
     NumberField,
     RootSet,
+    _powers,
     exact_sign,
     exact_sign_imag,
     minpoly_factor_at,
@@ -98,21 +99,13 @@ def krylov_minpoly(powers):
 
 def matrix_minpoly(m: FieldMatrix):
     """Minimal polynomial of a rational square matrix."""
-    powers = _powers(FieldMatrix.identity(m.field, m.rows), m, m.rows)  # Cayley-Hamilton
+    powers = _powers(FieldMatrix.identity(m.field, m.rows), m, m.rows + 1)  # Cayley-Hamilton
     return krylov_minpoly([e for row in p.rational_entries() for e in row] for p in powers)
 
 
 def element_minpoly(x: FieldElement):
     """Minimal polynomial over Q of a field element."""
-    return krylov_minpoly(p.coords for p in _powers(x.field.one(), x, x.field.degree))
-
-
-def _powers(one, x, m: int):
-    """[x^0, .., x^m] with x^0 = one."""
-    out = [one]
-    for _ in range(m):
-        out.append(out[-1] * x)
-    return out
+    return krylov_minpoly(p.coords for p in _powers(x.field.one(), x, x.field.degree + 1))
 
 
 def _combine(zero, coeffs, basis):
@@ -228,7 +221,7 @@ def _value_field(base: Embedding):
     k = base.field
     d = k.degree
     qq = rationals()
-    gpow = _powers(k.one(), k.gen(), 2 * d)
+    gpow = _powers(k.one(), k.gen(), 2 * d + 1)
     for c in range(1, d * d + 2):
         # A-coordinates (re | im) of u^n = gen^n * (a + b*y), a + b*i = (1 + c*i)^n
         gauss = [(1, 0)]
@@ -280,7 +273,7 @@ def _real_value_field(lemb: Embedding, entries):
     for gamma in itertools.chain(irrational, combos):
         s, p = _integral(element_minpoly(gamma))
         gamma = gamma * s
-        gpow = _powers(lf.one(), gamma, len(p) - 2)
+        gpow = _powers(lf.one(), gamma, len(p) - 1)
         span = FieldMatrix(qq, [[x.coords[i] for x in gpow] for i in range(lf.degree)])
         try:
             sol = span.solve(target)
@@ -581,7 +574,7 @@ def simplicity_check(inp: CmInput, subfield_data) -> bool:
 
 
 def _power_span_basis(u: FieldElement):
-    return _powers(u.field.one(), u, polyq.degree(element_minpoly(u)) - 1)
+    return _powers(u.field.one(), u, polyq.degree(element_minpoly(u)))
 
 
 def _conj_stable(k: NumberField, basis_l) -> bool:

@@ -4,10 +4,11 @@ FieldMatrix is a dense matrix of FieldElements sharing one field (rational
 matrices are the degree-1 case).  A product entry is one call of the field's
 product kernel, `NumberField.dot`, which reduces mod the minpoly once per
 entry instead of once per term.  One row reduction, `_rref`, backs every
-rank, kernel, solve, inverse and determinant: rational rows (`kernel_rows`,
-`rational_kernel`, degree-1 matrices) become int rows, reduced fraction-free
-by cross-multiplication and content division; over a larger field each
-pivot row is divided by its pivot.  Integer lattices get Hermite/Smith
+rank, kernel, solve, inverse and determinant, and every field inverse
+(`FieldElement.inverse` solves its integer multiplication matrix by
+`kernel_rows`): rational rows (`kernel_rows`, `rational_kernel`, degree-1
+matrices) become int rows, reduced fraction-free by cross-multiplication and
+content division; over a larger field each pivot row is divided by its pivot.  Integer lattices get Hermite/Smith
 normal forms with unimodular transforms, and a lattice index is the product
 of the HNF diagonal.  Integrality conditions are saturated by a modular HNF
 that keeps every entry below the lcm D of their denominators, because the

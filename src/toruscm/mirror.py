@@ -2,9 +2,10 @@
 period-normal-form construction, psi extraction, isogeny certificates, and
 the cyclotomic end-to-end example.
 
-Data is checked where it enters: rho and A in `construct_mirror`, a pair's phi
-in `psi_maps`.  That every construction meets the mirror-map axioms is held by
-the tests; `verify_mirror` checks them for a report that states them."""
+Data is checked where it enters: rho and A in `construct_mirror`, a pair's
+sides and phi when the frozen `MirrorPair` is built.  That every construction
+meets the mirror-map axioms is held by the tests; `verify_mirror` checks them
+for a report that states them."""
 
 from __future__ import annotations
 
@@ -72,11 +73,22 @@ class MirrorSide:
     gks: GksPair
 
 
-@dataclass
+@dataclass(frozen=True)
 class MirrorPair:
+    """Two sides and a map, checked when built: the sides share g and field,
+    and phi has 4g rows of 4g entries."""
+
     left: MirrorSide
     right: MirrorSide
     map: MirrorMap
+
+    def __post_init__(self):
+        tl, tr = self.left.torus, self.right.torus
+        n = 4 * tl.g
+        if tr.g != tl.g or self.map.size() != n or any(len(r) != n for r in self.map.phi):
+            raise DimensionMismatch("mirror map size does not match the pair")
+        if tl.field != tr.field:
+            raise DimensionMismatch("sides live over different fields")
 
 
 @dataclass
@@ -103,13 +115,7 @@ class MirrorReport:
 def verify_mirror(pair: MirrorPair) -> MirrorReport:
     """Exact per-condition check of the mirror-map axioms."""
     gl, gr = pair.left.gks, pair.right.gks
-    tl, tr = pair.left.torus, pair.right.torus
-    n = 4 * tl.g
-    if tr.g != tl.g or pair.map.size() != n:
-        raise DimensionMismatch("mirror map size does not match the pair")
-    if tl.field != tr.field:
-        raise DimensionMismatch("sides live over different fields")
-    phi = pair.map.as_field_matrix(tl.field)
+    phi = pair.map.as_field_matrix(pair.left.torus.field)
     # I' = phi J phi^-1 and J' = phi I phi^-1, cleared of the inverse
     return MirrorReport(
         pair.map.unimodular(),

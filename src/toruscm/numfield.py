@@ -2,8 +2,10 @@
 
 A field is given by a monic squarefree integer polynomial; an element is its
 integer power-basis numerators over one denominator, in lowest terms, and
-products go through one kernel, `NumberField.dot`.  `make_field` also accepts a
-reducible squarefree m, whose algebra has zero divisors: inverting one raises
+products go through one kernel, `NumberField.dot`.  An inverse solves y u = 1
+on the integer matrix of multiplication by y, by exactla's one row reduction;
+the trace reads the same matrix.  `make_field` also accepts a reducible
+squarefree m, whose algebra has zero divisors: inverting one raises
 `ZeroDivisor`.  `require_irreducible`, run on the field of every torus document
 and CM input, raises `ReducibleMinpoly` for such an m.  Embeddings are
 certified complex enclosures of the roots of m: real roots isolated by the
@@ -428,7 +430,8 @@ class NumberField:
             raise NotSquarefree("gcd(m, m') is not constant")
         self.minpoly = m
         self.degree = polyq.degree(m)
-        self._red = self._reduction_rows()
+        self._red = [tuple(-c.numerator for c in m[:-1])]  # x^d mod m, for `_mul_columns`
+        self._red = self._mul_columns(self._red[0])  # x^d .. x^(2d - 1) mod m
         self._embeddings = None
         self._roots = None
         self.conj_image = None
@@ -437,26 +440,12 @@ class NumberField:
             img = self.element(conj_image)
             if self.evaluate(self.minpoly, img):
                 raise ConjNotAutomorphism("minpoly(conj_image) != 0 mod minpoly")
-            self._conj_powers = self._powers(img, self.degree)
+            self._conj_powers = _powers(self.one(), img, self.degree)
             if self.conj(img) != self.gen():
                 raise ConjNotInvolution("conj(conj(x)) != x")
             self.conj_image = img.coords
 
     # -- internal ------------------------------------------------------------
-
-    def _reduction_rows(self):
-        """Integer coordinates of x^k mod m for k = d .. 2d-2."""
-        d = self.degree
-        rows = [tuple(-c.numerator for c in self.minpoly[:-1])]
-        for _ in range(d - 2):
-            prev = rows[-1]
-            carry = prev[-1]
-            nxt = [0] + list(prev[:-1])
-            if carry:
-                for i in range(d):
-                    nxt[i] += carry * rows[0][i]
-            rows.append(tuple(nxt))
-        return rows
 
     def _reduce(self, raw):
         """Coordinates of a length-(2d - 1) integer coefficient list mod m."""
@@ -470,12 +459,16 @@ class NumberField:
                     out[i] += c * row[i]
         return out
 
-    def _powers(self, x, n):
-        """x^0 .. x^(n-1)."""
-        out = [self.one()]
-        for _ in range(n - 1):
-            out.append(out[-1] * x)
-        return out
+    def _mul_columns(self, num):
+        """Integer coordinates of y x^k mod m for k < d, where y has the
+        numerators `num` over 1: the columns of the matrix of multiplication
+        by y."""
+        top = self._red[0]  # x^d
+        cols = [tuple(num)]
+        for _ in range(self.degree - 1):
+            c = cols[-1]
+            cols.append(tuple(a + c[-1] * t for a, t in zip((0,) + c[:-1], top)))
+        return cols
 
     # -- public --------------------------------------------------------------
 
@@ -504,7 +497,7 @@ class NumberField:
 
     def evaluate(self, p, x: "FieldElement") -> "FieldElement":
         """p(x) for a rational polynomial p (ascending coefficients)."""
-        return self.dot([self.from_rational(c) for c in p], self._powers(x, len(p)))
+        return self.dot([self.from_rational(c) for c in p], _powers(self.one(), x, len(p)))
 
     def element(self, coords) -> "FieldElement":
         """The element with these power-basis coordinates (rationals, as in
@@ -592,6 +585,14 @@ def _rational_pair(r):
     return r.numerator, r.denominator
 
 
+def _powers(one, x, n):
+    """[x^0, .., x^(n-1)] with x^0 = one: elements, or square matrices."""
+    out = [one]
+    for _ in range(n - 1):
+        out.append(out[-1] * x)
+    return out
+
+
 class FieldElement:
     """num / den: integer power-basis numerators over one denominator, in
     canonical form (den >= 1, gcd(den, *num) == 1), so equal elements have
@@ -647,13 +648,21 @@ class FieldElement:
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
+        """den / y for y = num / 1, where y u = 1 is the integer system
+        [M | -e_0] (M the matrix of multiplication by y), solved by the one
+        row reduction: its kernel is the single row (u, 1) exactly when y is
+        a unit."""
         n = self.num[0]
         if n and self.is_rational():  # swap numerator and denominator
             return self.field.from_rational(Fraction(self.den, n))
-        u = _poly_inverse(polyq.poly(self.num), self.field.minpoly)
-        if u is None:
+        from .exactla import kernel_rows  # exactla imports this module
+
+        d = self.field.degree
+        rows = zip(*self.field._mul_columns(self.num))
+        ker = kernel_rows([[*r, -1 if i == 0 else 0] for i, r in enumerate(rows)], d + 1)
+        if len(ker) != 1 or ker[0][d] != 1:
             raise ZeroDivisor("element shares a factor with the minpoly")
-        return self.field.element(u) * self.den
+        return self.field.element(ker[0][:d]) * self.den
 
     def __truediv__(self, o):
         return self * self._co(o).inverse()
@@ -706,21 +715,6 @@ class FieldElement:
         return f"FieldElement({[str(c) for c in self.coords]})"
 
 
-def _poly_inverse(p, m):
-    """u with u*p = 1 mod m via extended Euclid, or None if not invertible."""
-    if polyq.is_zero(p):
-        return None
-    r0, r1 = polyq.poly(m), polyq.poly(p)
-    s0, s1 = (), (Fraction(1),)
-    while r1:
-        q, r = polyq.pdivmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, polyq.psub(s0, polyq.pmul(q, s1))
-    if polyq.degree(r0) != 0:
-        return None
-    return polyq.pscale(s0, 1 / r0[0])
-
-
 # ---------------------------------------------------------------------------
 # Spec operations
 
@@ -741,9 +735,9 @@ def rational_part(x: FieldElement):
 
 
 def trace_q(x: FieldElement) -> Fraction:
-    """Tr_{K/Q}(x): trace of the multiplication-by-x matrix."""
-    ys = (x * p for p in x.field._powers(x.field.gen(), x.field.degree))
-    return sum((Fraction(y.num[k], y.den) for k, y in enumerate(ys)), Fraction(0))
+    """Tr_{K/Q}(x): the diagonal sum of the matrix of multiplication by x."""
+    cols = x.field._mul_columns(x.num)
+    return Fraction(sum(c[k] for k, c in enumerate(cols)), x.den)
 
 
 def _is_real_under(x: FieldElement, emb: Embedding) -> bool:
@@ -774,7 +768,8 @@ def _nonzero_sign(x: FieldElement, emb: Embedding, part: str) -> int:
 
 
 def exact_sign(x: FieldElement, emb: Embedding) -> int:
-    """Sign of the (real) image of x: interval first, exact zero fallback."""
+    """Sign of the (real) image of x: an exact zero test first, then
+    enclosures refined until the sign of the nonzero image shows."""
     if not _is_real_under(x, emb):
         raise NotRealUnderEmbedding("image of x is not real under this embedding")
     if _image_is_zero(x, emb):

@@ -48,7 +48,8 @@ class EndAlgebra:
 
 @dataclass(frozen=True)
 class ComplexTorusData:
-    """A complex torus: I on Gamma_Q with I^2 = -Id, checked when built."""
+    """A complex torus of dimension g >= 1: I on Gamma_Q with I^2 = -Id,
+    checked when built."""
 
     g: int
     field: NumberField
@@ -56,6 +57,8 @@ class ComplexTorusData:
     embedding: Embedding
 
     def __post_init__(self):
+        if self.g < 1:
+            raise ValueError("g must be >= 1")
         n = 2 * self.g
         if self.I.rows != n or self.I.cols != n:
             raise ValueError("I must be 2g x 2g")

@@ -100,7 +100,7 @@ def _malformed_tori(fixture_dir):
     bad.append(dict(good, I=[[["0"], ["-1"]], 3]))
     bad.append(dict(good, G=None, B=[[1, 2], [3]]))
     bad += [dict(good, embedding=e) for e in (1.5, True)]
-    bad += [dict(good, g=1.5), dict(good, g="3/2")]
+    bad += [dict(good, g=1.5), dict(good, g="3/2"), dict(good, g=0, I=[], G=[], B=[])]
     bad += [dict(good, **change) for change, _ in BAD_METRICS]
     return [json.dumps(d) for d in bad]
 
@@ -125,6 +125,26 @@ def test_pair_with_a_bad_metric_exits_2(capsys, side, change, error):
         assert json.loads(out) == {"ok": False, "error": error}, cmd
 
 
+def _mismatched_pairs():
+    pair = json.load(open(GOLDEN / "mirror_construct_a1_rho_minus1.json"))
+    g2 = json.load(open(GOLDEN.parent / "data" / "mirror_g2_seed2.json"))
+    return {
+        "phi 2x2": dict(pair, phi=[[1, 0], [0, 1]]),
+        "phi 4x3": dict(pair, phi=[row[:3] for row in pair["phi"]]),
+        "g 1 and 2": dict(pair, right=g2["right"]),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_mismatched_pairs()))
+def test_mismatched_pair_exits_2_where_it_enters(capsys, case):
+    doc = json.dumps(_mismatched_pairs()[case])
+    want = {"ok": False, "error": "DimensionMismatch: mirror map size does not match the pair"}
+    for cmd in (["mirror", "verify"], ["mirror", "isogeny"]):
+        code, out = invoke(capsys, cmd + ["--pair", doc])
+        assert code == 2, cmd
+        assert json.loads(out) == want, cmd
+
+
 def test_malformed_documents_exit_2_without_traceback(capsys, fixture_dir):
     argvs = []
     for doc in _malformed_tori(fixture_dir):
@@ -139,6 +159,7 @@ def test_malformed_documents_exit_2_without_traceback(capsys, fixture_dir):
         ["mirror", "construct", "--A", "[1]", "--rho", "[[-1]]"],
         ["mirror", "construct", "--A", '[["1"]]', "--rho", "[[-1.5]]"],
         ["mirror", "construct", "--A", '[["1"]]', "--rho", '[["-3/2"]]'],
+        ["mirror", "construct", "--A", "[]", "--rho", "[]"],
     ]
     cm = dict(json.load(open(fixture_dir / "tau_i.json"))["cm"], phi=[1.5])
     argvs.append(["cm", "build", "--input", json.dumps(cm)])

@@ -2,8 +2,9 @@
 every function, class, method and module-level name a `toruscm` module
 defines is used somewhere; only `numfield` reads the private reduction mod
 the minpoly or builds elements from their numerators; the product kernel
-and the one elimination never touch `Fraction`; and every dataclass that
-checks itself or caches derived data is frozen.
+and the one elimination never touch `Fraction`; a field inverse and the
+trace read the integer multiplication matrix, never `polyq`; and every
+dataclass that checks itself or caches derived data is frozen.
 
 The package `__init__` is left out: its imports are the public API, which
 `__all__` re-exports from `dir()`.
@@ -85,7 +86,7 @@ def test_no_dead_definitions_in_src():
 
 def test_only_numfield_reduces_mod_the_minpoly():
     # reduction mod m stays behind the field's one product kernel
-    private = {"_reduce", "_red", "_mul_coords"}
+    private = {"_reduce", "_red", "_mul_columns"}
     reads = [
         f"{path.name}:{node.lineno}: {node.attr}"
         for path in sorted(SRC.glob("*.py"))
@@ -122,6 +123,31 @@ def test_product_kernel_and_elimination_never_touch_fraction():
         or (isinstance(node, ast.Attribute) and node.attr == "Fraction")
     ]
     assert touching == []
+
+
+def test_inverse_and_trace_read_the_multiplication_matrix():
+    # a field inverse is solved by the one elimination on the integer matrix
+    # of multiplication, and the trace is read off the same matrix, so no
+    # polynomial extended Euclid comes back beside them
+    numfield = ast.parse((SRC / "numfield.py").read_text(encoding="utf-8"))
+    bodies = {
+        "FieldElement.inverse": _function(numfield, "inverse", "FieldElement"),
+        "trace_q": _function(numfield, "trace_q"),
+    }
+    naming_polyq = [
+        name
+        for name, body in bodies.items()
+        for node in ast.walk(body)
+        if (isinstance(node, ast.Name) and node.id == "polyq")
+        or (isinstance(node, ast.Attribute) and node.attr == "polyq")
+    ]
+    assert naming_polyq == []
+    calls = {
+        node.func.id
+        for node in ast.walk(bodies["FieldElement.inverse"])
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    assert "kernel_rows" in calls
 
 
 def test_only_numfield_builds_elements_from_num_and_den():

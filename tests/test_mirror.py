@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from toruscm.cm import endomorphism_algebra, rational_kahler_search
 from toruscm.exactla import FieldMatrix, Singular
 from toruscm.fixtures import tau_i_torus
 from toruscm.mirror import (
+    DimensionMismatch,
     MirrorMap,
     MirrorPair,
     RhoNotNegativeDefinite,
@@ -76,6 +78,15 @@ def test_verify_fails_for_identity_map():
     assert rep.unimodular and rep.q_compatible
     assert not rep.i_conjugated and not rep.j_conjugated
     assert not rep.ok
+
+
+def test_pair_is_checked_when_built_and_frozen(zeta5_mirror):
+    # the CLI tests hold the size checks; sides over Q and Q(2 sin 2pi/5)
+    pair = construct_mirror(qmat([[1, 0], [0, 1]]), [[-1, 0], [0, -1]])
+    with pytest.raises(DimensionMismatch):
+        MirrorPair(pair.left, zeta5_mirror["pair"].right, pair.map)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pair.map = MirrorMap([row[:] for row in pair.map.phi])
 
 
 def _preserves_q(phi):

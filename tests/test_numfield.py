@@ -14,6 +14,7 @@ from toruscm.numfield import (
     NotConverged,
     NotSquarefree,
     RootSet,
+    ZeroDivisor,
     embeddings,
     exact_sign,
     exact_sign_imag,
@@ -719,6 +720,54 @@ def test_field_products_match_sympy_remainders(minpoly):
         for j in range(2):
             want = _sum_coords([rem(a[i][k], b[k][j]) for k in range(3)], f.degree)
             assert got[i, j].coords == want
+
+
+# Q(i), Q(sqrt 5), Q(2 sin 2pi/5), Q(zeta5), the degree-8 L = Q(sigma(K), i) of
+# the Q(zeta5) CM pipeline, Q(zeta13)
+_INVERSE_MINPOLYS = [
+    [1, 0, 1],
+    [-5, 0, 1],
+    [5, 0, -5, 0, 1],
+    [1] * 5,
+    [16, 16, 8, 0, -4, 0, 2, 2, 1],
+    [1] * 13,
+]
+
+
+@pytest.mark.parametrize("minpoly", _INVERSE_MINPOLYS, ids=lambda m: ",".join(map(str, m)))
+def test_inverse_matches_sympy_invert(minpoly):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+
+    def expr(coords):
+        return sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(coords))
+
+    f = make_field(minpoly)
+    m = expr(f.minpoly)
+    rng = random.Random(sum(minpoly))
+    xs = [a for a in (_seeded_element(rng, f) for _ in range(40)) if a][:12]
+    assert len(xs) == 12 and not all(a.is_rational() for a in xs)
+    for a in xs:
+        inv = a.inverse()
+        want = sympy.Poly(sympy.invert(expr(a.coords), m, x), x).all_coeffs()[::-1]
+        want = [Fraction(int(c.p), int(c.q)) for c in want]
+        assert inv.coords == tuple(want + [Fraction(0)] * (f.degree - len(want)))
+        assert a * inv == f.one()
+
+
+@pytest.mark.parametrize(
+    "minpoly, zero_divisors",
+    # x^2 - 1 = (x - 1)(x + 1) and (x^2 + 1)(x^2 - 2), with one factor each
+    [([-1, 0, 1], [[-1, 1], [1, 1]]), ([-2, 0, -1, 0, 1], [[1, 0, 1], [-2, 0, 1]])],
+    ids=["x^2-1", "(x^2+1)(x^2-2)"],
+)
+def test_inverse_of_a_zero_divisor_raises(minpoly, zero_divisors):
+    f = make_field(minpoly)
+    for coords in zero_divisors + [[0]]:
+        with pytest.raises(ZeroDivisor):
+            f.element(coords).inverse()
+    unit = f.element([2, 1])  # x + 2: -2 is no root of the minpoly
+    assert unit * unit.inverse() == f.one()
 
 
 def test_rational_matrix_products_match_fraction_matmul():
