@@ -8,9 +8,10 @@ and D = diag(i, .., i, -i, .., -i).  It is computed exactly over the number
 field L = Q(sigma(K), i), built from a primitive element of K[y]/(y^2 + 1)
 and the factor of its minimal polynomial that vanishes at the base
 embedding; L is a field whether or not i lies in K.  The real values of I
-are then expressed in F = Q(entries) by exact solves in the power span of a
-generator, and F's embedding is certified real.  Every decision is exact;
-enclosures only pick which root or embedding a value is.
+are then expressed in F = Q(entries) by their coordinates in the power span
+of a generator, and F's embedding is certified real.  Every decision is
+exact; enclosures only pick which root or embedding a value is.  Every
+Q-span question is one `kernel_rows` call, through `_coordinates`.
 
 The certificate searches End^0(T), which each torus computes once
 (`ComplexTorusData.end`); it and the metric search share one seeded search.
@@ -28,7 +29,6 @@ from . import polyq
 from .boxes import Box
 from .exactla import (
     FieldMatrix,
-    Inconsistent,
     Singular,
     kernel_rows,
     positive_definite,
@@ -108,6 +108,19 @@ def element_minpoly(x: FieldElement):
     return krylov_minpoly(p.coords for p in _powers(x.field.one(), x, x.field.degree + 1))
 
 
+def _coordinates(span, targets):
+    """Rational coordinates of each target vector in the Q-span of the
+    vectors `span`, or None when those are dependent or a target is outside
+    their span: the free columns of [span | targets] must be the target
+    columns, whose kernel rows are (-x_j, e_j) (a row is 0 after its free
+    column)."""
+    n = len(span)
+    ker = kernel_rows(list(zip(*span, *targets)), n + len(targets))
+    if len(ker) != len(targets) or not all(row[n + j] for j, row in enumerate(ker)):
+        return None
+    return [[-c for c in row[:n]] for row in ker]
+
+
 def _combine(zero, coeffs, basis):
     """zero + sum of c * b over the nonzero coefficients c."""
     acc = zero
@@ -145,13 +158,8 @@ class CmInput:
                 )
         if len(self.basis) != d:
             raise ValueError("basis must have 2g elements")
-        qq = rationals()
-        gram = FieldMatrix(
-            qq,
-            [[trace_q(a * b) for b in self.basis] for a in self.basis],
-        )
-        if gram.det().is_zero():
-            raise BasisDependent("trace-form Gram determinant vanishes")
+        if _coordinates([a.coords for a in self.basis], []) is None:
+            raise BasisDependent("basis is linearly dependent over Q")
         embs = k.embeddings()
         if len(self.phi) != d // 2:
             raise ValueError("Phi must pick one embedding per conjugate pair")
@@ -186,12 +194,12 @@ class CmInput:
 
 
 def mult_matrix_in_basis(x: FieldElement, basis) -> FieldMatrix:
-    """Matrix of multiplication by x in a given Q-basis (rational)."""
-    k = x.field
-    qq = rationals()
-    bmat = FieldMatrix(qq, [[b.coords[i] for b in basis] for i in range(k.degree)])
-    rhs = FieldMatrix(qq, [[(x * b).coords[i] for b in basis] for i in range(k.degree)])
-    return bmat.solve(rhs)
+    """Matrix of multiplication by x in a given Q-basis (rational): column j
+    holds the coordinates of x * b_j."""
+    cols = _coordinates([b.coords for b in basis], [(x * b).coords for b in basis])
+    if cols is None:
+        raise Singular("basis is not a Q-basis of the field")
+    return FieldMatrix(rationals(), zip(*cols))
 
 
 def _integral(p):
@@ -220,7 +228,6 @@ def _value_field(base: Embedding):
     """
     k = base.field
     d = k.degree
-    qq = rationals()
     gpow = _powers(k.one(), k.gen(), 2 * d + 1)
     for c in range(1, d * d + 2):
         # A-coordinates (re | im) of u^n = gen^n * (a + b*y), a + b*i = (1 + c*i)^n
@@ -245,10 +252,9 @@ def _value_field(base: Embedding):
     lf = NumberField(minpoly_factor_at(m, u_value))
     lemb = lf.embeddings()[lf.roots.locate(u_value)]
     # gen and y as rational combinations of u^0 .. u^(2d-1), mapped into L
-    powers = FieldMatrix(qq, [[col[i] for col in cols[:-1]] for i in range(2 * d)])
-    rhs = FieldMatrix(qq, [[x, 0] for x in k.gen().coords] + [[0, x] for x in k.one().coords])
-    sol = powers.solve(rhs).rational_entries()
-    gen_l, i_l = (lf.evaluate([row[j] for row in sol], lf.gen()) for j in range(2))
+    zero = (0,) * d
+    sol = _coordinates(cols[:-1], [k.gen().coords + zero, zero + k.one().coords])
+    gen_l, i_l = (lf.evaluate(x, lf.gen()) for x in sol)
     return lf, lemb, gen_l, i_l
 
 
@@ -257,7 +263,7 @@ def _real_value_field(lemb: Embedding, entries):
 
     The distinct irrational entries are tried in order as a generator gamma,
     then seeded combinations of them; gamma is accepted when every entry
-    solves exactly in the Q-span of its powers.  F's generator is the
+    has coordinates in the Q-span of its powers.  F's generator is the
     integral multiple of gamma from `_integral`.
     """
     qq = rationals()
@@ -269,22 +275,18 @@ def _real_value_field(lemb: Embedding, entries):
     combos = (
         sum((e * rng.randint(-3, 3) for e in irrational), lf.zero()) for _ in range(8)
     )
-    target = FieldMatrix(qq, [[e.coords[i] for e in entries] for i in range(lf.degree)])
+    targets = [e.coords for e in entries]
     for gamma in itertools.chain(irrational, combos):
         s, p = _integral(element_minpoly(gamma))
         gamma = gamma * s
-        gpow = _powers(lf.one(), gamma, len(p) - 1)
-        span = FieldMatrix(qq, [[x.coords[i] for x in gpow] for i in range(lf.degree)])
-        try:
-            sol = span.solve(target)
-        except Inconsistent:
+        sol = _coordinates([x.coords for x in _powers(lf.one(), gamma, len(p) - 1)], targets)
+        if sol is None:
             continue
         f = NumberField(p)
         femb = f.embeddings()[f.roots.locate(lambda w: gamma.enclosure(lemb, w))]
         if not femb.is_real:
             raise AssertionError("I has an entry that is not real")
-        coords = sol.rational_entries()
-        return f, femb, [f.element([row[j] for row in coords]) for j in range(len(entries))]
+        return f, femb, [f.element(x) for x in sol]
     raise UnsupportedField("no generator of the value field of I was found")
 
 
@@ -360,15 +362,15 @@ def find_beta(k: NumberField, basis, phi, budget: int) -> FieldElement:
     conj-antisymmetric parts of the basis, ordered by (max|coeff|, lex)."""
     inp = CmInput(k, list(basis), list(phi))
     inp.validate()
-    qq = rationals()
-    bmat = FieldMatrix(qq, [[b.coords[i] for b in basis] for i in range(k.degree)])
+    span = [b.coords for b in basis]
     parts = []
     for a in basis:
         v = a - k.conj(a)
         if v.is_zero():
             continue
         half = k.element([c / 2 for c in v.coords])
-        use = half if _in_span_integral(bmat, half) else v
+        (x,) = _coordinates(span, [half.coords])  # the basis spans K
+        use = half if all(c.denominator == 1 for c in x) else v
         if any(use == p or use == -p for p in parts):
             continue
         parts.append(use)
@@ -396,14 +398,6 @@ def _shell(n: int, m: int):
             yield (x,) + rest
 
 
-def _in_span_integral(bmat: FieldMatrix, x: FieldElement) -> bool:
-    try:
-        sol = bmat.solve(FieldMatrix(rationals(), [[c] for c in x.coords]))
-    except (Inconsistent, Singular):
-        return False
-    return all(sol[i, 0].as_rational().denominator == 1 for i in range(sol.rows))
-
-
 # ---------------------------------------------------------------------------
 # Endomorphism algebra and certificates
 
@@ -424,9 +418,11 @@ class CmVerdict:
 def _seeded_search(basis, extra, coeff, trials: int, accept):
     """(m, accept(m)) for the first nonzero m with accept(m) truthy among the
     first max(trials, 0) candidates, else (None, None): the basis, `extra`,
-    then combinations of the basis with coefficients drawn by coeff()."""
+    then combinations of the basis with coefficients drawn by coeff().  A
+    one-element basis gets no draws: each would be a multiple of it."""
     zero = FieldMatrix.zeros(basis[0].field, basis[0].rows, basis[0].cols)
     draws = (_combine(zero, [coeff() for _ in basis], basis) for _ in itertools.count())
+    draws = draws if len(basis) > 1 else ()
     for m in itertools.islice(itertools.chain(basis, extra, draws), max(trials, 0)):
         got = None if m.is_zero() else accept(m)
         if got:
@@ -464,7 +460,7 @@ def rational_kahler_search(t: ComplexTorusData, trials: int = 200, seed: int = 0
     of G -> G I + I^T G over the upper-triangular unknowns G[a, b], a <= b.
     Returns (G or None, solution_space_dimension).  Sampling: the basis,
     then its sum, then seeded coefficients with numerators in [-8, 8] and
-    denominators in [1, 8].
+    denominators in [1, 8].  On a line Q.b, b and -b decide the question.
     """
     n = 2 * t.g
     qq = rationals()
@@ -482,7 +478,7 @@ def rational_kahler_search(t: ComplexTorusData, trials: int = 200, seed: int = 0
     rng = random.Random(seed)
     g, _ = _seeded_search(
         basis,
-        [sum(basis[1:], basis[0])],
+        [sum(basis[1:], basis[0]) if len(basis) > 1 else -basis[0]],
         lambda: Fraction(rng.randint(-8, 8), rng.randint(1, 8)),
         trials,
         lambda g: positive_definite(g, qq.embeddings()[0]),
@@ -555,8 +551,9 @@ def simplicity_check(inp: CmInput, subfield_data) -> bool:
         l_dim = len(basis_l)
         if l_dim in (1, k.degree):
             continue  # Q itself or not proper
-        if not _conj_stable(k, basis_l):
-            continue  # cannot be a complex quadratic extension of its real part
+        conj_l = [k.conj(b).coords for b in basis_l]
+        if _coordinates([b.coords for b in basis_l], conj_l) is None:
+            continue  # conj leaves it: not complex quadratic over its real part
         fixed = _fixed_subbasis(k, basis_l)
         if l_dim != 2 * len(fixed):
             continue  # not quadratic over L cap K0
@@ -575,16 +572,6 @@ def simplicity_check(inp: CmInput, subfield_data) -> bool:
 
 def _power_span_basis(u: FieldElement):
     return _powers(u.field.one(), u, polyq.degree(element_minpoly(u)))
-
-
-def _conj_stable(k: NumberField, basis_l) -> bool:
-    """conj maps span(basis_l) into itself: appending the conjugates as
-    columns leaves the rank unchanged."""
-    qq = rationals()
-    images = basis_l + [k.conj(b) for b in basis_l]
-    both = FieldMatrix(qq, [[b.coords[i] for b in images] for i in range(k.degree)])
-    span = FieldMatrix(qq, [row[: len(basis_l)] for row in both.entries])
-    return both.rank() == span.rank()
 
 
 def _fixed_subbasis(k: NumberField, basis_l):

@@ -3,9 +3,9 @@ period-normal-form construction, psi extraction, isogeny certificates, and
 the cyclotomic end-to-end example.
 
 Data is checked where it enters: rho and A in `construct_mirror`, a pair's
-sides and phi when the frozen `MirrorPair` is built.  That every construction
-meets the mirror-map axioms is held by the tests; `verify_mirror` checks them
-for a report that states them."""
+sides and phi when the frozen `MirrorPair`, of frozen sides and map, is
+built.  That every construction meets the mirror-map axioms is held by the
+tests; `verify_mirror` checks them for a report that states them."""
 
 from __future__ import annotations
 
@@ -39,9 +39,12 @@ class SingularGamma(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class MirrorMap:
-    phi: list  # 4g x 4g integer rows
+    phi: tuple  # 4g x 4g integer rows, stored as tuples
+
+    def __post_init__(self):
+        object.__setattr__(self, "phi", tuple(map(tuple, self.phi)))
 
     def size(self) -> int:
         return len(self.phi)
@@ -66,7 +69,7 @@ class MirrorMap:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class MirrorSide:
     torus: ComplexTorusData
     kahler: KahlerData

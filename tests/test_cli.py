@@ -207,6 +207,31 @@ def test_cm_build_rejects_a_conj_that_is_not_complex_conjugation(capsys):
     assert rep["ok"] is False
     assert rep["error"].startswith("ConjNotComplexConjugation: conj is not complex conjugation")
 
+
+GAUSSIAN_FIELD = {"minpoly": ["1", "0", "1"], "conj": ["0", "-1"]}
+ZETA5_FIELD = {"minpoly": ["1", "1", "1", "1", "1"], "conj": ["-1", "-1", "-1", "-1"]}
+
+
+@pytest.mark.parametrize(
+    "field, basis, phi, beta",
+    [
+        # Q(i): 2 + 2x = 2 (1 + x), with and without beta
+        (GAUSSIAN_FIELD, [["1", "1"], ["2", "2"]], [1], ["0", "1"]),
+        (GAUSSIAN_FIELD, [["1", "1"], ["2", "2"]], [1], None),
+        # Q(zeta5): the last element is the sum of the first three
+        (ZETA5_FIELD, [["1"], ["0", "1"], ["0", "0", "1"], ["1", "1", "1"]], [1, 3], None),
+    ],
+    ids=["gaussian-beta", "gaussian", "zeta5"],
+)
+def test_cm_build_with_a_q_dependent_basis_exits_2(capsys, field, basis, phi, beta):
+    doc = {"field": field, "basis": basis, "phi": phi, "beta": beta, "automorphisms": None}
+    code, out = invoke(capsys, ["cm", "build", "--input", json.dumps(doc), "--budget", "2"])
+    assert code == 2
+    rep = json.loads(out)
+    assert rep["ok"] is False
+    assert rep["error"] == "BasisDependent: basis is linearly dependent over Q"
+
+
 def test_gks_induce_and_rationality(capsys, fixture_dir):
     code, out = invoke(capsys, ["gks", "induce", "--torus", str(fixture_dir / "tau_i.json")])
     assert code == 0

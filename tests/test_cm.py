@@ -20,7 +20,7 @@ from toruscm.cm import (
     rational_kahler_search,
     simplicity_check,
 )
-from toruscm.exactla import FieldMatrix, positive_definite
+from toruscm.exactla import FieldMatrix, Singular, positive_definite
 from toruscm.fixtures import _embedding_near, tau_2pow14_torus, tau_i_torus
 from toruscm.numfield import make_field, rationals
 from toruscm.torus import ComplexTorusData
@@ -250,19 +250,69 @@ def test_cm_certificate_spends_exactly_its_budget(monkeypatch):
 
 def test_product_without_cm_has_no_rational_metric(monkeypatch):
     # Theorem 1 on E_i x E: no CM (dim End = 3 < 4), and the rational
-    # I-invariant forms are the multiples of E_i's metric, none definite
+    # I-invariant forms are the multiples of E_i's metric, none definite;
+    # on that line Q.b the search tries b and -b and stops
     t = _product_over_2pow14(tau_i_torus()[0], tau_2pow14_torus()[0])
     v = cm_certificate(t)
     assert (v.verdict, v.end_dim) == ("NotCM", 3)
     checks = _calls(monkeypatch, "positive_definite")
     assert rational_kahler_search(t, trials=7) == (None, 1)
-    assert len(checks) == 7
+    assert len(checks) == 2
+    assert rational_kahler_search(t) == (None, 1)
+    assert len(checks) == 4
+    assert rational_kahler_search(t, trials=1) == (None, 1)
+    assert len(checks) == 5
 
 
 def test_matrix_minpoly_of_mult_by_xi(zeta5_cm):
     inp = zeta5_cm["input"]
     m = mult_matrix_in_basis(inp.field.gen(), inp.basis)
     assert list(matrix_minpoly(m)) == [1, 1, 1, 1, 1]
+
+
+# Q(zeta5), Q(2 sin 2pi/5) and the degree-8 L = Q(sigma(K), i) of the
+# Q(zeta5) CM pipeline
+_SPAN_MINPOLYS = [[1] * 5, [5, 0, -5, 0, 1], [16, 16, 8, 0, -4, 0, 2, 2, 1]]
+
+
+@pytest.mark.parametrize("minpoly", _SPAN_MINPOLYS, ids=lambda m: ",".join(map(str, m)))
+def test_coordinates_and_mult_matrix_match_sympy_solve(minpoly):
+    sympy = pytest.importorskip("sympy")
+    f = make_field(minpoly)
+    d = f.degree
+    rng = random.Random(sum(minpoly) + d)
+
+    def element():
+        return f.element([Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(d)])
+
+    def columns(xs):
+        return sympy.Matrix([[sympy.Rational(str(x.coords[i])) for x in xs] for i in range(d)])
+
+    def as_sympy(rows):
+        return sympy.Matrix([[sympy.Rational(str(c)) for c in row] for row in rows])
+
+    for _ in range(4):
+        basis = [element() for _ in range(d)]
+        assert columns(basis).rank() == d
+        x = element()
+        want = columns(basis).solve(columns([x * b for b in basis]))
+        got = mult_matrix_in_basis(x, basis)
+        assert as_sympy([[e.as_rational() for e in row] for row in got.entries]) == want
+        # a proper subspace: combinations of it are inside, the next basis
+        # element is not, and a combination makes the span dependent
+        span = basis[: rng.randint(1, d - 1)]
+        inside = [sum((b * rng.randint(-3, 3) for b in span), f.zero()) for _ in range(3)]
+        coords = cm._coordinates([b.coords for b in span], [t.coords for t in inside])
+        assert len(coords) == len(inside)
+        for t, c in zip(inside, coords):
+            sol, params = columns(span).gauss_jordan_solve(columns([t]))
+            assert params.shape[0] == 0 and as_sympy([c]).T == sol
+        outside = [t.coords for t in inside] + [basis[len(span)].coords]
+        assert cm._coordinates([b.coords for b in span], outside) is None
+        assert cm._coordinates([b.coords for b in span + inside[:1]], []) is None
+        dependent = basis[:-1] + [basis[0] * 2 - basis[1]]
+        with pytest.raises(Singular):
+            mult_matrix_in_basis(x, dependent)
 
 
 def test_rational_kahler_search_tau_i():

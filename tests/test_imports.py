@@ -3,8 +3,9 @@ every function, class, method and module-level name a `toruscm` module
 defines is used somewhere; only `numfield` reads the private reduction mod
 the minpoly or builds elements from their numerators; the product kernel
 and the one elimination never touch `Fraction`; a field inverse and the
-trace read the integer multiplication matrix, never `polyq`; and every
-dataclass that checks itself or caches derived data is frozen.
+trace read the integer multiplication matrix, never `polyq`; `cm` asks
+its Q-span questions through the one kernel, never by a rational solve; and
+every dataclass that checks itself or caches derived data is frozen.
 
 The package `__init__` is left out: its imports are the public API, which
 `__all__` re-exports from `dir()`.
@@ -148,6 +149,30 @@ def test_inverse_and_trace_read_the_multiplication_matrix():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
     }
     assert "kernel_rows" in calls
+
+
+def test_cm_reads_span_questions_off_the_one_kernel():
+    # coordinates, span membership and independence in cm come from
+    # kernel_rows, so no solve-and-catch-Inconsistent comes back; the one
+    # solve left is the period construction over L in cm_torus
+    tree = ast.parse((SRC / "cm.py").read_text(encoding="utf-8"))
+    naming = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "Inconsistent")
+        or (isinstance(node, ast.Attribute) and node.attr == "Inconsistent")
+        or (isinstance(node, ast.alias) and node.name == "Inconsistent")
+    ]
+    assert naming == []
+    solving = [
+        getattr(scope, "name", "<module>")
+        for scope in tree.body
+        for node in ast.walk(scope)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "solve"
+    ]
+    assert solving == ["cm_torus"]
 
 
 def test_only_numfield_builds_elements_from_num_and_den():

@@ -89,6 +89,25 @@ def test_pair_is_checked_when_built_and_frozen(zeta5_mirror):
         pair.map = MirrorMap([row[:] for row in pair.map.phi])
 
 
+def test_map_and_sides_of_a_pair_are_frozen():
+    # mutating phi in place used to leave psi_maps an IndexError
+    pair = construct_mirror(qmat([[1]]), [[-1]])
+    with pytest.raises(TypeError):
+        pair.map.phi[:] = [[1, 0], [0, 1]]
+    with pytest.raises(TypeError):
+        pair.map.phi[0][0] = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pair.map.phi = ((1, 0), (0, 1))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pair.left.gks = pair.right.gks
+    rows = [list(row) for row in pair.map.phi]
+    copy = MirrorMap(rows)
+    rows[0][0] = 7
+    assert copy == pair.map and all(type(row) is tuple for row in copy.phi)
+    psi_plus, psi_minus = psi_maps(pair)
+    assert psi_plus.rows == psi_minus.rows == 2
+
+
 def _preserves_q(phi):
     """phi^T q phi == q over Fractions, q = [[0, -Id], [-Id, 0]]."""
     n = len(phi)
