@@ -502,25 +502,33 @@ class EtaReport:
         return self.commutes_with_i and self.rosati_antisymmetric and self.involutions_conjugate
 
 
+def check_polarization(t: ComplexTorusData, omega: FieldMatrix) -> FieldMatrix:
+    """omega^-1, once omega is checked as a polarization of t: 2g x 2g,
+    antisymmetric, nonsingular and I-compatible (I^T omega I = omega)."""
+    if (omega.rows, omega.cols) != (2 * t.g, 2 * t.g):
+        raise IncompatiblePolarization("polarization is not 2g x 2g")
+    if not omega.is_antisymmetric():
+        raise IncompatiblePolarization("polarization is not antisymmetric")
+    try:
+        om_inv = omega.inverse()
+    except Singular:
+        raise IncompatiblePolarization("polarization is singular")
+    om_f = omega.lift(t.field)
+    if t.I.transpose() * om_f * t.I != om_f:
+        raise IncompatiblePolarization("polarization is not I-compatible")
+    return om_inv
+
+
 def eta_checks(
     t: ComplexTorusData, g_m: FieldMatrix, omega0: FieldMatrix, end: EndAlgebra
 ) -> EtaReport:
     """Checks (i), (ii), (iv) for eta defined by G(.,.) = omega0(eta., .)."""
-    if not omega0.is_antisymmetric():
-        raise IncompatiblePolarization("omega0 is not antisymmetric")
-    try:
-        om_inv = omega0.inverse()
-    except Singular:
-        raise IncompatiblePolarization("omega0 is singular")
-    i_f = t.I
-    om_f = omega0.lift(t.field)
-    if i_f.transpose() * om_f * i_f != om_f:
-        raise IncompatiblePolarization("omega0 is not I-compatible")
+    om_inv = check_polarization(t, omega0)
     if not g_m.is_symmetric():
         raise ValueError("G must be symmetric")
     eta = (g_m * om_inv).transpose()
     eta_f = eta.lift(t.field)
-    commutes = eta_f * i_f == i_f * eta_f
+    commutes = eta_f * t.I == t.I * eta_f
 
     def rosati(f):
         return om_inv * f.transpose() * omega0

@@ -8,13 +8,14 @@ rank, kernel, solve, inverse and determinant, and every field inverse
 (`FieldElement.inverse` solves its integer multiplication matrix by
 `kernel_rows`): rational rows (`kernel_rows`, `rational_kernel`, degree-1
 matrices) become int rows, reduced fraction-free by cross-multiplication and
-content division; over a larger field each pivot row is divided by its pivot.  Integer lattices get Hermite/Smith
-normal forms with unimodular transforms, and a lattice index is the product
-of the HNF diagonal.  Integrality conditions are saturated by a modular HNF
-that keeps every entry below the lcm D of their denominators, because the
-solution lattice contains D*Z^n.  Positive definiteness is certified by
-exact LDL pivots signed through a designated embedding.  Nothing here ever
-touches floating point.
+content division; over a larger field each pivot row is divided by its
+pivot.  One integer row reduction, `_hnf`, gives the Hermite form, the
+Hermite form with its transform (on [M | Id]) and, in alternating row and
+column passes, the Smith form; a lattice index is the product of the HNF
+diagonal.  Integrality conditions are saturated by a modular HNF that keeps
+every entry below the lcm D of their denominators, because the solution
+lattice contains D*Z^n.  Positive definiteness is certified by exact LDL
+pivots signed through a designated embedding.  No floating point is used.
 """
 
 from __future__ import annotations
@@ -333,17 +334,19 @@ def _xgcd(a: int, b: int):
     return x0, y0, a
 
 
-def int_hnf_with_transform(mat):
-    """Row-style lower-triangular HNF: returns (H, U, pivot_cols) with
-    U unimodular, U*M = [H rows; zero rows], pivots positive, entries below
-    a pivot reduced into [0, pivot)."""
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    a = [list(map(int, row)) for row in mat]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    used = []
-    for col in range(n - 1, -1, -1):
-        cand = [i for i in range(m) if i not in used and a[i][col]]
+def _hnf(rows, ncols):
+    """Row-style lower-triangular HNF of a copy of the int `rows`, pivoting
+    in the first `ncols` columns (later columns ride along, as in an
+    augmented system).  Columns are taken from the right: xgcd steps gather
+    a column's gcd into one pivot row, made positive, and that column's
+    entries in the earlier pivot rows are reduced into [0, pivot).  Returns
+    (rows, piv): the pivot rows by ascending pivot column piv (the row's
+    rightmost nonzero in the first `ncols`), then the rows zero there.
+    """
+    a = [list(map(int, row)) for row in rows]
+    used, piv = [], []
+    for col in range(ncols - 1, -1, -1):
+        cand = [i for i, row in enumerate(a) if row[col] and i not in used]
         if not cand:
             continue
         i0 = cand[0]
@@ -355,33 +358,33 @@ def int_hnf_with_transform(mat):
                 [x * r0 + y * ri for r0, ri in zip(a[i0], a[i])],
                 [-qq * r0 + pp * ri for r0, ri in zip(a[i0], a[i])],
             )
-            u[i0], u[i] = (
-                [x * r0 + y * ri for r0, ri in zip(u[i0], u[i])],
-                [-qq * r0 + pp * ri for r0, ri in zip(u[i0], u[i])],
-            )
         if a[i0][col] < 0:
             a[i0] = [-v for v in a[i0]]
-            u[i0] = [-v for v in u[i0]]
         for r in used:
             q = a[r][col] // a[i0][col]
             if q:
                 a[r] = [v - q * w for v, w in zip(a[r], a[i0])]
-                u[r] = [v - q * w for v, w in zip(u[r], u[i0])]
         used.append(i0)
-    order = list(reversed(used)) + [i for i in range(m) if i not in used]
-    h = [a[i] for i in order]
-    ut = [u[i] for i in order]
-    piv_cols = []
-    for row in h:
-        nz = [j for j, v in enumerate(row) if v]
-        piv_cols.append(nz[-1] if nz else None)  # rightmost: lower-triangular pivots
-    return h, ut, piv_cols
+        piv.append(col)
+    rest = [row for i, row in enumerate(a) if i not in used]
+    return [a[i] for i in reversed(used)] + rest, piv[::-1]
+
+
+def int_hnf_with_transform(mat):
+    """Row-style lower-triangular HNF: returns (H, U, pivot_cols) with
+    U unimodular, U*M = [H rows; zero rows], pivots positive, entries below
+    a pivot reduced into [0, pivot); pivot_cols is None on the zero rows.
+    One `_hnf` on [M | Id]."""
+    m = len(mat)
+    n = len(mat[0]) if m else 0
+    rows, piv = _hnf([list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(mat)], n)
+    return [r[:n] for r in rows], [r[n:] for r in rows], piv + [None] * (m - len(piv))
 
 
 def hnf(mat):
     """Canonical row HNF (zero rows dropped)."""
-    h, _, _ = int_hnf_with_transform(mat)
-    return [row for row in h if any(row)]
+    rows, piv = _hnf(mat, len(mat[0]) if mat else 0)
+    return rows[: len(piv)]
 
 
 @dataclass
@@ -392,78 +395,43 @@ class SnfResult:
 
 
 def snf(mat) -> SnfResult:
-    """Smith normal form with unimodular transforms: U*M*V = diag."""
+    """Smith normal form U*M*V = diag, U and V unimodular, the diagonal
+    positive with d1 | d2 | ... and then zeros.
+
+    Row passes (`_hnf` on [A | U]) and column passes (on [A^T | V^T])
+    alternate until A is diagonal; where a later d_j does not divide an
+    earlier d_i, column i is added to column j and the next row pass puts
+    gcd(d_i, d_j) there.  The loop ends: after two passes A is a triangular
+    block of fixed |det|, and each pass that does not finish settles the
+    last unsettled diagonal entry (alone in its row and column) or lowers it
+    to a proper divisor, as the column addition lowers d_j.  Finally the
+    nonzero diagonal is reversed.
+    """
     m = len(mat)
     n = len(mat[0]) if m else 0
     a = [list(map(int, row)) for row in mat]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    vt = [[int(i == j) for j in range(n)] for i in range(n)]
+    while True:
+        rows, _ = _hnf([r + s for r, s in zip(a, u)], n)
+        u = [r[n:] for r in rows]
+        cols, _ = _hnf([[r[j] for r in rows] + s for j, s in enumerate(vt)], m)
+        vt = [c[m:] for c in cols]
+        a = [[c[i] for c in cols] for i in range(m)]
+        if any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
+            continue
+        d = [a[i][i] for i in range(min(m, n)) if a[i][i]]
+        bad = next(((i, j) for j in range(len(d)) for i in range(j) if d[i] % d[j]), None)
+        if bad is None:
+            break
+        i, j = bad
         for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def addmul_row(dst, src, c):
-        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
-
-    def addmul_col(dst, src, c):
-        for row in a:
-            row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
-
-    for s in range(min(m, n)):
-        while True:
-            best = None
-            for i in range(s, m):
-                for j in range(s, n):
-                    if a[i][j] and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                        best = (i, j)
-            if best is None:
-                break
-            if best != (s, s):
-                if best[0] != s:
-                    swap_rows(s, best[0])
-                if best[1] != s:
-                    swap_cols(s, best[1])
-            if a[s][s] < 0:
-                a[s] = [-x for x in a[s]]
-                u[s] = [-x for x in u[s]]
-            clean = True
-            for i in range(s + 1, m):
-                q = a[i][s] // a[s][s]
-                if q:
-                    addmul_row(i, s, -q)
-                if a[i][s]:
-                    clean = False
-            for j in range(s + 1, n):
-                q = a[s][j] // a[s][s]
-                if q:
-                    addmul_col(j, s, -q)
-                if a[s][j]:
-                    clean = False
-            if not clean:
-                continue
-            bad = None
-            for i in range(s + 1, m):
-                for j in range(s + 1, n):
-                    if a[i][j] % a[s][s]:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            addmul_row(s, bad, 1)
-    diag = [a[s][s] for s in range(min(m, n))]
-    return SnfResult(diag, u, v)
+            row[j] += row[i]
+        vt[j] = [x + y for x, y in zip(vt[j], vt[i])]
+    k = len(d)
+    u = u[:k][::-1] + u[k:]
+    vt = vt[:k][::-1] + vt[k:]
+    return SnfResult(d[::-1] + [0] * (min(m, n) - k), u, [list(c) for c in zip(*vt)])
 
 
 def row_lattice_index(basis_rows, n):
@@ -472,12 +440,8 @@ def row_lattice_index(basis_rows, n):
     At full rank the row HNF is lower triangular, so the index is the
     product of its diagonal.
     """
-    if len(basis_rows) < n:
-        return math.inf
     rows = hnf(basis_rows)
-    if len(rows) < n:
-        return math.inf
-    return math.prod(row[i] for i, row in enumerate(rows))
+    return math.prod(row[i] for i, row in enumerate(rows)) if len(rows) == n else math.inf
 
 
 # ---------------------------------------------------------------------------

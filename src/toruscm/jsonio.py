@@ -1,13 +1,13 @@
 """JSON encodings: rationals as "p/q" strings, fields, elements, matrices,
 torus documents, CM blocks, and mirror-pair documents.  A decoded torus
-document is checked here, once: `ComplexTorusData` checks I, and
-`KahlerData` checks (G, B) against it; nothing downstream re-checks them."""
+document is checked here, once: I by `ComplexTorusData`, (G, B) by
+`KahlerData`, a polarization by `check_polarization`; nothing re-checks them."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .cm import CmInput
+from .cm import CmInput, check_polarization
 from .exactla import FieldMatrix
 from .numfield import FieldElement, NumberField, make_field, require_irreducible
 from .torus import ComplexTorusData, KahlerData
@@ -113,6 +113,7 @@ def decode_torus(doc: dict) -> dict:
     pol = None
     if doc.get("polarization") is not None:
         pol = decode_matrix(f, doc["polarization"])
+        check_polarization(torus, pol)
     cm = decode_cm_input(doc["cm"]) if doc.get("cm") else None
     return {"torus": torus, "kahler": kahler, "polarization": pol, "cm": cm}
 

@@ -13,13 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactla import (
-    FieldMatrix,
-    rational_kernel,
-    row_lattice_index,
-    saturate_integer_solutions,
-    snf,
-)
+from .exactla import FieldMatrix, rational_kernel, saturate_integer_solutions
 from .numfield import FieldElement
 from .torus import ComplexTorusData, KahlerData, q_matrix
 
@@ -65,16 +59,17 @@ def build_pairing_lattice(t: ComplexTorusData, k: KahlerData) -> PairingLattice:
 def chiral_sublattice(lat: PairingLattice) -> ChiralReport:
     """Saturate the integrality conditions q(P+ lambda, e_i) in Z.
 
-    Since q is unimodular this is exactly lambda_z in Lambda; rank, index
-    and the z part rank are computed from the saturated basis.  If lambda_z
+    Since q is unimodular this is exactly lambda_z in Lambda.  The saturated
+    basis is a canonical HNF, lower triangular at full rank, so the index is
+    the product of its diagonal (inf below full rank).  If lambda_z
     is in Lambda then so is lambda_zbar = lambda - lambda_z, so Lambda_ch is
     the sum of its z and zbar parts and the zbar part rank is the rest.
     """
     conditions = lat.q * lat.p_plus
     basis = saturate_integer_solutions(conditions)
     rank = len(basis)
-    index = row_lattice_index(basis, lat.n)
-    rational = index != math.inf
+    rational = rank == lat.n
+    index = math.prod(row[i] for i, row in enumerate(basis)) if rational else math.inf
     zr = _part_rank(lat)
     return ChiralReport(basis, lat.n, rank, index, rational, zr, rank - zr)
 
@@ -93,14 +88,9 @@ def va_rational(report: ChiralReport) -> bool:
 
 
 def module_count(report: ChiralReport):
-    """|Lambda / Lambda_ch| via Smith normal form; inf when rank drops."""
-    if report.index == math.inf:
-        return math.inf
-    d = snf(report.basis).diag
-    out = 1
-    for x in d:
-        out *= abs(x)
-    return out if out else math.inf
+    """|Lambda / Lambda_ch|, the number of irreducible modules: the chiral
+    index, already read off the HNF basis; inf when the rank drops."""
+    return report.index
 
 
 def encode_count(c) -> object:

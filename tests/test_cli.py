@@ -102,6 +102,7 @@ def _malformed_tori(fixture_dir):
     bad += [dict(good, embedding=e) for e in (1.5, True)]
     bad += [dict(good, g=1.5), dict(good, g="3/2"), dict(good, g=0, I=[], G=[], B=[])]
     bad += [dict(good, **change) for change, _ in BAD_METRICS]
+    bad.append(dict(good, polarization=[[["0"]]]))
     return [json.dumps(d) for d in bad]
 
 

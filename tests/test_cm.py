@@ -8,8 +8,10 @@ from toruscm import cm, polyq
 from toruscm.cm import (
     BetaNotAdmissible,
     CmInput,
+    IncompatiblePolarization,
     NotFoundWithinBudget,
     cm_certificate,
+    check_polarization,
     cm_torus,
     element_minpoly,
     endomorphism_algebra,
@@ -365,6 +367,21 @@ def test_eta_tau_i_known_value():
     assert rep.passed
     # solving G = eta^T omega0 for G=Id, omega0=[[0,1],[-1,0]] gives -I
     assert rep.eta == FieldMatrix(QQ, [[0, 1], [-1, 0]])
+
+
+def test_check_polarization_names_the_failed_check(zeta5_cm):
+    t, e_m = zeta5_cm["torus"], zeta5_cm["E"]
+    assert check_polarization(t, e_m) == e_m.inverse()
+    swap = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
+    cases = {
+        "not 2g x 2g": FieldMatrix(QQ, [[0, 1], [-1, 0]]),
+        "not antisymmetric": FieldMatrix.identity(QQ, 4),
+        "singular": FieldMatrix.zeros(QQ, 4, 4),
+        "not I-compatible": FieldMatrix(QQ, swap),
+    }
+    for failure, omega in cases.items():
+        with pytest.raises(IncompatiblePolarization, match=f"polarization is {failure}"):
+            check_polarization(t, omega)
 
 
 def test_eta_is_multiplication_by_minus_beta(gaussian_cm, zeta5_cm):

@@ -11,6 +11,7 @@ from toruscm.exactla import (
     Singular,
     _hnf_mod,
     hnf,
+    int_hnf_with_transform,
     kernel_rows,
     positive_definite,
     rational_kernel,
@@ -366,6 +367,53 @@ def test_hnf_snf_random_properties():
             assert abs(frac_det(m)) == abs(
                 frac_det([[res.diag[i] if i == j else 0 for j in range(c)] for i in range(r)])
             )
+
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def test_int_hnf_with_transform_properties():
+    rng = random.Random(17)
+    for trial in range(60):
+        r, c = rng.randint(1, 6), rng.randint(1, 6)
+        bound = rng.choice([1, 9, 1000])
+        m = [[rng.randint(-bound, bound) for _ in range(c)] for _ in range(r)]
+        if trial % 4 == 0 and r > 1:
+            m[-1] = [3 * x for x in m[0]]  # rank-deficient
+        h, u, piv = int_hnf_with_transform(m)
+        assert _matmul(u, m) == h and abs(frac_det(u)) == 1
+        k = len(hnf(m))
+        assert h[:k] == hnf(m) and not any(x for row in h[k:] for x in row)
+        assert piv == [_pivot(row) for row in h[:k]] + [None] * (r - k)
+
+
+def _low_rank(rng, r, c):
+    """An r x c product of a r x k and a k x c factor, k < min(r, c)."""
+    k = rng.randint(0, min(r, c) - 1)
+    a = [[rng.randint(-10, 10) for _ in range(k)] for _ in range(r)]
+    b = [[rng.randint(-10, 10) for _ in range(c)] for _ in range(k)]
+    return _matmul(a, b) if k else [[0] * c for _ in range(r)]
+
+
+def test_snf_matches_sympy_smith_normal_form():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+
+    rng = random.Random(31)
+    for trial in range(40):
+        r = rng.randint(1, 6)
+        c = rng.choice([x for x in range(1, 7) if x != r] if trial % 4 else [r])
+        if trial % 2:
+            m = _low_rank(rng, r, c)
+        else:
+            m = [[rng.randint(-1000, 1000) for _ in range(c)] for _ in range(r)]
+        res = snf(m)
+        d = smith_normal_form(sympy.Matrix(m), domain=sympy.ZZ)
+        assert res.diag == [abs(int(d[i, i])) for i in range(min(r, c))]
+        umv = _matmul(_matmul(res.u, m), res.v)
+        assert umv == [[res.diag[i] if i == j else 0 for j in range(c)] for i in range(r)]
+        assert abs(frac_det(res.u)) == 1 and abs(frac_det(res.v)) == 1
 
 
 def _in_row_lattice(h, v):

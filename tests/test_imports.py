@@ -4,8 +4,11 @@ defines is used somewhere; only `numfield` reads the private reduction mod
 the minpoly or builds elements from their numerators; the product kernel
 and the one elimination never touch `Fraction`; a field inverse and the
 trace read the integer multiplication matrix, never `polyq`; `cm` asks
-its Q-span questions through the one kernel, never by a rational solve; and
-every dataclass that checks itself or caches derived data is frozen.
+its Q-span questions through the one kernel, never by a rational solve;
+every integer xgcd elimination is `_hnf` or the modular `_hnf_mod`, and
+`valattice` reads the module count off the index, not a Smith form; every
+function the benchmark traces is defined; and every dataclass that checks
+itself or caches derived data is frozen.
 
 The package `__init__` is left out: its imports are the public API, which
 `__all__` re-exports from `dir()`.
@@ -173,6 +176,67 @@ def test_cm_reads_span_questions_off_the_one_kernel():
         and node.func.attr == "solve"
     ]
     assert solving == ["cm_torus"]
+
+
+def test_integer_eliminations_are_hnf_and_hnf_mod():
+    # HNF, HNF with transform and the Smith form all reduce through `_hnf`;
+    # the one other xgcd elimination is the modular pass of saturation
+    callers = {
+        getattr(scope, "name", "<module>")
+        for path in sorted(SRC.glob("*.py"))
+        for scope in ast.parse(path.read_text(encoding="utf-8")).body
+        for node in ast.walk(scope)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_xgcd"
+    }
+    assert callers == {"_hnf", "_hnf_mod"}
+
+
+def test_valattice_reads_the_module_count_off_the_index():
+    # |Lambda / Lambda_ch| is the chiral index the HNF already gave
+    tree = ast.parse((SRC / "valattice.py").read_text(encoding="utf-8"))
+    naming = [
+        node.lineno
+        for node in ast.walk(tree)
+        if getattr(node, "id", getattr(node, "attr", getattr(node, "name", None))) == "snf"
+    ]
+    assert naming == []
+
+
+def _defined_functions():
+    """`module.function` and `module.Class.method` for every definition
+    at the top level of a `toruscm` module or of one of its classes."""
+    keys = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef):
+                keys.add(f"{path.stem}.{node.name}")
+            elif isinstance(node, ast.ClassDef):
+                keys.update(
+                    f"{path.stem}.{node.name}.{f.name}"
+                    for f in node.body
+                    if isinstance(f, ast.FunctionDef)
+                )
+    return keys
+
+
+def test_every_traced_function_is_defined():
+    # a name the benchmark traces but src/ no longer defines makes the
+    # traced run report correct: false; the tables are read, not imported
+    tables = {}
+    for node in ast.parse((PERFBENCH / "run.py").read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in (
+            "GROUPS",
+            "SCOPED",
+        ):
+            tables[node.targets[0].id] = ast.literal_eval(node.value)
+    groups, scoped = tables["GROUPS"], tables["SCOPED"]
+    assert groups and scoped
+    missing = sorted(
+        key for keys in groups.values() for key in keys if key not in _defined_functions()
+    )
+    assert missing == []
+    assert [g for pair in scoped.values() for g in pair if g not in groups] == []
 
 
 def test_only_numfield_builds_elements_from_num_and_den():

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from toruscm.exactla import FieldMatrix, hnf, rational_kernel
+from toruscm.exactla import FieldMatrix, hnf, rational_kernel, snf
 from toruscm.jsonio import decode_torus
 from toruscm.numfield import make_field, rationals
 from toruscm.torus import ComplexTorusData, KahlerData
@@ -204,6 +204,20 @@ def random_rational_kahler(rng, g):
             b[j][i] = -b[i][j]
     b[0][1], b[1][0] = Fraction(1, 2), Fraction(-1, 2)
     return t, KahlerData(t, (g0 + t.I.transpose() * g0 * t.I).scale(Fraction(1, 2)), qmat(b))
+
+
+def test_module_count_is_the_smith_product_on_rational_lattices():
+    # the count is the index read off the HNF diagonal; the Smith form of
+    # the same basis is an independent product
+    rng = random.Random(2031)
+    counts = []
+    for g in (1, 1, 2, 2, 3, 3):
+        t, k = random_rational_kahler(rng, g)
+        rep = chiral_sublattice(build_pairing_lattice(t, k))
+        assert va_rational(rep)
+        counts.append(module_count(rep))
+        assert counts[-1] == math.prod(snf(rep.basis).diag)
+    assert max(counts) > 1
 
 
 def cube_root_kahler():
