@@ -38,15 +38,13 @@ from .numfield import (
     Embedding,
     FieldElement,
     NumberField,
-    RootSet,
     _powers,
     exact_sign,
     exact_sign_imag,
-    minpoly_factor_at,
     rationals,
-    require_irreducible,
     trace_q,
 )
+from .polyq import RootSet, _factor_at
 from .torus import ComplexTorusData, EndAlgebra, _rational_solutions
 
 
@@ -149,13 +147,10 @@ class CmInput:
             raise ValueError("CM input needs a field with conjugation")
         if d % 2:
             raise ValueError("CM field must have even degree")
-        require_irreducible(k.embeddings()[0])
-        cg = k.conj(k.gen())
-        for j, emb in enumerate(k.embeddings()):
-            if k.roots.locate(lambda w, e=emb: cg.enclosure(e, w)) != k.roots.conj(j):
-                raise ConjNotComplexConjugation(
-                    f"conj is not complex conjugation under embedding {j + 1}"
-                )
+        fault = k.conj_fault  # irreducibility included, decided once per field
+        if fault is not None:
+            msg = f"conj is not complex conjugation under embedding {fault}"
+            raise ConjNotComplexConjugation(msg)
         if len(self.basis) != d:
             raise ValueError("basis must have 2g elements")
         if _coordinates([a.coords for a in self.basis], []) is None:
@@ -249,8 +244,14 @@ def _value_field(base: Embedding):
     def u_value(w):
         return base.enclosure(w) * Box.point(1, c)  # sigma(gen) * (1 + c*i)
 
-    lf = NumberField(minpoly_factor_at(m, u_value))
-    lemb = lf.embeddings()[lf.roots.locate(u_value)]
+    # A is a field when m is its own factor at u: L keeps the roots of m
+    lf = NumberField(m)
+    at = lf.roots.locate(u_value)
+    factor = _factor_at(lf.roots, at)
+    if factor != m:
+        lf = NumberField(factor)
+        at = lf.roots.locate(u_value)
+    lemb = lf.embeddings()[at]
     # gen and y as rational combinations of u^0 .. u^(2d-1), mapped into L
     zero = (0,) * d
     sol = _coordinates(cols[:-1], [k.gen().coords + zero, zero + k.one().coords])

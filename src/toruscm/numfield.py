@@ -1,4 +1,4 @@
-"""Exact arithmetic in Q[x]/(m(x)) with certified complex embeddings.
+"""L1: exact arithmetic in Q[x]/(m(x)) with certified complex embeddings.
 
 A field is given by a monic squarefree integer polynomial; an element is its
 integer power-basis numerators over one denominator, in lowest terms, and
@@ -6,38 +6,21 @@ products go through one kernel, `NumberField.dot`.  An inverse solves y u = 1
 on the integer matrix of multiplication by y, by exactla's one row reduction;
 the trace reads the same matrix.  `make_field` also accepts a reducible
 squarefree m, whose algebra has zero divisors: inverting one raises
-`ZeroDivisor`.  `require_irreducible`, run on the field of every torus document
-and CM input, raises `ReducibleMinpoly` for such an m.  Embeddings are
-certified complex enclosures of the roots of m: real roots isolated by the
-counts of one Sturm chain, then refined and tested by exact signs; complex
-roots by interval-Newton certification of dyadic boxes seeded with
-Durand-Kerner approximations, or else by exact counts.  Boxes are evaluated in
-outward-rounded fixed point (:mod:`toruscm.boxes`) and exact points exactly.
-No floating-point value ever decides anything; floats only pick where to *try*
-a certificate.
-
-`RootSet` holds the isolated boxes of one squarefree polynomial and is the
-single place that decides which root a value is (`locate`) and whether a
-polynomial vanishes at a root (`vanishes_at`); it backs the embeddings of a
-`NumberField`, which refine only on demand, and the factor extraction in
-`minpoly_factor_at`.  The loops that wait for a certificate (`locate`,
-`vanishes_at` at a complex root, the factor candidates of `minpoly_factor_at`
-and the sign test behind `exact_sign`) stop after `MAX_ROUNDS` rounds and
-raise `NotConverged`.  Isolation and refinement never raise it: where Newton has
-no proof, `_root_count` counts the roots in a rectangle exactly (the
-argument principle) and picks the half that keeps the root.  Refinement
-leaves an exact-point box as it is.
+`ZeroDivisor`, and `require_irreducible` (every torus document and CM input)
+raises `ReducibleMinpoly`.  An embedding is a view on one root of the field's
+`RootSet` (L0, :mod:`toruscm.polyq`), refined on demand; a sign is an exact
+zero test, then enclosures refined until it shows.  No float decides anything.
 """
 
 from __future__ import annotations
 
-import cmath
-import itertools
 import math
 from fractions import Fraction
+from functools import cached_property
 
 from . import polyq
-from .boxes import Box, Iv, newton_step, poly_eval_box, root_product
+from .boxes import Box, poly_eval_box
+from .polyq import MAX_ROUNDS, NotConverged, RootSet, _factor_at
 
 
 class NotSquarefree(ValueError):
@@ -62,334 +45,6 @@ class ZeroDivisor(ArithmeticError):
 
 class ReducibleMinpoly(ValueError):
     """A document's minpoly is reducible, so Q[x]/(m) is not a field."""
-
-
-class NotConverged(ArithmeticError):
-    """A certificate was not reached within `MAX_ROUNDS` refinement rounds."""
-
-
-# rounds of a refine-and-retry loop before it gives up; each round at least
-# halves a box or an enclosure width
-MAX_ROUNDS = 400
-
-# ---------------------------------------------------------------------------
-# Root isolation
-
-
-def _durand_kerner(p, iters=400):
-    """Float approximations to all roots of a squarefree polynomial.
-
-    Returns None when the coefficients overflow floats; callers fall back
-    to exact subdivision.
-    """
-    d = polyq.degree(p)
-    try:
-        cs = [complex(c) / complex(p[-1]) for c in p]
-        if not all(cmath.isfinite(x) for x in cs):
-            return None
-    except (OverflowError, ValueError):
-        return None
-    zs = [(0.4 + 0.9j) ** k for k in range(1, d + 1)]
-    for _ in range(iters):
-        moved = 0.0
-        for i in range(d):
-            num = 0j
-            for c in reversed(cs):
-                num = num * zs[i] + c
-            den = 1 + 0j
-            for j in range(d):
-                if j != i:
-                    den *= zs[i] - zs[j]
-            if den == 0:
-                den = 1e-30
-            step = num / den
-            zs[i] -= step
-            moved = max(moved, abs(step))
-        if moved < 1e-14:
-            break
-    return zs
-
-
-def _certify(p, dp, box: Box) -> Box | None:
-    """Interval-Newton proof that box contains exactly one root of p: the
-    Newton image, inside the box and holding that root, or None."""
-    if box.width() == 0:  # an exact point, evaluated exactly
-        return box if poly_eval_box(p, box).contains_zero() else None
-    n = newton_step(p, dp, box)
-    return n if n is not None and n.inside(box) else None
-
-
-def _newton_cut(p, dp, box: Box) -> Box | None:
-    """The part of a box holding one root of p that a Newton step keeps, if
-    it is at most 3/4 as wide (clipped to the box, so no neighbour gets in)."""
-    n = newton_step(p, dp, box)
-    cut = None if n is None else n.intersect(box)
-    return cut if cut is not None and cut.width() <= box.width() * Fraction(3, 4) else None
-
-
-def _refine_certified(p, dp, box: Box, width: Fraction) -> Box:
-    """Shrink a box holding one root of p below `width` (Newton with
-    bisection fallback)."""
-    while box.width() >= width:
-        box = _newton_cut(p, dp, box) or _bisect_certified(p, dp, box)
-    return box
-
-
-def _bisect_certified(p, dp, box: Box) -> Box:
-    """A strict half of a box holding one root of p that keeps the root: a
-    half of the midpoint cut that interval Newton certifies, else the half
-    that the exact count gives the root."""
-    for h in _halves(box, Fraction(1, 2)):
-        if _certify(p, dp, h) is not None:
-            return h
-    low, high, n = _cut(p, box)
-    return high if n == 0 else low
-
-
-def _halves(box: Box, frac: Fraction) -> tuple[Box, Box]:
-    """The two parts of a box cut across its wider side at `frac` of it."""
-    if box.re.width() >= box.im.width():
-        m = box.re.lo + box.re.width() * frac
-        return Box(Iv(box.re.lo, m), box.im), Box(Iv(m, box.re.hi), box.im)
-    m = box.im.lo + box.im.width() * frac
-    return Box(box.re, Iv(box.im.lo, m)), Box(box.re, Iv(m, box.im.hi))
-
-
-def _cut(p, box: Box):
-    """(low, high, count of low) for the first cut at k/(2k + 1), k = 1 ..
-    d + 1, with no root on low's boundary.  One of these d + 1 lines misses
-    the d roots, so the count is None only when a root lies on the part of
-    the box's boundary that every low part shares (and keeps)."""
-    for k in range(1, polyq.degree(p) + 2):
-        low, high = _halves(box, Fraction(k, 2 * k + 1))
-        n = _root_count(p, low)
-        if n is not None:
-            break
-    return low, high, n
-
-
-def _root_count(p, box: Box) -> int | None:
-    """Number of roots of squarefree p in the open box, or None when p
-    vanishes on its boundary (the argument principle; Wilf, J. ACM 25 (1978)).
-
-    On each edge a -> b, counterclockwise, p(a + t (b - a)) = U(t) + i V(t);
-    the count is minus half the sum of the Cauchy indices of V/U on [0, 1],
-    and a root on the edge is a root of the squarefree gcd(U, V) in [0, 1].
-    """
-    re, im = box.re, box.im
-    corners = [(re.lo, im.lo), (re.hi, im.lo), (re.hi, im.hi), (re.lo, im.hi)]
-    index = 0
-    for (x0, y0), (x1, y1) in zip(corners, corners[1:] + corners[:1]):
-        x, y = polyq.poly([x0, x1 - x0]), polyq.poly([y0, y1 - y0])
-        u = v = ()
-        for c in reversed(p):  # Horner: (u + iv)(x + iy) + c
-            u, v = (
-                polyq.psub(polyq.pmul(u, x), polyq.psub(polyq.pmul(v, y), (c,))),
-                polyq.psub(polyq.pmul(u, y), polyq.pneg(polyq.pmul(v, x))),
-            )
-        chain = polyq.sturm_chain(u, v)
-        gcd = polyq.sturm_chain(chain[-1])
-        if polyq.variations(gcd, 0) != polyq.variations(gcd, 1):
-            return None
-        index += polyq.variations(chain, 0) - polyq.variations(chain, 1)
-    return -index // 4  # `variations` counts twice
-
-
-def _refine_box_once(p, dp, box: Box) -> Box:
-    if box.width() == 0:
-        return box  # an exact point cannot shrink further
-    # Newton first (a real box has a real image); real boxes fall back to an
-    # exact sign bisection, so they never need a Sturm chain after isolation
-    if box.im.lo == box.im.hi == 0:
-        return _newton_cut(p, dp, box) or _bisect_real(p, box)
-    return _refine_certified(p, dp, box, box.width() / 2)
-
-
-def _bisect_real(p, box: Box) -> Box:
-    """Half of a real isolating box that keeps the root, by exact signs
-    (interval evaluation can allow zero on both halves near a close root)."""
-    lo, m = box.re.lo, box.re.mid()
-    at_lo, at_m = polyq.peval(p, lo), polyq.peval(p, m)
-    if at_lo == 0:
-        return Box.point(lo)
-    if at_m == 0:
-        return Box.point(m)
-    if (at_lo > 0) != (at_m > 0):
-        return Box(Iv(lo, m), Iv.point(0))
-    return Box(Iv(m, box.re.hi), Iv.point(0))
-
-
-def _merge_close(zs, tol=1e-9):
-    out = []
-    for z in zs:
-        if out and abs(z - out[-1]) < tol:
-            continue
-        out.append(z)
-    return out
-
-
-def _min_separation(approx, reals):
-    pts = list(approx) + [z.conjugate() for z in approx]
-    pts += [complex(b.re.mid()) for b in reals]
-    best = 1.0
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            best = min(best, abs(pts[i] - pts[j]))
-    return max(best, 1e-12)
-
-
-def _certify_around(p, dp, z: complex, sep: float) -> Box | None:
-    """A certified box around the float root z, on the dyadic grid: centre
-    rounded to 2^-48, radius the powers of two from the largest <= sep/3."""
-    re, im = (Fraction(round(Fraction(x) * (1 << 48)), 1 << 48) for x in (z.real, z.imag))
-    r = Fraction(2) ** (math.frexp(sep / 3)[1] - 1)
-    for _ in range(14):
-        n = _certify(p, dp, Box(Iv(re - r, re + r), Iv(im - r, im + r)))
-        if n is not None:
-            return _refine_certified(p, dp, n, Fraction(1, 1 << 16))
-        r /= 2
-    return None
-
-
-def _subdivision_upper_roots(p, count):
-    """Boxes strictly above the real axis, one per root with Im > 0: the
-    Cauchy box above a floor y > 0, once it counts all `count` upper roots,
-    split by counts.  Mahler's bound on sep(p) bounds the floor's halvings
-    (Im a >= sep(p) / 2 for an upper root a) and the splits' depth (a box
-    with two roots is at least sep(p) / 2 wide)."""
-    bound = polyq.cauchy_bound(p)
-    floor, n = bound, None
-    while n != count:
-        floor /= 2
-        top = Box(Iv(-bound, bound), Iv(floor, bound))
-        n = _root_count(p, top)
-    found, queue = [], [(top, count)]
-    while queue:
-        box, n = queue.pop()
-        if n == 1:
-            found.append(box)
-            continue
-        low, high, k = _cut(p, box)  # box's boundary holds no root: k is a count
-        queue += [(h, c) for h, c in ((low, k), (high, n - k)) if c]
-    found.sort(key=lambda b: (b.re.mid(), b.im.mid()))
-    return found
-
-
-def _isolate_all_roots(p, dp):
-    """Boxes for all roots of squarefree p, one root each.
-
-    Returns (real_boxes, upper_boxes): real roots ascending, strictly
-    complex roots with Im > 0 ordered by (re, im); the conjugate roots are
-    the mirrored upper boxes.  Boxes may still overlap; `RootSet`
-    separates them.
-    """
-    d = polyq.degree(p)
-    reals = []
-    for a, b in polyq.isolate_real_roots(p):
-        box = Box(Iv(a, b), Iv.point(0))  # p changes sign across it: no end is a root
-        while box.width() >= Fraction(1, 1 << 8):
-            box = _bisect_real(p, box)
-        reals.append(box)
-    n_upper = (d - len(reals)) // 2
-    uppers = []
-    seeds = _durand_kerner(p) if n_upper else None
-    if seeds is not None:
-        approx = _merge_close(
-            sorted((z for z in seeds if z.imag > 1e-9), key=lambda z: (z.real, z.imag))
-        )
-        if len(approx) == n_upper:
-            sep = _min_separation(approx, reals)
-            # sep <= 2 Im z, so each box lies strictly above the real axis
-            uppers = [_certify_around(p, dp, z, sep) for z in approx]
-    if len(uppers) < n_upper or None in uppers:
-        return reals, _subdivision_upper_roots(p, n_upper)
-    return reals, uppers
-
-
-class RootSet:
-    """Certified, pairwise-disjoint boxes for the roots of a squarefree
-    rational polynomial.
-
-    Roots are indexed from 0 in embedding order: real roots ascending, then
-    each root with Im > 0 followed by its complex conjugate.
-    """
-
-    def __init__(self, p):
-        self.poly = polyq.poly(p)
-        self._dpoly = polyq.pderiv(self.poly)
-        reals, uppers = _isolate_all_roots(self.poly, self._dpoly)
-        self.nreal = len(reals)
-        self.boxes = list(reals)
-        for b in uppers:
-            self.boxes += [b, b.conj()]
-        while any(not a.disjoint(b) for a, b in itertools.combinations(self.boxes, 2)):
-            for i in range(len(self.boxes)):
-                if self.conj(i) >= i:  # a real or upper box; its conjugate follows
-                    self.boxes[i] = _refine_box_once(self.poly, self._dpoly, self.boxes[i])
-                    self.boxes[self.conj(i)] = self.boxes[i].conj()
-
-    def is_real(self, i) -> bool:
-        return i < self.nreal
-
-    def conj(self, i) -> int:
-        """Index of the complex conjugate of root i."""
-        if self.is_real(i):
-            return i
-        return i + 1 if (i - self.nreal) % 2 == 0 else i - 1
-
-    def refine(self, i, width) -> Box:
-        """Shrink box i below `width`, or to an exact point; the conjugate's
-        box follows along."""
-        box = self.boxes[i]
-        while box.width() >= width and box.width() > 0:
-            box = _refine_box_once(self.poly, self._dpoly, box)
-        self.boxes[i] = box
-        j = self.conj(i)
-        if self.boxes[j].width() > box.width():
-            self.boxes[j] = box.conj()
-        return box
-
-    def locate(self, value_encloser) -> int:
-        """Index of the root equal to a value known to be a root.
-
-        `value_encloser(width)` returns a Box around the value; the answer
-        is the only root whose box meets it.
-        """
-        width = Fraction(1, 1 << 16)
-        for _ in range(MAX_ROUNDS):
-            v = value_encloser(width)
-            hits = [i for i, b in enumerate(self.boxes) if not b.disjoint(v)]
-            if len(hits) == 1:
-                return hits[0]
-            width /= 1 << 4
-            for i in range(len(self.boxes)):
-                self.refine(i, width)
-        raise NotConverged("value enclosure never met exactly one root box")
-
-    def vanishes_at(self, g, i) -> bool:
-        """Certified: does the rational polynomial g vanish at root i?"""
-        g = polyq.pgcd(g, self.poly)  # roots of g outside this set cannot mislead
-        if polyq.degree(g) < 1:
-            return False
-        if self.is_real(i):
-            # root i is the only root of self.poly in [a, b] and g divides the
-            # squarefree self.poly, so g(root i) = 0 exactly when g changes
-            # sign across [a, b] or vanishes at an end
-            box = self.boxes[i]
-            return polyq.peval(g, box.re.lo) * polyq.peval(g, box.re.hi) <= 0
-        dg = polyq.pderiv(g)
-        for _ in range(MAX_ROUNDS):
-            box = self.boxes[i]
-            if not poly_eval_box(g, box).contains_zero():
-                return False
-            if _certify(g, dg, box) is not None:  # also settles an exact-point box
-                return True
-            self.refine(i, box.width() / 2)
-        raise NotConverged("root membership test did not converge")
-
-
-# ---------------------------------------------------------------------------
-# Field, element, embedding
 
 
 class Embedding:
@@ -546,6 +201,23 @@ class NumberField:
         """The certified root boxes of the minpoly that back `embeddings()`."""
         self.embeddings()
         return self._roots
+
+    @cached_property
+    def irreducible(self) -> bool:
+        """Whether m is its own factor at a root (so at all), i.e. Q[x]/(m)
+        is a field."""
+        return self.degree == 1 or _factor_at(self.roots, 0) == self.minpoly
+
+    @cached_property
+    def conj_fault(self) -> int | None:
+        """A CM field's own checks, made once: `require_irreducible`, then
+        the first embedding (1-based) where conj is not complex conjugation."""
+        require_irreducible(self.embeddings()[0])
+        cg = self.conj(self.gen())
+        for j, emb in enumerate(self.embeddings()):
+            if self.roots.locate(lambda w, e=emb: cg.enclosure(e, w)) != self.roots.conj(j):
+                return j + 1
+        return None
 
     def real_embeddings(self):
         return [e for e in self.embeddings() if e.is_real]
@@ -752,7 +424,7 @@ def _is_real_under(x: FieldElement, emb: Embedding) -> bool:
 
 def _image_is_zero(x: FieldElement, emb: Embedding) -> bool:
     """Exact zero test for the image of x under one embedding."""
-    return x.is_zero() or emb.roots.vanishes_at(polyq.poly(x.num), emb.index - 1)
+    return x.is_zero() or emb.roots.vanishes_at(x.num, emb.index - 1)
 
 
 def _nonzero_sign(x: FieldElement, emb: Embedding, part: str) -> int:
@@ -788,76 +460,18 @@ def exact_sign_imag(x: FieldElement, emb: Embedding) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Small-degree exact factor extraction (trial factorization via certified
-# enclosures; the cm module uses it to get minimal polynomials of values).
+# The factor at a root, and irreducibility
 
 
 def minpoly_factor_at(mp, value_encloser):
-    """Monic rational irreducible factor of mp whose root is the given value.
-
-    `mp` is monic squarefree rational; `value_encloser(width)` returns a Box
-    around the target value.  Locates the value's root among certified
-    enclosures, then tries conjugation-closed root subsets in ascending
-    size; candidate coefficients come from interval products and are
-    verified by exact polynomial division, so the answer is exact.
-    """
+    """Monic rational irreducible factor of the monic squarefree rational
+    mp at the root that `value_encloser(width)`, a Box, encloses."""
     roots = RootSet(mp)
     return _factor_at(roots, roots.locate(value_encloser))
 
 
 def require_irreducible(emb: Embedding) -> None:
-    """Raise ReducibleMinpoly unless the field's minpoly is its own factor
-    at the root that `emb` picks, i.e. unless Q[x]/(m) is a field."""
-    m = emb.field.minpoly
-    if _factor_at(emb.roots, emb.index - 1) != m:
+    """Raise ReducibleMinpoly unless Q[x]/(m) is a field for emb's field."""
+    if not emb.field.irreducible:
+        m = emb.field.minpoly
         raise ReducibleMinpoly(f"minpoly {[str(c) for c in m]} is reducible over Q")
-
-
-def _factor_at(roots: RootSet, target: int):
-    """The factor of `minpoly_factor_at` for root `target` of `roots`."""
-    mp = roots.poly
-    d = polyq.degree(mp)
-    den = math.lcm(*[c.denominator for c in mp])
-    den_bound = den**d  # factor coefficient denominators divide this (Gauss)
-    for size in range(1, d + 1):
-        for subset in itertools.combinations(range(d), size):
-            ss = set(subset)
-            if target not in ss or {roots.conj(i) for i in ss} != ss:
-                continue
-            cand = _candidate_factor(roots, subset, den_bound, target)
-            if cand is not None:
-                return cand
-    raise AssertionError("no factor found")
-
-
-def _candidate_factor(roots: RootSet, subset, den_bound, target):
-    """Try to certify prod_{i in subset} (x - root_i) as an exact factor.
-
-    Candidates are rounded from coefficient intervals and confirmed by
-    exact polynomial division plus a certified check that the target root
-    vanishes, so coarse intervals are safe.  The subset is rejected when a
-    coefficient box holds no rational of bounded denominator, or when a
-    failed division comes at the guaranteed uniqueness width.
-    """
-    unique_width = Fraction(1, 2 * den_bound * den_bound)
-    for _ in range(MAX_ROUNDS):
-        coeffs = root_product([roots.boxes[i] for i in subset])
-        cand = []
-        for cbox in coeffs[:-1]:
-            # limit_denominator returns the closest bounded-denominator
-            # rational, so a miss rules out every such rational in the box
-            r = cbox.re.mid().limit_denominator(den_bound)
-            if not (cbox.im.contains_zero() and cbox.re.contains(r)):
-                return None  # a factor has such rational coefficients
-            cand.append(r)
-        candidate = polyq.poly(cand + [Fraction(1)])
-        if polyq.is_zero(polyq.pmod(roots.poly, candidate)) and roots.vanishes_at(
-            candidate, target
-        ):
-            return candidate
-        if all(c.re.width() < unique_width for c in coeffs):
-            # intervals this tight pin the only possible rational factor
-            return None
-        for i in subset:
-            roots.refine(i, roots.boxes[i].width() / 2)
-    raise NotConverged("factor candidate refinement did not converge")

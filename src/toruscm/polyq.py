@@ -1,15 +1,49 @@
-"""Dense univariate polynomial arithmetic over Q.
+"""L0: univariate polynomials and certified root isolation, on integers.
 
-Polynomials are tuples of `Fraction` coefficients in ascending degree with
-no trailing zeros; the zero polynomial is the empty tuple.  Includes Sturm
-sequences and real-root isolation by the counts of one Sturm chain (the real
-half of the root machinery in :mod:`toruscm.numfield`, which refines by signs).
+A rational polynomial enters as a tuple of `Fraction` coefficients, ascending,
+with no trailing zeros (`poly`).  Past that boundary everything runs on
+primitive integer polynomials.  Sturm chains are primitive remainder
+sequences (Brown, J. ACM 18 (1971)): a member is the negated pseudo-remainder
+of the two before it, scaled by a power of |lc| > 0 so its sign is kept, over
+its content.  The sign at a/b is that of b^n p(a/b), by homogeneous integer
+Horner; variations count a zero as half (Eisermann, Amer. Math. Monthly 119
+(2012)).
+
+`RootSet` holds certified, pairwise-disjoint boxes for the roots of one
+squarefree polynomial, and is the one place that decides which root a value
+is (`locate`) and whether a polynomial vanishes at a root (`vanishes_at`).
+Real roots: Sturm counts, then Newton cuts, bisecting by signs where Newton
+fails.  Complex roots: interval Newton on dyadic boxes seeded by
+Durand-Kerner, or else exact counts (`_root_count`, the argument principle
+on one Sturm chain per line x = const or y = const, kept per `RootSet`, so a
+cut costs one new chain).  Boxes are evaluated in outward-rounded fixed point
+(:mod:`toruscm.boxes`); floats only pick where to *try* a certificate.
+`_factor_at` certifies the irreducible factor at a root, trying unions of
+conjugation orbits in ascending size.  The loops that wait for a certificate
+raise `NotConverged` after `MAX_ROUNDS` rounds; isolation and refinement
+never do, and leave an exact-point box as it is.
 """
 
 from __future__ import annotations
 
+import cmath
+import itertools
 import math
 from fractions import Fraction
+
+from .boxes import Box, Iv, newton_step, poly_eval_box, root_product
+
+
+class NotConverged(ArithmeticError):
+    """A certificate was not reached within `MAX_ROUNDS` refinement rounds."""
+
+
+# rounds of a refine-and-retry loop before it gives up; each round at least
+# halves a box or an enclosure width
+MAX_ROUNDS = 400
+
+# ---------------------------------------------------------------------------
+# Polynomials: the rational boundary and the integer core
 
 
 def poly(coeffs) -> tuple:
@@ -23,24 +57,6 @@ def degree(p) -> int:
     return len(p) - 1
 
 
-def is_zero(p) -> bool:
-    return not p
-
-
-def psub(p, q):
-    n = max(len(p), len(q))
-    return poly([(p[i] if i < len(p) else 0) - (q[i] if i < len(q) else 0) for i in range(n)])
-
-
-def pneg(p):
-    return tuple(-c for c in p)
-
-
-def pscale(p, c):
-    c = Fraction(c)
-    return poly([a * c for a in p]) if c else ()
-
-
 def pmul(p, q):
     if not p or not q:
         return ()
@@ -52,50 +68,45 @@ def pmul(p, q):
     return poly(out)
 
 
-def pdivmod(p, q):
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
-    quo = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
-    dq, lead = len(q) - 1, q[-1]
-    while len(rem) - 1 >= dq and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < dq:
-            break
-        k = len(rem) - 1 - dq
-        c = rem[-1] / lead
-        quo[k] = c
-        for j, b in enumerate(q):
-            rem[k + j] -= c * b
-        rem.pop()
-    return poly(quo), poly(rem)
+def pderiv(p):
+    return tuple(i * c for i, c in enumerate(p))[1:]
 
 
-def pmod(p, q):
-    return pdivmod(p, q)[1]
+def _primitive(p) -> tuple:
+    """The integer polynomial with coprime coefficients that is a positive
+    multiple of the rational p (trailing zeros dropped)."""
+    den = math.lcm(*[c.denominator for c in p])
+    num = [c.numerator * (den // c.denominator) for c in p]
+    while num and num[-1] == 0:
+        num.pop()
+    g = math.gcd(*num) or 1
+    return tuple(n // g for n in num)
+
+
+def _prem(f, g) -> list:
+    """A positive multiple of the remainder of f by g, for integer f and g,
+    maybe with trailing zeros: each step scales by |lc(g)| over a gcd."""
+    r = list(f)
+    dg, lg = len(g) - 1, g[-1]
+    while len(r) > dg:
+        lr = r[-1]
+        if lr:
+            h = math.gcd(lr, lg)
+            a, b = abs(lg) // h, lr // h if lg > 0 else -lr // h
+            k = len(r) - 1 - dg
+            r = [a * c for c in r]
+            for j, c in enumerate(g, k):
+                r[j] -= b * c
+        r.pop()
+    return r
 
 
 def pgcd(p, q):
-    """Monic gcd."""
-    a, b = poly(p), poly(q)
+    """Primitive integer gcd with a positive leading coefficient."""
+    a, b = _primitive(p), _primitive(q)
     while b:
-        a, b = b, pmod(a, b)
-    if a:
-        a = pscale(a, 1 / a[-1])
-    return a
-
-
-def pderiv(p):
-    return poly([i * c for i, c in enumerate(p)][1:])
-
-
-def peval(p, x) -> Fraction:
-    x = Fraction(x)
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
+        a, b = b, _primitive(_prem(a, b))
+    return a if not a or a[-1] > 0 else tuple(-c for c in a)
 
 
 def is_squarefree(p) -> bool:
@@ -106,26 +117,27 @@ def cauchy_bound(p) -> Fraction:
     """All complex roots have modulus < this bound."""
     if degree(p) < 1:
         raise ValueError("need degree >= 1")
-    lead = abs(p[-1])
-    return 1 + max(abs(c) for c in p[:-1]) / lead
+    return 1 + Fraction(max(abs(c) for c in p[:-1])) / abs(p[-1])
 
 
-def primitive_part(p):
-    """Scale by a positive rational to integer coefficients with gcd 1."""
-    if not p:
-        return p
-    den = math.lcm(*[c.denominator for c in p])
-    num = math.gcd(*[abs(c.numerator) for c in p if c])
-    return pscale(p, Fraction(den, num))
+def _sign(f, x) -> int:
+    """Sign of the integer polynomial f at the rational x = a/b: the sign of
+    b^n f(a/b), by homogeneous Horner on integers."""
+    a, b = x.numerator, x.denominator
+    acc, bk = 0, 1
+    for c in reversed(f):
+        acc = acc * a + c * bk
+        bk *= b
+    return (acc > 0) - (acc < 0)
 
 
 def sturm_chain(p, q=None):
-    """Sturm chain of (p, q), with q = p' by default."""
-    # positive rescaling of each member keeps sign variations intact and
-    # stops the coefficient blowup of the raw remainder sequence
-    chain = [primitive_part(poly(p)), primitive_part(pderiv(p) if q is None else poly(q))]
+    """Sturm chain of (p, q), q = p' by default, as primitive integer
+    polynomials: a member is minus the remainder of the two before it, up to
+    a positive factor (Brown 1971)."""
+    chain = [_primitive(p), _primitive(pderiv(p) if q is None else q)]
     while chain[-1]:
-        chain.append(primitive_part(pneg(pmod(chain[-2], chain[-1]))))
+        chain.append(_primitive([-c for c in _prem(chain[-2], chain[-1])]))
     return chain[:-1]
 
 
@@ -133,7 +145,7 @@ def variations(chain, x) -> int:
     """Twice the sign variations of the chain at x, a zero counting half: the
     drop from a to b is twice the Cauchy index of q/p on [a, b] for the chain
     of (p, q), an endpoint at a root of p counting half (Eisermann 2012)."""
-    signs = [(v > 0) - (v < 0) for v in (peval(f, x) for f in chain)]
+    signs = [_sign(f, x) for f in chain]
     return sum(abs(a - b) for a, b in zip(signs, signs[1:]))
 
 
@@ -142,21 +154,13 @@ def count_roots(chain, a, b) -> int:
     return (variations(chain, a) - variations(chain, b)) // 2
 
 
-def _nonroot_point(p, a, b) -> Fraction:
-    m = (Fraction(a) + Fraction(b)) / 2
-    k = 3
-    while peval(p, m) == 0:
-        m = Fraction(a) + (Fraction(b) - Fraction(a)) / k
-        k += 2
-    return m
-
-
 def isolate_real_roots(p):
     """Disjoint isolating intervals (a, b], one simple real root each and no
     end a root.  p must be squarefree: the chain ends in gcd(p, p')."""
     chain = sturm_chain(p)
     if degree(chain[-1]) > 0:
         raise ValueError("polynomial must be squarefree")
+    p = chain[0]
     bound = cauchy_bound(p)
     out = []
 
@@ -166,7 +170,9 @@ def isolate_real_roots(p):
         if n == 1:
             out.append((a, b))
             return
-        m = _nonroot_point(p, a, b)
+        m, k = (a + b) / 2, 3
+        while _sign(p, m) == 0:  # cut at a point that is not a root
+            m, k = a + (b - a) / k, k + 2
         nl = count_roots(chain, a, m)
         rec(a, m, nl)
         rec(m, b, n - nl)
@@ -175,3 +181,382 @@ def isolate_real_roots(p):
     out.sort()
     return out
 
+
+# ---------------------------------------------------------------------------
+# Complex roots: Newton certificates, exact counts, refinement
+
+
+def _durand_kerner(p, iters=400):
+    """Float approximations to all roots of a squarefree polynomial, or None
+    when the coefficients overflow floats (exact subdivision takes over)."""
+    d = degree(p)
+    try:
+        cs = [complex(c) / complex(p[-1]) for c in p]
+        if not all(cmath.isfinite(x) for x in cs):
+            return None
+    except (OverflowError, ValueError):
+        return None
+    zs = [(0.4 + 0.9j) ** k for k in range(1, d + 1)]
+    for _ in range(iters):
+        moved = 0.0
+        for i in range(d):
+            num = 0j
+            for c in reversed(cs):
+                num = num * zs[i] + c
+            den = math.prod(zs[i] - zs[j] for j in range(d) if j != i) or 1e-30
+            step = num / den
+            zs[i] -= step
+            moved = max(moved, abs(step))
+        if moved < 1e-14:
+            break
+    return zs
+
+
+def _certify(p, dp, box: Box) -> Box | None:
+    """Interval-Newton proof that box contains exactly one root of p: the
+    Newton image, inside the box and holding that root, or None."""
+    if box.width() == 0:  # an exact point, evaluated exactly
+        return box if poly_eval_box(p, box).contains_zero() else None
+    n = newton_step(p, dp, box)
+    return n if n is not None and n.inside(box) else None
+
+
+def _newton_cut(p, dp, box: Box) -> Box | None:
+    """The part of a box holding one root of p that a Newton step keeps, if
+    it is at most 3/4 as wide (clipped to the box, so no neighbour gets in)."""
+    n = newton_step(p, dp, box)
+    cut = None if n is None else n.intersect(box)
+    return cut if cut is not None and cut.width() <= box.width() * Fraction(3, 4) else None
+
+
+def _refine_certified(p, dp, box: Box, width: Fraction, lines) -> Box:
+    """Shrink a box holding one root of p below `width` (Newton with
+    bisection fallback)."""
+    while box.width() >= width:
+        box = _newton_cut(p, dp, box) or _bisect_certified(p, dp, box, lines)
+    return box
+
+
+def _bisect_certified(p, dp, box: Box, lines=None) -> Box:
+    """A strict half of a box holding one root of p that keeps the root: a
+    half of the midpoint cut that interval Newton certifies, else the half
+    that the exact count gives the root."""
+    for h in _halves(box, Fraction(1, 2)):
+        if _certify(p, dp, h) is not None:
+            return h
+    low, high, n = _cut(p, box, lines)
+    return high if n == 0 else low
+
+
+def _halves(box: Box, frac: Fraction) -> tuple[Box, Box]:
+    """The two parts of a box cut across its wider side at `frac` of it."""
+    if box.re.width() >= box.im.width():
+        m = box.re.lo + box.re.width() * frac
+        return Box(Iv(box.re.lo, m), box.im), Box(Iv(m, box.re.hi), box.im)
+    m = box.im.lo + box.im.width() * frac
+    return Box(box.re, Iv(box.im.lo, m)), Box(box.re, Iv(m, box.im.hi))
+
+
+def _cut(p, box: Box, lines=None):
+    """(low, high, count of low) for the first cut at k/(2k + 1), k = 1 ..
+    d + 1, with no root on low's boundary.  One of these d + 1 lines misses
+    the d roots, so the count is None only when a root lies on the part of
+    the box's boundary that every low part shares (and keeps)."""
+    for k in range(1, degree(p) + 2):
+        low, high = _halves(box, Fraction(k, 2 * k + 1))
+        n = _root_count(p, low, lines)
+        if n is not None:
+            break
+    return low, high, n
+
+
+def _line(p, lines, vertical, c):
+    """The Sturm chains of (U, V) and of gcd(U, V) on a line, kept in
+    `lines`: U + iV is q^n p(c + iy) on x = c (vertical) or q^n p(x + ic) on
+    y = c, q the denominator of c, so U and V are integer polynomials."""
+    key = (vertical, c)
+    if key not in lines:
+        a, q = c.numerator, c.denominator
+        u, v, qk = [], [], 1
+        for coef in reversed(p):  # Horner: (u + iv) z + coef q^k
+            if vertical:  # z = a + i q y
+                u, v = _lin(a, u, -q, v), _lin(a, v, q, u)
+            else:  # z = q x + i a
+                u, v = _lin(-a, v, q, u), _lin(a, u, q, v)
+            u[0] += coef * qk
+            qk *= q
+        chain = sturm_chain(u, v)
+        lines[key] = chain, sturm_chain(chain[-1])
+    return lines[key]
+
+
+def _lin(s, f, t, g) -> list:
+    """s f + t x g, for integer coefficient lists f and g."""
+    out = [0] * max(len(f), len(g) + 1)
+    for i, c in enumerate(f):
+        out[i] = s * c
+    for i, c in enumerate(g, 1):
+        out[i] += t * c
+    return out
+
+
+def _root_count(p, box: Box, lines=None) -> int | None:
+    """Number of roots of squarefree p in the open box, or None when p
+    vanishes on its boundary (the argument principle; Wilf, J. ACM 25 (1978)):
+    minus half the sum of the Cauchy indices of V/U along the edges,
+    counterclockwise, with p = (U + iV) / q^n on each edge's line (`_line`,
+    kept in `lines`); a root on an edge is a root of gcd(U, V) there."""
+    p = _primitive(p)
+    lines = {} if lines is None else lines
+    re, im = box.re, box.im
+    index = 0
+    edges = (
+        (False, im.lo, re.lo, re.hi),
+        (True, re.hi, im.lo, im.hi),
+        (False, im.hi, re.hi, re.lo),
+        (True, re.lo, im.hi, im.lo),
+    )
+    for vertical, c, start, end in edges:
+        chain, gcd = _line(p, lines, vertical, c)
+        if variations(gcd, start) != variations(gcd, end):
+            return None
+        index += variations(chain, start) - variations(chain, end)
+    return -index // 4  # `variations` counts twice
+
+
+def _refine_box_once(p, dp, box: Box, lines=None) -> Box:
+    if box.width() == 0:
+        return box  # an exact point cannot shrink further
+    # Newton first (a real box has a real image); real boxes fall back to an
+    # exact sign bisection, so they never need a Sturm chain after isolation
+    if box.im.lo == box.im.hi == 0:
+        return _newton_cut(p, dp, box) or _bisect_real(p, box)
+    return _refine_certified(p, dp, box, box.width() / 2, lines)
+
+
+def _bisect_real(p, box: Box) -> Box:
+    """Half of a real isolating box that keeps the root, by exact signs
+    (interval evaluation can allow zero on both halves near a close root)."""
+    lo, m = box.re.lo, box.re.mid()
+    at_lo, at_m = _sign(p, lo), _sign(p, m)
+    if at_lo == 0 or at_m == 0:
+        return Box.point(lo if at_lo == 0 else m)
+    return Box(Iv(lo, m) if at_lo != at_m else Iv(m, box.re.hi), Iv.point(0))
+
+
+def _min_separation(approx, reals):
+    pts = list(approx) + [z.conjugate() for z in approx]
+    pts += [complex(b.re.mid()) for b in reals]
+    return max(min([1.0] + [abs(a - b) for a, b in itertools.combinations(pts, 2)]), 1e-12)
+
+
+def _certify_around(p, dp, z: complex, sep: float, lines) -> Box | None:
+    """A certified box around the float root z, on the dyadic grid: centre
+    rounded to 2^-48, radius the powers of two from the largest <= sep/3."""
+    re, im = (Fraction(round(Fraction(x) * (1 << 48)), 1 << 48) for x in (z.real, z.imag))
+    r = Fraction(2) ** (math.frexp(sep / 3)[1] - 1)
+    for _ in range(14):
+        n = _certify(p, dp, Box(Iv(re - r, re + r), Iv(im - r, im + r)))
+        if n is not None:
+            return _refine_certified(p, dp, n, Fraction(1, 1 << 16), lines)
+        r /= 2
+    return None
+
+
+def _subdivision_upper_roots(p, count, lines):
+    """Boxes strictly above the real axis, one per root with Im > 0: the
+    Cauchy box above a floor y > 0, once it counts all `count` upper roots,
+    split by counts.  Mahler's bound on sep(p) bounds the floor's halvings
+    (Im a >= sep(p) / 2 for an upper root a) and the splits' depth (a box
+    with two roots is at least sep(p) / 2 wide)."""
+    bound = cauchy_bound(p)
+    floor, n = bound, None
+    while n != count:
+        floor /= 2
+        top = Box(Iv(-bound, bound), Iv(floor, bound))
+        n = _root_count(p, top, lines)
+    found, queue = [], [(top, count)]
+    while queue:
+        box, n = queue.pop()
+        if n == 1:
+            found.append(box)
+            continue
+        low, high, k = _cut(p, box, lines)  # box's boundary holds no root: k is a count
+        queue += [(h, c) for h, c in ((low, k), (high, n - k)) if c]
+    found.sort(key=lambda b: (b.re.mid(), b.im.mid()))
+    return found
+
+
+def _isolate_all_roots(p, dp, lines=None):
+    """Boxes for all roots of squarefree integer p, one root each.
+
+    Returns (real_boxes, upper_boxes): real roots ascending, each below
+    2^-8 wide or an exact point, and strictly complex roots with Im > 0
+    ordered by (re, im); the conjugate roots are the mirrored upper boxes.
+    Boxes may still overlap; `RootSet` separates them.
+    """
+    d = degree(p)
+    reals = []
+    for a, b in isolate_real_roots(p):
+        box = Box(Iv(a, b), Iv.point(0))  # p changes sign across it: no end is a root
+        while box.width() >= Fraction(1, 1 << 8):
+            box = _refine_box_once(p, dp, box)
+        reals.append(box)
+    n_upper = (d - len(reals)) // 2
+    uppers = []
+    seeds = _durand_kerner(p) if n_upper else None
+    if seeds is not None:
+        approx = []
+        for z in sorted((z for z in seeds if z.imag > 1e-9), key=lambda z: (z.real, z.imag)):
+            if not approx or abs(z - approx[-1]) >= 1e-9:  # one seed per float cluster
+                approx.append(z)
+        if len(approx) == n_upper:
+            sep = _min_separation(approx, reals)
+            # sep <= 2 Im z, so each box lies strictly above the real axis
+            uppers = [_certify_around(p, dp, z, sep, lines) for z in approx]
+    if len(uppers) < n_upper or None in uppers:
+        return reals, _subdivision_upper_roots(p, n_upper, lines)
+    return reals, uppers
+
+
+class RootSet:
+    """Certified, pairwise-disjoint boxes for the roots of a squarefree
+    rational polynomial, kept as its primitive integer multiple `poly`.
+
+    Roots are indexed from 0 in embedding order: real roots ascending, then
+    each root with Im > 0 followed by its complex conjugate.
+    """
+
+    def __init__(self, p):
+        self.poly = _primitive(p)
+        self._dpoly = pderiv(self.poly)
+        self._lines = {}  # the Sturm chains of `_line`, for every later count
+        reals, uppers = _isolate_all_roots(self.poly, self._dpoly, self._lines)
+        self.nreal = len(reals)
+        self.boxes = list(reals)
+        for b in uppers:
+            self.boxes += [b, b.conj()]
+        while any(not a.disjoint(b) for a, b in itertools.combinations(self.boxes, 2)):
+            for i in range(len(self.boxes)):
+                if self.conj(i) >= i:  # a real or upper box; its conjugate follows
+                    box = _refine_box_once(self.poly, self._dpoly, self.boxes[i], self._lines)
+                    self.boxes[i], self.boxes[self.conj(i)] = box, box.conj()
+
+    def is_real(self, i) -> bool:
+        return i < self.nreal
+
+    def conj(self, i) -> int:
+        """Index of the complex conjugate of root i."""
+        if self.is_real(i):
+            return i
+        return i + 1 if (i - self.nreal) % 2 == 0 else i - 1
+
+    def refine(self, i, width) -> Box:
+        """Shrink box i below `width`, or to an exact point; the conjugate's
+        box follows along."""
+        box = self.boxes[i]
+        while box.width() >= width and box.width() > 0:
+            box = _refine_box_once(self.poly, self._dpoly, box, self._lines)
+        self.boxes[i] = box
+        j = self.conj(i)
+        if self.boxes[j].width() > box.width():
+            self.boxes[j] = box.conj()
+        return box
+
+    def locate(self, value_encloser) -> int:
+        """Index of the root equal to a value known to be a root.
+
+        `value_encloser(width)` returns a Box around the value; the answer
+        is the only root whose box meets it.
+        """
+        width = Fraction(1, 1 << 16)
+        for _ in range(MAX_ROUNDS):
+            v = value_encloser(width)
+            hits = [i for i, b in enumerate(self.boxes) if not b.disjoint(v)]
+            if len(hits) == 1:
+                return hits[0]
+            width /= 1 << 4
+            for i in range(len(self.boxes)):
+                self.refine(i, width)
+        raise NotConverged("value enclosure never met exactly one root box")
+
+    def vanishes_at(self, g, i) -> bool:
+        """Certified: does the rational polynomial g vanish at root i?"""
+        g = pgcd(g, self.poly)  # roots of g outside this set cannot mislead
+        if degree(g) < 1:
+            return False
+        if self.is_real(i):
+            # root i is the only root of self.poly in [a, b] and g divides the
+            # squarefree self.poly, so g(root i) = 0 exactly when g changes
+            # sign across [a, b] or vanishes at an end
+            box = self.boxes[i]
+            return _sign(g, box.re.lo) * _sign(g, box.re.hi) <= 0
+        dg = pderiv(g)
+        for _ in range(MAX_ROUNDS):
+            box = self.boxes[i]
+            if not poly_eval_box(g, box).contains_zero():
+                return False
+            if _certify(g, dg, box) is not None:  # also settles an exact-point box
+                return True
+            self.refine(i, box.width() / 2)
+        raise NotConverged("root membership test did not converge")
+
+
+# ---------------------------------------------------------------------------
+# The irreducible factor at a root
+
+
+def _orbit_unions(roots: RootSet, target: int):
+    """The unions of conjugation orbits that hold target's orbit, in
+    ascending size, one at a time."""
+    own = sorted({target, roots.conj(target)})
+    d = len(roots.boxes)
+    reals = [i for i in range(roots.nreal) if i not in own]
+    pairs = [(i, i + 1) for i in range(roots.nreal, d, 2) if i not in own]
+    for extra in range(d - len(own) + 1):
+        for npairs in range(extra // 2 + 1):
+            for rs in itertools.combinations(reals, extra - 2 * npairs):
+                for ps in itertools.combinations(pairs, npairs):
+                    yield own + list(rs) + [i for pair in ps for i in pair]
+
+
+def _factor_at(roots: RootSet, target: int):
+    """The monic irreducible rational factor of `roots.poly` that vanishes
+    at root `target`: the first union of conjugation orbits around it whose
+    root product certifies.  The factor at a root is unique, so the order
+    within a size cannot change the answer."""
+    den_bound = abs(roots.poly[-1])  # bounds a monic factor's denominators (Gauss)
+    for subset in _orbit_unions(roots, target):
+        cand = _candidate_factor(roots, subset, den_bound, target)
+        if cand is not None:
+            return cand
+    raise AssertionError("no factor found")
+
+
+def _candidate_factor(roots: RootSet, subset, den_bound, target):
+    """prod_{i in subset} (x - root_i) if it is a factor, else None: rounded
+    from coefficient boxes, confirmed by exact division and a certified zero
+    at the target; rejected when a box holds no rational of bounded
+    denominator, or when a division fails at the uniqueness width."""
+    unique_width = Fraction(1, 2 * den_bound * den_bound)
+    for _ in range(MAX_ROUNDS):
+        coeffs = root_product([roots.boxes[i] for i in subset])
+        cand = []
+        for cbox in coeffs[:-1]:
+            # limit_denominator returns the closest bounded-denominator
+            # rational, so a miss rules out every such rational in the box
+            r = cbox.re.mid().limit_denominator(den_bound)
+            if not (cbox.im.contains_zero() and cbox.re.contains(r)):
+                return None  # a factor has such rational coefficients
+            cand.append(r)
+        candidate = poly(cand + [Fraction(1)])
+        if not any(_prem(roots.poly, _primitive(candidate))) and roots.vanishes_at(
+            candidate, target
+        ):
+            return candidate
+        if all(c.re.width() < unique_width for c in coeffs):
+            # intervals this tight pin the only possible rational factor
+            return None
+        for i in subset:
+            roots.refine(i, roots.boxes[i].width() / 2)
+    raise NotConverged("factor candidate refinement did not converge")

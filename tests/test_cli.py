@@ -192,6 +192,26 @@ def test_cm_build_budget_exhaustion_exits_2(capsys, fixture_dir):
 
 
 
+def test_cm_build_without_beta_checks_the_field_once(capsys, fixture_dir, monkeypatch):
+    # find_beta and cm_torus both validate the input; the field's own
+    # checks (irreducibility, conj is complex conjugation) are made once
+    from toruscm import numfield
+
+    calls = []
+    check = numfield.require_irreducible
+
+    def counted(emb):
+        calls.append(emb.field)
+        return check(emb)
+
+    monkeypatch.setattr(numfield, "require_irreducible", counted)
+    doc = json.load(open(fixture_dir / "zeta5.json"))
+    doc["cm"]["beta"] = None
+    code, out = invoke(capsys, ["cm", "build", "--input", json.dumps(doc)])
+    assert code == 0 and json.loads(out)["torus"]["g"] == 2
+    assert len(calls) == 1
+
+
 def test_cm_build_rejects_a_conj_that_is_not_complex_conjugation(capsys):
     # Q(zeta8) with x -> -x: an involutive automorphism, but not complex
     # conjugation under any embedding

@@ -1,10 +1,11 @@
 """Every name a `toruscm` module or a test file imports is used there;
 every function, class, method and module-level name a `toruscm` module
 defines is used somewhere; only `numfield` reads the private reduction mod
-the minpoly or builds elements from their numerators; the product kernel
-and the one elimination never touch `Fraction`; a field inverse and the
-trace read the integer multiplication matrix, never `polyq`; `cm` asks
-its Q-span questions through the one kernel, never by a rational solve;
+the minpoly or builds elements from their numerators; the product kernel,
+the one elimination, the Sturm chains and the root counts never touch
+`Fraction`; a field inverse and the trace read the integer multiplication
+matrix, never `polyq`; `cm` asks its Q-span questions through the one
+kernel, never by a rational solve;
 every integer xgcd elimination is `_hnf` or the modular `_hnf_mod`, and
 `valattice` reads the module count off the index, not a Smith form; every
 function the benchmark traces is defined; and every dataclass that checks
@@ -129,6 +130,21 @@ def test_product_kernel_and_elimination_never_touch_fraction():
     assert touching == []
 
 
+def test_sturm_chains_and_counts_never_touch_fraction():
+    # L0 runs on primitive integer polynomials and reads signs by integer
+    # Horner; Fraction stays at the boundary where a minpoly enters
+    polyq = ast.parse((SRC / "polyq.py").read_text(encoding="utf-8"))
+    names = ("sturm_chain", "variations", "_root_count", "_line", "_prem", "_sign")
+    touching = [
+        name
+        for name in names
+        for node in ast.walk(_function(polyq, name))
+        if (isinstance(node, ast.Name) and node.id == "Fraction")
+        or (isinstance(node, ast.Attribute) and node.attr == "Fraction")
+    ]
+    assert touching == []
+
+
 def test_inverse_and_trace_read_the_multiplication_matrix():
     # a field inverse is solved by the one elimination on the integer matrix
     # of multiplication, and the trace is read off the same matrix, so no
@@ -232,9 +248,8 @@ def test_every_traced_function_is_defined():
             tables[node.targets[0].id] = ast.literal_eval(node.value)
     groups, scoped = tables["GROUPS"], tables["SCOPED"]
     assert groups and scoped
-    missing = sorted(
-        key for keys in groups.values() for key in keys if key not in _defined_functions()
-    )
+    defined = _defined_functions()  # parses every module once
+    missing = sorted(key for keys in groups.values() for key in keys if key not in defined)
     assert missing == []
     assert [g for pair in scoped.values() for g in pair if g not in groups] == []
 

@@ -301,7 +301,7 @@ def test_rationals_field():
 
 
 def test_rational_roots_embed_as_exact_points():
-    # the first sign bisection of an isolating interval hits these roots
+    # the first Newton step on an isolating interval lands on these roots
     fields = [(rationals(), 0), (make_field([0, 1], [0]), 0), (make_field([-3, 1]), 3)]
     for f, root in fields:
         assert f.embeddings()[0].enclosure() == Box.point(root)
@@ -356,19 +356,21 @@ def test_vanishes_at(p, g, g_roots):
 
 
 def test_vanishes_at_exact_point_root():
-    roots = RootSet([0, -1, 1])  # x^2 - x: roots 0 and 1
+    # x^2 - 1: the Sturm intervals (-2, 0] and (0, 2] have the roots -1 and 1
+    # as midpoints, where the first Newton step lands exactly
+    assert polyq.isolate_real_roots(polyq.poly([-1, 0, 1])) == [(-2, 0), (0, 2)]
+    roots = RootSet([-1, 0, 1])
     for i in range(2):
         roots.refine(i, Fraction(1, 1 << 30))
     assert [b.width() for b in roots.boxes] == [0, 0]
-    x, x_minus_1 = polyq.poly([0, 1]), polyq.poly([-1, 1])
-    assert [roots.vanishes_at(x, i) for i in range(2)] == [True, False]
+    x_plus_1, x_minus_1 = polyq.poly([1, 1]), polyq.poly([-1, 1])
+    assert [roots.vanishes_at(x_plus_1, i) for i in range(2)] == [True, False]
     assert [roots.vanishes_at(x_minus_1, i) for i in range(2)] == [False, True]
 
 
 def test_minpoly_factor_at_keeps_an_exact_point_root():
     # (x - 16)(x^2 - c): the wide first enclosures make `locate` refine every
-    # box, which shrinks the box of the dyadic root 16 to an exact point; the
-    # subset {-sqrt(c), 16} then needs more rounds, which must leave it alone
+    # box; the subset {-sqrt(c), 16} then needs more rounds
     c = Fraction(257258, 1001)
     quad = polyq.poly([-c, 0, 1])
     mp = polyq.pmul(polyq.poly([-16, 1]), quad)
@@ -380,10 +382,21 @@ def test_minpoly_factor_at_keeps_an_exact_point_root():
         return own.refine(0, width)  # -sqrt(c)
 
     assert minpoly_factor_at(mp, encloser) == quad
+    # Newton does not land on 16, so its exact point box is built on purpose,
+    # beside the wide isolating interval of -sqrt(c): the rounds that reject
+    # {-sqrt(c), 16} refine both boxes, and must leave the point alone
+    roots = RootSet(mp)
+    roots.boxes[0] = Box(Iv(*polyq.isolate_real_roots(mp)[0]), Iv.point(0))
+    roots.boxes[1] = Box.point(16)
+    asked, refine = [], roots.refine
+    roots.refine = lambda i, width: asked.append(i) or refine(i, width)
+    assert polyq._candidate_factor(roots, [0, 1], abs(roots.poly[-1]), 0) is None
+    assert asked.count(1) > 1 and roots.boxes[1] == Box.point(16)
+    assert polyq._factor_at(roots, 0) == quad
 
 
 def test_bisect_certified_keeps_the_root_when_no_half_certifies():
-    from toruscm.numfield import _bisect_certified, _certify
+    from toruscm.polyq import _bisect_certified, _certify
 
     # x^2 + 2x + 2 has the root -1 + i; neither half of many of these
     # certified boxes certifies, and a half can allow 0 in its value box
@@ -437,7 +450,7 @@ def _gaussian_rational_roots(rng):
 
 
 def test_root_count_matches_known_roots_on_seeded_boxes():
-    from toruscm.numfield import _root_count
+    from toruscm.polyq import _root_count
 
     rng = random.Random(7)
     on_boundary = 0
@@ -458,7 +471,7 @@ def test_root_count_matches_known_roots_on_seeded_boxes():
 
 
 def test_root_count_halves_a_box_with_a_zero_of_re_p_at_a_corner():
-    from toruscm.numfield import _cut, _root_count
+    from toruscm.polyq import _cut, _root_count
 
     # Re(z^2 + 1) = 0 at the corner 3/4 + 5/4 i; the count must still be
     # defined there, on the box and on every part that keeps the corner
@@ -493,18 +506,16 @@ _CM_FIELD_POLYS = {
 
 @pytest.mark.parametrize("coeffs", _CM_FIELD_POLYS.values(), ids=_CM_FIELD_POLYS.keys())
 def test_newton_certifies_every_complex_root_of_the_cm_fields(coeffs, monkeypatch):
-    from toruscm import numfield
-
     subdivisions = []
-    exact_counts = numfield._subdivision_upper_roots
+    exact_counts = polyq._subdivision_upper_roots
 
-    def counted(p, count):
+    def counted(p, count, lines):
         subdivisions.append(count)
-        return exact_counts(p, count)
+        return exact_counts(p, count, lines)
 
-    monkeypatch.setattr(numfield, "_subdivision_upper_roots", counted)
+    monkeypatch.setattr(polyq, "_subdivision_upper_roots", counted)
     p = polyq.poly(coeffs)
-    reals, uppers = numfield._isolate_all_roots(p, polyq.pderiv(p))
+    reals, uppers = polyq._isolate_all_roots(p, polyq.pderiv(p))
     assert subdivisions == []
     assert len(reals) + 2 * len(uppers) == polyq.degree(p)
 
@@ -562,7 +573,7 @@ def test_rootset_boxes_match_sympy_isolation():
 
     def agree(p, width):
         roots = RootSet(p)
-        for i in range(roots.nreal):  # as built: sign bisection stops below 2^-8
+        for i in range(roots.nreal):  # as built: real boxes end below 2^-8
             assert roots.boxes[i].im == Iv.point(0)
             assert roots.boxes[i].width() < Fraction(1, 1 << 8)
         oracle = _sympy_root_boxes(p, width)  # finer than the roots' spacing

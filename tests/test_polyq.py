@@ -1,0 +1,286 @@
+"""L0 in `polyq`: integer Sturm chains and counts against sympy, a mutant
+that must miscount, one chain per line, Newton before bisection, one
+`RootSet` per polynomial and the orbit-union factor search."""
+
+import itertools
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from toruscm import fixtures, polyq
+from toruscm.boxes import Box, Iv
+from toruscm.cm import cm_torus
+from toruscm.polyq import RootSet, _line, _root_count, count_roots, sturm_chain
+
+
+def _squarefree(rng, max_degree, lead=(-3, -2, -1, 1, 2, 3)):
+    """A seeded squarefree integer polynomial, ascending, of degree 1 ..
+    max_degree; its leading coefficient may be negative."""
+    while True:
+        p = [rng.randint(-9, 9) for _ in range(rng.randint(1, max_degree))] + [rng.choice(lead)]
+        if polyq.is_squarefree(p):
+            return p
+
+
+def _rational(rng, lo, hi):
+    return Fraction(rng.randint(lo, hi), rng.randint(1, 7))
+
+
+def _sympy_poly(p, var):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Poly([sympy.Rational(c) for c in reversed(p)], var)
+
+
+def _q(r):
+    import sympy
+
+    return sympy.Rational(r.numerator, r.denominator)
+
+
+def test_count_roots_matches_sympy_at_rational_ends():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(11)
+    checked = 0
+    for _ in range(200):
+        p = _squarefree(rng, 10)
+        chain = sturm_chain(p)
+        # primitive integer members
+        assert all(type(c) is int for f in chain for c in f)
+        assert all(math.gcd(*f) == 1 for f in chain)
+        sp = _sympy_poly(p, x)
+        a = _rational(rng, -40, 40)
+        b = a + _rational(rng, 1, 60)
+        if sp.eval(_q(a)) == 0 or sp.eval(_q(b)) == 0:
+            continue  # count_roots wants ends that are not roots
+        assert count_roots(chain, a, b) == sp.count_roots(_q(a), _q(b)), (p, a, b)
+        checked += 1
+    assert checked > 150
+
+
+def _positive_multiple(f, sp_poly):
+    """f (ascending integers) is a positive multiple of the sympy Poly."""
+    if not f or sp_poly.is_zero:
+        return not f and sp_poly.is_zero
+    coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(sp_poly.all_coeffs())]
+    k = coeffs[-1] / f[-1]
+    return k > 0 and len(coeffs) == len(f) and all(c == k * a for c, a in zip(coeffs, f))
+
+
+def _gaussian_root_poly(rng):
+    """A primitive integer polynomial with seeded roots x + iy of small
+    denominators, and those roots."""
+    roots = set()
+    for _ in range(rng.randint(1, 3)):
+        x, y = _rational(rng, -6, 6), Fraction(rng.randint(-4, 4), rng.randint(1, 2))
+        roots |= {(x, y), (x, -y)}
+    p = polyq.poly([1])
+    for x, y in roots:
+        if y == 0:
+            p = polyq.pmul(p, polyq.poly([-x, 1]))
+        elif y > 0:
+            p = polyq.pmul(p, polyq.poly([x * x + y * y, -2 * x, 1]))
+    return polyq._primitive(p), sorted(roots)
+
+
+def test_line_chains_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t", real=True)
+    rng = random.Random(5)
+    on_line = 0
+    for _ in range(120):
+        p, roots = _gaussian_root_poly(rng)
+        vertical = rng.random() < 0.5
+        x0, y0 = rng.choice(roots)
+        # half the lines pass through a root
+        c = (x0 if vertical else y0) if rng.random() < 0.5 else _rational(rng, -8, 8)
+        lines = {}
+        chain, gcd = _line(p, lines, vertical, c)
+        assert lines == {(vertical, c): (chain, gcd)}
+        z = _q(c) + sympy.I * t if vertical else t + sympy.I * _q(c)
+        value = sympy.expand(sum(coef * z**k for k, coef in enumerate(p)))
+        u, v = (sympy.Poly(part, t) for part in (sympy.re(value), sympy.im(value)))
+        members = list(chain) + [()] * 2
+        if u.is_zero:  # the chain of (0, V) is [(), V]
+            assert members[0] == () and _positive_multiple(members[1], v)
+        else:
+            assert _positive_multiple(members[0], u) and _positive_multiple(members[1], v)
+        common = sympy.gcd(u, v)
+        lo = _rational(rng, -10, 0) - Fraction(1, 3)
+        hi = _rational(rng, 1, 10) + Fraction(1, 3)
+        if common.degree() > 0 and 0 in (common.eval(_q(lo)), common.eval(_q(hi))):
+            continue
+        expected = int(common.count_roots(_q(lo), _q(hi))) if common.degree() > 0 else 0
+        on_line += expected > 0
+        assert count_roots(gcd, lo, hi) == expected
+    assert on_line > 20
+
+
+def test_root_count_matches_sympy_on_seeded_boxes():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(3)
+    counted = 0
+    for _ in range(80):
+        p = _squarefree(rng, 6)
+        lines = {}
+        for _ in range(3):  # boxes of one polynomial share lines
+            x0, y0 = _rational(rng, -6, 4), _rational(rng, -6, 4)
+            box = Box(Iv(x0, x0 + _rational(rng, 1, 8)), Iv(y0, y0 + _rational(rng, 1, 8)))
+            n = _root_count(p, box, lines)
+            closed = _sympy_poly(p, x).count_roots(
+                _q(box.re.lo) + sympy.I * _q(box.im.lo), _q(box.re.hi) + sympy.I * _q(box.im.hi)
+            )
+            if n is None:  # a root on the boundary
+                assert closed > 0
+            else:
+                assert n == closed
+                counted += n > 0
+    assert counted > 30
+
+
+def _signed_prem(f, g):
+    """The mutant of `polyq._prem`: each step scales by lc(g), not |lc(g)|."""
+    r = list(f)
+    dg, lg = len(g) - 1, g[-1]
+    while len(r) > dg:
+        lr = r[-1]
+        if lr:
+            h = math.gcd(lr, lg)
+            a, b = lg // h, lr // h
+            k = len(r) - 1 - dg
+            r = [a * c for c in r]
+            for j, c in enumerate(g, k):
+                r[j] -= b * c
+        r.pop()
+    return r
+
+
+def test_chain_scaled_by_signed_lc_miscounts(monkeypatch):
+    # even polynomials with a negative leading coefficient: the first
+    # division by p' takes one step, so a signed lc flips a member's sign
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(2)
+    cases = []
+    while len(cases) < 20:
+        q = _squarefree(rng, 3, lead=(-3, -2, -1))
+        p = [c for coef in q for c in (coef, 0)][:-1]  # q(x^2)
+        if polyq.is_squarefree(p):
+            cases.append(p)
+    a, b = Fraction(-50, 3), Fraction(50, 3)
+
+    def counts():
+        return [count_roots(sturm_chain(p), a, b) for p in cases]
+
+    truth = [_sympy_poly(p, x).count_roots(_q(a), _q(b)) for p in cases]
+    assert counts() == truth
+    monkeypatch.setattr(polyq, "_prem", _signed_prem)
+    wrong = [p for p, got, want in zip(cases, counts(), truth) if got != want]
+    assert wrong and all(p[-1] < 0 for p in wrong)
+
+
+def test_each_line_gets_one_chain(monkeypatch):
+    # near-coincident roots +-i and +-i sqrt(1 + e) are isolated by exact
+    # counts; every line of every box they cut gets its chains once
+    calls = []
+    real = polyq.sturm_chain
+
+    def counted(p, q=None):
+        calls.append(1)
+        return real(p, q)
+
+    monkeypatch.setattr(polyq, "sturm_chain", counted)
+    e = Fraction(1, 1 << 40)
+    roots = RootSet(polyq.poly([1 + e, 0, 2 + e, 0, 1]))
+    assert len(roots._lines) > 10
+    assert len(calls) == 1 + 2 * len(roots._lines)  # the real chain, then 2 per line
+
+
+def test_real_roots_take_newton_before_bisection(monkeypatch):
+    calls = []
+    real = polyq._bisect_real
+
+    def counted(p, box):
+        calls.append(box)
+        return real(p, box)
+
+    monkeypatch.setattr(polyq, "_bisect_real", counted)
+    roots = RootSet([2000, 0, -100, 0, 1])  # the real value field of Q(zeta5)
+    assert roots.nreal == 4 and all(b.width() < Fraction(1, 1 << 8) for b in roots.boxes)
+    assert len(calls) <= 10
+
+
+def test_zeta5_cm_torus_builds_one_rootset_of_l(monkeypatch):
+    degrees = []
+    init = RootSet.__init__
+
+    def counted(self, p):
+        init(self, p)
+        degrees.append(polyq.degree(self.poly))
+
+    monkeypatch.setattr(RootSet, "__init__", counted)
+    cm_torus(fixtures.zeta5_cm_input())
+    assert degrees.count(8) == 1  # L = Q(zeta5, i) keeps the roots that located u
+
+
+def _closed_unions(roots, target):
+    """Brute force: every conj-closed root subset holding target."""
+    d = len(roots.boxes)
+    return [
+        sorted(s)
+        for size in range(1, d + 1)
+        for s in itertools.combinations(range(d), size)
+        if target in s and {roots.conj(i) for i in s} == set(s)
+    ]
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        [[16, 16, 8, 0, -4, 0, 2, 2, 1]],  # L for Q(zeta5): four conjugate pairs
+        [[-1, 1], [2, 1], [1, 0, 1], [3, 0, 1]],  # two real roots and two pairs
+    ],
+    ids=["L_zeta5", "mixed"],
+)
+def test_factor_search_tries_only_orbit_unions(factors, monkeypatch):
+    factors = [polyq.poly(f) for f in factors]
+    p = polyq.poly([1])
+    for f in factors:
+        p = polyq.pmul(p, f)
+    roots = RootSet(p)
+    tried = []
+    real = polyq._candidate_factor
+
+    def counted(roots, subset, den_bound, target):
+        tried.append(sorted(subset))
+        return real(roots, subset, den_bound, target)
+
+    monkeypatch.setattr(polyq, "_candidate_factor", counted)
+    yielded = []  # every tuple the search draws from itertools.combinations
+
+    class Combinations:
+        @staticmethod
+        def combinations(xs, r):
+            for c in itertools.combinations(xs, r):
+                yielded.append(c)
+                yield c
+
+    monkeypatch.setattr(polyq, "itertools", Combinations)
+    orbits = {frozenset({i, roots.conj(i)}) for i in range(len(roots.boxes))}
+    for target in range(len(roots.boxes)):
+        unions = _closed_unions(roots, target)
+        assert len(unions) == 2 ** (len(orbits) - 1)
+        sizes = [len(s) for s in polyq._orbit_unions(roots, target)]
+        assert sizes == sorted(sizes)
+        assert sorted(map(sorted, polyq._orbit_unions(roots, target))) == sorted(unions)
+        tried.clear()
+        yielded.clear()
+        factor = polyq._factor_at(roots, target)
+        assert factor in factors and roots.vanishes_at(factor, target)
+        assert len(tried) <= len(unions) and all(s in unions for s in tried)
+        # one draw per union and at most one per choice of real orbits, never
+        # the 2^d - 1 root subsets of a scan
+        assert len(yielded) <= 2 * len(unions) < 2 ** len(roots.boxes) - 1
