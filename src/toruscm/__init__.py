@@ -6,10 +6,8 @@ from .numfield import (
     Embedding,
     FieldElement,
     NumberField,
-    embeddings,
     exact_sign,
     make_field,
-    rational_part,
     rationals,
     trace_q,
 )
@@ -20,15 +18,12 @@ from .exactla import (
     positive_definite,
     saturate_integer_solutions,
     snf,
-    solve_linear,
 )
 from .torus import (
     ComplexTorusData,
     GksPair,
     KahlerData,
     charge_isometry_check,
-    complex_structure_from_period,
-    eigenspace_graphs,
     ij_rational,
     induce_gks,
 )
@@ -58,7 +53,6 @@ from .valattice import (
     PairingLattice,
     build_pairing_lattice,
     chiral_sublattice,
-    dual_basis,
     module_count,
     supercommutator,
     va_rational,

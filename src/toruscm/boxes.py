@@ -49,9 +49,6 @@ class Iv:
     def contains(self, x) -> bool:
         return self.lo <= _frac(x) <= self.hi
 
-    def strictly_positive(self) -> bool:
-        return self.lo > 0
-
     def sign(self) -> int | None:
         """Definite sign, or None if the interval straddles zero."""
         if self.lo > 0:

@@ -185,16 +185,7 @@ class CmInput:
 
 
 # ---------------------------------------------------------------------------
-# Multiplication matrices
-
-
-def mult_matrix_in_basis(x: FieldElement, basis) -> FieldMatrix:
-    """Matrix of multiplication by x in a given Q-basis (rational): column j
-    holds the coordinates of x * b_j."""
-    cols = _coordinates([b.coords for b in basis], [(x * b).coords for b in basis])
-    if cols is None:
-        raise Singular("basis is not a Q-basis of the field")
-    return FieldMatrix(rationals(), zip(*cols))
+# The field L = Q(sigma(K), i) and the real value field F
 
 
 def _integral(p):
@@ -203,10 +194,6 @@ def _integral(p):
     s = math.lcm(*[c.denominator for c in p])
     n = len(p) - 1
     return s, [int(c * s ** (n - i)) for i, c in enumerate(p)]
-
-
-# ---------------------------------------------------------------------------
-# The field L = Q(sigma(K), i) and the real value field F
 
 
 def _value_field(base: Embedding):

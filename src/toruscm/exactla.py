@@ -54,10 +54,7 @@ class FieldMatrix:
 
     def __init__(self, field: NumberField, entries):
         self.field = field
-        of = field.from_rational
-        ents = [tuple(e if isinstance(e, FieldElement) else of(e) for e in row) for row in entries]
-        if any(e.field is not field and e.field != field for row in ents for e in row):
-            raise ValueError("entry from a different field")
+        ents = [tuple(map(field.coerce, row)) for row in entries]
         if ents and any(len(r) != len(ents[0]) for r in ents):
             raise ValueError("ragged rows")
         self.entries = tuple(ents)
@@ -202,13 +199,6 @@ class FieldMatrix:
             return self.field.zero()
         one = self.field.one()
         return math.prod(down, start=one) / math.prod(up, start=one)
-
-
-def solve_linear(a: FieldMatrix, b: FieldMatrix | None = None):
-    """Spec entry point: exact solve, or a kernel basis for b absent/zero."""
-    if b is None or b.is_zero():
-        return a.kernel()
-    return a.solve(b)
 
 
 # ---------------------------------------------------------------------------

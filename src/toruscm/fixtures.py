@@ -1,10 +1,10 @@
-"""Shipped fixtures: the square elliptic curve, the 2^(1/4) torus, the
-cyclotomic mirror pair, and the g=1 construction input."""
+"""Builders of the shipped fixtures: the square elliptic curve, the 2^(1/4)
+torus, the cyclotomic mirror pair and the CM inputs.  The documents in the
+repository's `fixtures/` directory are their `jsonio` encodings, which the
+tests hold byte for byte."""
 
 from __future__ import annotations
 
-import json
-import os
 from fractions import Fraction
 
 from .exactla import FieldMatrix
@@ -122,41 +122,3 @@ def zeta5_mirror_data() -> dict:
         "pair": pair,
         "metric_block_target": target,
     }
-
-
-def prop44_g1_input():
-    qq = rationals()
-    return FieldMatrix(qq, [[1]]), [[-1]]
-
-
-def write_fixture_files(directory: str) -> list:
-    """Materialize the shipped JSON fixtures; returns the paths written."""
-    from . import jsonio
-
-    os.makedirs(directory, exist_ok=True)
-    written = []
-
-    t, k, pol = tau_i_torus()
-    doc = jsonio.encode_torus(t, k, polarization=pol, cm=gaussian_cm_input())
-    written.append(_dump(directory, "tau_i.json", doc))
-
-    t2, k2 = tau_2pow14_torus()
-    written.append(_dump(directory, "tau_2pow14.json", jsonio.encode_torus(t2, k2)))
-
-    data = zeta5_mirror_data()
-    left = data["pair"].left
-    doc = jsonio.encode_torus(left.torus, left.kahler, cm=zeta5_cm_input())
-    written.append(_dump(directory, "zeta5.json", doc))
-
-    a, rho = prop44_g1_input()
-    doc = {"A": jsonio.encode_matrix(a), "rho": rho}
-    written.append(_dump(directory, "prop44_g1.json", doc))
-    return written
-
-
-def _dump(directory: str, name: str, doc) -> str:
-    path = os.path.join(directory, name)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    return path

@@ -169,6 +169,16 @@ class NumberField:
         n, q = _rational_pair(r)
         return FieldElement(self, (n,) + (0,) * (self.degree - 1), q)
 
+    def coerce(self, x) -> "FieldElement":
+        """x as an element: an element of this field, or of an equal one, as
+        it is; a rational by `from_rational`; an element of another field
+        raises ValueError."""
+        if isinstance(x, FieldElement):
+            if x.field is self or x.field == self:
+                return x
+            raise ValueError("field mismatch")
+        return self.from_rational(x)
+
     def zero(self) -> "FieldElement":
         return self.from_rational(0)
 
@@ -284,13 +294,6 @@ class FieldElement:
         """The power-basis coordinates, as Fractions."""
         return tuple(Fraction(n, self.den) for n in self.num)
 
-    def _co(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ValueError("field mismatch")
-            return other
-        return self.field.from_rational(other)
-
     def _add(self, o, sign):
         """self + sign * o."""
         a, b = (1, 1) if self.den == o.den else (self.den, o.den)
@@ -298,21 +301,21 @@ class FieldElement:
         return FieldElement(self.field, num, self.den * b)
 
     def __add__(self, o):
-        return self._add(self._co(o), 1)
+        return self._add(self.field.coerce(o), 1)
 
     __radd__ = __add__
 
     def __sub__(self, o):
-        return self._add(self._co(o), -1)
+        return self._add(self.field.coerce(o), -1)
 
     def __rsub__(self, o):
-        return self._co(o) - self
+        return self.field.coerce(o) - self
 
     def __neg__(self):
         return FieldElement(self.field, tuple(-a for a in self.num), self.den)
 
     def __mul__(self, o):
-        o = self._co(o)
+        o = self.field.coerce(o)
         if o.is_rational():  # a scaling
             return FieldElement(self.field, [x * o.num[0] for x in self.num], self.den * o.den)
         return self.field.dot((self,), (o,))
@@ -337,10 +340,10 @@ class FieldElement:
         return self.field.element(ker[0][:d]) * self.den
 
     def __truediv__(self, o):
-        return self * self._co(o).inverse()
+        return self * self.field.coerce(o).inverse()
 
     def __rtruediv__(self, o):
-        return self._co(o) * self.inverse()
+        return self.field.coerce(o) * self.inverse()
 
     def __pow__(self, n: int):
         if n < 0:
@@ -394,16 +397,6 @@ class FieldElement:
 def make_field(minpoly, conj_image=None) -> NumberField:
     """Build a number field, verifying squarefreeness and the conjugation."""
     return NumberField(minpoly, conj_image)
-
-
-def embeddings(field: NumberField, width):
-    """All d embeddings with enclosures refined below `width`."""
-    return field.embeddings(Fraction(width))
-
-
-def rational_part(x: FieldElement):
-    """Split x into (rational, remainder with zero constant coordinate)."""
-    return Fraction(x.num[0], x.den), FieldElement(x.field, (0,) + x.num[1:], x.den)
 
 
 def trace_q(x: FieldElement) -> Fraction:

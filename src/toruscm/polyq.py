@@ -20,8 +20,9 @@ cut costs one new chain).  Boxes are evaluated in outward-rounded fixed point
 (:mod:`toruscm.boxes`); floats only pick where to *try* a certificate.
 `_factor_at` certifies the irreducible factor at a root, trying unions of
 conjugation orbits in ascending size.  The loops that wait for a certificate
-raise `NotConverged` after `MAX_ROUNDS` rounds; isolation and refinement
-never do, and leave an exact-point box as it is.
+raise `NotConverged` after `MAX_ROUNDS` rounds, and exact subdivision raises it
+past Mahler's root separation bound; refinement never does, and leaves an
+exact-point box as it is.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from .boxes import Box, Iv, newton_step, poly_eval_box, root_product
 
 
 class NotConverged(ArithmeticError):
-    """A certificate was not reached within `MAX_ROUNDS` refinement rounds."""
+    """A certificate was not reached within `MAX_ROUNDS` refinement rounds,
+    or root counts contradict the root separation bound."""
 
 
 # rounds of a refine-and-retry loop before it gives up; each round at least
@@ -55,17 +57,6 @@ def poly(coeffs) -> tuple:
 
 def degree(p) -> int:
     return len(p) - 1
-
-
-def pmul(p, q):
-    if not p or not q:
-        return ()
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return poly(out)
 
 
 def pderiv(p):
@@ -366,12 +357,18 @@ def _certify_around(p, dp, z: complex, sep: float, lines) -> Box | None:
 def _subdivision_upper_roots(p, count, lines):
     """Boxes strictly above the real axis, one per root with Im > 0: the
     Cauchy box above a floor y > 0, once it counts all `count` upper roots,
-    split by counts.  Mahler's bound on sep(p) bounds the floor's halvings
-    (Im a >= sep(p) / 2 for an upper root a) and the splits' depth (a box
-    with two roots is at least sep(p) / 2 wide)."""
-    bound = cauchy_bound(p)
+    split by counts.  Mahler's bound sep(p) > sqrt(3) d^(-(d+2)/2) |p|_2^(1-d)
+    for squarefree integer p (Mahler, Michigan Math. J. 11 (1964)) gives an
+    exact rational `gap` < sep(p) / 2.  An upper root a has Im a >= sep(p) / 2,
+    so a floor below `gap` counts every upper root, and a box narrower than
+    `gap` holds at most one root; a count that says otherwise is wrong and
+    raises `NotConverged`, as does a cut whose counts do not add up."""
+    bound, d = cauchy_bound(p), degree(p)
+    gap = Fraction(1, 2 * math.isqrt(d ** (d + 2) * sum(c * c for c in p) ** (d - 1) // 3) + 2)
     floor, n = bound, None
     while n != count:
+        if floor < gap:
+            raise NotConverged("the upper roots are not all above the separation bound")
         floor /= 2
         top = Box(Iv(-bound, bound), Iv(floor, bound))
         n = _root_count(p, top, lines)
@@ -381,7 +378,11 @@ def _subdivision_upper_roots(p, count, lines):
         if n == 1:
             found.append(box)
             continue
+        if box.width() < gap:
+            raise NotConverged("a box narrower than the root separation counts several roots")
         low, high, k = _cut(p, box, lines)  # box's boundary holds no root: k is a count
+        if k is None or not 0 <= k <= n:
+            raise NotConverged("the counts of a cut do not add up")
         queue += [(h, c) for h, c in ((low, k), (high, n - k)) if c]
     found.sort(key=lambda b: (b.re.mid(), b.im.mid()))
     return found

@@ -1,6 +1,6 @@
 """Complex torus data, its endomorphism algebra, induced generalized Kahler
-pairs, and their exact invariants: rationality of IJ, eigenspace graph
-decomposition, and the denominator-free charge-lattice isometry identity.
+pairs, and their exact invariants: rationality of IJ and the
+denominator-free charge-lattice isometry identity.
 
 Data is checked where it enters: `ComplexTorusData` checks I, and
 `KahlerData` checks (G, B) against its torus once, when it is built; both
@@ -8,17 +8,17 @@ are frozen, so checked data cannot be swapped out.  End^0(T) is the cached
 `ComplexTorusData.end`, from the one Sylvester kernel, which the metric
 search of `cm` shares.  IJ is read off (G, B) in one place, `KahlerData.ij`,
 once per metric; J, q(., IJ.) and the rationality verdict derive from it.
-The pair's axioms and the eigenspace graphs of IJ follow from checked data
-and are held by the tests; `GksPair.verify` checks the axioms for a report
-that states them."""
+The pair's axioms and the charge isometry follow from checked data and are
+held by the tests; `GksPair.verify` checks both for a report that states
+them.  The eigenspace projector (1 + IJ)/2 is the pairing lattice's `p_plus`
+(:mod:`toruscm.valattice`)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
-from fractions import Fraction
 from functools import cached_property
 
-from .exactla import FieldMatrix, Singular, positive_definite, rational_kernel
+from .exactla import FieldMatrix, positive_definite, rational_kernel
 from .numfield import Embedding, NumberField, rationals
 
 
@@ -161,21 +161,8 @@ class GksPair:
             raise ValueError("q(., IJ.) is not symmetric")
         if not positive_definite(gm, t.embedding):
             raise NotPositiveDefinite("q(., IJ.) is not positive definite")
-
-
-def complex_structure_from_period(
-    t1: FieldMatrix, t2: FieldMatrix, embedding: Embedding
-) -> ComplexTorusData:
-    """Complex structure of the torus with period matrix (1  T1 + T2 i)."""
-    try:
-        t2inv = t2.inverse()
-    except Singular:
-        raise Singular("T2 is singular")
-    a = t1 * t2inv
-    top = [(-a), (-(a * t1) - t2)]
-    bot = [t2inv, t2inv * t1]
-    i_mat = FieldMatrix.block([top, bot])
-    return ComplexTorusData(t2.rows, t2.field, i_mat, embedding)
+        if not charge_isometry_check(self.kahler):
+            raise ValueError("charge-lattice isometry identity fails")
 
 
 def induce_gks(k: KahlerData) -> GksPair:
@@ -192,25 +179,6 @@ def induce_gks(k: KahlerData) -> GksPair:
         ]
     )
     return GksPair(cal_i, -(cal_i * k.ij), q_matrix(fld, n), k)
-
-
-@dataclass
-class EigenspaceGraphs:
-    p_plus: FieldMatrix
-    p_minus: FieldMatrix
-    graph_plus: FieldMatrix
-    graph_minus: FieldMatrix
-
-
-def eigenspace_graphs(p: GksPair) -> EigenspaceGraphs:
-    """Projectors P+- = (1 +- IJ)/2 onto the (+1/-1) eigenspaces of IJ, whose
-    images are the graphs of -G+B and G+B over Gamma_R."""
-    k = p.kahler
-    ident = FieldMatrix.identity(k.torus.field, 4 * k.torus.g)
-    half = Fraction(1, 2)
-    return EigenspaceGraphs(
-        (ident + p.ij).scale(half), (ident - p.ij).scale(half), k.B - k.G, k.B + k.G
-    )
 
 
 def ij_rational(p: GksPair) -> bool:

@@ -1,6 +1,6 @@
 """The lattice side of the toroidal vertex algebra: the pairing lattice
 Lambda = Gamma + Gamma* with its (z, zbar)-decomposition, the chiral
-sublattice and rationality verdict, module count, dual bases, and the mode
+sublattice and rationality verdict, module count, and the mode
 supercommutator table.
 
 The z-side projector is (1 + IJ)/2 with IJ read off the checked metric,
@@ -19,10 +19,6 @@ from .torus import ComplexTorusData, KahlerData, q_matrix
 
 
 class ModeParityMismatch(ValueError):
-    pass
-
-
-class DegenerateRestriction(ValueError):
     pass
 
 
@@ -95,18 +91,6 @@ def module_count(report: ChiralReport):
 
 def encode_count(c) -> object:
     return "inf" if c == math.inf else c
-
-
-def dual_basis(subspace: FieldMatrix, lat: PairingLattice, sign: int) -> FieldMatrix:
-    """Dual rows with q(E_i, dual_j) = sign * delta_ij on the subspace."""
-    from .exactla import Singular
-
-    gram = subspace * lat.q * subspace.transpose()
-    try:
-        ginv = gram.inverse()
-    except Singular:
-        raise DegenerateRestriction("q restricted to the subspace is degenerate")
-    return (ginv * subspace).scale(sign)
 
 
 def _side_of(lat: PairingLattice, h: FieldMatrix) -> str | None:

@@ -1,6 +1,11 @@
+import pathlib
+from fractions import Fraction
+
 import pytest
 
 from toruscm import fixtures
+from toruscm.exactla import FieldMatrix
+from toruscm.numfield import rationals
 
 
 @pytest.fixture(scope="session")
@@ -37,7 +42,22 @@ def zeta5_cm():
 
 
 @pytest.fixture(scope="session")
-def fixture_dir(tmp_path_factory):
-    d = tmp_path_factory.mktemp("fixtures")
-    fixtures.write_fixture_files(str(d))
-    return d
+def mult_matrix():
+    """Multiplication by x in a Q-basis of its field, by sympy's solve on the
+    coordinate columns: column j holds the coordinates of x * b_j."""
+    sympy = pytest.importorskip("sympy")
+
+    def columns(xs):
+        return sympy.Matrix([[sympy.Rational(str(c)) for c in x.coords] for x in xs]).T
+
+    def mult(x, basis):
+        m = columns(basis).solve(columns([x * b for b in basis]))
+        return FieldMatrix(rationals(), [[Fraction(str(c)) for c in row] for row in m.tolist()])
+
+    return mult
+
+
+@pytest.fixture(scope="session")
+def fixture_dir():
+    """The shipped `fixtures/` directory; tests read it and never write to it."""
+    return pathlib.Path(__file__).resolve().parent.parent / "fixtures"

@@ -26,7 +26,6 @@ from toruscm.torus import (
     ComplexTorusData,
     KahlerData,
     charge_isometry_check,
-    eigenspace_graphs,
     ij_rational,
     induce_gks,
     q_matrix,
@@ -140,10 +139,12 @@ def test_criterion_3_gks_axioms(sample_set):
         metric = pair.metric()
         assert metric.is_symmetric()
         assert positive_definite(metric, t.embedding).positive
-        # P+- fixes the graph of -+G+B and has rank 2g
-        graphs = eigenspace_graphs(pair)
+        # P+- = (1 +- IJ)/2 fixes the graph of -+G+B and has rank 2g
+        p_plus = build_pairing_lattice(t, k).p_plus
+        p_minus = ident - p_plus
+        assert p_plus - p_minus == pair.calI * pair.calJ
         top = FieldMatrix.identity(t.field, 2 * t.g)
-        for proj, s in ((graphs.p_plus, graphs.graph_plus), (graphs.p_minus, graphs.graph_minus)):
+        for proj, s in ((p_plus, k.B - k.G), (p_minus, k.B + k.G)):
             graph = FieldMatrix.block([[top], [s]])
             assert proj * graph == graph
             assert proj.rank() == 2 * t.g

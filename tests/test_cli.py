@@ -6,7 +6,10 @@ import sys
 
 import pytest
 
+from toruscm import fixtures, jsonio, torus
 from toruscm.cli import run
+from toruscm.exactla import FieldMatrix
+from toruscm.numfield import rationals
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -32,6 +35,37 @@ def test_torus_validate_bad_i_exits_2(capsys, fixture_dir):
     assert code == 2
     rep = json.loads(out)
     assert rep["ok"] is False and "I^2" in rep["error"]
+
+
+def _tau_i_document():
+    t, k, pol = fixtures.tau_i_torus()
+    return jsonio.encode_torus(t, k, polarization=pol, cm=fixtures.gaussian_cm_input())
+
+
+def _zeta5_document():
+    left = fixtures.zeta5_mirror_data()["pair"].left
+    return jsonio.encode_torus(left.torus, left.kahler, cm=fixtures.zeta5_cm_input())
+
+
+def _prop44_g1_document():
+    # the g = 1 construction input A = 1, rho = -1 of `mirror construct`
+    return {"A": jsonio.encode_matrix(FieldMatrix(rationals(), [[1]])), "rho": [[-1]]}
+
+
+@pytest.mark.parametrize(
+    "name, build",
+    [
+        ("tau_i.json", _tau_i_document),
+        ("tau_2pow14.json", lambda: jsonio.encode_torus(*fixtures.tau_2pow14_torus())),
+        ("zeta5.json", _zeta5_document),
+        ("prop44_g1.json", _prop44_g1_document),
+    ],
+    ids=["tau_i", "tau_2pow14", "zeta5", "prop44_g1"],
+)
+def test_shipped_fixture_is_its_builders_encoding(fixture_dir, name, build):
+    # the CLI writes a document the same way: sorted keys, indent 2
+    text = (fixture_dir / name).read_text(encoding="utf-8")
+    assert text == json.dumps(build(), sort_keys=True, indent=2) + "\n"
 
 
 def test_malformed_json_exits_2(capsys):
@@ -275,6 +309,15 @@ def test_gks_induce_and_rationality(capsys, fixture_dir):
         ["gks", "rationality", "--torus", str(fixture_dir / "zeta5.json"), "--expect", "false"],
     )
     assert code == 0
+
+
+def test_gks_induce_exits_2_when_the_charge_isometry_fails(capsys, fixture_dir, monkeypatch):
+    # the "verified" of `gks induce` covers the charge-lattice isometry identity
+    monkeypatch.setattr(torus, "charge_isometry_check", lambda k: False)
+    code, out = invoke(capsys, ["gks", "induce", "--torus", str(fixture_dir / "tau_i.json")])
+    assert code == 2
+    rep = json.loads(out)
+    assert rep["ok"] is False and "charge-lattice isometry" in rep["error"]
 
 
 def test_cm_build_from_fixture_block(capsys, fixture_dir):

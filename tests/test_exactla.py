@@ -18,7 +18,6 @@ from toruscm.exactla import (
     row_lattice_index,
     saturate_integer_solutions,
     snf,
-    solve_linear,
 )
 from toruscm.numfield import ZeroDivisor, make_field, rationals
 
@@ -45,12 +44,12 @@ def frac_det(rows):
 def test_solve_identity():
     a = FieldMatrix.identity(QQ, 3)
     b = qmat([[1], [2], [3]])
-    assert solve_linear(a, b) == b
+    assert a.solve(b) == b
 
 
 def test_kernel_of_ones():
     a = qmat([[1, 1], [1, 1]])
-    k = solve_linear(a)  # homogeneous: kernel basis
+    k = a.kernel()
     assert k.rows == 1
     v = [k[0, 0].as_rational(), k[0, 1].as_rational()]
     assert v[0] == -v[1] and v[0] != 0

@@ -1,9 +1,10 @@
 """Every name a `toruscm` module or a test file imports is used there;
-every function, class, method and module-level name a `toruscm` module
-defines is used somewhere; only `numfield` reads the private reduction mod
-the minpoly or builds elements from their numerators; the product kernel,
-the one elimination, the Sturm chains and the root counts never touch
-`Fraction`; a field inverse and the trace read the integer multiplication
+every public top-level function and class a `toruscm` module defines is
+named elsewhere in `src/` or by the benchmark (tests do not count), and
+every other definition is used somewhere; only `numfield` reads the
+private reduction mod the minpoly or builds elements from their
+numerators; the product kernel, the one elimination, the Sturm chains and
+the root counts never touch `Fraction`; a field inverse and the trace read the integer multiplication
 matrix, never `polyq`; `cm` asks its Q-span questions through the one
 kernel, never by a rational solve;
 every integer xgcd elimination is `_hnf` or the modular `_hnf_mod`, and
@@ -51,11 +52,11 @@ def test_no_unused_imports_in_tests():
     assert unused == []
 
 
-def _used_names(path):
-    """Names a file uses: AST `Name`s it reads, `Attribute` names and import
-    aliases."""
+def _names(node):
+    """Names a syntax tree uses: `Name`s it reads, `Attribute` names and
+    import aliases."""
     used = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in ast.walk(node):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -65,16 +66,60 @@ def _used_names(path):
     return used
 
 
+def _parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _benchmark_tables():
+    """run.py's GROUPS and SCOPED tables, read rather than imported."""
+    return {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in _parse(PERFBENCH / "run.py").body
+        if isinstance(node, ast.Assign)
+        and getattr(node.targets[0], "id", None) in ("GROUPS", "SCOPED")
+    }
+
+
+# public definitions that neither src/ nor the benchmark reaches, each kept
+# for a stated reason
+UNREACHED = [
+    # the simplicity criterion of the CM theorem; ROADMAP item 3 gives it a caller
+    "cm.simplicity_check",
+    # the builders of the shipped fixtures/ documents that the CLI examples and
+    # the benchmark read; test_cli holds each document to its builder's encoding
+    "fixtures.tau_i_torus",
+    "fixtures.gaussian_cm_input",
+    "fixtures.tau_2pow14_torus",
+]
+
+
 def test_no_dead_definitions_in_src():
-    # dunders are called by the language, not by name
-    modules = sorted(SRC.glob("*.py"))
-    users = [p for p in modules if p.name != "__init__.py"]
-    users += sorted(TESTS.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
-    used = set().union(*(_used_names(path) for path in users))
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    trees = {path: _parse(path) for path in modules}
+    # a public top-level function or class is used when src/ names it outside
+    # its own definition and the package __init__, or the benchmark names it
+    # in its code or in a dotted name it traces; tests do not count
+    bench = set().union(*(_names(_parse(path)) for path in sorted(PERFBENCH.glob("*.py"))))
+    groups = _benchmark_tables()["GROUPS"]
+    bench.update(part for keys in groups.values() for key in keys for part in key.split("."))
+    tops = [(node, _names(node)) for tree in trees.values() for node in tree.body]
+    unreached = [
+        f"{path.stem}.{node.name}"
+        for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in bench
+        and not any(node.name in names for other, names in tops if other is not node)
+    ]
+    assert sorted(unreached) == sorted(UNREACHED)
+    # every other definition is used somewhere: src/, the tests or the
+    # benchmark; dunders are called by the language, not by name
+    users = modules + sorted(TESTS.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
+    used = set().union(*(_names(_parse(path)) for path in users))
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     dead = []
-    for path in modules:
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for path, tree in trees.items():
         named = [(n.lineno, n.name) for n in ast.walk(tree) if isinstance(n, defs)]
         # module-level assignments, such as constants
         for node in tree.body:
@@ -239,13 +284,7 @@ def _defined_functions():
 def test_every_traced_function_is_defined():
     # a name the benchmark traces but src/ no longer defines makes the
     # traced run report correct: false; the tables are read, not imported
-    tables = {}
-    for node in ast.parse((PERFBENCH / "run.py").read_text(encoding="utf-8")).body:
-        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in (
-            "GROUPS",
-            "SCOPED",
-        ):
-            tables[node.targets[0].id] = ast.literal_eval(node.value)
+    tables = _benchmark_tables()
     groups, scoped = tables["GROUPS"], tables["SCOPED"]
     assert groups and scoped
     defined = _defined_functions()  # parses every module once

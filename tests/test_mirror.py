@@ -20,7 +20,7 @@ from toruscm.mirror import (
     verify_mirror,
 )
 from toruscm.numfield import rationals
-from toruscm.torus import KahlerData, complex_structure_from_period, ij_rational, induce_gks
+from toruscm.torus import ComplexTorusData, KahlerData, ij_rational, induce_gks
 from toruscm.valattice import build_pairing_lattice
 
 QQ = rationals()
@@ -211,9 +211,9 @@ def test_isogeny_hypothesis_not_met(zeta5_mirror):
 
 
 def test_isogeny_certificate_examples(zeta5_mirror):
-    t1 = complex_structure_from_period(qmat([[0]]), qmat([[1]]), QEMB)
+    t1 = construct_mirror(qmat([[1]]), [[-1]]).left.torus  # period (1  i)
     assert verify_isogeny_certificate(t1, t1, FieldMatrix.identity(QQ, 2))
-    t2 = complex_structure_from_period(qmat([[0]]), qmat([[2]]), QEMB)
+    t2 = construct_mirror(qmat([[2]]), [[-1]]).left.torus  # period (1  2i)
     assert not verify_isogeny_certificate(t1, t2, FieldMatrix.identity(QQ, 2))
     # cyclotomic pair: gamma = [[rho^-1, 0], [0, Id]] between X and X'
     f = zeta5_mirror["field"]
@@ -279,7 +279,7 @@ def test_section4_demo_report():
 def test_pairing_lattice_projector_matches_induced_pair(zeta5_mirror):
     # P+ read off (G, B) alone equals (1 + calI calJ)/2 of the induced pair,
     # and it fixes the graph of B - G
-    square = complex_structure_from_period(qmat([[0]]), qmat([[1]]), QEMB)
+    square = ComplexTorusData(1, QQ, qmat([[0, -1], [1, 0]]), QEMB)
     k = KahlerData(square, qmat([[2, 0], [0, 2]]), qmat([[0, Fraction(1, 2)], [Fraction(-1, 2), 0]]))
     sides = [(square, k)]
     rng = random.Random(612)

@@ -15,12 +15,10 @@ from toruscm.numfield import (
     NotSquarefree,
     RootSet,
     ZeroDivisor,
-    embeddings,
     exact_sign,
     exact_sign_imag,
     make_field,
     minpoly_factor_at,
-    rational_part,
     rationals,
     trace_q,
 )
@@ -79,9 +77,24 @@ def test_conj_must_be_involution():
         make_field([1, 1, 1, 1, 1], conj_image=[0, 0, 1, 0])
 
 
+def test_coerce_is_one_rule_for_elements_and_matrices():
+    # FieldMatrix entries and element operands go through NumberField.coerce
+    f, other = zeta5(), gaussian()
+    x = f.gen()
+    for mixed in (lambda: FieldMatrix(f, [[x, other.gen()]]), lambda: x * other.gen()):
+        with pytest.raises(ValueError, match="field mismatch"):
+            mixed()
+    twin = zeta5()  # equal to f, a distinct object
+    assert twin is not f and twin == f
+    assert FieldMatrix(f, [[twin.gen()]])[0, 0] == x and x * twin.gen() == x * x
+    for floating in (lambda: FieldMatrix(f, [[0.5]]), lambda: x * 0.5, lambda: f.coerce(0.5)):
+        with pytest.raises(TypeError):
+            floating()
+
+
 def test_embeddings_gaussian():
     f = gaussian()
-    embs = embeddings(f, Fraction(1, 1 << 20))
+    embs = f.embeddings(Fraction(1, 1 << 20))
     assert len(embs) == 2
     assert not any(e.is_real for e in embs)
     vals = sorted(e.enclosure().approx().imag for e in embs)
@@ -91,7 +104,7 @@ def test_embeddings_gaussian():
 
 def test_embeddings_zeta5_match_roots_of_unity():
     f = zeta5()
-    embs = embeddings(f, Fraction(1, 1 << 20))
+    embs = f.embeddings(Fraction(1, 1 << 20))
     assert len(embs) == 4
     targets = [cmath.exp(2j * cmath.pi * k / 5) for k in range(1, 5)]
     for e in embs:
@@ -105,7 +118,7 @@ def test_embeddings_zeta5_match_roots_of_unity():
 
 def test_embeddings_sqrt5_real():
     f = make_field([-5, 0, 1])
-    embs = embeddings(f, Fraction(1, 1 << 30))
+    embs = f.embeddings(Fraction(1, 1 << 30))
     assert [e.is_real for e in embs] == [True, True]
     # bisection oracle: sqrt(5) in (2.2360679, 2.2360680)
     lo, hi = (e.enclosure().re for e in embs)
@@ -199,19 +212,6 @@ def test_trace_linear_and_conj_invariant():
         assert trace_q(x + y) == trace_q(x) + trace_q(y)
         assert trace_q(f.conj(x)) == trace_q(x)
         assert trace_q(f.conj(x) * f.conj(y)) == trace_q(x * y)
-
-
-def test_rational_part():
-    f5 = make_field([-5, 0, 1])
-    r, rem = rational_part(f5.from_rational(Fraction(3, 2)))
-    assert r == Fraction(3, 2) and rem.is_zero()
-    r, rem = rational_part(f5.from_rational(2) + f5.gen())
-    assert r == 2 and rem == f5.gen()
-    f = zeta5()
-    xi = f.gen()
-    x = f.from_rational(5) + xi * 2 - xi**3
-    r, rem = rational_part(x)
-    assert r == 5 and rem == xi * 2 - xi**3
 
 
 def test_element_inverse_and_pow():
@@ -323,7 +323,7 @@ def _point_encloser(v, widths):
 def test_locate_refines_between_close_rational_roots():
     a = Fraction(1, 3)
     b = a + Fraction(1, 1 << 22)  # closer than 2^-20
-    roots = RootSet(polyq.pmul(polyq.poly([-a, 1]), polyq.poly([-b, 1])))
+    roots = RootSet(polyq.poly([a * b, -a - b, 1]))  # (x - a)(x - b)
     widths = []
     assert roots.locate(_point_encloser(a, widths)) == 0
     assert len(widths) > 1  # the first enclosure met both root boxes
@@ -373,7 +373,7 @@ def test_minpoly_factor_at_keeps_an_exact_point_root():
     # box; the subset {-sqrt(c), 16} then needs more rounds
     c = Fraction(257258, 1001)
     quad = polyq.poly([-c, 0, 1])
-    mp = polyq.pmul(polyq.poly([-16, 1]), quad)
+    mp = polyq.poly([16 * c, -c, -16, 1])  # (x - 16) quad
     own = RootSet(mp)
 
     def encloser(width):
@@ -440,13 +440,9 @@ def _gaussian_rational_roots(rng):
         x = Fraction(rng.randint(-8, 8), rng.randint(1, 3))
         y = Fraction(rng.randint(-6, 6), rng.randint(1, 2))
         roots |= {(x, y), (x, -y)}
-    p = polyq.poly([1])
-    for x, y in roots:
-        if y == 0:
-            p = polyq.pmul(p, polyq.poly([-x, 1]))
-        elif y > 0:  # with its conjugate x - iy
-            p = polyq.pmul(p, polyq.poly([x * x + y * y, -2 * x, 1]))
-    return p, roots
+    linear = [[-x, 1] for x, y in roots if y == 0]
+    pairs = [[x * x + y * y, -2 * x, 1] for x, y in roots if y > 0]  # x + iy and x - iy
+    return _product(linear + pairs), roots
 
 
 def test_root_count_matches_known_roots_on_seeded_boxes():
@@ -561,10 +557,13 @@ def _monic_factors():
 
 
 def _product(factors):
-    p = polyq.poly([1])
+    """The product of rational polynomials (ascending coefficients), by sympy."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    p = sympy.Poly(1, x)
     for f in factors:
-        p = polyq.pmul(p, f)
-    return p
+        p *= sympy.Poly([sympy.Rational(str(c)) for c in reversed(f)], x)
+    return polyq.poly(Fraction(str(c)) for c in reversed(p.all_coeffs()))
 
 
 def test_rootset_boxes_match_sympy_isolation():
@@ -587,7 +586,7 @@ def test_rootset_boxes_match_sympy_isolation():
         assert len(boxes) == polyq.degree(p)
         for i in range(len(boxes)):
             if not roots.is_real(i):  # each upper root is followed by its conjugate
-                assert boxes[i].im.strictly_positive() == (roots.conj(i) == i + 1)
+                assert (boxes[i].im.sign() == 1) == (roots.conj(i) == i + 1)
                 assert boxes[roots.conj(i)] == boxes[i].conj()
             for j in range(i + 1, len(boxes)):
                 assert boxes[i].disjoint(boxes[j])

@@ -5,6 +5,7 @@ that must miscount, one chain per line, Newton before bisection, one
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -76,13 +77,19 @@ def _gaussian_root_poly(rng):
     for _ in range(rng.randint(1, 3)):
         x, y = _rational(rng, -6, 6), Fraction(rng.randint(-4, 4), rng.randint(1, 2))
         roots |= {(x, y), (x, -y)}
-    p = polyq.poly([1])
-    for x, y in roots:
-        if y == 0:
-            p = polyq.pmul(p, polyq.poly([-x, 1]))
-        elif y > 0:
-            p = polyq.pmul(p, polyq.poly([x * x + y * y, -2 * x, 1]))
-    return polyq._primitive(p), sorted(roots)
+    linear = [[-x, 1] for x, y in roots if y == 0]
+    pairs = [[x * x + y * y, -2 * x, 1] for x, y in roots if y > 0]
+    return polyq._primitive(_product(linear + pairs)), sorted(roots)
+
+
+def _product(factors):
+    """The product of rational polynomials (ascending coefficients), by sympy."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    p = sympy.Poly(1, x)
+    for f in factors:
+        p *= sympy.Poly([sympy.Rational(str(c)) for c in reversed(f)], x)
+    return polyq.poly(Fraction(str(c)) for c in reversed(p.all_coeffs()))
 
 
 def test_line_chains_match_sympy():
@@ -199,6 +206,25 @@ def test_each_line_gets_one_chain(monkeypatch):
     assert len(calls) == 1 + 2 * len(roots._lines)  # the real chain, then 2 per line
 
 
+@pytest.mark.parametrize("shift", [-1, 1], ids=["undercount", "overcount"])
+def test_a_wrong_root_count_raises_at_the_separation_bound(shift, monkeypatch):
+    # exact subdivision stops at Mahler's root separation bound: a count off
+    # by one raises NotConverged on x^2 + 1 instead of halving without end
+    real = polyq._root_count
+
+    def wrong(p, box, lines=None):
+        n = real(p, box, lines)
+        return None if n is None else n + shift
+
+    monkeypatch.setattr(polyq, "_durand_kerner", lambda p: None)  # no float seeds
+    assert len(RootSet([1, 0, 1]).boxes) == 2
+    monkeypatch.setattr(polyq, "_root_count", wrong)
+    start = time.monotonic()
+    with pytest.raises(polyq.NotConverged):
+        RootSet([1, 0, 1])
+    assert time.monotonic() - start < 5
+
+
 def test_real_roots_take_newton_before_bisection(monkeypatch):
     calls = []
     real = polyq._bisect_real
@@ -247,10 +273,7 @@ def _closed_unions(roots, target):
 )
 def test_factor_search_tries_only_orbit_unions(factors, monkeypatch):
     factors = [polyq.poly(f) for f in factors]
-    p = polyq.poly([1])
-    for f in factors:
-        p = polyq.pmul(p, f)
-    roots = RootSet(p)
+    roots = RootSet(_product(factors))
     tried = []
     real = polyq._candidate_factor
 

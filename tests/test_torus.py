@@ -12,12 +12,12 @@ from toruscm.torus import (
     KahlerData,
     NotPositiveDefinite,
     charge_isometry_check,
-    complex_structure_from_period,
-    eigenspace_graphs,
     ij_rational,
     induce_gks,
     q_matrix,
 )
+from toruscm.mirror import construct_mirror
+from toruscm.valattice import build_pairing_lattice
 
 QQ = rationals()
 QEMB = QQ.embeddings()[0]
@@ -46,22 +46,17 @@ def square_torus():
 
 
 def test_period_tau_i():
-    t = complex_structure_from_period(qmat([[0]]), qmat([[1]]), QEMB)
+    # the torus with period matrix (1  A i), A = 1, is the left side of the mirror
+    t = construct_mirror(qmat([[1]]), [[-1]]).left.torus
     assert t.I == qmat([[0, -1], [1, 0]])
-
-
-def test_period_half_plus_i():
-    t = complex_structure_from_period(qmat([[Fraction(1, 2)]]), qmat([[1]]), QEMB)
-    assert t.I == qmat([[Fraction(-1, 2), Fraction(-5, 4)], [1, Fraction(1, 2)]])
-    assert t.I * t.I == -FieldMatrix.identity(QQ, 2)
 
 
 def test_period_section4_entries(zeta5_mirror):
     data = zeta5_mirror
-    f = data["field"]
-    t = complex_structure_from_period(
-        FieldMatrix.zeros(f, 2, 2), data["A_eff"], data["embedding"]
-    )
+    f, a = data["field"], data["A_eff"]
+    zero = FieldMatrix.zeros(f, 2, 2)
+    i_m = FieldMatrix.block([[zero, -a], [a.inverse(), zero]])  # period (1  A i)
+    t = ComplexTorusData(2, f, i_m, data["embedding"])
     assert t.I == data["pair"].left.torus.I
     assert not t.I.is_rational()  # entries genuinely in Q(2 sin(2pi/5))
 
@@ -229,15 +224,18 @@ def test_verify_rejects_structures_not_preserving_q():
 
 def test_eigenspace_graphs_identity(square_torus):
     k = KahlerData(square_torus, FieldMatrix.identity(QQ, 2), FieldMatrix.zeros(QQ, 2, 2))
-    pair = induce_gks(k)
-    eg = eigenspace_graphs(pair)
-    assert eg.graph_plus == qmat([[-1, 0], [0, -1]])
-    assert eg.graph_minus == FieldMatrix.identity(QQ, 2)
     ident = FieldMatrix.identity(QQ, 4)
-    assert eg.p_plus + eg.p_minus == ident
-    assert eg.p_plus * eg.p_plus == eg.p_plus
-    assert eg.p_minus * eg.p_minus == eg.p_minus
-    assert (eg.p_plus * eg.p_minus).is_zero()
+    p_plus = build_pairing_lattice(square_torus, k).p_plus
+    p_minus = ident - p_plus
+    assert p_plus - p_minus == induce_gks(k).ij
+    # P+ fixes the graph of -G + B = -Id, P- that of G + B = Id
+    graphs = ((p_plus, qmat([[-1, 0], [0, -1]])), (p_minus, FieldMatrix.identity(QQ, 2)))
+    for proj, s in graphs:
+        graph = FieldMatrix.block([[FieldMatrix.identity(QQ, 2)], [s]])
+        assert proj * graph == graph
+    assert p_plus * p_plus == p_plus
+    assert p_minus * p_minus == p_minus
+    assert (p_plus * p_minus).is_zero()
 
 
 def test_q_positive_on_c_plus(square_torus):
@@ -252,8 +250,7 @@ def test_q_signs_on_eigenspaces_random(square_torus):
     for _ in range(6):
         k, _ = random_square_kahler(rng, square_torus)
         pair = induce_gks(k)
-        eg = eigenspace_graphs(pair)
-        for graph, sign in ((eg.graph_plus, 1), (eg.graph_minus, -1)):
+        for graph, sign in ((k.B - k.G, 1), (k.B + k.G, -1)):
             rows = []
             for col in range(2):
                 v = [QQ.zero()] * 4
@@ -270,9 +267,9 @@ def test_q_signs_on_eigenspaces_random(square_torus):
 
 
 def test_eigenspace_section4(zeta5_mirror):
-    pair = zeta5_mirror["pair"].left.gks
-    eg = eigenspace_graphs(pair)
-    assert not eg.graph_plus.is_rational()
+    side = zeta5_mirror["pair"].left
+    assert not (side.kahler.B - side.kahler.G).is_rational()
+    assert not build_pairing_lattice(side.torus, side.kahler).p_plus.is_rational()
 
 
 def test_ij_rational_cases(square_torus, zeta5_mirror):

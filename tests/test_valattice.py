@@ -16,7 +16,6 @@ from toruscm.valattice import (
     PairingLattice,
     build_pairing_lattice,
     chiral_sublattice,
-    dual_basis,
     module_count,
     supercommutator,
     va_rational,
@@ -260,31 +259,6 @@ def test_part_ranks_match_two_sided_kernels():
             assert rep.rank == lat.n and z == zbar == lat.n // 2
     rep = chiral_sublattice(build_pairing_lattice(*cube_root_kahler()))
     assert (rep.rank, rep.zpart_rank, rep.zbarpart_rank) == (2, 2, 0)
-
-
-def test_dual_basis_identity_case():
-    t = square_torus()
-    lat = build_pairing_lattice(t, kahler(1))
-    sub = qmat([[1, 0, -1, 0], [0, 1, 0, -1]])  # basis of Lambda_z
-    dual = dual_basis(sub, lat, 1)
-    assert dual == sub.scale(Fraction(1, 2))
-    gram = sub * lat.q * dual.transpose()
-    assert gram == FieldMatrix.identity(QQ, 2)
-    # zbar side with sign -1
-    subb = qmat([[1, 0, 1, 0], [0, 1, 0, 1]])
-    dualb = dual_basis(subb, lat, -1)
-    gramb = subb * lat.q * dualb.transpose()
-    assert gramb == FieldMatrix.identity(QQ, 2).scale(-1)
-
-
-def test_dual_basis_orthonormal_case():
-    t = square_torus()
-    lat = build_pairing_lattice(t, kahler(1))
-    # rows with q-Gram = Id are self-dual
-    sub = qmat([[Fraction(1, 2), 0, -Fraction(1, 2), 0], [0, 1, 0, -1]])
-    gram = sub * lat.q * sub.transpose()
-    if gram == FieldMatrix.identity(QQ, 2):
-        assert dual_basis(sub, lat, 1) == sub
 
 
 def test_supercommutator_table():
