@@ -1,21 +1,23 @@
 """Exact linear algebra over Q and over a NumberField.
 
-FieldMatrix is a dense matrix of FieldElements sharing one field (rational
-matrices are the degree-1 case).  A product entry is one call of the field's
-product kernel, `NumberField.dot`, which reduces mod the minpoly once per
-entry instead of once per term.  One row reduction, `_rref`, backs every
+A FieldMatrix is one integer block under one denominator (FLINT's
+`fmpq_mat`): rows of numerators, d per entry over a field of degree d, and
+one positive denominator, in lowest terms.  A product is one call of the
+field's block kernel, `NumberField.matmul` (integer dot products over Q,
+Kronecker-packed ones otherwise), and one gcd; entries become FieldElements
+only where a caller reads them.  One row reduction, `_rref`, backs every
 rank, kernel, solve, inverse and determinant, and every field inverse
 (`FieldElement.inverse` solves its integer multiplication matrix by
-`kernel_rows`): rational rows (`kernel_rows`, `rational_kernel`, degree-1
-matrices) become int rows, reduced fraction-free by cross-multiplication and
-content division; over a larger field each pivot row is divided by its
-pivot.  One integer row reduction, `_hnf`, gives the Hermite form, the
-Hermite form with its transform (on [M | Id]) and, in alternating row and
-column passes, the Smith form; a lattice index is the product of the HNF
-diagonal.  Integrality conditions are saturated by a modular HNF that keeps
-every entry below the lcm D of their denominators, because the solution
-lattice contains D*Z^n.  Positive definiteness is certified by exact LDL
-pivots signed through a designated embedding.  No floating point is used.
+`kernel_rows`): integer rows (a block over Q as it is, other rational rows
+scaled) are reduced fraction-free by cross-multiplication and content
+division; over a larger field each pivot row is divided by its pivot.  One
+integer row reduction, `_hnf`, gives the Hermite form, the Hermite form
+with its transform (on [M | Id]) and, in alternating row and column passes,
+the Smith form; a lattice index is the product of the HNF diagonal.
+Integrality conditions are saturated by a modular HNF that keeps every
+entry below the lcm D of their denominators, because the solution lattice
+contains D*Z^n.  Positive definiteness is certified by exact LDL pivots
+signed through a designated embedding.  No floating point is used.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .numfield import (
     Embedding,
@@ -49,64 +52,117 @@ class NotSymmetric(ValueError):
 # FieldMatrix
 
 
+def _pair(x, pad=()):
+    """(numerators, den) of an element, or of an int or a Fraction followed
+    by the zero numerators `pad`."""
+    return (x.num, x.den) if isinstance(x, FieldElement) else ((x.numerator, *pad), x.denominator)
+
+
+def _block(pairs):
+    """(num, den) of rows of (numerators, den) pairs, each in lowest terms,
+    so the block over the lcm of their denominators is too."""
+    den = math.lcm(*(q for row in pairs for _, q in row))
+    return tuple(tuple([c * (den // q) for n, q in row for c in n]) for row in pairs), den
+
+
 class FieldMatrix:
-    __slots__ = ("field", "rows", "cols", "entries")
+    """A matrix over a NumberField as one integer block under one
+    denominator: `num` holds its rows of numerators, where an entry is the d
+    power-basis numerators of its element (d the degree, so one int over Q),
+    and `den` > 0 is shared by all, in lowest terms (gcd(den, every
+    numerator) == 1), so equal matrices have equal blocks.  Entries become
+    FieldElements only where a caller reads them (`entries`, `m[i, j]`,
+    `row`), and are not kept."""
+
+    __slots__ = ("field", "rows", "cols", "num", "den")
 
     def __init__(self, field: NumberField, entries):
-        self.field = field
-        ents = [tuple(map(field.coerce, row)) for row in entries]
-        if ents and any(len(r) != len(ents[0]) for r in ents):
+        pairs = [[field.numerators(e) for e in row] for row in entries]
+        if pairs and any(len(r) != len(pairs[0]) for r in pairs):
             raise ValueError("ragged rows")
-        self.entries = tuple(ents)
-        self.rows = len(ents)
-        self.cols = len(ents[0]) if ents else 0
+        self._set(field, *_block(pairs))
+
+    def _set(self, field, num, den):
+        self.field, self.num, self.den = field, num, den
+        self.rows = len(num)
+        self.cols = len(num[0]) // field.degree if num else 0
+        return self
 
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
+    def _of(field, num, den=1) -> "FieldMatrix":
+        """The matrix of a block in lowest terms, taken as it is."""
+        return object.__new__(FieldMatrix)._set(field, num, den)
+
+    @staticmethod
+    def _lowest(field, num, den) -> "FieldMatrix":
+        """The matrix of a block, divided by one gcd into lowest terms."""
+        g = math.gcd(den, *chain.from_iterable(num)) if den > 1 else 1
+        if g > 1:
+            num, den = tuple(tuple(x // g for x in row) for row in num), den // g
+        return FieldMatrix._of(field, num, den)
+
+    @staticmethod
+    def _of_values(field, values) -> "FieldMatrix":
+        """The matrix of rows of elements of `field`, ints and Fractions from
+        inside this module, read without coercion."""
+        pad = (0,) * (field.degree - 1)
+        return FieldMatrix._of(field, *_block([[_pair(x, pad) for x in row] for row in values]))
+
+    @staticmethod
     def identity(field: NumberField, n: int) -> "FieldMatrix":
-        return FieldMatrix(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        zero = (0,) * field.degree
+        one = (1,) + zero[1:]
+        return FieldMatrix._of(field, tuple(zero * i + one + zero * (n - 1 - i) for i in range(n)))
 
     @staticmethod
     def zeros(field: NumberField, r: int, c: int) -> "FieldMatrix":
-        return FieldMatrix(field, [[0] * c for _ in range(r)])
+        return FieldMatrix._of(field, ((0,) * (c * field.degree),) * r)
 
     @staticmethod
     def block(blocks) -> "FieldMatrix":
         """Assemble from a 2D list of conforming FieldMatrix blocks."""
-        field = blocks[0][0].field
-        out = []
-        for brow in blocks:
-            h = brow[0].rows
-            for i in range(h):
-                row = []
-                for b in brow:
-                    row.extend(b.entries[i])
-                out.append(row)
-        return FieldMatrix(field, out)
+        den = math.lcm(*(b.den for brow in blocks for b in brow))
+        scaled = [[b._times(den // b.den) for b in brow] for brow in blocks]
+        num = tuple(sum(parts, ()) for brow in scaled for parts in zip(*brow))
+        return FieldMatrix._of(blocks[0][0].field, num, den)
 
     # -- basics ---------------------------------------------------------------
 
+    def row(self, i):
+        el, d, row = self.field.from_numerators, self.field.degree, self.num[i]
+        return [el(row[k : k + d], self.den) for k in range(0, len(row), d)]
+
+    @property
+    def entries(self):
+        return tuple(tuple(self.row(i)) for i in range(self.rows))
+
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i][j]
-
-    def row(self, i):
-        return list(self.entries[i])
+        d = self.field.degree
+        k = range(0, self.cols * d, d)[j]  # a negative or too large j as in a list
+        return self.field.from_numerators(self.num[i][k : k + d], self.den)
 
     def transpose(self) -> "FieldMatrix":
-        return FieldMatrix(
-            self.field, [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
+        d, num = self.field.degree, self.num
+        if d > 1:  # regroup the entries of each column into a row
+            num = [[row[k : k + d] for k in range(0, len(row), d)] for row in num]
+            return FieldMatrix._of(self.field, tuple(sum(col, ()) for col in zip(*num)), self.den)
+        return FieldMatrix._of(self.field, tuple(zip(*num)), self.den)
+
+    def _times(self, k: int):
+        """The block with every numerator times the integer k."""
+        return self.num if k == 1 else tuple(tuple(x * k for x in row) for row in self.num)
 
     def __add__(self, o: "FieldMatrix") -> "FieldMatrix":
-        return self._entrywise(o, lambda a, b: a + b)
+        return self._entrywise(o, 1)
 
     def __sub__(self, o: "FieldMatrix") -> "FieldMatrix":
-        return self._entrywise(o, lambda a, b: a - b)
+        return self._entrywise(o, -1)
 
     def __neg__(self) -> "FieldMatrix":
-        return FieldMatrix(self.field, [[-e for e in row] for row in self.entries])
+        return FieldMatrix._of(self.field, self._times(-1), self.den)
 
     def __mul__(self, o):
         if isinstance(o, FieldMatrix):
@@ -114,74 +170,96 @@ class FieldMatrix:
                 raise ValueError("dimension mismatch")
             if self.field != o.field:
                 raise ValueError("field mismatch")
-            dot = self.field.dot
-            ocols = list(zip(*o.entries))
-            return FieldMatrix(self.field, [[dot(r, c) for c in ocols] for r in self.entries])
+            num = self.field.matmul(self.num, o.num)
+            return FieldMatrix._lowest(self.field, num, self.den * o.den)
         return self.scale(o)
 
     def scale(self, c) -> "FieldMatrix":
-        return FieldMatrix(self.field, [[e * c for e in row] for row in self.entries])
+        c = self.field.coerce(c)
+        if not c.is_rational():
+            return FieldMatrix._of_values(self.field, [[e * c for e in r] for r in self.entries])
+        return FieldMatrix._lowest(self.field, self._times(c.num[0]), self.den * c.den)
 
     def __eq__(self, o):
         return (
             isinstance(o, FieldMatrix)
             and self.field == o.field
-            and self.entries == o.entries
+            and (self.den, self.num) == (o.den, o.num)
         )
 
     def __hash__(self):
-        return hash((self.field, self.entries))
+        return hash((self.field, self.den, self.num))
 
-    def _entrywise(self, o: "FieldMatrix", op) -> "FieldMatrix":
+    def _entrywise(self, o: "FieldMatrix", sign) -> "FieldMatrix":
+        """self + sign * o, over the lcm of the two denominators."""
         if self.rows != o.rows or self.cols != o.cols or self.field != o.field:
             raise ValueError("matrix mismatch")
-        return FieldMatrix(
-            self.field, [[op(a, b) for a, b in zip(r, s)] for r, s in zip(self.entries, o.entries)]
-        )
+        den = math.lcm(self.den, o.den)
+        a, b = den // self.den, sign * (den // o.den)
+        num = (tuple([a * x + b * y for x, y in zip(r, s)]) for r, s in zip(self.num, o.num))
+        return FieldMatrix._lowest(self.field, tuple(num), den)
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
+        return not any(map(any, self.num))
 
     def is_symmetric(self) -> bool:
         return self == self.transpose()
 
     def is_antisymmetric(self) -> bool:
-        return (self + self.transpose()).is_zero()
+        return self == -self.transpose()
+
+    def _coordinate_rows(self):
+        """Per row of the block, its integer row of each power-basis
+        coordinate."""
+        d = self.field.degree
+        return [[row[k::d] for k in range(d)] for row in self.num]
 
     def is_rational(self) -> bool:
-        return all(e.is_rational() for row in self.entries for e in row)
+        return not any(any(c) for coords in self._coordinate_rows() for c in coords[1:])
 
     def rational_entries(self):
-        return [[e.as_rational() for e in row] for row in self.entries]
+        if not self.is_rational():
+            raise ValueError("element is not rational")
+        return [[Fraction(x, self.den) for x in coords[0]] for coords in self._coordinate_rows()]
 
     def lift(self, field: NumberField) -> "FieldMatrix":
-        """Re-coerce a rational matrix into another field."""
+        """A rational matrix over another field."""
         if self.field == field:
             return self
-        return FieldMatrix(field, self.rational_entries())
+        return FieldMatrix._of_values(field, self.rational_entries())
 
     def __repr__(self):
         return f"FieldMatrix({self.rows}x{self.cols} over deg-{self.field.degree})"
 
     # -- elimination ------------------------------------------------------------
 
+    def _elimination(self):
+        """(rows, ring) for `_rref`: the integer block over Q, else the
+        entries over their field."""
+        return (self.num, None) if self.field.degree == 1 else (self.entries, self.field)
+
     def rank(self) -> int:
-        return len(_rref(self.entries, self.cols)[1])
+        rows, ring = self._elimination()
+        return len(_rref(rows, self.cols, ring)[1])
 
     def kernel(self) -> "FieldMatrix":
         """Basis (as rows) of the right kernel; 0 x 0 matrix if trivial."""
-        return FieldMatrix(self.field, kernel_rows(self.entries, self.cols))
+        return FieldMatrix._of_values(self.field, kernel_rows(self._elimination()[0], self.cols))
 
     def solve(self, b: "FieldMatrix") -> "FieldMatrix":
-        """Solve self * X = b exactly (raises Inconsistent / Singular)."""
+        """Solve self * X = b exactly (raises Inconsistent / Singular).  Over
+        Q the integer blocks are reduced, which scales X by b.den / den."""
         if b.rows != self.rows:
             raise ValueError("dimension mismatch")
-        rows, piv, inv, _ = _rref([a + c for a, c in zip(self.entries, b.entries)], self.cols)
-        if any(x for row in rows[len(piv) :] for x in row[self.cols :]):
+        (rows, ring), (rhs, _) = self._elimination(), b._elimination()
+        red, piv, inv, _ = _rref([a + c for a, c in zip(rows, rhs)], self.cols, ring)
+        if any(x for row in red[len(piv) :] for x in row[self.cols :]):
             raise Inconsistent("no solution")
         if len(piv) < self.cols:
             raise Singular("solution space is not unique")
-        return FieldMatrix(self.field, [[x * q for x in r[self.cols :]] for r, q in zip(rows, inv)])
+        x = [[y * q for y in r[self.cols :]] for r, q in zip(red, inv)]
+        x = FieldMatrix._of_values(self.field, x)
+        return x if ring else x.scale(Fraction(self.den, b.den))
 
     def inverse(self) -> "FieldMatrix":
         if self.rows != self.cols:
@@ -194,10 +272,14 @@ class FieldMatrix:
     def det(self) -> FieldElement:
         if self.rows != self.cols:
             raise ValueError("not square")
-        _, piv, _, (up, down) = _rref(self.entries, self.cols)
+        rows, ring = self._elimination()
+        _, piv, _, (up, down) = _rref(rows, self.cols, ring)
         if len(piv) < self.rows:
             return self.field.zero()
-        one = self.field.one()
+        if ring is None:  # the integer block's determinant is den^n det
+            det = Fraction(math.prod(down), math.prod(up) * self.den**self.rows)
+            return self.field.from_rational(det)
+        one = ring.one()
         return math.prod(down, start=one) / math.prod(up, start=one)
 
 
@@ -212,31 +294,23 @@ def _primitive(row, down):
     return row if g == 1 else [x // g for x in row]
 
 
-def _rref(rows, ncols):
+def _rref(rows, ncols, ring=None):
     """Reduced row echelon form of a copy of `rows`, pivoting in the first
     `ncols` columns (later columns ride along, as in an augmented system).
 
-    Rows over Q (rationals or degree-1 elements) are reduced fraction-free:
-    each becomes an int row, scaled by the lcm of its denominators; a pivot
-    p clears its column from every other row as p * row - f * pivot row,
-    and each updated row is divided by the gcd of its entries, which bounds
-    coefficient growth.  Over a field of degree > 1, where such rows would
-    grow exponentially, a pivot row is divided by its pivot at once.
-    Returns (rows, piv, inv, (up, down)): row r spans the reduced row, with
-    its pivot at column piv[r] left for the caller to divide out by inv[r];
-    the row operations and those divisions multiply the determinant by
-    prod(up) / prod(down).  A zero-divisor pivot raises ZeroDivisor.
+    Integer rows (`ring` None: a rational system) are reduced fraction-free:
+    a pivot p clears its column from every other row as p * row - f * pivot
+    row, and each row is divided by the gcd of its entries, which bounds
+    coefficient growth.  Rows of elements of `ring`, a field of degree > 1,
+    where such rows would grow exponentially, divide a pivot row by its
+    pivot at once.  Returns (rows, piv, inv, (up, down)): row r spans the
+    reduced row, with its pivot at column piv[r] left for the caller to
+    divide out by inv[r]; the row operations and those divisions multiply
+    the determinant by prod(up) / prod(down).  A zero-divisor pivot raises
+    ZeroDivisor.
     """
-    ring = next((e.field for row in rows for e in row if isinstance(e, FieldElement)), None)
-    ring = ring if ring is not None and ring.degree > 1 else None
-    up, down, work = [], [], []
-    for row in rows:
-        if ring is None:
-            pairs = [(e.num[0], e.den) if isinstance(e, FieldElement)
-                     else (e.numerator, e.denominator) for e in row]
-            up.append(math.lcm(*(q for _, q in pairs)))
-            row = _primitive([n * (up[-1] // q) for n, q in pairs], down)
-        work.append(list(row))
+    up, down = [], []
+    work = [list(row) if ring else _primitive(list(row), down) for row in rows]
     m = len(work)
     piv = []
     for c in range(ncols):
@@ -279,11 +353,16 @@ def _inverses(xs):
 def kernel_rows(rows, ncols):
     """Basis rows of {v : row . v = 0 for every row}, one per free column.
 
-    With no rows every column is free.  Rational rows give Fraction
-    entries; FieldElement rows give FieldElements plus the Fractions 0 and
-    1 at the free columns.
+    With no rows every column is free.  Rational rows (ints, Fractions,
+    elements of Q) become int rows, each scaled by the lcm of its
+    denominators, and give Fraction entries; rows over a field of degree > 1
+    give FieldElements plus the Fractions 0 and 1 at the free columns.
     """
-    red, piv, inv, _ = _rref(rows, ncols)
+    ring = next((e.field for row in rows for e in row if isinstance(e, FieldElement)), None)
+    ring = ring if ring is not None and ring.degree > 1 else None
+    if ring is None:  # each row times the lcm of its denominators
+        rows = [_block([[_pair(e) for e in row]])[0][0] for row in rows]
+    red, piv, inv, _ = _rref(rows, ncols, ring)
     basis = []
     for fc in (c for c in range(ncols) if c not in piv):
         v = [Fraction(0)] * ncols
@@ -294,21 +373,14 @@ def kernel_rows(rows, ncols):
     return basis
 
 
-def _coordinate_rows(row):
-    """One integer row per power-basis coordinate of a row of elements, all
-    scaled by the lcm of their denominators (the same rational row space)."""
-    den = math.lcm(*(e.den for e in row))
-    return list(zip(*(tuple(n * (den // e.den) for n in e.num) for e in row)))
-
-
 def rational_kernel(conditions: FieldMatrix):
     """Basis rows (Fractions) of {x in Q^cols : conditions * x = 0}.
 
-    Each row over the field splits into one rational row per power-basis
-    coordinate; zero coordinate rows are dropped.
+    Each row over the field splits into one integer row per power-basis
+    coordinate of its block; zero coordinate rows are dropped.
     """
-    rows = [r for row in conditions.entries for r in _coordinate_rows(row)]
-    return kernel_rows([r for r in rows if any(r)], conditions.cols)
+    rows = [r for coords in conditions._coordinate_rows() for r in coords if any(r)]
+    return kernel_rows(rows, conditions.cols)
 
 
 # ---------------------------------------------------------------------------
@@ -482,13 +554,13 @@ def saturate_integer_solutions(conditions: FieldMatrix):
     (canonical HNF), possibly empty.
     """
     n = conditions.cols
-    irrational = (r for row in conditions.entries for r in _coordinate_rows(row)[1:])
-    v = kernel_rows([r for r in irrational if any(r)], n)
+    coords = conditions._coordinate_rows()
+    v = kernel_rows([r for c in coords for r in c[1:] if any(r)], n)
     s = len(v)
     if not s:
         return []
     cols = list(zip(*v))
-    rational = [[Fraction(e.num[0], e.den) for e in row] for row in conditions.entries]
+    rational = [[Fraction(x, conditions.den) for x in c[0]] for c in coords]
     r = cols + [[sum(a * b for a, b in zip(row, w) if a and b) for w in v] for row in rational]
     den = math.lcm(*(x.denominator for row in r for x in row))
     m = _hnf_mod([[int(x * den) for x in row] for row in r], s, den)
@@ -522,15 +594,12 @@ def positive_definite(m: FieldMatrix, embedding: Embedding) -> PositivityCertifi
         raise NotSymmetric("matrix is not square")
     if not m.is_symmetric():
         raise NotSymmetric("matrix is not symmetric")
-    if not embedding.is_real:
-        f = m.field
-        if not f.has_conj:
-            raise NotRealUnderEmbedding("entries not certifiably real")
-        for row in m.entries:
-            for e in row:
-                if f.conj(e) != e:
-                    raise NotRealUnderEmbedding("entry not fixed by conj")
     a = [list(row) for row in m.entries]
+    if not embedding.is_real:
+        if not m.field.has_conj:
+            raise NotRealUnderEmbedding("entries not certifiably real")
+        if any(e.conj() != e for row in a for e in row):
+            raise NotRealUnderEmbedding("entry not fixed by conj")
     n = m.rows
     pivots = []
     for k in range(n):

@@ -9,7 +9,6 @@ tests; `verify_mirror` checks them for a report that states them."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .exactla import FieldMatrix, Singular, positive_definite, row_lattice_index
@@ -146,7 +145,7 @@ def construct_mirror(a_m: FieldMatrix, rho_rows, embedding=None) -> MirrorPair:
     rho_q = FieldMatrix(qq, rho_rows)
     if not rho_q.is_symmetric():
         raise RhoNotNegativeDefinite("rho is not symmetric")
-    if any(e.as_rational().denominator != 1 for row in rho_q.entries for e in row):
+    if rho_q.den != 1:
         raise RhoNotNegativeDefinite("rho must be integral")
     if not positive_definite(-rho_q, qq.embeddings()[0]):
         raise RhoNotNegativeDefinite("rho is not negative definite")
@@ -190,14 +189,10 @@ def psi_maps(pair: MirrorPair):
     conjugation (psi- conjugates I to I'; psi+ conjugates I to -I')."""
     fld = pair.left.torus.field
     two_g = 2 * pair.left.torus.g
-    phi = pair.map.as_field_matrix(fld)
+    phi = pair.map.phi
     blocks = {
         (bi, bj): FieldMatrix(
-            fld,
-            [
-                [phi[bi * two_g + i, bj * two_g + j] for j in range(two_g)]
-                for i in range(two_g)
-            ],
+            fld, [row[bj * two_g : (bj + 1) * two_g] for row in phi[bi * two_g : (bi + 1) * two_g]]
         )
         for bi in (0, 1)
         for bj in (0, 1)
@@ -241,11 +236,9 @@ def isogeny_from_mirror(pair: MirrorPair) -> IsogenyResult:
     so psi- = phi_00 + phi_01 (B + G) is rational too."""
     if not ij_rational(pair.left.gks):
         return IsogenyResult(False, "HypothesisNotMet: IJ is not defined over Q")
-    _, psi_minus = psi_maps(pair)
-    ents = psi_minus.rational_entries()
-    den = math.lcm(*(v.denominator for row in ents for v in row))
-    gamma = [[int(v * den) for v in row] for row in ents]
-    return IsogenyResult(True, "ok", "-", den, gamma)
+    _, psi_minus = psi_maps(pair)  # rational: gamma is its constant numerators over n = den
+    gamma = [list(row[:: psi_minus.field.degree]) for row in psi_minus.num]
+    return IsogenyResult(True, "ok", "-", psi_minus.den, gamma)
 
 
 def verify_isogeny_certificate(

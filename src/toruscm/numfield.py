@@ -1,8 +1,11 @@
 """L1: exact arithmetic in Q[x]/(m(x)) with certified complex embeddings.
 
 A field is given by a monic squarefree integer polynomial; an element is its
-integer power-basis numerators over one denominator, in lowest terms, and
-products go through one kernel, `NumberField.dot`.  An inverse solves y u = 1
+integer power-basis numerators over one denominator, in lowest terms.
+Element products go through one kernel, `NumberField.dot`, and the integer
+blocks of exactla's matrices through another, `NumberField.matmul`, which
+packs each entry into one integer (Kronecker substitution) and reduces each
+output entry mod m once.  An inverse solves y u = 1
 on the integer matrix of multiplication by y, by exactla's one row reduction;
 the trace reads the same matrix.  `make_field` also accepts a reducible
 squarefree m, whose algebra has zero divisors: inverting one raises
@@ -16,7 +19,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import chain
+from operator import lshift, mul
 
 from . import polyq
 from .boxes import Box, poly_eval_box
@@ -128,10 +133,11 @@ class NumberField:
     # -- public --------------------------------------------------------------
 
     def dot(self, xs, ys) -> "FieldElement":
-        """sum(x * y for x, y in zip(xs, ys)), the one product kernel: the
-        unreduced integer numerator products, skipping zeros, summed over one
-        running common denominator, then reduced mod m and by one gcd once.
-        The empty sum is zero."""
+        """sum(x * y for x, y in zip(xs, ys)), the one element product
+        kernel: the unreduced integer numerator products, skipping zeros,
+        summed over one running common denominator, then reduced mod m and by
+        one gcd once.  The empty sum is zero.  (A packed product, as in
+        `matmul`, costs more than this schoolbook sum for one element.)"""
         raw = [0] * (2 * self.degree - 1)
         den = 1
         for x, y in zip(xs, ys):
@@ -149,6 +155,38 @@ class NumberField:
                         if c:
                             raw[j] += a * c
         return FieldElement(self, self._reduce(raw), den)
+
+    def matmul(self, a, b):
+        """The numerator block of a * b for integer blocks a (r x n) and b
+        (n x c), whose rows hold the d numerators of each entry in turn: the
+        one block product kernel.  Over Q an entry is an integer dot
+        product.  Over degree d > 1 (Kronecker substitution) each entry is
+        packed into one integer at 2^w, an output entry is one sum of n
+        packed products, and its 2d - 1 slots, each `_slot_bits` wide and
+        read above an offset that makes them nonnegative, are reduced mod m
+        once."""
+        d = self.degree
+        if d == 1:
+            cols = list(zip(*b))
+            return tuple(tuple([sum(map(mul, row, col)) for col in cols]) for row in a)
+        bits = [max(map(abs, chain(*m)), default=0).bit_length() for m in (a, b)]
+        w = _slot_bits(*bits, len(b) * d)
+        slots = range(0, (2 * d - 1) * w, w)
+        half, mask = 1 << (w - 1), (1 << w) - 1
+        off = sum(half << s for s in slots)  # lifts every slot of a sum into [0, 2^w)
+
+        def packed(m):
+            return [[sum(map(lshift, row[k : k + d], slots)) for k in range(0, len(row), d)]
+                    for row in m]
+
+        cols, out = list(zip(*packed(b))), []
+        for row in packed(a):
+            entries = []
+            for col in cols:
+                p = sum(map(mul, row, col), off)
+                entries += self._reduce([(p >> s & mask) - half for s in slots])
+            out.append(tuple(entries))
+        return tuple(out)
 
     def evaluate(self, p, x: "FieldElement") -> "FieldElement":
         """p(x) for a rational polynomial p (ascending coefficients)."""
@@ -169,15 +207,27 @@ class NumberField:
         n, q = _rational_pair(r)
         return FieldElement(self, (n,) + (0,) * (self.degree - 1), q)
 
-    def coerce(self, x) -> "FieldElement":
-        """x as an element: an element of this field, or of an equal one, as
-        it is; a rational by `from_rational`; an element of another field
-        raises ValueError."""
+    def from_numerators(self, num, den: int) -> "FieldElement":
+        """num / den for d integer numerators (one entry of an integer block)
+        and den > 0."""
+        return FieldElement(self, num, den)
+
+    def numerators(self, x):
+        """(numerators, den) of x by the one coercion rule: an element of this
+        field, or of an equal one, as it is; a rational as `from_rational`
+        takes it; an element of another field raises ValueError."""
         if isinstance(x, FieldElement):
             if x.field is self or x.field == self:
-                return x
+                return x.num, x.den
             raise ValueError("field mismatch")
-        return self.from_rational(x)
+        n, q = _rational_pair(x)
+        return (n,) + (0,) * (self.degree - 1), q
+
+    def coerce(self, x) -> "FieldElement":
+        """x as an element of this field, by the rule of `numerators`."""
+        if isinstance(x, FieldElement) and x.field is self:
+            return x
+        return FieldElement(self, *self.numerators(x))
 
     def zero(self) -> "FieldElement":
         return self.from_rational(0)
@@ -267,6 +317,18 @@ def _rational_pair(r):
     return r.numerator, r.denominator
 
 
+# the Fractions that `coords` and `as_rational` return, one object per value
+# among the recent ones (Fractions are immutable)
+_fraction = lru_cache(maxsize=1 << 12)(Fraction)
+
+
+def _slot_bits(a_bits, b_bits, terms):
+    """Width w of a signed Kronecker slot: a sum of `terms` products x * y
+    with |x| < 2^a_bits and |y| < 2^b_bits lies strictly between -2^(w-1)
+    and 2^(w-1)."""
+    return a_bits + b_bits + terms.bit_length() + 1
+
+
 def _powers(one, x, n):
     """[x^0, .., x^(n-1)] with x^0 = one: elements, or square matrices."""
     out = [one]
@@ -292,7 +354,7 @@ class FieldElement:
     @property
     def coords(self) -> tuple:
         """The power-basis coordinates, as Fractions."""
-        return tuple(Fraction(n, self.den) for n in self.num)
+        return tuple(_fraction(n, self.den) for n in self.num)
 
     def _add(self, o, sign):
         """self + sign * o."""
@@ -378,7 +440,7 @@ class FieldElement:
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element is not rational")
-        return Fraction(self.num[0], self.den)
+        return _fraction(self.num[0], self.den)
 
     def conj(self) -> "FieldElement":
         return self.field.conj(self)

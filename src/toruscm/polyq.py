@@ -20,9 +20,10 @@ cut costs one new chain).  Boxes are evaluated in outward-rounded fixed point
 (:mod:`toruscm.boxes`); floats only pick where to *try* a certificate.
 `_factor_at` certifies the irreducible factor at a root, trying unions of
 conjugation orbits in ascending size.  The loops that wait for a certificate
-raise `NotConverged` after `MAX_ROUNDS` rounds, and exact subdivision raises it
-past Mahler's root separation bound; refinement never does, and leaves an
-exact-point box as it is.
+or a width raise `NotConverged` after `MAX_ROUNDS` rounds; exact subdivision,
+real isolation and the separation of overlapping boxes raise it past
+Mahler's root separation bound (`_gap`).  Refinement leaves an exact-point
+box as it is.
 """
 
 from __future__ import annotations
@@ -152,7 +153,7 @@ def isolate_real_roots(p):
     if degree(chain[-1]) > 0:
         raise ValueError("polynomial must be squarefree")
     p = chain[0]
-    bound = cauchy_bound(p)
+    bound, gap = cauchy_bound(p), _gap(p)
     out = []
 
     def rec(a, b, n):
@@ -161,6 +162,8 @@ def isolate_real_roots(p):
         if n == 1:
             out.append((a, b))
             return
+        if b - a < gap:  # it holds at most one root
+            raise NotConverged("an interval narrower than the root separation counts several roots")
         m, k = (a + b) / 2, 3
         while _sign(p, m) == 0:  # cut at a point that is not a root
             m, k = a + (b - a) / k, k + 2
@@ -354,17 +357,23 @@ def _certify_around(p, dp, z: complex, sep: float, lines) -> Box | None:
     return None
 
 
+def _gap(p) -> Fraction:
+    """An exact rational below sep(p) / 2 for squarefree integer p, from
+    Mahler's bound sep(p) > sqrt(3) d^(-(d+2)/2) |p|_2^(1-d) (Mahler,
+    Michigan Math. J. 11 (1964))."""
+    d = degree(p)
+    return Fraction(1, 2 * math.isqrt(d ** (d + 2) * sum(c * c for c in p) ** (d - 1) // 3) + 2)
+
+
 def _subdivision_upper_roots(p, count, lines):
     """Boxes strictly above the real axis, one per root with Im > 0: the
     Cauchy box above a floor y > 0, once it counts all `count` upper roots,
-    split by counts.  Mahler's bound sep(p) > sqrt(3) d^(-(d+2)/2) |p|_2^(1-d)
-    for squarefree integer p (Mahler, Michigan Math. J. 11 (1964)) gives an
-    exact rational `gap` < sep(p) / 2.  An upper root a has Im a >= sep(p) / 2,
-    so a floor below `gap` counts every upper root, and a box narrower than
-    `gap` holds at most one root; a count that says otherwise is wrong and
-    raises `NotConverged`, as does a cut whose counts do not add up."""
-    bound, d = cauchy_bound(p), degree(p)
-    gap = Fraction(1, 2 * math.isqrt(d ** (d + 2) * sum(c * c for c in p) ** (d - 1) // 3) + 2)
+    split by counts.  With `gap` < sep(p) / 2, an upper root a has
+    Im a >= sep(p) / 2, so a floor below `gap` counts every upper root, and
+    a box narrower than `gap` holds at most one root; a count that says
+    otherwise is wrong and raises `NotConverged`, as does a cut whose counts
+    do not add up."""
+    bound, gap = cauchy_bound(p), _gap(p)
     floor, n = bound, None
     while n != count:
         if floor < gap:
@@ -437,7 +446,14 @@ class RootSet:
         self.boxes = list(reals)
         for b in uppers:
             self.boxes += [b, b.conj()]
-        while any(not a.disjoint(b) for a, b in itertools.combinations(self.boxes, 2)):
+        # boxes narrower than gap / 2 lie within sqrt(2) gap < sep(p) of each
+        # other only around one root, so two of them that overlap are a fault
+        gap = _gap(self.poly) / 2
+        while overlaps := [
+            (a, b) for a, b in itertools.combinations(self.boxes, 2) if not a.disjoint(b)
+        ]:
+            if any(a.width() < gap and b.width() < gap for a, b in overlaps):
+                raise NotConverged("two boxes narrower than the root separation overlap")
             for i in range(len(self.boxes)):
                 if self.conj(i) >= i:  # a real or upper box; its conjugate follows
                     box = _refine_box_once(self.poly, self._dpoly, self.boxes[i], self._lines)
@@ -456,8 +472,12 @@ class RootSet:
         """Shrink box i below `width`, or to an exact point; the conjugate's
         box follows along."""
         box = self.boxes[i]
-        while box.width() >= width and box.width() > 0:
+        for _ in range(MAX_ROUNDS):
+            if box.width() < width or box.width() == 0:
+                break
             box = _refine_box_once(self.poly, self._dpoly, box, self._lines)
+        else:
+            raise NotConverged(f"root {i} was not refined below the width asked for")
         self.boxes[i] = box
         j = self.conj(i)
         if self.boxes[j].width() > box.width():

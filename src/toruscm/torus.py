@@ -32,12 +32,8 @@ class NotPositiveDefinite(ValueError):
 
 def q_matrix(fld: NumberField, two_g: int) -> FieldMatrix:
     """The pseudo-Euclidean pairing [[0, -Id], [-Id, 0]] on Gamma + Gamma*."""
-    n = 2 * two_g
-    rows = [[0] * n for _ in range(n)]
-    for i in range(two_g):
-        rows[i][two_g + i] = -1
-        rows[two_g + i][i] = -1
-    return FieldMatrix(fld, rows)
+    zero, ident = FieldMatrix.zeros(fld, two_g, two_g), FieldMatrix.identity(fld, two_g)
+    return FieldMatrix.block([[zero, -ident], [-ident, zero]])
 
 
 @dataclass(frozen=True)
@@ -83,13 +79,14 @@ def _rational_solutions(t: ComplexTorusData, c: FieldMatrix, col, ncols: int):
     """Rational kernel of the Sylvester operator X -> X I - C X, with X[a, b]
     the unknown col(a, b) among ncols: one row per entry (i, j)."""
     n = 2 * t.g
+    i_m, c_m = t.I.entries, c.entries
     rows = []
     for i in range(n):
         for j in range(n):
             row = [t.field.zero()] * ncols
             for kk in range(n):
-                row[col(i, kk)] = row[col(i, kk)] + t.I[kk, j]
-                row[col(kk, j)] = row[col(kk, j)] - c[i, kk]
+                row[col(i, kk)] = row[col(i, kk)] + i_m[kk][j]
+                row[col(kk, j)] = row[col(kk, j)] - c_m[i][kk]
             rows.append(row)
     return rational_kernel(FieldMatrix(t.field, rows))
 

@@ -156,14 +156,21 @@ def _function(tree, name, cls=None):
 
 
 def test_product_kernel_and_elimination_never_touch_fraction():
-    # field products and the one elimination run on integers under one
-    # denominator, so Fraction arithmetic cannot creep back into them
+    # field products, matrix products and the one elimination run on
+    # integers under one denominator, so Fraction arithmetic cannot creep
+    # back into them
     numfield = ast.parse((SRC / "numfield.py").read_text(encoding="utf-8"))
     exactla = ast.parse((SRC / "exactla.py").read_text(encoding="utf-8"))
     bodies = {
         "NumberField.dot": _function(numfield, "dot", "NumberField"),
         "NumberField._reduce": _function(numfield, "_reduce", "NumberField"),
         "exactla._rref": _function(exactla, "_rref"),
+        # the block product: the packed kernel, its slot width, and the
+        # product's one gcd
+        "NumberField.matmul": _function(numfield, "matmul", "NumberField"),
+        "numfield._slot_bits": _function(numfield, "_slot_bits"),
+        "FieldMatrix.__mul__": _function(exactla, "__mul__", "FieldMatrix"),
+        "FieldMatrix._lowest": _function(exactla, "_lowest", "FieldMatrix"),
     }
     touching = [
         name

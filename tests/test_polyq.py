@@ -225,6 +225,36 @@ def test_a_wrong_root_count_raises_at_the_separation_bound(shift, monkeypatch):
     assert time.monotonic() - start < 5
 
 
+def _numerator_sign(f, x):
+    """A faulty `_sign` that drops the denominator of x = a/b: the sign of
+    f(a) in place of b^n f(a/b)."""
+    acc = 0
+    for c in reversed(f):
+        acc = acc * x.numerator + c
+    return (acc > 0) - (acc < 0)
+
+
+@pytest.mark.parametrize("p", [[-2, 0, 1], [2000, 0, -100, 0, 1]], ids=["x^2-2", "F"])
+def test_a_faulty_sign_raises_at_the_separation_bound(p, monkeypatch):
+    # with signs that ignore the denominator, bisection keeps two boxes
+    # around one root of x^2 - 2 (RootSet's separation loop spun there), and
+    # the real isolation of F cuts one interval without end; both stop below
+    # Mahler's gap
+    monkeypatch.setattr(polyq, "_sign", _numerator_sign)
+    start = time.monotonic()
+    with pytest.raises(polyq.NotConverged):
+        RootSet(p)
+    assert time.monotonic() - start < 5
+
+
+def test_refinement_gives_up_after_max_rounds(monkeypatch):
+    roots = RootSet([-2, 0, 1])
+    monkeypatch.setattr(polyq, "_refine_box_once", lambda p, dp, box, lines=None: box)
+    assert roots.refine(0, roots.boxes[0].width() * 2) == roots.boxes[0]  # already narrow
+    with pytest.raises(polyq.NotConverged):
+        roots.refine(0, Fraction(1, 1 << 100))
+
+
 def test_real_roots_take_newton_before_bisection(monkeypatch):
     calls = []
     real = polyq._bisect_real
