@@ -16,8 +16,10 @@ with its transform (on [M | Id]) and, in alternating row and column passes,
 the Smith form; a lattice index is the product of the HNF diagonal.
 Integrality conditions are saturated by a modular HNF that keeps every
 entry below the lcm D of their denominators, because the solution lattice
-contains D*Z^n.  Positive definiteness is certified by exact LDL pivots
-signed through a designated embedding.  No floating point is used.
+contains D*Z^n.  Positive definiteness is certified by exact LDL pivots:
+over Q by Bareiss's fraction-free steps on the block, each pivot signed by
+an integer leading minor; over a larger field on elements, each signed
+through a designated embedding.  No floating point is used.
 """
 
 from __future__ import annotations
@@ -248,7 +250,8 @@ class FieldMatrix:
 
     def solve(self, b: "FieldMatrix") -> "FieldMatrix":
         """Solve self * X = b exactly (raises Inconsistent / Singular).  Over
-        Q the integer blocks are reduced, which scales X by b.den / den."""
+        Q row r of X is the right part of reduced row r over its pivot p_r:
+        the block over lcm(p_r) * b.den, scaled by den."""
         if b.rows != self.rows:
             raise ValueError("dimension mismatch")
         (rows, ring), (rhs, _) = self._elimination(), b._elimination()
@@ -257,9 +260,13 @@ class FieldMatrix:
             raise Inconsistent("no solution")
         if len(piv) < self.cols:
             raise Singular("solution space is not unique")
-        x = [[y * q for y in r[self.cols :]] for r, q in zip(red, inv)]
-        x = FieldMatrix._of_values(self.field, x)
-        return x if ring else x.scale(Fraction(self.den, b.den))
+        if ring:
+            x = [[y * q for y in r[self.cols :]] for r, q in zip(red, inv)]
+            return FieldMatrix._of_values(ring, x)
+        ps = [r[c] for r, c in zip(red, piv)]
+        den = math.lcm(*ps)
+        num = (tuple([y * (den // p * self.den) for y in r[self.cols :]]) for r, p in zip(red, ps))
+        return FieldMatrix._lowest(self.field, tuple(num), den * b.den)
 
     def inverse(self) -> "FieldMatrix":
         if self.rows != self.cols:
@@ -358,10 +365,12 @@ def kernel_rows(rows, ncols):
     denominators, and give Fraction entries; rows over a field of degree > 1
     give FieldElements plus the Fractions 0 and 1 at the free columns.
     """
-    ring = next((e.field for row in rows for e in row if isinstance(e, FieldElement)), None)
-    ring = ring if ring is not None and ring.degree > 1 else None
-    if ring is None:  # each row times the lcm of its denominators
-        rows = [_block([[_pair(e) for e in row]])[0][0] for row in rows]
+    ring = None
+    if set(map(type, chain.from_iterable(rows))) - {int}:  # not int rows already
+        ring = next((e.field for row in rows for e in row if isinstance(e, FieldElement)), None)
+        ring = ring if ring is not None and ring.degree > 1 else None
+        if ring is None:  # each row times the lcm of its denominators
+            rows = [_block([[_pair(e) for e in row]])[0][0] for row in rows]
     red, piv, inv, _ = _rref(rows, ncols, ring)
     basis = []
     for fc in (c for c in range(ncols) if c not in piv):
@@ -589,29 +598,35 @@ class PositivityCertificate:
 
 
 def positive_definite(m: FieldMatrix, embedding: Embedding) -> PositivityCertificate:
-    """Exact LDL pivot certificate for symmetric positive definiteness."""
+    """Exact LDL pivot certificate for symmetric positive definiteness.
+    Over Q the loop is fraction-free on the integer block (Bareiss): pivot k
+    is D_k / (D_(k-1) den), D_k the k-th leading minor of the block, signed
+    by D_k, and each update divides exactly by D_(k-1).  Over a larger field
+    it runs on the elements, each pivot signed under `embedding`."""
     if m.rows != m.cols:
         raise NotSymmetric("matrix is not square")
     if not m.is_symmetric():
         raise NotSymmetric("matrix is not symmetric")
-    a = [list(row) for row in m.entries]
-    if not embedding.is_real:
-        if not m.field.has_conj:
+    ring = m.field if m.field.degree > 1 else None
+    a = [list(row) for row in (m.entries if ring else m.num)]
+    if ring and not embedding.is_real:
+        if not ring.has_conj:
             raise NotRealUnderEmbedding("entries not certifiably real")
         if any(e.conj() != e for row in a for e in row):
             raise NotRealUnderEmbedding("entry not fixed by conj")
-    n = m.rows
-    pivots = []
+    n, prev, pivots = m.rows, 1, []
     for k in range(n):
         p = a[k][k]
-        pivots.append(p)
-        if exact_sign(p, embedding) <= 0:
+        pivots.append(p if ring else m.field.from_numerators((p,), prev * m.den))
+        if (exact_sign(p, embedding) if ring else p) <= 0:
             return PositivityCertificate(False, pivots)
-        pinv = p.inverse()
-        for i in range(k + 1, n):
-            if a[i][k].is_zero():
-                continue
-            f = a[i][k] * pinv
-            for j in range(k + 1, n):
-                a[i][j] = a[i][j] - f * a[k][j]
+        pinv = p.inverse() if ring else None
+        for row in a[k + 1 :]:
+            f, rest = row[k], zip(row[k + 1 :], a[k][k + 1 :])
+            if ring is None:
+                row[k + 1 :] = [(p * x - f * y) // prev for x, y in rest]
+            elif f:
+                f = f * pinv
+                row[k + 1 :] = [x - f * y for x, y in rest]
+        prev = p
     return PositivityCertificate(True, pivots)

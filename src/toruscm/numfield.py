@@ -11,8 +11,9 @@ the trace reads the same matrix.  `make_field` also accepts a reducible
 squarefree m, whose algebra has zero divisors: inverting one raises
 `ZeroDivisor`, and `require_irreducible` (every torus document and CM input)
 raises `ReducibleMinpoly`.  An embedding is a view on one root of the field's
-`RootSet` (L0, :mod:`toruscm.polyq`), refined on demand; a sign is an exact
-zero test, then enclosures refined until it shows.  No float decides anything.
+`RootSet` (L0, :mod:`toruscm.polyq`), refined on demand.  A rational signs
+itself; any other sign is an exact zero test, then enclosures refined until
+it shows.  No float decides anything.
 """
 
 from __future__ import annotations
@@ -216,6 +217,8 @@ class NumberField:
         """(numerators, den) of x by the one coercion rule: an element of this
         field, or of an equal one, as it is; a rational as `from_rational`
         takes it; an element of another field raises ValueError."""
+        if type(x) is int:  # not a bool
+            return (x,) + (0,) * (self.degree - 1), 1
         if isinstance(x, FieldElement):
             if x.field is self or x.field == self:
                 return x.num, x.den
@@ -467,16 +470,6 @@ def trace_q(x: FieldElement) -> Fraction:
     return Fraction(sum(c[k] for k, c in enumerate(cols)), x.den)
 
 
-def _is_real_under(x: FieldElement, emb: Embedding) -> bool:
-    if emb.is_real:
-        return True
-    f = x.field
-    if f.has_conj:
-        diff = f.conj(x) - x  # image is -2i Im(sigma(x))
-        return _image_is_zero(diff, emb)
-    raise NotRealUnderEmbedding("cannot certify a real image without conj")
-
-
 def _image_is_zero(x: FieldElement, emb: Embedding) -> bool:
     """Exact zero test for the image of x under one embedding."""
     return x.is_zero() or emb.roots.vanishes_at(x.num, emb.index - 1)
@@ -495,10 +488,16 @@ def _nonzero_sign(x: FieldElement, emb: Embedding, part: str) -> int:
 
 
 def exact_sign(x: FieldElement, emb: Embedding) -> int:
-    """Sign of the (real) image of x: an exact zero test first, then
-    enclosures refined until the sign of the nonzero image shows."""
-    if not _is_real_under(x, emb):
-        raise NotRealUnderEmbedding("image of x is not real under this embedding")
+    """Sign of the (real) image of x: a rational is its own image, signed by
+    its numerator (den > 0); otherwise an exact zero test, then enclosures
+    refined until the sign of the nonzero image shows."""
+    if x.is_rational():
+        return (x.num[0] > 0) - (x.num[0] < 0)
+    if not emb.is_real:
+        if not x.field.has_conj:
+            raise NotRealUnderEmbedding("cannot certify a real image without conj")
+        if not _image_is_zero(x.field.conj(x) - x, emb):  # the image of -2i Im(sigma(x))
+            raise NotRealUnderEmbedding("image of x is not real under this embedding")
     if _image_is_zero(x, emb):
         return 0
     return _nonzero_sign(x, emb, "re")

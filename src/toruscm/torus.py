@@ -15,10 +15,12 @@ them.  The eigenspace projector (1 + IJ)/2 is the pairing lattice's `p_plus`
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field as dfield
 from functools import cached_property
 
-from .exactla import FieldMatrix, positive_definite, rational_kernel
+from .exactla import FieldMatrix, kernel_rows, positive_definite
 from .numfield import Embedding, NumberField, rationals
 
 
@@ -77,18 +79,21 @@ class ComplexTorusData:
 
 def _rational_solutions(t: ComplexTorusData, c: FieldMatrix, col, ncols: int):
     """Rational kernel of the Sylvester operator X -> X I - C X, with X[a, b]
-    the unknown col(a, b) among ncols: one row per entry (i, j)."""
-    n = 2 * t.g
-    i_m, c_m = t.I.entries, c.entries
+    the unknown col(a, b) among ncols: one integer row per entry (i, j) and
+    power-basis coordinate, read off the blocks of I and C over the lcm of
+    their denominators."""
+    n, d = 2 * t.g, t.field.degree
+    den = math.lcm(t.I.den, c.den)
+    i_num, c_num = (m._times(den // m.den) for m in (t.I, c))
     rows = []
-    for i in range(n):
-        for j in range(n):
-            row = [t.field.zero()] * ncols
-            for kk in range(n):
-                row[col(i, kk)] = row[col(i, kk)] + i_m[kk][j]
-                row[col(kk, j)] = row[col(kk, j)] - c_m[i][kk]
+    for i, j, k in itertools.product(range(n), range(n), range(d)):
+        row = [0] * ncols
+        for kk in range(n):
+            row[col(i, kk)] += i_num[kk][j * d + k]
+            row[col(kk, j)] -= c_num[i][kk * d + k]
+        if any(row):
             rows.append(row)
-    return rational_kernel(FieldMatrix(t.field, rows))
+    return kernel_rows(rows, ncols)
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,17 @@ from fractions import Fraction
 
 import pytest
 
-from toruscm import numfield
-from toruscm.exactla import FieldMatrix, Inconsistent, Singular, positive_definite
+from toruscm import exactla, numfield
+from toruscm.exactla import (
+    FieldMatrix,
+    Inconsistent,
+    Singular,
+    _rref,
+    positive_definite,
+    rational_kernel,
+)
 from toruscm.numfield import FieldElement, NumberField, make_field, rationals
+from toruscm.torus import _rational_solutions
 
 # Q, Q(sqrt 5), Q(zeta5) and L = Q(sigma(K), i) for K = Q(zeta5)
 FIELDS = [[0, 1], [-5, 0, 1], [1] * 5, [16, 16, 8, 0, -4, 0, 2, 2, 1]]
@@ -160,6 +168,31 @@ def test_solve_inverse_and_det_match_the_fraction_oracle(minpoly):
     assert empty.det() == f.one() and empty.inverse() == empty
 
 
+@pytest.mark.parametrize("minpoly", FIELDS, ids=IDS)
+def test_solve_with_negative_pivots_and_a_fractional_right_side(minpoly):
+    # over Q, X's block is read off the reduced rows over their pivots, which
+    # may be negative, and b.den > 1 enters the denominator
+    f, o = make_field(minpoly), Oracle(minpoly)
+    rng = random.Random(19 + len(minpoly))
+    negative = 0
+    for n in [1, 2, 3, 4] * 2:
+        a = -_matrix(rng, f, n, n)
+        if not any(o.det(_coords(a))):
+            continue
+        b = _matrix(rng, f, n, 3, zero_row=True).scale(Fraction(1, 65521))
+        assert b.is_zero() or b.den > 1
+        if f.degree == 1:  # the fraction-free pivots of [a | b]
+            red, piv, _, _ = _rref([r + s for r, s in zip(a.num, b.num)], n)
+            negative += any(red[r][c] < 0 for r, c in enumerate(piv))
+        x, inv = a.solve(b), a.inverse()
+        assert o.matmul(_coords(a), _coords(x)) == _coords(b)
+        ident = [[o.one if i == j else o.zero for j in range(n)] for i in range(n)]
+        assert o.matmul(_coords(a), _coords(inv)) == ident
+        # lowest terms, so the results equal the same matrices read entry by entry
+        assert x == FieldMatrix(f, x.entries) and inv == FieldMatrix(f, inv.entries)
+    assert negative > 2 or f.degree > 1
+
+
 def _boundary(f, n, sign):
     """n x n matrices whose entries all have every coordinate 2^k - 1, times
     sign for the second: the middle slot of each packed output sums n * d
@@ -224,22 +257,99 @@ def test_block_operations_coerce_and_build_nothing(minpoly, monkeypatch):
     assert counts["element"] == 2 + n * n
 
 
+def _unit_lower(rng, f, n):
+    """A random unit lower-triangular n x n matrix."""
+    return FieldMatrix(f, [[_entry(rng, f) if j < i else int(i == j) for j in range(n)]
+                           for i in range(n)])
+
+
+def _ldl(low, diag):
+    """low D low^T for D = diag(diag): its LDL pivots are diag when low is
+    unit lower-triangular."""
+    n = len(diag)
+    d = FieldMatrix(low.field, [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    return low * d * low.transpose()
+
+
+def _refused(*args):
+    raise AssertionError("called on the integer path")
+
+
+def test_positive_definite_over_q_signs_integers_and_builds_only_its_pivots(monkeypatch):
+    qq = rationals()
+    rng = random.Random(17)
+    diags = [[Fraction(rng.randint(1, 9), rng.choice(DENS)) for _ in range(6)] for _ in range(3)]
+    cases = [_ldl(_unit_lower(rng, qq, len(d)), d) for d in diags + [[2, Fraction(1, 3), -1, 5]]]
+    emb = qq.embeddings()[0]
+    counts = _counting(monkeypatch)
+    monkeypatch.setattr(exactla, "exact_sign", _refused)
+    verdicts = []
+    for m in cases:
+        before = counts["element"]
+        cert = positive_definite(m, emb)
+        assert counts["element"] - before == len(cert.pivots)
+        verdicts.append(bool(cert))
+    assert verdicts == [True, True, True, False] and counts["coerce"] == 0
+
+
+def _sylvester_by_elements(t, c, col, ncols):
+    """The kernel of X -> X I - C X from rows of elements summed entry by
+    entry: an oracle for the integer rows."""
+    n = 2 * t.g
+    rows = []
+    for i, j in itertools.product(range(n), repeat=2):
+        row = [t.field.zero()] * ncols
+        for k in range(n):
+            row[col(i, k)] += t.I[k, j]
+            row[col(k, j)] -= c[i, k]
+        rows.append(row)
+    return rational_kernel(FieldMatrix(t.field, rows))
+
+
+def test_sylvester_rows_build_no_element(tau_i, tau_2pow14, zeta5_mirror, zeta5_cm, monkeypatch):
+    tori = [tau_i[0], tau_2pow14[0], zeta5_mirror["pair"].left.torus, zeta5_cm["torus"]]
+    systems = []
+    for t in tori:
+        n = 2 * t.g
+        index = {u: c for c, u in enumerate((i, j) for i in range(n) for j in range(i, n))}
+        # End^0(T) and the metric search's system, as `end` and `cm` pose them
+        systems.append((t, t.I, lambda a, b, n=n: a * n + b, n * n))
+        systems.append((t, -t.I.transpose(), lambda a, b, ix=index: ix[min(a, b), max(a, b)],
+                        len(index)))
+        # C = P I P^-1 with den(C) != den(I): the solutions are P End^0(T)
+        frac = [[Fraction(j, 3 + i) for j in range(n)] for i in range(n)]
+        p = FieldMatrix.identity(t.field, n) + FieldMatrix(t.field, frac)
+        systems.append((t, p * t.I * p.inverse(), lambda a, b, n=n: a * n + b, n * n))
+    want = [_sylvester_by_elements(*s) for s in systems]
+    counts = _counting(monkeypatch)
+    got = [_rational_solutions(*s) for s in systems]
+    assert counts == {"coerce": 0, "element": 0}
+    assert all(c.den != t.I.den for t, c, _, _ in systems[2::3])
+    # the RREF basis is canonical, so the integer rows give the same bases
+    assert got == want and [len(k) for k in got] == [2, 1, 2, 1, 0, 1, 4, 2, 4, 4, 2, 4]
+
+
 @pytest.mark.parametrize("minpoly", [[0, 1], [-5, 0, 1]], ids=["Q", "sqrt5"])
 def test_positive_definite_matches_sympy_leading_minors(minpoly):
     sympy = pytest.importorskip("sympy")
     f = make_field(minpoly)
+    zeta5 = make_field([1] * 5, conj_image=[-1] * 4)
     rng = random.Random(13)
     cases = [[[1]], [[0]], [[-2]], [[1, 1], [1, 1]], [[0, 1], [1, 0]], [[2, 1], [1, 2]]]
     for _ in range(40):
         n = rng.randint(1, 4)
-        lower = [[_entry(rng, f) if j < i else f.one() if j == i else f.zero()
-                  for j in range(n)] for i in range(n)]
+        low = _unit_lower(rng, f, n)
         diag = [rng.choice([2, 1, Fraction(1, 3), 0, -1]) for _ in range(n)]
         if rng.random() < 0.5:  # positive definite by construction, or not
             diag = [abs(x) or 1 for x in diag]
-        low = FieldMatrix(f, lower)
-        d = FieldMatrix(f, [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
-        cases.append(low * d * low.transpose())
+        cases.append(_ldl(low, diag))
+    # the first pivot that is not positive, at every position k of a 4 x 4
+    stops = []
+    for k, bad in itertools.product(range(4), [0, Fraction(-2, 3)]):
+        diag = [Fraction(rng.randint(1, 5), rng.choice(DENS[2:5])) for _ in range(4)]
+        diag[k] = bad
+        stops.append((_ldl(_unit_lower(rng, f, 4), diag), diag[: k + 1]))
+        cases.append(stops[-1][0])
     gen = sympy.sqrt(5)
     seen = set()
     for m in cases:
@@ -260,8 +370,18 @@ def test_positive_definite_matches_sympy_leading_minors(minpoly):
             for k, p in enumerate(cert.pivots):
                 assert sympy.simplify(value(p) - minors[k + 1] / minors[k]) == 0
             seen.add((want, m.rows == 1, any(sympy.simplify(x) == 0 for x in minors[1:])))
+            if f.degree == 1:  # the same matrix over Q(zeta5) takes the element path
+                lifted = positive_definite(m.lift(zeta5), zeta5.embeddings()[0])
+                pivots = [[p.as_rational() for p in c.pivots] for c in (lifted, cert)]
+                assert bool(lifted) == bool(cert) and pivots[0] == pivots[1]
     assert {w for w, _, _ in seen} == {True, False}
     assert any(one for _, one, _ in seen) and any(zero for _, _, zero in seen)
+    for m, pivots in stops:
+        for emb in f.real_embeddings():
+            cert = positive_definite(m, emb)
+            assert not cert and cert.pivots == [f.from_rational(p) for p in pivots]
+    # matrices with entry denominators > 1 (rational ones over Q)
+    assert sum(m.den > 1 for m in cases if isinstance(m, FieldMatrix)) > 20
 
 
 def test_rational_matrices_lift_and_read_back():

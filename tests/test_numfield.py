@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from toruscm import polyq
+from toruscm import numfield, polyq
 from toruscm.boxes import Box, Iv
 from toruscm.exactla import FieldMatrix
 from toruscm.numfield import (
     ConjNotAutomorphism,
     ConjNotInvolution,
+    Embedding,
     NotConverged,
     NotSquarefree,
     RootSet,
@@ -170,6 +171,31 @@ def test_exact_sign_zero_divisor_fallback():
     e0, e1 = f.embeddings()
     signs = sorted(exact_sign(f.gen(), e) for e in (e0, e1))
     assert signs == [0, 1]
+
+
+@pytest.mark.parametrize(
+    "minpoly",
+    [[1, 0, 1], [-5, 0, 1], [1] * 5, [16, 16, 8, 0, -4, 0, 2, 2, 1]],
+    ids=["i-without-conj", "sqrt5", "zeta5", "L8"],
+)
+def test_a_rational_signs_itself_under_every_embedding(minpoly, monkeypatch):
+    # a rational is its own image, so it is real under a non-real embedding
+    # too, also in a field without conj (Q(i) here, which used to raise
+    # NotRealUnderEmbedding), and its sign needs no enclosure
+    f = make_field(minpoly)
+    assert not f.has_conj
+    embs, calls = f.embeddings(), []
+    box, refine = numfield.poly_eval_box, Embedding.refine
+    monkeypatch.setattr(numfield, "poly_eval_box", lambda *a: calls.append("box") or box(*a))
+    monkeypatch.setattr(Embedding, "refine", lambda *a: calls.append("refine") or refine(*a))
+    for e in embs:
+        for r in [-3, Fraction(-1, 7), 0, Fraction(5, 2), 10**30 + 1]:
+            assert exact_sign(f.from_rational(r), e) == (r > 0) - (r < 0)
+    assert calls == []
+    # an irrational sign under a real embedding reads boxes, so the counts are live
+    for e in f.real_embeddings() if f.degree > 1 else []:
+        exact_sign(f.gen(), e)
+    assert bool(calls) == (minpoly == [-5, 0, 1])
 
 
 def test_exact_sign_imag_on_beta():

@@ -1,0 +1,38 @@
+"""Degree-10 cyclotomic pipeline (g = 5) on Q(zeta11) with the CM type
+{zeta -> zeta^j : j < 11/2}: `find_beta` at budget 3, `cm_torus`, End^0,
+the CM certificate and the rational metric search."""
+
+import math
+
+from toruscm import polyq
+from toruscm.cm import (
+    CmInput,
+    cm_certificate,
+    cm_torus,
+    endomorphism_algebra,
+    find_beta,
+    rational_kahler_search,
+)
+from toruscm.fixtures import _embedding_near
+from toruscm.numfield import make_field
+
+
+def test_zeta11_cm_pipeline():
+    k = make_field([1] * 11, conj_image=[-1] * 10)
+    phi = [
+        _embedding_near(k, math.cos(2 * math.pi * j / 11), math.sin(2 * math.pi * j / 11))
+        for j in range(1, 6)
+    ]
+    basis = [k.gen() ** j for j in range(10)]
+    beta = find_beta(k, basis, phi, 3)
+    assert beta == k.element([1, 2, 0, 2, 0, 2, 0, 2, 0, 2])
+    inp = CmInput(k, basis, phi, beta, [k.gen() ** j for j in range(1, 11)])
+    torus, _, _ = cm_torus(inp)
+    assert torus.g == 5 and torus.field.degree == 10
+    assert endomorphism_algebra(torus).dim == 10
+    verdict = cm_certificate(torus, trials=64, seed=3)
+    assert verdict.verdict == "CM"
+    assert polyq.degree(verdict.minpoly) == 10 and polyq.is_squarefree(verdict.minpoly)
+    found, dim = rational_kahler_search(torus, trials=300, seed=0)
+    # rational compatible forms correspond to the totally real quintic subfield
+    assert found is not None and dim == 5
