@@ -14,9 +14,9 @@ division; over a larger field each pivot row is divided by its pivot.  One
 integer row reduction, `_hnf`, gives the Hermite form, the Hermite form
 with its transform (on [M | Id]) and, in alternating row and column passes,
 the Smith form; a lattice index is the product of the HNF diagonal.
-Integrality conditions are saturated by a modular HNF that keeps every
-entry below the lcm D of their denominators, because the solution lattice
-contains D*Z^n.  Positive definiteness is certified by exact LDL pivots:
+Integrality conditions are saturated on integer blocks by the same `_hnf`
+modulo the lcm D of their denominators, which keeps every entry below D,
+because the solution lattice contains D*Z^n.  Positive definiteness is certified by exact LDL pivots:
 over Q by Bareiss's fraction-free steps on the block, each pivot signed by
 an integer leading minor; over a larger field on elements, each signed
 through a designated embedding.  No floating point is used.
@@ -54,10 +54,9 @@ class NotSymmetric(ValueError):
 # FieldMatrix
 
 
-def _pair(x, pad=()):
-    """(numerators, den) of an element, or of an int or a Fraction followed
-    by the zero numerators `pad`."""
-    return (x.num, x.den) if isinstance(x, FieldElement) else ((x.numerator, *pad), x.denominator)
+def _pair(x):
+    """(numerators, den) of an element, or of an int or a Fraction."""
+    return (x.num, x.den) if isinstance(x, FieldElement) else ((x.numerator,), x.denominator)
 
 
 def _block(pairs):
@@ -104,13 +103,6 @@ class FieldMatrix:
         if g > 1:
             num, den = tuple(tuple(x // g for x in row) for row in num), den // g
         return FieldMatrix._of(field, num, den)
-
-    @staticmethod
-    def _of_values(field, values) -> "FieldMatrix":
-        """The matrix of rows of elements of `field`, ints and Fractions from
-        inside this module, read without coercion."""
-        pad = (0,) * (field.degree - 1)
-        return FieldMatrix._of(field, *_block([[_pair(x, pad) for x in row] for row in values]))
 
     @staticmethod
     def identity(field: NumberField, n: int) -> "FieldMatrix":
@@ -179,7 +171,7 @@ class FieldMatrix:
     def scale(self, c) -> "FieldMatrix":
         c = self.field.coerce(c)
         if not c.is_rational():
-            return FieldMatrix._of_values(self.field, [[e * c for e in r] for r in self.entries])
+            return FieldMatrix(self.field, [[e * c for e in r] for r in self.entries])
         return FieldMatrix._lowest(self.field, self._times(c.num[0]), self.den * c.den)
 
     def __eq__(self, o):
@@ -228,7 +220,7 @@ class FieldMatrix:
         """A rational matrix over another field."""
         if self.field == field:
             return self
-        return FieldMatrix._of_values(field, self.rational_entries())
+        return FieldMatrix(field, self.rational_entries())
 
     def __repr__(self):
         return f"FieldMatrix({self.rows}x{self.cols} over deg-{self.field.degree})"
@@ -246,7 +238,7 @@ class FieldMatrix:
 
     def kernel(self) -> "FieldMatrix":
         """Basis (as rows) of the right kernel; 0 x 0 matrix if trivial."""
-        return FieldMatrix._of_values(self.field, kernel_rows(self._elimination()[0], self.cols))
+        return FieldMatrix(self.field, kernel_rows(self._elimination()[0], self.cols))
 
     def solve(self, b: "FieldMatrix") -> "FieldMatrix":
         """Solve self * X = b exactly (raises Inconsistent / Singular).  Over
@@ -255,14 +247,13 @@ class FieldMatrix:
         if b.rows != self.rows:
             raise ValueError("dimension mismatch")
         (rows, ring), (rhs, _) = self._elimination(), b._elimination()
-        red, piv, inv, _ = _rref([a + c for a, c in zip(rows, rhs)], self.cols, ring)
+        red, piv, _ = _rref([a + c for a, c in zip(rows, rhs)], self.cols, ring)
         if any(x for row in red[len(piv) :] for x in row[self.cols :]):
             raise Inconsistent("no solution")
         if len(piv) < self.cols:
             raise Singular("solution space is not unique")
-        if ring:
-            x = [[y * q for y in r[self.cols :]] for r, q in zip(red, inv)]
-            return FieldMatrix._of_values(ring, x)
+        if ring:  # each pivot row is divided by its pivot
+            return FieldMatrix(ring, [r[self.cols :] for r in red[: self.cols]])
         ps = [r[c] for r, c in zip(red, piv)]
         den = math.lcm(*ps)
         num = (tuple([y * (den // p * self.den) for y in r[self.cols :]]) for r, p in zip(red, ps))
@@ -280,7 +271,7 @@ class FieldMatrix:
         if self.rows != self.cols:
             raise ValueError("not square")
         rows, ring = self._elimination()
-        _, piv, _, (up, down) = _rref(rows, self.cols, ring)
+        _, piv, (up, down) = _rref(rows, self.cols, ring)
         if len(piv) < self.rows:
             return self.field.zero()
         if ring is None:  # the integer block's determinant is den^n det
@@ -310,11 +301,11 @@ def _rref(rows, ncols, ring=None):
     row, and each row is divided by the gcd of its entries, which bounds
     coefficient growth.  Rows of elements of `ring`, a field of degree > 1,
     where such rows would grow exponentially, divide a pivot row by its
-    pivot at once.  Returns (rows, piv, inv, (up, down)): row r spans the
-    reduced row, with its pivot at column piv[r] left for the caller to
-    divide out by inv[r]; the row operations and those divisions multiply
-    the determinant by prod(up) / prod(down).  A zero-divisor pivot raises
-    ZeroDivisor.
+    pivot at once.  Returns (rows, piv, (up, down)): row r spans the
+    reduced row, with its pivot at column piv[r] (over `ring`, one; over Q
+    an int left for the caller to divide out); the row operations and those
+    divisions multiply the determinant by prod(up) / prod(down).  A
+    zero-divisor pivot raises ZeroDivisor.
     """
     up, down = [], []
     work = [list(row) if ring else _primitive(list(row), down) for row in rows]
@@ -348,13 +339,7 @@ def _rref(rows, ncols, ring=None):
             else:
                 work[i] = [x - f * y if y else x for x, y in zip(work[i], prow)]
         piv.append(c)
-    pivots = [work[r][c] for r, c in enumerate(piv)]
-    return work, piv, _inverses(pivots), (up, down + pivots)
-
-
-def _inverses(xs):
-    """1 / x for nonzero ints (Fractions) and field elements."""
-    return [Fraction(1, x) if isinstance(x, int) else x.inverse() for x in xs]
+    return work, piv, (up, down + [work[r][c] for r, c in enumerate(piv)])
 
 
 def kernel_rows(rows, ncols):
@@ -371,13 +356,13 @@ def kernel_rows(rows, ncols):
         ring = ring if ring is not None and ring.degree > 1 else None
         if ring is None:  # each row times the lcm of its denominators
             rows = [_block([[_pair(e) for e in row]])[0][0] for row in rows]
-    red, piv, inv, _ = _rref(rows, ncols, ring)
+    red, piv, _ = _rref(rows, ncols, ring)
     basis = []
     for fc in (c for c in range(ncols) if c not in piv):
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
-        for r, pc in enumerate(piv):
-            v[pc] = -red[r][fc] * inv[r]
+        for r, pc in enumerate(piv):  # over `ring` each pivot is one
+            v[pc] = -red[r][fc] if ring else Fraction(-red[r][fc], red[r][pc])
         basis.append(v)
     return basis
 
@@ -405,7 +390,7 @@ def _xgcd(a: int, b: int):
     return x0, y0, a
 
 
-def _hnf(rows, ncols):
+def _hnf(rows, ncols, mod=0):
     """Row-style lower-triangular HNF of a copy of the int `rows`, pivoting
     in the first `ncols` columns (later columns ride along, as in an
     augmented system).  Columns are taken from the right: xgcd steps gather
@@ -413,8 +398,19 @@ def _hnf(rows, ncols):
     entries in the earlier pivot rows are reduced into [0, pivot).  Returns
     (rows, piv): the pivot rows by ascending pivot column piv (the row's
     rightmost nonzero in the first `ncols`), then the rows zero there.
+
+    A modulus d > 0 (no columns riding along) gives the HNF of the rows and
+    d*Z^ncols with every entry kept below d (Cohen, GTM 138, §2.4.2): each
+    column's pivot row starts as d*e_col, so every column has a pivot, which
+    divides d, and row operations are taken mod d, which the d*e_j still to
+    come allow.  No pivot is lost to the mod: one that gathers an entry q in
+    [1, d) ends at most q, and one that gathers none stays d*e_col.  Rows
+    zero mod d are dropped, and the others end zero.
     """
     a = [list(map(int, row)) for row in rows]
+    if mod:
+        scaled = [[mod * (i == j) for j in range(ncols)] for i in range(ncols)]
+        a = scaled + [r for r in ([x % mod for x in row] for row in a) if any(r)]
     used, piv = [], []
     for col in range(ncols - 1, -1, -1):
         cand = [i for i, row in enumerate(a) if row[col] and i not in used]
@@ -425,16 +421,22 @@ def _hnf(rows, ncols):
             p, q = a[i0][col], a[i][col]
             x, y, g = _xgcd(p, q)
             pp, qq = p // g, q // g
-            a[i0], a[i] = (
-                [x * r0 + y * ri for r0, ri in zip(a[i0], a[i])],
-                [-qq * r0 + pp * ri for r0, ri in zip(a[i0], a[i])],
-            )
+            if mod:
+                a[i0], a[i] = (
+                    [(x * r0 + y * ri) % mod for r0, ri in zip(a[i0], a[i])],
+                    [(pp * ri - qq * r0) % mod for r0, ri in zip(a[i0], a[i])],
+                )
+            else:
+                a[i0], a[i] = (
+                    [x * r0 + y * ri for r0, ri in zip(a[i0], a[i])],
+                    [-qq * r0 + pp * ri for r0, ri in zip(a[i0], a[i])],
+                )
         if a[i0][col] < 0:
             a[i0] = [-v for v in a[i0]]
         for r in used:
             q = a[r][col] // a[i0][col]
             if q:
-                a[r] = [v - q * w for v, w in zip(a[r], a[i0])]
+                a[r] = [(v - q * w) % mod if mod else v - q * w for v, w in zip(a[r], a[i0])]
         used.append(i0)
         piv.append(col)
     rest = [row for i, row in enumerate(a) if i not in used]
@@ -519,48 +521,20 @@ def row_lattice_index(basis_rows, n):
 # Saturation of field-linear integrality conditions
 
 
-def _hnf_mod(rows, n, d):
-    """Lower-triangular HNF (n x n) of the lattice spanned by `rows` and d*Z^n.
-
-    No stored entry leaves [0, d], as d*Z^n lies in the lattice: column by
-    column from the right, d*e_col absorbs each row's entry by xgcd, which
-    leaves a pivot dividing d, and every other entry is taken mod d; then
-    each row is reduced below the pivots, so off-pivot entries end in
-    [0, pivot of their column).
-    """
-    work = [r for r in ([x % d for x in row] for row in rows) if any(r)]
-    h = [None] * n
-    for c in range(n - 1, -1, -1):
-        p = [0] * n
-        p[c] = d
-        for i, r in enumerate(work):
-            if r[c]:
-                x, y, g = _xgcd(p[c], r[c])
-                a, b = p[c] // g, r[c] // g
-                p, work[i] = (
-                    [(x * u + y * v) % d for u, v in zip(p[:c], r)] + [g] + [0] * (n - c - 1),
-                    [(a * v - b * u) % d for u, v in zip(p, r)],
-                )
-        h[c] = p
-    for c, p in enumerate(h):
-        for j in range(c - 1, -1, -1):
-            f = p[j] // h[j][j]
-            if f:
-                p[:j + 1] = [(u - f * v) % d for u, v in zip(p[:j], h[j])] + [p[j] - f * h[j][j]]
-    return h
-
-
 def saturate_integer_solutions(conditions: FieldMatrix):
     """Sublattice of Z^n where each field-linear functional takes Z values.
 
     The irrational power-basis coordinates must vanish: x = y V with V a
-    rational kernel basis whose free coordinates are y.  What is left says
-    R y in Z^t for one rational R (x itself and the rational coordinates),
-    so with D the lcm of R's denominators the solutions y form
-    D * dual(M), M spanned by D*Z^s and the rows of D*R.  Both M and the
-    solutions contain D*Z^s, so each gets its HNF modulo D, and the dual is
-    one exact inverse of a triangular matrix.  Returns basis rows
-    (canonical HNF), possibly empty.
+    rational kernel basis, an integer block over dv, whose free coordinates
+    are y.  What is left says R y in Z^t for R = [V^T ; C V^T] (x itself
+    and the rational coordinates C), an integer block over dv * den that
+    one gcd brings to the lcm D of R's denominators.  So the solutions y
+    form D * dual(M), M spanned by D*Z^s and the rows of D*R.  Both M and
+    the solutions contain D*Z^s, so each gets its HNF modulo D, and the dual
+    is one exact inverse of a triangular matrix.  Returns basis rows,
+    possibly empty, in canonical HNF: a row of V is 1 at its free column, 0
+    at the other free columns, and has its rightmost nonzero there, so
+    x = y V keeps y's pivots and the reduced entries beneath them.
     """
     n = conditions.cols
     coords = conditions._coordinate_rows()
@@ -568,20 +542,22 @@ def saturate_integer_solutions(conditions: FieldMatrix):
     s = len(v)
     if not s:
         return []
-    cols = list(zip(*v))
-    rational = [[Fraction(x, conditions.den) for x in c[0]] for c in coords]
-    r = cols + [[sum(a * b for a, b in zip(row, w) if a and b) for w in v] for row in rational]
-    den = math.lcm(*(x.denominator for row in r for x in row))
-    m = _hnf_mod([[int(x * den) for x in row] for row in r], s, den)
+    w, dv = _block([[_pair(x) for x in row] for row in v])
+    cols = list(zip(*w))
+    r = [[conditions.den * x for x in col] for col in cols]
+    r += [[sum(a * b for a, b in zip(c[0], row) if a and b) for row in w] for c in coords]
+    den = dv * conditions.den
+    g = math.gcd(den, *chain.from_iterable(r))
+    den //= g
+    m, _ = _hnf([[x // g for x in row] for row in r], s, den)
     # den * M^-1 is integral because den*Z^s lies in M; its columns span the solutions
     inv = [[0] * s for _ in range(s)]
     for i in range(s):
         inv[i][i] = den // m[i][i]
         for j in range(i - 1, -1, -1):
             inv[i][j] = -sum(inv[i][k] * m[k][j] for k in range(j + 1, i + 1)) // m[j][j]
-    y = _hnf_mod(list(zip(*inv)), s, den)
-    x = [[int(sum(a * b for a, b in zip(row, col) if a and b)) for col in cols] for row in y]
-    return hnf(x)
+    y = _hnf(list(zip(*inv)), s, den)[0][:s]
+    return [[sum(a * b for a, b in zip(row, col) if a and b) // dv for col in cols] for row in y]
 
 
 # ---------------------------------------------------------------------------

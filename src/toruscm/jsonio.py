@@ -53,9 +53,7 @@ def encode_element(e: FieldElement) -> list:
 
 
 def decode_element(f: NumberField, raw) -> FieldElement:
-    if isinstance(raw, (str, int)):
-        return f.from_rational(decode_rational(raw))
-    return f.element([decode_rational(c) for c in raw])
+    return f.coerce(raw)
 
 
 def encode_matrix(m: FieldMatrix) -> list:
@@ -63,7 +61,9 @@ def encode_matrix(m: FieldMatrix) -> list:
 
 
 def decode_matrix(f: NumberField, raw) -> FieldMatrix:
-    return FieldMatrix(f, [[decode_element(f, e) for e in row] for row in raw])
+    """Each entry, a rational or a coordinate list, goes into the block by
+    the one coercion rule, with no element built."""
+    return FieldMatrix(f, raw)
 
 
 def encode_int_matrix(rows) -> list:

@@ -80,7 +80,7 @@ class NumberField:
     """Q[x]/(m) for monic squarefree integer m, with optional conjugation."""
 
     def __init__(self, minpoly, conj_image=None):
-        m = polyq.poly(minpoly)
+        m = polyq.poly([Fraction(*_rational_pair(c)) for c in minpoly])
         if polyq.degree(m) < 1:
             raise ValueError("minpoly must have degree >= 1")
         if m[-1] != 1:
@@ -196,12 +196,7 @@ class NumberField:
     def element(self, coords) -> "FieldElement":
         """The element with these power-basis coordinates (rationals, as in
         `from_rational`; missing trailing ones are zero)."""
-        pairs = [_rational_pair(c) for c in coords]
-        if len(pairs) > self.degree:
-            raise ValueError("coordinate vector too long")
-        den = math.lcm(*(q for _, q in pairs))
-        num = [n * (den // q) for n, q in pairs] + [0] * (self.degree - len(pairs))
-        return FieldElement(self, num, den)
+        return FieldElement(self, *self.numerators(list(coords)))
 
     def from_rational(self, r) -> "FieldElement":
         """r (an int, a Fraction or a rational string) as an element."""
@@ -216,15 +211,23 @@ class NumberField:
     def numerators(self, x):
         """(numerators, den) of x by the one coercion rule: an element of this
         field, or of an equal one, as it is; a rational as `from_rational`
-        takes it; an element of another field raises ValueError."""
+        takes it; a list of rational power-basis coordinates (missing
+        trailing ones zero) as `element` takes it; an element of another
+        field raises ValueError."""
         if type(x) is int:  # not a bool
             return (x,) + (0,) * (self.degree - 1), 1
         if isinstance(x, FieldElement):
             if x.field is self or x.field == self:
                 return x.num, x.den
             raise ValueError("field mismatch")
-        n, q = _rational_pair(x)
-        return (n,) + (0,) * (self.degree - 1), q
+        if not isinstance(x, list):
+            n, q = _rational_pair(x)
+            return (n,) + (0,) * (self.degree - 1), q
+        pairs = [_rational_pair(c) for c in x]
+        if len(pairs) > self.degree:
+            raise ValueError("coordinate vector too long")
+        den = math.lcm(*(q for _, q in pairs))
+        return tuple([n * (den // q) for n, q in pairs] + [0] * (self.degree - len(pairs))), den
 
     def coerce(self, x) -> "FieldElement":
         """x as an element of this field, by the rule of `numerators`."""

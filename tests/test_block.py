@@ -182,7 +182,7 @@ def test_solve_with_negative_pivots_and_a_fractional_right_side(minpoly):
         b = _matrix(rng, f, n, 3, zero_row=True).scale(Fraction(1, 65521))
         assert b.is_zero() or b.den > 1
         if f.degree == 1:  # the fraction-free pivots of [a | b]
-            red, piv, _, _ = _rref([r + s for r, s in zip(a.num, b.num)], n)
+            red, piv, _ = _rref([r + s for r, s in zip(a.num, b.num)], n)
             negative += any(red[r][c] < 0 for r, c in enumerate(piv))
         x, inv = a.solve(b), a.inverse()
         assert o.matmul(_coords(a), _coords(x)) == _coords(b)

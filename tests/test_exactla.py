@@ -9,7 +9,7 @@ from toruscm.exactla import (
     FieldMatrix,
     Inconsistent,
     Singular,
-    _hnf_mod,
+    _hnf,
     hnf,
     int_hnf_with_transform,
     kernel_rows,
@@ -455,8 +455,10 @@ def test_hnf_mod_is_the_bounded_canonical_hnf():
     rng = random.Random(73)
     for _ in range(40):
         n, d = rng.randint(1, 5), rng.choice([1, 2, 6, 12, 30, 360, 2**40 * 3])
-        rows = [[rng.randint(-d, d) for _ in range(n)] for _ in range(rng.randint(0, 5))]
-        h = _hnf_mod(rows, n, d)
+        rows = [[rng.randint(-3 * d, 3 * d) for _ in range(n)] for _ in range(rng.randint(0, 5))]
+        h, piv = _hnf(rows, n, d)
+        assert piv == list(range(n)) and not any(map(any, h[n:]))
+        h = h[:n]
         assert len(h) == n
         for i, row in enumerate(h):
             assert all(0 <= x < d or (j == i and x == d) for j, x in enumerate(row))

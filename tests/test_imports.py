@@ -3,11 +3,11 @@ every public top-level function and class a `toruscm` module defines is
 named elsewhere in `src/` or by the benchmark (tests do not count), and
 every other definition is used somewhere; only `numfield` reads the
 private reduction mod the minpoly or builds elements from their
-numerators; the product kernel, the one elimination, the Sturm chains and
-the root counts never touch `Fraction`; a field inverse and the trace read the integer multiplication
+numerators; the product kernel, the one elimination, the integer HNF and
+saturation, the Sturm chains and the root counts never touch `Fraction`; a field inverse and the trace read the integer multiplication
 matrix, never `polyq`; `cm` asks its Q-span questions through the one
 kernel, never by a rational solve;
-every integer xgcd elimination is `_hnf` or the modular `_hnf_mod`, and
+the one integer xgcd elimination is `_hnf`, modulo D too, and
 `valattice` reads the module count off the index, not a Smith form; every
 function the benchmark traces is defined; and every dataclass that checks
 itself or caches derived data is frozen.
@@ -171,6 +171,9 @@ def test_product_kernel_and_elimination_never_touch_fraction():
         "numfield._slot_bits": _function(numfield, "_slot_bits"),
         "FieldMatrix.__mul__": _function(exactla, "__mul__", "FieldMatrix"),
         "FieldMatrix._lowest": _function(exactla, "_lowest", "FieldMatrix"),
+        # the integer lattice layer: HNF (modulo D too) and saturation
+        "exactla._hnf": _function(exactla, "_hnf"),
+        "exactla.saturate_integer_solutions": _function(exactla, "saturate_integer_solutions"),
     }
     touching = [
         name
@@ -246,9 +249,9 @@ def test_cm_reads_span_questions_off_the_one_kernel():
     assert solving == ["cm_torus"]
 
 
-def test_integer_eliminations_are_hnf_and_hnf_mod():
-    # HNF, HNF with transform and the Smith form all reduce through `_hnf`;
-    # the one other xgcd elimination is the modular pass of saturation
+def test_the_one_integer_elimination_is_hnf():
+    # HNF, HNF with transform, the Smith form and both modular passes of
+    # saturation all reduce through `_hnf`
     callers = {
         getattr(scope, "name", "<module>")
         for path in sorted(SRC.glob("*.py"))
@@ -257,7 +260,7 @@ def test_integer_eliminations_are_hnf_and_hnf_mod():
         if isinstance(node, ast.Call)
         and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_xgcd"
     }
-    assert callers == {"_hnf", "_hnf_mod"}
+    assert callers == {"_hnf"}
 
 
 def test_valattice_reads_the_module_count_off_the_index():

@@ -259,6 +259,7 @@ def test_rational_constructors_refuse_floats_and_bools(bad):
         lambda x: FieldMatrix(qq, [[x]]),
         lambda x: FieldMatrix(f, [[1, x]]),
         lambda x: f.gen() * x,
+        lambda x: make_field([x, 0, 1]),
     ]
     for build in builders:
         with pytest.raises(TypeError):
