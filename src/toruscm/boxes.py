@@ -1,152 +1,170 @@
-"""Rational interval and complex-box arithmetic.
+"""L0: complex boxes with dyadic endpoints, and their fixed-point kernel.
 
-Endpoints are `fractions.Fraction`, and every comparison is exact.  The
-arithmetic behind the root boxes of :mod:`toruscm.numfield`
-(`poly_eval_box`, `newton_step` and `root_product`) runs in fixed point:
-boxes move to integer mantissas at scale 2^prec with lo floored and hi
-ceiled, products shift back with the same outward rounding, and the result
-is a box with power-of-two denominators that contains the exact one.  prec
-is 64 guard bits past the width of the input, so enclosures tighten as
-their boxes shrink; exact points are evaluated exactly.
+A box is stored once: four integer mantissas (re.lo, re.hi, im.lo, im.hi)
+under one exponent e >= 0, with corners m / 2^e.  Comparisons, widths,
+intersections and conjugates are integer operations on aligned exponents;
+equality compares values.  A rational enters in one place, `Box.of`: dyadic
+ends exactly, any other end rounded outward once.  The parts `re` and `im`
+are real boxes, which `lo`, `hi` and `mid` read as rationals for code
+outside L0.
+
+The kernel behind the root boxes of :mod:`toruscm.polyq` (`poly_eval_box`,
+`newton_step` and `root_product`) evaluates integer polynomials in fixed
+point at scale 2^prec, prec 64 guard bits past the width of the input (and
+past its exponent, so it enters exactly): products shift back with outward
+rounding, so the result holds the exact one and tightens as its box
+shrinks.  At a point Horner runs on integers with no shift, so a dyadic
+point is evaluated exactly.  Division by a denominator, `Box.over`, rounds
+outward too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-@dataclass(frozen=True)
-class Iv:
-    """Closed rational interval [lo, hi]."""
-
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError("empty interval")
-
-    @staticmethod
-    def point(x) -> "Iv":
-        x = _frac(x)
-        return Iv(x, x)
-
-    @staticmethod
-    def of(lo, hi) -> "Iv":
-        return Iv(_frac(lo), _frac(hi))
-
-    def __neg__(self) -> "Iv":
-        return Iv(-self.hi, -self.lo)
-
-    def contains_zero(self) -> bool:
-        return self.lo <= 0 <= self.hi
-
-    def contains(self, x) -> bool:
-        return self.lo <= _frac(x) <= self.hi
-
-    def sign(self) -> int | None:
-        """Definite sign, or None if the interval straddles zero."""
-        if self.lo > 0:
-            return 1
-        if self.hi < 0:
-            return -1
-        if self.lo == self.hi == 0:
-            return 0
-        return None
-
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-    def intersect(self, o: "Iv") -> "Iv | None":
-        lo, hi = max(self.lo, o.lo), min(self.hi, o.hi)
-        return Iv(lo, hi) if lo <= hi else None
-
-    def disjoint(self, o: "Iv") -> bool:
-        return self.hi < o.lo or o.hi < self.lo
-
-    def inside(self, o: "Iv") -> bool:
-        """Containment in the interior of `o` (or exact point equality)."""
-        if self.lo == self.hi and o.lo == o.hi:
-            return self.lo == o.lo
-        return o.lo < self.lo and self.hi < o.hi
-
-
-@dataclass(frozen=True)
 class Box:
-    """Complex rectangle re + i*im with rational-interval components."""
+    """Complex rectangle with corners m / 2^e, m = (re.lo, re.hi, im.lo,
+    im.hi) integers and e >= 0."""
 
-    re: Iv
-    im: Iv
+    __slots__ = ("m", "e")
+
+    def __init__(self, m: tuple, e: int):
+        self.m, self.e = m, e
+
+    @staticmethod
+    def of(re_lo, re_hi, im_lo=0, im_hi=0) -> "Box":
+        """The one boundary for rationals: the least box on the grid 2^-e
+        that holds [re_lo, re_hi] + i [im_lo, im_hi].  With dyadic ends, e is
+        the largest exponent among their denominators and the box is exact;
+        otherwise the ends are rounded outward at 2^-e < 2^-64 / D^2, D the
+        largest denominator, 64 bits below any width the ends can have."""
+        ends = [Fraction(x) for x in (re_lo, re_hi, im_lo, im_hi)]
+        if ends[0] > ends[1] or ends[2] > ends[3]:
+            raise ValueError("empty interval")
+        dens = [x.denominator for x in ends]
+        e = max(dens).bit_length() - 1
+        if any(d & (d - 1) for d in dens):  # an end that is not dyadic
+            e = 2 * e + 66
+        m = [s * ((s * x.numerator << e) // x.denominator) for s, x in zip((1, -1, 1, -1), ends)]
+        return Box(tuple(m), e)  # lo floored and hi ceiled: s floor(s x 2^e), s = 1, -1
 
     @staticmethod
     def point(re, im=0) -> "Box":
-        return Box(Iv.point(re), Iv.point(im))
+        return Box.of(re, re, im, im)
+
+    # the real and imaginary parts, as real boxes; lo, hi, mid and sign read
+    # a real box as the interval [lo, hi]
+    re = property(lambda self: Box(self.m[:2] + (0, 0), self.e))
+    im = property(lambda self: Box(self.m[2:] + (0, 0), self.e))
+    lo = property(lambda self: Fraction(self.m[0], 1 << self.e))
+    hi = property(lambda self: Fraction(self.m[1], 1 << self.e))
+
+    def mid(self) -> Fraction:
+        return Fraction(self.m[0] + self.m[1], 2 << self.e)
+
+    def sign(self) -> int | None:
+        """Definite sign of [lo, hi], or None if it straddles zero."""
+        a, b = self.m[:2]
+        return 1 if a > 0 else -1 if b < 0 else 0 if a == b == 0 else None
+
+    def __eq__(self, o):
+        if not isinstance(o, Box):
+            return NotImplemented
+        a, b, _ = _align(self, o)
+        return a == b
 
     def __mul__(self, o: "Box") -> "Box":
-        return _unfix(_mul(_fix(self, None), _fix(o, None), None), None)  # exact
+        return Box(_mul(self.m, o.m, 0), self.e + o.e)  # exact
+
+    def over(self, den: int, width=None) -> "Box":
+        """The box divided by the integer den > 0, rounded outward 64 bits
+        past its own exponent and past the rational `width` asked for, so
+        a quotient at a point still tightens as it is asked to."""
+        if den == 1:
+            return self
+        e = self.e
+        if width:
+            e = max(e, width.denominator.bit_length() - width.numerator.bit_length())
+        e += 64 + den.bit_length()
+        a, b, c, d = (v << e - self.e for v in self.m)
+        return Box((a // den, -(-b // den), c // den, -(-d // den)), e)
 
     def conj(self) -> "Box":
-        return Box(self.re, -self.im)
+        a, b, c, d = self.m
+        return Box((a, b, -d, -c), self.e)
+
+    def is_point(self) -> bool:
+        m = self.m
+        return m[0] == m[1] and m[2] == m[3]
 
     def contains_zero(self) -> bool:
-        return self.re.contains_zero() and self.im.contains_zero()
+        m = self.m
+        return m[0] <= 0 <= m[1] and m[2] <= 0 <= m[3]
 
     def disjoint(self, o: "Box") -> bool:
-        return self.re.disjoint(o.re) or self.im.disjoint(o.im)
+        a, b, _ = _align(self, o)
+        return a[1] < b[0] or b[1] < a[0] or a[3] < b[2] or b[3] < a[2]
 
     def inside(self, o: "Box") -> bool:
-        return self.re.inside(o.re) and self.im.inside(o.im)
+        """Containment in the interior of `o`, side by side (or exact point
+        equality on a side)."""
+        a, b, _ = _align(self, o)
+        return all(
+            a[i] == a[i + 1] == b[i] == b[i + 1] or b[i] < a[i] and a[i + 1] < b[i + 1]
+            for i in (0, 2)
+        )
 
     def intersect(self, o: "Box") -> "Box | None":
-        re = self.re.intersect(o.re)
-        im = self.im.intersect(o.im)
-        return Box(re, im) if re is not None and im is not None else None
+        a, b, e = _align(self, o)
+        m = (max(a[0], b[0]), min(a[1], b[1]), max(a[2], b[2]), min(a[3], b[3]))
+        return Box(m, e) if m[0] <= m[1] and m[2] <= m[3] else None
+
+    def _w(self) -> int:
+        m = self.m
+        return max(m[1] - m[0], m[3] - m[2])
+
+    def narrower(self, width) -> bool:
+        """Whether the box's width is below the rational `width`."""
+        return self._w() * width.denominator < width.numerator << self.e
+
+    def within(self, o: "Box", num: int, den: int) -> bool:
+        """Whether den times this box's width is at most num times o's."""
+        return den * self._w() << o.e <= num * o._w() << self.e
 
     def width(self) -> Fraction:
-        return max(self.re.width(), self.im.width())
-
-    def mid(self) -> "Box":
-        return Box.point(self.re.mid(), self.im.mid())
+        return Fraction(self._w(), 1 << self.e)
 
     def approx(self) -> complex:
-        return complex(self.re.mid()) + 1j * complex(self.im.mid())
+        m, s = self.m, 2 << self.e
+        return complex((m[0] + m[1]) / s, (m[2] + m[3]) / s)
+
+
+def _align(x: Box, y: Box):
+    """The mantissas of x and y at their common exponent, and that exponent."""
+    e = max(x.e, y.e)
+    return tuple(v << e - x.e for v in x.m), tuple(v << e - y.e for v in y.m), e
 
 
 # ---------------------------------------------------------------------------
-# Fixed-point kernel: a box as integer mantissas (re.lo, re.hi, im.lo, im.hi)
-# at scale 2^prec, or as its exact Fraction endpoints when prec is None
+# Fixed-point kernel on mantissa tuples (re.lo, re.hi, im.lo, im.hi): at
+# scale 2^prec, or exact (no shift, the scale growing) when prec is None
 
 
-def _prec(width: Fraction) -> int | None:
-    """64 guard bits past a box's width; None (exact) for a point."""
-    if width == 0:
-        return None
-    return 64 + max(0, width.denominator.bit_length() - width.numerator.bit_length())
+def _prec(zs) -> int | None:
+    """64 guard bits past the widest box's width, and past every exponent so
+    that boxes and their midpoints enter exactly; None (exact) when every
+    box is a point."""
+    ps = [64 + max(0, z.e + 1 - z._w().bit_length()) for z in zs if not z.is_point()]
+    return max(min(ps), 1 + max(z.e for z in zs)) if ps else None
 
 
-def _floor(x, prec):
-    return x if prec is None else (x.numerator << prec) // x.denominator
-
-
-def _ceil(x, prec):
-    return x if prec is None else -((-x.numerator << prec) // x.denominator)
-
-
-def _fix(z: Box, prec) -> tuple:
-    return _floor(z.re.lo, prec), _ceil(z.re.hi, prec), _floor(z.im.lo, prec), _ceil(z.im.hi, prec)
-
-
-def _unfix(m, prec) -> Box:
-    s = 1 if prec is None else 1 << prec
-    return Box(Iv(Fraction(m[0], s), Fraction(m[1], s)), Iv(Fraction(m[2], s), Fraction(m[3], s)))
+def _fixed(z: Box, prec):
+    """(mantissas, their scale, the shift back after a product) of z for the
+    kernel: at scale 2^prec, or exact."""
+    if prec is None:
+        return z.m, z.e, 0
+    return tuple(v << prec - z.e for v in z.m), prec, prec
 
 
 def _span(a, b, c, d):
@@ -155,7 +173,7 @@ def _span(a, b, c, d):
     return min(ps), max(ps)
 
 
-def _mul(x, y, prec):
+def _mul(x, y, shift):
     """x * y, each part summed exactly and then shifted back outward."""
     a, b, c, d = x
     e, f, g, h = y
@@ -163,17 +181,19 @@ def _mul(x, y, prec):
     il, ih = _span(c, d, g, h)
     sl, sh = _span(a, b, g, h)
     tl, th = _span(c, d, e, f)
-    if prec is None:
-        return rl - ih, rh - il, sl + tl, sh + th
-    return (rl - ih) >> prec, -((il - rh) >> prec), (sl + tl) >> prec, -((-sh - th) >> prec)
+    return (rl - ih) >> shift, -((il - rh) >> shift), (sl + tl) >> shift, -((-sh - th) >> shift)
 
 
-def _horner(coeffs, x, prec):
-    acc = (0, 0, 0, 0)
-    for c in reversed(coeffs):
-        a, b, lo, hi = _mul(acc, x, prec)
-        acc = a + _floor(c, prec), b + _ceil(c, prec), lo, hi
-    return acc
+def _horner(coeffs, x, e, shift):
+    """(mantissas, scale) of the integer polynomial coeffs at x, x at scale
+    2^e: fixed point when shift = e, exact when shift = 0."""
+    s, c = shift, coeffs[-1]
+    acc = (c << s, c << s, 0, 0)
+    for c in reversed(coeffs[:-1]):
+        a, b, lo, hi = _mul(acc, x, shift)
+        s += e - shift
+        acc = a + (c << s), b + (c << s), lo, hi
+    return acc, s
 
 
 def _sq(a, b):
@@ -188,36 +208,41 @@ def _div(lo, hi, nlo, nhi, prec):
 
 
 def poly_eval_box(coeffs, z: Box) -> Box:
-    """Horner enclosure of a rational-coefficient polynomial on a box."""
-    prec = _prec(z.width())
-    return _unfix(_horner(coeffs, _fix(z, prec), prec), prec)
+    """Horner enclosure of an integer polynomial on a box; exact at a point."""
+    return Box(*_horner(coeffs, *_fixed(z, _prec([z]))))
 
 
 def newton_step(p, dp, z: Box) -> Box | None:
     """A box around the interval-Newton image m - p(m) / p'(z) of a box z of
-    positive width, m its midpoint; None if p'(z) may vanish."""
-    prec = _prec(z.width())
-    d = _horner(dp, _fix(z, prec), prec)
+    positive width, m its midpoint, for integer p; None if p'(z) may
+    vanish."""
+    prec = _prec([z])
+    d, _ = _horner(dp, *_fixed(z, prec))
     if d[0] <= 0 <= d[1] and d[2] <= 0 <= d[3]:
         return None
-    m = _fix(z.mid(), prec)
+    rl, rh, il, ih = z.m
+    m = tuple(v << prec - z.e - 1 for v in (rl + rh, rl + rh, il + ih, il + ih))
     # p(m) / d = p(m) conj(d) / |d|^2, both at scale 2^(2 prec)
-    g = _mul(_horner(p, m, prec), (d[0], d[1], -d[3], -d[2]), 0)
+    g = _mul(_horner(p, m, prec, prec)[0], (d[0], d[1], -d[3], -d[2]), 0)
     n = [a + b for a, b in zip(_sq(d[0], d[1]), _sq(d[2], d[3]))]
     q = _div(g[0], g[1], *n, prec) + _div(g[2], g[3], *n, prec)
-    return _unfix((m[0] - q[1], m[1] - q[0], m[2] - q[3], m[3] - q[2]), prec)
+    return Box((m[0] - q[1], m[1] - q[0], m[2] - q[3], m[3] - q[2]), prec)
 
 
 def root_product(zs) -> list:
-    """Ascending coefficient boxes of prod (x - z) over the boxes zs."""
-    prec = _prec(max(z.width() for z in zs))
-    cs = [_fix(Box.point(1), prec)]
+    """Ascending coefficient boxes of prod (x - z) over the boxes zs; exact
+    when every box is a point."""
+    prec = _prec(zs)
+    s = prec or 0
+    cs = [(1 << s, 1 << s, 0, 0)]
     for z in zs:
-        x = _fix(z, prec)
-        prods = [_mul(c, x, prec) for c in cs]
+        x, e, shift = _fixed(z, prec)
+        k = e - shift  # the growth of the scale, 0 in fixed point
+        prods = [_mul(c, x, shift) for c in cs]
         # (x - z) * sum c_k x^k: new c_k = c_(k-1) - z c_k
         cs = [
-            (a[0] - b[1], a[1] - b[0], a[2] - b[3], a[3] - b[2])
+            ((a[0] << k) - b[1], (a[1] << k) - b[0], (a[2] << k) - b[3], (a[3] << k) - b[2])
             for a, b in zip([(0, 0, 0, 0)] + cs, prods + [(0, 0, 0, 0)])
         ]
-    return [_unfix(c, prec) for c in cs]
+        s += k
+    return [Box(c, s) for c in cs]

@@ -39,7 +39,6 @@ from .numfield import (
     FieldElement,
     NumberField,
     _powers,
-    exact_sign,
     exact_sign_imag,
     rationals,
     trace_q,
@@ -172,13 +171,14 @@ class CmInput:
             self.check_beta(self.beta)
 
     def check_beta(self, beta: FieldElement) -> None:
+        """conj(beta) = -beta and Im sigma_j(beta) > 0 on Phi, with conj complex
+        conjugation (`conj_fault`; this check is also made without `validate`),
+        so each sigma(beta) is nonzero and imaginary: -beta^2 is totally positive."""
         k = self.field
         if not (k.conj(beta) + beta).is_zero():
             raise BetaNotAdmissible("conj(beta) != -beta")
-        mb2 = -(beta * beta)
-        for emb in k.embeddings():
-            if exact_sign(mb2, emb) != 1:
-                raise BetaNotAdmissible("-beta^2 is not totally positive")
+        if k.conj_fault is not None:
+            raise BetaNotAdmissible("conj is not complex conjugation")
         for idx in self.phi:
             if exact_sign_imag(beta, k.embeddings()[idx - 1]) != 1:
                 raise BetaNotAdmissible("Im sigma_j(beta) <= 0 on Phi")
@@ -288,9 +288,10 @@ def cm_torus(inp: CmInput):
     E_kl = Tr(beta a_k conj(a_l)) is the Riemann form; G_kl =
     Tr(-beta^2 a_k conj(a_l)) the rational Kahler metric; I is the
     multiplication-by-i matrix from the period construction.  The input
-    checks (conj(beta) = -beta, -beta^2 totally positive) make E
-    antisymmetric and G = E M_beta symmetric, positive definite and, with E,
-    I-compatible, so none of these is checked again here.
+    checks (conj is complex conjugation and conj(beta) = -beta, so -beta^2
+    is totally positive) make E antisymmetric and G = E M_beta symmetric,
+    positive definite and, with E, I-compatible, so none of these is
+    checked again here.
     """
     inp.validate()
     if inp.beta is None:

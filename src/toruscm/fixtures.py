@@ -81,8 +81,7 @@ def zeta5_cm_input() -> CmInput:
 def _embedding_near(k: NumberField, re: float, im: float) -> int:
     best = None
     for e in k.embeddings(Fraction(1, 1 << 20)):
-        b = e.enclosure()
-        dist = abs(complex(b.re.mid()) + 1j * complex(b.im.mid()) - (re + 1j * im))
+        dist = abs(e.enclosure().approx() - (re + 1j * im))
         if best is None or dist < best[0]:
             best = (dist, e.index)
     return best[1]

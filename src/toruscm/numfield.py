@@ -452,7 +452,9 @@ class FieldElement:
         return self.field.conj(self)
 
     def enclosure(self, emb: Embedding, width=None) -> Box:
-        return poly_eval_box(self.coords, emb.enclosure(width))
+        """sigma(x): num on the root's box, over den once at the precision of
+        `width`, so a value at an exact-point root still tightens."""
+        return poly_eval_box(self.num, emb.enclosure(width)).over(self.den, width)
 
     def __repr__(self):
         return f"FieldElement({[str(c) for c in self.coords]})"

@@ -13,10 +13,10 @@ Horner; variations count a zero as half (Eisermann, Amer. Math. Monthly 119
 squarefree polynomial, and is the one place that decides which root a value
 is (`locate`) and whether a polynomial vanishes at a root (`vanishes_at`).
 Real roots: Sturm counts, then Newton cuts, bisecting by signs where Newton
-fails.  Complex roots: interval Newton on dyadic boxes seeded by
-Durand-Kerner, or else exact counts (`_root_count`, the argument principle
-on one Sturm chain per line x = const or y = const, kept per `RootSet`, so a
-cut costs one new chain).  Boxes are evaluated in outward-rounded fixed point
+fails.  Complex roots: interval Newton seeded by Durand-Kerner, or else
+exact counts (`_root_count`, the argument principle on one Sturm chain per
+line x = const or y = const, kept per `RootSet`, so a cut costs one new
+chain).  Boxes are dyadic and evaluated in outward-rounded fixed point
 (:mod:`toruscm.boxes`); floats only pick where to *try* a certificate.
 `_factor_at` certifies the irreducible factor at a root, trying unions of
 conjugation orbits in ascending size.  The loops that wait for a certificate
@@ -24,16 +24,22 @@ or a width raise `NotConverged` after `MAX_ROUNDS` rounds; exact subdivision,
 real isolation and the separation of overlapping boxes raise it past
 Mahler's root separation bound (`_gap`).  Refinement leaves an exact-point
 box as it is.
+
+Boxes are made dyadic here, never rounded afterwards, which could let a
+neighbouring root in: isolation cuts [-2^k, 2^k] at midpoints, or beside a
+midpoint that is a root, and `_cut` at d + 1 dyadic fractions in [1/4, 1/2].
+A root is an exact point only at a dyadic value (an integer, for a monic
+minpoly); another rational root is held by shrinking boxes, as an
+irrational one is, and `_certify` and `vanishes_at` decide it without one.
 """
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from fractions import Fraction
 
-from .boxes import Box, Iv, newton_step, poly_eval_box, root_product
+from .boxes import Box, newton_step, poly_eval_box, root_product
 
 
 class NotConverged(ArithmeticError):
@@ -44,6 +50,10 @@ class NotConverged(ArithmeticError):
 # rounds of a refine-and-retry loop before it gives up; each round at least
 # halves a box or an enclosure width
 MAX_ROUNDS = 400
+
+# the width below which real boxes are built, and the width to which a
+# certified complex box is refined once and `locate` first asks for
+REAL_WIDTH, SEED_WIDTH = Fraction(1, 1 << 8), Fraction(1, 1 << 16)
 
 # ---------------------------------------------------------------------------
 # Polynomials: the rational boundary and the integer core
@@ -105,21 +115,21 @@ def is_squarefree(p) -> bool:
     return degree(pgcd(p, pderiv(p))) == 0
 
 
-def cauchy_bound(p) -> Fraction:
-    """All complex roots have modulus < this bound."""
+def cauchy_bound(p) -> int:
+    """The power of two at or above Cauchy's bound 1 + max |c_i| / |c_n|
+    for the integer p: all complex roots have modulus below it."""
     if degree(p) < 1:
         raise ValueError("need degree >= 1")
-    return 1 + Fraction(max(abs(c) for c in p[:-1])) / abs(p[-1])
+    return 1 << (-(-max(abs(c) for c in p[:-1]) // abs(p[-1]))).bit_length()
 
 
-def _sign(f, x) -> int:
-    """Sign of the integer polynomial f at the rational x = a/b: the sign of
-    b^n f(a/b), by homogeneous Horner on integers."""
-    a, b = x.numerator, x.denominator
-    acc, bk = 0, 1
+def _sign(f, a, q=1) -> int:
+    """Sign of the integer polynomial f at a/q, q > 0: the sign of
+    q^n f(a/q), by homogeneous Horner on integers."""
+    acc, qk = 0, 1
     for c in reversed(f):
-        acc = acc * a + c * bk
-        bk *= b
+        acc = acc * a + c * qk
+        qk *= q
     return (acc > 0) - (acc < 0)
 
 
@@ -133,47 +143,61 @@ def sturm_chain(p, q=None):
     return chain[:-1]
 
 
-def variations(chain, x) -> int:
-    """Twice the sign variations of the chain at x, a zero counting half: the
-    drop from a to b is twice the Cauchy index of q/p on [a, b] for the chain
-    of (p, q), an endpoint at a root of p counting half (Eisermann 2012)."""
-    signs = [_sign(f, x) for f in chain]
-    return sum(abs(a - b) for a, b in zip(signs, signs[1:]))
+def variations(chain, a, q=1) -> int:
+    """Twice the sign variations of the chain at a/q, a zero counting half:
+    the drop from x to y is twice the Cauchy index of g/f on [x, y] for the
+    chain of (f, g), an endpoint at a root of f counting half (Eisermann
+    2012)."""
+    signs = [_sign(f, a, q) for f in chain]
+    return sum(abs(s - t) for s, t in zip(signs, signs[1:]))
 
 
-def count_roots(chain, a, b) -> int:
-    """Number of distinct real roots in (a, b), for a and b not roots."""
-    return (variations(chain, a) - variations(chain, b)) // 2
+def count_roots(chain, a, b, q=1) -> int:
+    """Number of distinct real roots in (a/q, b/q), for ends not roots."""
+    return (variations(chain, a, q) - variations(chain, b, q)) // 2
 
 
 def isolate_real_roots(p):
-    """Disjoint isolating intervals (a, b], one simple real root each and no
-    end a root.  p must be squarefree: the chain ends in gcd(p, p')."""
+    """Ascending real boxes (a, b] / 2^e, one simple real root each and no
+    end a root: the Cauchy interval cut at midpoints m, or at m + (b - a) /
+    2^j where m is a root.  p must be squarefree: the chain ends in
+    gcd(p, p')."""
     chain = sturm_chain(p)
     if degree(chain[-1]) > 0:
         raise ValueError("polynomial must be squarefree")
-    p = chain[0]
-    bound, gap = cauchy_bound(p), _gap(p)
-    out = []
+    p, bound = chain[0], cauchy_bound(chain[0])
 
-    def rec(a, b, n):
-        if n == 0:
-            return
+    def cut(box):
+        a, b = box.m[:2]
+        j, m = 1, a + b  # the midpoint, at 2^-(e + j)
+        while _sign(p, m, 1 << box.e + j) == 0:  # cut beside a root, not at it
+            j += 1
+            m = ((a + b) << j - 1) + b - a
+        a, b, e = a << j, b << j, box.e + j
+        return Box((a, m, 0, 0), e), Box((m, b, 0, 0), e), count_roots(chain, a, m, 1 << e)
+
+    return _split(Box((-bound, bound, 0, 0), 0), count_roots(chain, -bound, bound), _gap(p), cut)
+
+
+def _split(box, n, gap, cut):
+    """Boxes holding one root each, in (re, im) order: the parts of `box`,
+    which holds n roots, under repeated `cut(part)` = (low, high, count of
+    low).  With `gap` < sep(p) / 2 a part narrower than `gap` holds at most
+    one root; a count that says otherwise is wrong and raises
+    `NotConverged`, as does a cut whose counts do not add up."""
+    found, queue = [], [(box, n)] if n else []
+    while queue:
+        box, n = queue.pop()
         if n == 1:
-            out.append((a, b))
-            return
-        if b - a < gap:  # it holds at most one root
-            raise NotConverged("an interval narrower than the root separation counts several roots")
-        m, k = (a + b) / 2, 3
-        while _sign(p, m) == 0:  # cut at a point that is not a root
-            m, k = a + (b - a) / k, k + 2
-        nl = count_roots(chain, a, m)
-        rec(a, m, nl)
-        rec(m, b, n - nl)
-
-    rec(-bound, bound, count_roots(chain, -bound, bound))
-    out.sort()
-    return out
+            found.append(box)
+            continue
+        if box.narrower(gap):
+            raise NotConverged("a box narrower than the root separation counts several roots")
+        low, high, k = cut(box)
+        if k is None or not 0 <= k <= n:
+            raise NotConverged("the counts of a cut do not add up")
+        queue += [(h, c) for h, c in ((low, k), (high, n - k)) if c]
+    return sorted(found, key=lambda b: (b.re.mid(), b.im.mid()))
 
 
 # ---------------------------------------------------------------------------
@@ -181,14 +205,13 @@ def isolate_real_roots(p):
 
 
 def _durand_kerner(p, iters=400):
-    """Float approximations to all roots of a squarefree polynomial, or None
-    when the coefficients overflow floats (exact subdivision takes over)."""
+    """Float approximations to all roots of a squarefree integer polynomial,
+    or None when its coefficients overflow floats (exact subdivision takes
+    over); a ratio of finite integer coefficients is finite."""
     d = degree(p)
     try:
         cs = [complex(c) / complex(p[-1]) for c in p]
-        if not all(cmath.isfinite(x) for x in cs):
-            return None
-    except (OverflowError, ValueError):
+    except OverflowError:
         return None
     zs = [(0.4 + 0.9j) ** k for k in range(1, d + 1)]
     for _ in range(iters):
@@ -209,7 +232,7 @@ def _durand_kerner(p, iters=400):
 def _certify(p, dp, box: Box) -> Box | None:
     """Interval-Newton proof that box contains exactly one root of p: the
     Newton image, inside the box and holding that root, or None."""
-    if box.width() == 0:  # an exact point, evaluated exactly
+    if box.is_point():  # a dyadic point, evaluated exactly
         return box if poly_eval_box(p, box).contains_zero() else None
     n = newton_step(p, dp, box)
     return n if n is not None and n.inside(box) else None
@@ -220,57 +243,52 @@ def _newton_cut(p, dp, box: Box) -> Box | None:
     it is at most 3/4 as wide (clipped to the box, so no neighbour gets in)."""
     n = newton_step(p, dp, box)
     cut = None if n is None else n.intersect(box)
-    return cut if cut is not None and cut.width() <= box.width() * Fraction(3, 4) else None
-
-
-def _refine_certified(p, dp, box: Box, width: Fraction, lines) -> Box:
-    """Shrink a box holding one root of p below `width` (Newton with
-    bisection fallback)."""
-    while box.width() >= width:
-        box = _newton_cut(p, dp, box) or _bisect_certified(p, dp, box, lines)
-    return box
+    return cut if cut is not None and cut.within(box, 3, 4) else None
 
 
 def _bisect_certified(p, dp, box: Box, lines=None) -> Box:
     """A strict half of a box holding one root of p that keeps the root: a
     half of the midpoint cut that interval Newton certifies, else the half
     that the exact count gives the root."""
-    for h in _halves(box, Fraction(1, 2)):
+    for h in _halves(box, 1, 1):
         if _certify(p, dp, h) is not None:
             return h
     low, high, n = _cut(p, box, lines)
     return high if n == 0 else low
 
 
-def _halves(box: Box, frac: Fraction) -> tuple[Box, Box]:
-    """The two parts of a box cut across its wider side at `frac` of it."""
-    if box.re.width() >= box.im.width():
-        m = box.re.lo + box.re.width() * frac
-        return Box(Iv(box.re.lo, m), box.im), Box(Iv(m, box.re.hi), box.im)
-    m = box.im.lo + box.im.width() * frac
-    return Box(box.re, Iv(box.im.lo, m)), Box(box.re, Iv(m, box.im.hi))
+def _halves(box: Box, num: int, s: int) -> tuple[Box, Box]:
+    """The two parts of a box cut across its wider side at num / 2^s of it."""
+    a, b, c, d = (x << s for x in box.m)
+    e = box.e + s
+    if b - a >= d - c:
+        x = a + ((b - a) >> s) * num
+        return Box((a, x, c, d), e), Box((x, b, c, d), e)
+    y = c + ((d - c) >> s) * num
+    return Box((a, b, c, y), e), Box((a, b, y, d), e)
 
 
 def _cut(p, box: Box, lines=None):
-    """(low, high, count of low) for the first cut at k/(2k + 1), k = 1 ..
-    d + 1, with no root on low's boundary.  One of these d + 1 lines misses
-    the d roots, so the count is None only when a root lies on the part of
-    the box's boundary that every low part shares (and keeps)."""
-    for k in range(1, degree(p) + 2):
-        low, high = _halves(box, Fraction(k, 2 * k + 1))
+    """(low, high, count of low) for the first cut at (2^(s-1) - j) / 2^s,
+    j = 0 .. d, 2^s > 4d, with no root on low's boundary.  One of these
+    d + 1 lines in [1/4, 1/2] misses the d roots, so the count is None only
+    when a root lies on the part of the box's boundary that every low part
+    shares (and keeps)."""
+    s = degree(p).bit_length() + 2
+    for j in range(degree(p) + 1):
+        low, high = _halves(box, (1 << s - 1) - j, s)
         n = _root_count(p, low, lines)
         if n is not None:
             break
     return low, high, n
 
 
-def _line(p, lines, vertical, c):
+def _line(p, lines, vertical, a, q):
     """The Sturm chains of (U, V) and of gcd(U, V) on a line, kept in
     `lines`: U + iV is q^n p(c + iy) on x = c (vertical) or q^n p(x + ic) on
-    y = c, q the denominator of c, so U and V are integer polynomials."""
-    key = (vertical, c)
+    y = c, c = a/q in lowest terms, so U and V are integer polynomials."""
+    key = (vertical, a, q)
     if key not in lines:
-        a, q = c.numerator, c.denominator
         u, v, qk = [], [], 1
         for coef in reversed(p):  # Horner: (u + iv) z + coef q^k
             if vertical:  # z = a + i q y
@@ -302,58 +320,78 @@ def _root_count(p, box: Box, lines=None) -> int | None:
     kept in `lines`); a root on an edge is a root of gcd(U, V) there."""
     p = _primitive(p)
     lines = {} if lines is None else lines
-    re, im = box.re, box.im
+    rl, rh, il, ih = box.m
+    q = 1 << box.e
     index = 0
-    edges = (
-        (False, im.lo, re.lo, re.hi),
-        (True, re.hi, im.lo, im.hi),
-        (False, im.hi, re.hi, re.lo),
-        (True, re.lo, im.hi, im.lo),
-    )
+    edges = ((False, il, rl, rh), (True, rh, il, ih), (False, ih, rh, rl), (True, rl, ih, il))
     for vertical, c, start, end in edges:
-        chain, gcd = _line(p, lines, vertical, c)
-        if variations(gcd, start) != variations(gcd, end):
+        k = min(box.e, (c & -c).bit_length() - 1) if c else box.e  # c / q in lowest terms
+        chain, gcd = _line(p, lines, vertical, c >> k, q >> k)
+        if variations(gcd, start, q) != variations(gcd, end, q):
             return None
-        index += variations(chain, start) - variations(chain, end)
+        index += variations(chain, start, q) - variations(chain, end, q)
     return -index // 4  # `variations` counts twice
 
 
 def _refine_box_once(p, dp, box: Box, lines=None) -> Box:
-    if box.width() == 0:
+    """A part of a box holding one root of p: a Newton cut or an exact sign
+    bisection for a real box, at most half as wide for a complex one."""
+    if box.is_point():
         return box  # an exact point cannot shrink further
     # Newton first (a real box has a real image); real boxes fall back to an
     # exact sign bisection, so they never need a Sturm chain after isolation
-    if box.im.lo == box.im.hi == 0:
+    if box.m[2] == box.m[3] == 0:
         return _newton_cut(p, dp, box) or _bisect_real(p, box)
-    return _refine_certified(p, dp, box, box.width() / 2, lines)
+    start = box
+    while not box.within(start, 1, 2):
+        box = _newton_cut(p, dp, box) or _bisect_certified(p, dp, box, lines)
+    return box
 
 
 def _bisect_real(p, box: Box) -> Box:
-    """Half of a real isolating box that keeps the root, by exact signs
-    (interval evaluation can allow zero on both halves near a close root)."""
-    lo, m = box.re.lo, box.re.mid()
-    at_lo, at_m = _sign(p, lo), _sign(p, m)
+    """A part at most 3/4 as wide of a real box holding one root, by exact
+    signs (interval evaluation can allow zero on both parts near a close
+    root): cut at the point of its middle half with the fewest bits, so a
+    dyadic root alone there, such as an integer, becomes an exact point."""
+    a, b = box.m[:2]
+    m, e = _coarsest(3 * a + b, a + 3 * b), box.e + 2
+    a, b = a << 2, b << 2
+    at_lo, at_m = _sign(p, a, 1 << e), _sign(p, m, 1 << e)
     if at_lo == 0 or at_m == 0:
-        return Box.point(lo if at_lo == 0 else m)
-    return Box(Iv(lo, m) if at_lo != at_m else Iv(m, box.re.hi), Iv.point(0))
+        m = a if at_lo == 0 else m
+        return Box((m, m, 0, 0), e)
+    return Box((a, m, 0, 0) if at_lo != at_m else (m, b, 0, 0), e)
+
+
+def _coarsest(lo, hi) -> int:
+    """The integer in [lo, hi] with the most trailing zeros."""
+    if lo <= 0 <= hi:
+        return 0
+    if hi < 0:
+        return -_coarsest(-hi, -lo)
+    k = (lo ^ hi).bit_length()  # lo and hi agree above bit k - 1
+    return lo if lo & ((1 << k) - 1) == 0 else hi >> k - 1 << k - 1
 
 
 def _min_separation(approx, reals):
-    pts = list(approx) + [z.conjugate() for z in approx]
-    pts += [complex(b.re.mid()) for b in reals]
+    pts = list(approx) + [z.conjugate() for z in approx] + [b.approx() for b in reals]
     return max(min([1.0] + [abs(a - b) for a, b in itertools.combinations(pts, 2)]), 1e-12)
 
 
 def _certify_around(p, dp, z: complex, sep: float, lines) -> Box | None:
     """A certified box around the float root z, on the dyadic grid: centre
-    rounded to 2^-48, radius the powers of two from the largest <= sep/3."""
-    re, im = (Fraction(round(Fraction(x) * (1 << 48)), 1 << 48) for x in (z.real, z.imag))
-    r = Fraction(2) ** (math.frexp(sep / 3)[1] - 1)
+    rounded to 2^-48, radius the powers of two 2^k from the largest <= sep/3,
+    refined below `SEED_WIDTH`."""
+    x, y = (round(c * (1 << 48)) << 16 for c in (z.real, z.imag))
+    k = math.frexp(sep / 3)[1] - 1  # -56 <= k < 0 below, as 1e-12 <= sep <= 1
     for _ in range(14):
-        n = _certify(p, dp, Box(Iv(re - r, re + r), Iv(im - r, im + r)))
+        r = 1 << 64 + k
+        n = _certify(p, dp, Box((x - r, x + r, y - r, y + r), 64))
         if n is not None:
-            return _refine_certified(p, dp, n, Fraction(1, 1 << 16), lines)
-        r /= 2
+            while not n.narrower(SEED_WIDTH):
+                n = _refine_box_once(p, dp, n, lines)
+            return n
+        k -= 1
     return None
 
 
@@ -368,33 +406,19 @@ def _gap(p) -> Fraction:
 def _subdivision_upper_roots(p, count, lines):
     """Boxes strictly above the real axis, one per root with Im > 0: the
     Cauchy box above a floor y > 0, once it counts all `count` upper roots,
-    split by counts.  With `gap` < sep(p) / 2, an upper root a has
-    Im a >= sep(p) / 2, so a floor below `gap` counts every upper root, and
-    a box narrower than `gap` holds at most one root; a count that says
-    otherwise is wrong and raises `NotConverged`, as does a cut whose counts
-    do not add up."""
+    split by counts (`_split`).  With `gap` < sep(p) / 2, an upper root a
+    has Im a >= sep(p) / 2, so a floor below `gap` counts every upper root;
+    a count that says otherwise is wrong and raises `NotConverged`."""
     bound, gap = cauchy_bound(p), _gap(p)
-    floor, n = bound, None
+    e, n = 0, None
     while n != count:
-        if floor < gap:
+        if Box((0, bound, 0, 0), e).narrower(gap):  # the floor bound / 2^e
             raise NotConverged("the upper roots are not all above the separation bound")
-        floor /= 2
-        top = Box(Iv(-bound, bound), Iv(floor, bound))
+        e += 1
+        top = Box((-bound << e, bound << e, bound, bound << e), e)
         n = _root_count(p, top, lines)
-    found, queue = [], [(top, count)]
-    while queue:
-        box, n = queue.pop()
-        if n == 1:
-            found.append(box)
-            continue
-        if box.width() < gap:
-            raise NotConverged("a box narrower than the root separation counts several roots")
-        low, high, k = _cut(p, box, lines)  # box's boundary holds no root: k is a count
-        if k is None or not 0 <= k <= n:
-            raise NotConverged("the counts of a cut do not add up")
-        queue += [(h, c) for h, c in ((low, k), (high, n - k)) if c]
-    found.sort(key=lambda b: (b.re.mid(), b.im.mid()))
-    return found
+    # a part's boundary holds no root, so `_cut` gives a count
+    return _split(top, count, gap, lambda box: _cut(p, box, lines))
 
 
 def _isolate_all_roots(p, dp, lines=None):
@@ -407,9 +431,8 @@ def _isolate_all_roots(p, dp, lines=None):
     """
     d = degree(p)
     reals = []
-    for a, b in isolate_real_roots(p):
-        box = Box(Iv(a, b), Iv.point(0))  # p changes sign across it: no end is a root
-        while box.width() >= Fraction(1, 1 << 8):
+    for box in isolate_real_roots(p):  # p changes sign across it: no end is a root
+        while not box.narrower(REAL_WIDTH):
             box = _refine_box_once(p, dp, box)
         reals.append(box)
     n_upper = (d - len(reals)) // 2
@@ -452,7 +475,7 @@ class RootSet:
         while overlaps := [
             (a, b) for a, b in itertools.combinations(self.boxes, 2) if not a.disjoint(b)
         ]:
-            if any(a.width() < gap and b.width() < gap for a, b in overlaps):
+            if any(a.narrower(gap) and b.narrower(gap) for a, b in overlaps):
                 raise NotConverged("two boxes narrower than the root separation overlap")
             for i in range(len(self.boxes)):
                 if self.conj(i) >= i:  # a real or upper box; its conjugate follows
@@ -473,15 +496,13 @@ class RootSet:
         box follows along."""
         box = self.boxes[i]
         for _ in range(MAX_ROUNDS):
-            if box.width() < width or box.width() == 0:
+            if box.is_point() or box.narrower(width):
                 break
             box = _refine_box_once(self.poly, self._dpoly, box, self._lines)
         else:
             raise NotConverged(f"root {i} was not refined below the width asked for")
         self.boxes[i] = box
-        j = self.conj(i)
-        if self.boxes[j].width() > box.width():
-            self.boxes[j] = box.conj()
+        self.boxes[self.conj(i)] = box.conj()  # a real box is its own conjugate
         return box
 
     def locate(self, value_encloser) -> int:
@@ -490,7 +511,7 @@ class RootSet:
         `value_encloser(width)` returns a Box around the value; the answer
         is the only root whose box meets it.
         """
-        width = Fraction(1, 1 << 16)
+        width = SEED_WIDTH
         for _ in range(MAX_ROUNDS):
             v = value_encloser(width)
             hits = [i for i, b in enumerate(self.boxes) if not b.disjoint(v)]
@@ -511,7 +532,8 @@ class RootSet:
             # squarefree self.poly, so g(root i) = 0 exactly when g changes
             # sign across [a, b] or vanishes at an end
             box = self.boxes[i]
-            return _sign(g, box.re.lo) * _sign(g, box.re.hi) <= 0
+            q = 1 << box.e
+            return _sign(g, box.m[0], q) * _sign(g, box.m[1], q) <= 0
         dg = pderiv(g)
         for _ in range(MAX_ROUNDS):
             box = self.boxes[i]
@@ -567,7 +589,7 @@ def _candidate_factor(roots: RootSet, subset, den_bound, target):
             # limit_denominator returns the closest bounded-denominator
             # rational, so a miss rules out every such rational in the box
             r = cbox.re.mid().limit_denominator(den_bound)
-            if not (cbox.im.contains_zero() and cbox.re.contains(r)):
+            if cbox.disjoint(Box.point(r)):  # r enters through the boundary
                 return None  # a factor has such rational coefficients
             cand.append(r)
         candidate = poly(cand + [Fraction(1)])

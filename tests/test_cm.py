@@ -128,6 +128,25 @@ def test_cm_torus_requires_admissible_beta():
         cm_torus(CmInput(k, basis, phi, -k.gen()))
 
 
+def test_check_beta_rejects_zero_by_the_phi_test():
+    # with conj complex conjugation, conj(beta) = -beta leaves only beta = 0
+    # short of -beta^2 totally positive, and the Phi test rejects it
+    k = make_field([1, 0, 1], conj_image=[0, -1])
+    inp = CmInput(k, [k.one(), k.gen()], [_embedding_near(k, 0.0, 1.0)])
+    with pytest.raises(BetaNotAdmissible, match="Phi"):
+        inp.check_beta(k.zero())
+    inp.check_beta(k.gen())
+
+
+def test_check_beta_alone_reads_the_conj_fault():
+    # on Q(sqrt 2), conj sqrt 2 -> -sqrt 2 is no complex conjugation and
+    # -sqrt(2)^2 < 0; check_beta raises without validate
+    k = make_field([-2, 0, 1], conj_image=[0, -1])
+    inp = CmInput(k, [k.one(), k.gen()], [])
+    with pytest.raises(BetaNotAdmissible, match="complex conjugation"):
+        inp.check_beta(k.gen())
+
+
 def test_find_beta_gaussian():
     k = make_field([1, 0, 1], conj_image=[0, -1])
     beta = find_beta(k, [k.one(), k.gen()], [_embedding_near(k, 0.0, 1.0)], 1)

@@ -8,7 +8,9 @@ saturation, the Sturm chains and the root counts never touch `Fraction`; a field
 matrix, never `polyq`; `cm` asks its Q-span questions through the one
 kernel, never by a rational solve;
 the one integer xgcd elimination is `_hnf`, modulo D too, and
-`valattice` reads the module count off the index, not a Smith form; every
+`valattice` reads the module count off the index, not a Smith form; the
+box kernel and the L0 refinement loop never touch `Fraction` outside the
+boundary `Box.of` and the readers; every
 function the benchmark traces is defined; and every dataclass that checks
 itself or caches derived data is frozen.
 
@@ -194,6 +196,40 @@ def test_sturm_chains_and_counts_never_touch_fraction():
         name
         for name in names
         for node in ast.walk(_function(polyq, name))
+        if (isinstance(node, ast.Name) and node.id == "Fraction")
+        or (isinstance(node, ast.Attribute) and node.attr == "Fraction")
+    ]
+    assert touching == []
+
+
+def test_box_kernel_and_refinement_loop_never_touch_fraction():
+    # a box is integer mantissas under one exponent: a Fraction enters at
+    # the one boundary `Box.of` and leaves through the readers that code
+    # outside L0 uses, and nowhere else in `boxes` or the refinement loop
+    boxes = _parse(SRC / "boxes.py")
+    polyq = _parse(SRC / "polyq.py")
+    box = next(n for n in boxes.body if isinstance(n, ast.ClassDef) and n.name == "Box")
+    # every method and property of Box but the boundary and the readers,
+    # and every function of the kernel
+    members = {
+        getattr(n, "name", None) or n.targets[0].id: n
+        for n in box.body
+        if isinstance(n, (ast.FunctionDef, ast.Assign))
+    }
+    boundary_and_readers = {"of", "lo", "hi", "mid", "width"}
+    bodies = {f"Box.{k}": n for k, n in members.items() if k not in boundary_and_readers}
+    bodies.update((f"boxes.{n.name}", n) for n in boxes.body if isinstance(n, ast.FunctionDef))
+    loop = ("_refine_box_once", "_newton_cut", "_bisect_certified", "_bisect_real")
+    loop += ("_halves", "_cut")
+    bodies.update((f"polyq.{name}", _function(polyq, name)) for name in loop)
+    for name in ("refine", "locate"):
+        bodies[f"RootSet.{name}"] = _function(polyq, name, "RootSet")
+    kernel = {"Box.__mul__", "Box.narrower", "boxes._horner", "boxes._mul", "boxes.newton_step"}
+    assert kernel | {"boxes.root_product", "boxes.poly_eval_box"} <= set(bodies)
+    touching = [
+        name
+        for name, body in bodies.items()
+        for node in ast.walk(body)
         if (isinstance(node, ast.Name) and node.id == "Fraction")
         or (isinstance(node, ast.Attribute) and node.attr == "Fraction")
     ]

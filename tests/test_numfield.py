@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from toruscm import numfield, polyq
-from toruscm.boxes import Box, Iv
+from toruscm.boxes import Box
 from toruscm.exactla import FieldMatrix
 from toruscm.numfield import (
     ConjNotAutomorphism,
@@ -137,7 +137,7 @@ def test_embedding_refinement_monotone():
     # still encloses a root: interval evaluation of the minpoly allows zero
     from toruscm.boxes import poly_eval_box
 
-    assert poly_eval_box(f.minpoly, e.enclosure()).contains_zero()
+    assert poly_eval_box(f.roots.poly, e.enclosure()).contains_zero()
 
 
 def test_exact_sign_zero():
@@ -342,7 +342,7 @@ def test_isolate_real_roots_rejects_a_square():
 def _point_encloser(v, widths):
     def enclose(width):
         widths.append(width)
-        return Box(Iv(v - width / 2, v + width / 2), Iv.point(0))
+        return Box.of(v - width / 2, v + width / 2)
 
     return enclose
 
@@ -361,7 +361,7 @@ def test_locate_refines_between_close_rational_roots():
 def test_locate_raises_not_converged_when_encloser_ignores_width():
     roots = RootSet([-2, 0, 1])
     with pytest.raises(NotConverged):
-        roots.locate(lambda width: Box(Iv.of(-2, 2), Iv.of(-1, 1)))
+        roots.locate(lambda width: Box.of(-2, 2, -1, 1))
 
 
 @pytest.mark.parametrize(
@@ -385,7 +385,8 @@ def test_vanishes_at(p, g, g_roots):
 def test_vanishes_at_exact_point_root():
     # x^2 - 1: the Sturm intervals (-2, 0] and (0, 2] have the roots -1 and 1
     # as midpoints, where the first Newton step lands exactly
-    assert polyq.isolate_real_roots(polyq.poly([-1, 0, 1])) == [(-2, 0), (0, 2)]
+    intervals = polyq.isolate_real_roots(polyq.poly([-1, 0, 1]))
+    assert [(b.re.lo, b.re.hi) for b in intervals] == [(-2, 0), (0, 2)]
     roots = RootSet([-1, 0, 1])
     for i in range(2):
         roots.refine(i, Fraction(1, 1 << 30))
@@ -405,7 +406,7 @@ def test_minpoly_factor_at_keeps_an_exact_point_root():
 
     def encloser(width):
         if width > Fraction(1, 1 << 32):
-            return Box(Iv.of(-100, 100), Iv.point(0))  # meets every root box
+            return Box.of(-100, 100)  # meets every root box
         return own.refine(0, width)  # -sqrt(c)
 
     assert minpoly_factor_at(mp, encloser) == quad
@@ -413,7 +414,7 @@ def test_minpoly_factor_at_keeps_an_exact_point_root():
     # beside the wide isolating interval of -sqrt(c): the rounds that reject
     # {-sqrt(c), 16} refine both boxes, and must leave the point alone
     roots = RootSet(mp)
-    roots.boxes[0] = Box(Iv(*polyq.isolate_real_roots(mp)[0]), Iv.point(0))
+    roots.boxes[0] = polyq.isolate_real_roots(mp)[0]
     roots.boxes[1] = Box.point(16)
     asked, refine = [], roots.refine
     roots.refine = lambda i, width: asked.append(i) or refine(i, width)
@@ -428,17 +429,17 @@ def test_bisect_certified_keeps_the_root_when_no_half_certifies():
     # x^2 + 2x + 2 has the root -1 + i; neither half of many of these
     # certified boxes certifies, and a half can allow 0 in its value box
     # without holding the root: the exact count must still pick a half
-    p, dp = polyq.poly([2, 2, 1]), polyq.poly([2, 2])
+    p, dp = (2, 2, 1), (2, 2)
 
     def keeps_root(box):
-        return box.re.contains(-1) and box.im.contains(1)
+        return box.re.lo <= -1 <= box.re.hi and box.im.lo <= 1 <= box.im.hi
 
-    boxes = [Box(Iv(Fraction(-31, 20), Fraction(-11, 20)), Iv(Fraction(1, 2), Fraction(3, 2)))]
+    boxes = [Box.of(Fraction(-31, 20), Fraction(-11, 20), Fraction(1, 2), Fraction(3, 2))]
     rng = random.Random(1)
     for _ in range(3000):
         x0, y0 = Fraction(rng.randint(-40, -1), 20), Fraction(rng.randint(0, 20), 20)
         dx, dy = Fraction(rng.randint(1, 30), 20), Fraction(rng.randint(1, 30), 20)
-        boxes.append(Box(Iv(x0, x0 + dx), Iv(y0, y0 + dy)))
+        boxes.append(Box.of(x0, x0 + dx, y0, y0 + dy))
     certified = [b for b in boxes if keeps_root(b) and _certify(p, dp, b)]
     assert certified[0] is boxes[0] and len(certified) > 10
     for box in certified:
@@ -482,9 +483,10 @@ def test_root_count_matches_known_roots_on_seeded_boxes():
         near = rng.choice(sorted(roots))
         x0, y0 = (c - Fraction(rng.randint(0, 6), rng.randint(1, 3)) for c in near)
         dx, dy = (Fraction(rng.randint(1, 12), rng.randint(1, 3)) for _ in range(2))
-        box = Box(Iv(x0, x0 + dx), Iv(y0, y0 + dy))
-        inside = sum(x0 < x < x0 + dx and y0 < y < y0 + dy for x, y in roots)
-        closed = sum(box.re.contains(x) and box.im.contains(y) for x, y in roots)
+        box = Box.of(x0, x0 + dx, y0, y0 + dy)
+        re, im = box.re, box.im
+        inside = sum(re.lo < x < re.hi and im.lo < y < im.hi for x, y in roots)
+        closed = sum(re.lo <= x <= re.hi and im.lo <= y <= im.hi for x, y in roots)
         if closed > inside:  # a root on the boundary
             on_boundary += 1
             assert _root_count(p, box) is None
@@ -499,13 +501,13 @@ def test_root_count_halves_a_box_with_a_zero_of_re_p_at_a_corner():
     # Re(z^2 + 1) = 0 at the corner 3/4 + 5/4 i; the count must still be
     # defined there, on the box and on every part that keeps the corner
     p = polyq.poly([1, 0, 1])
-    box = Box(Iv(Fraction(-1, 2), Fraction(3, 4)), Iv(Fraction(1, 2), Fraction(5, 4)))
+    box = Box.of(Fraction(-1, 2), Fraction(3, 4), Fraction(1, 2), Fraction(5, 4))
     assert _root_count(p, box) == 1
     for _ in range(40):
         low, high, n = _cut(p, box)
         assert n is not None and _is_strict_half(low, box)
         box = low if n else high
-        assert box.re.contains(0) and box.im.contains(1)
+        assert box.re.lo <= 0 <= box.re.hi and box.im.lo <= 1 <= box.im.hi
     assert box.width() < Fraction(1, 1 << 10)
 
 
@@ -537,7 +539,7 @@ def test_newton_certifies_every_complex_root_of_the_cm_fields(coeffs, monkeypatc
         return exact_counts(p, count, lines)
 
     monkeypatch.setattr(polyq, "_subdivision_upper_roots", counted)
-    p = polyq.poly(coeffs)
+    p = tuple(coeffs)
     reals, uppers = polyq._isolate_all_roots(p, polyq.pderiv(p))
     assert subdivisions == []
     assert len(reals) + 2 * len(uppers) == polyq.degree(p)
@@ -567,10 +569,10 @@ def _sympy_root_boxes(p, eps=_EPS):
         r = sympy.Rational(r)
         return Fraction(int(r.p), int(r.q))
 
-    out = [Box(Iv(q(a), q(b)), Iv.point(0)) for (a, b), _ in reals]
+    out = [Box.of(q(a), q(b)) for (a, b), _ in reals]
     for (c0, c1), _ in cplx:
         (x0, y0), (x1, y1) = (sympy.re(c0), sympy.im(c0)), (sympy.re(c1), sympy.im(c1))
-        out.append(Box(Iv(q(x0), q(x1)), Iv(q(y0), q(y1))))
+        out.append(Box.of(q(x0), q(x1), q(y0), q(y1)))
     return out
 
 
@@ -600,7 +602,7 @@ def test_rootset_boxes_match_sympy_isolation():
     def agree(p, width):
         roots = RootSet(p)
         for i in range(roots.nreal):  # as built: real boxes end below 2^-8
-            assert roots.boxes[i].im == Iv.point(0)
+            assert roots.boxes[i].im == Box.point(0).im
             assert roots.boxes[i].width() < Fraction(1, 1 << 8)
         oracle = _sympy_root_boxes(p, width)  # finer than the roots' spacing
         agree_boxes(roots, oracle)
@@ -645,6 +647,20 @@ def test_rootset_boxes_match_sympy_isolation():
     for k in (24, 30, 40):
         e = Fraction(1, 1 << k)
         agree(polyq.poly([1 + e, 0, 2 + e, 0, 1]), Fraction(1, 1 << (k + 8)))
+    # a rational root of denominator 3 has no point box and is held by
+    # shrinking dyadic boxes; a dyadic root may become a point; vanishes_at
+    # decides both as sympy's root boxes of each factor say
+    third = polyq.poly([-1, 3])
+    for factors in ([third, polyq.poly([-2, 0, 1])], [polyq.poly([-1, 2]), polyq.poly([1, 0, 1])]):
+        p = _product(factors)
+        agree(p, _EPS)
+        roots = RootSet(p)
+        for i in range(len(roots.boxes)):
+            target = roots.refine(i, _EPS)
+            for f in factors:
+                owns = any(not target.disjoint(r) for r in _sympy_root_boxes(f))
+                assert roots.vanishes_at(f, i) == owns
+        assert third not in factors or not any(b.is_point() for b in roots.boxes)
 
 
 def test_minpoly_factor_at_matches_sympy_factor_list():

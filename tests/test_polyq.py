@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from toruscm import fixtures, polyq
-from toruscm.boxes import Box, Iv
+from toruscm.boxes import Box
 from toruscm.cm import cm_torus
 from toruscm.polyq import RootSet, _line, _root_count, count_roots, sturm_chain
 
@@ -104,8 +104,8 @@ def test_line_chains_match_sympy():
         # half the lines pass through a root
         c = (x0 if vertical else y0) if rng.random() < 0.5 else _rational(rng, -8, 8)
         lines = {}
-        chain, gcd = _line(p, lines, vertical, c)
-        assert lines == {(vertical, c): (chain, gcd)}
+        chain, gcd = _line(p, lines, vertical, c.numerator, c.denominator)
+        assert lines == {(vertical, c.numerator, c.denominator): (chain, gcd)}
         z = _q(c) + sympy.I * t if vertical else t + sympy.I * _q(c)
         value = sympy.expand(sum(coef * z**k for k, coef in enumerate(p)))
         u, v = (sympy.Poly(part, t) for part in (sympy.re(value), sympy.im(value)))
@@ -135,7 +135,7 @@ def test_root_count_matches_sympy_on_seeded_boxes():
         lines = {}
         for _ in range(3):  # boxes of one polynomial share lines
             x0, y0 = _rational(rng, -6, 4), _rational(rng, -6, 4)
-            box = Box(Iv(x0, x0 + _rational(rng, 1, 8)), Iv(y0, y0 + _rational(rng, 1, 8)))
+            box = Box.of(x0, x0 + _rational(rng, 1, 8), y0, y0 + _rational(rng, 1, 8))
             n = _root_count(p, box, lines)
             closed = _sympy_poly(p, x).count_roots(
                 _q(box.re.lo) + sympy.I * _q(box.im.lo), _q(box.re.hi) + sympy.I * _q(box.im.hi)
@@ -225,12 +225,12 @@ def test_a_wrong_root_count_raises_at_the_separation_bound(shift, monkeypatch):
     assert time.monotonic() - start < 5
 
 
-def _numerator_sign(f, x):
-    """A faulty `_sign` that drops the denominator of x = a/b: the sign of
-    f(a) in place of b^n f(a/b)."""
+def _numerator_sign(f, a, q=1):
+    """A faulty `_sign` that drops the denominator q: the sign of f(a) in
+    place of q^n f(a/q)."""
     acc = 0
     for c in reversed(f):
-        acc = acc * x.numerator + c
+        acc = acc * a + c
     return (acc > 0) - (acc < 0)
 
 
