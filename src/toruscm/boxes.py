@@ -20,6 +20,7 @@ outward too.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -136,8 +137,16 @@ class Box:
         return Fraction(self._w(), 1 << self.e)
 
     def approx(self) -> complex:
+        """The midpoint in floats; a coordinate beyond float range is +-inf."""
         m, s = self.m, 2 << self.e
-        return complex((m[0] + m[1]) / s, (m[2] + m[3]) / s)
+        return complex(*(_float(a + b, s) for a, b in (m[:2], m[2:])))
+
+
+def _float(n: int, d: int) -> float:
+    try:
+        return n / d
+    except OverflowError:
+        return math.inf if n > 0 else -math.inf
 
 
 def _align(x: Box, y: Box):

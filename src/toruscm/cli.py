@@ -11,7 +11,6 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 
 from . import jsonio, mirror, valattice
 from .cm import cm_certificate, rational_kahler_search
@@ -312,9 +311,7 @@ def _cmd_va_commutator(args) -> int:
     f = lat.field
     h = _decode(args.h, lambda raw: [jsonio.decode_element(f, x) for x in raw])
     hp = _decode(args.hp, lambda raw: [jsonio.decode_element(f, x) for x in raw])
-    coeff = valattice.supercommutator(
-        lat, args.kind, h, Fraction(args.mode_a), hp, Fraction(args.mode_b)
-    )
+    coeff = valattice.supercommutator(lat, args.kind, h, args.mode_a, hp, args.mode_b)
     report = {
         "coefficient": jsonio.encode_rational(coeff.as_rational())
         if coeff.is_rational()

@@ -4,14 +4,15 @@ checks, and the simplicity criterion.
 
 The complex structure I of C^g / Phi(O) is R^-1 D R, where R holds the
 images sigma_j(a) of the basis for j in Phi and their complex conjugates,
-and D = diag(i, .., i, -i, .., -i).  It is computed exactly over the number
-field L = Q(sigma(K), i), built from a primitive element of K[y]/(y^2 + 1)
-and the factor of its minimal polynomial that vanishes at the base
-embedding; L is a field whether or not i lies in K.  The real values of I
-are then expressed in F = Q(entries) by their coordinates in the power span
-of a generator, and F's embedding is certified real.  Every decision is
-exact; enclosures only pick which root or embedding a value is.  Every
-Q-span question is one `kernel_rows` call, through `_coordinates`.
+and D = diag(i, .., i, -i, .., -i) = i S; so I = i N, N = R^-1 S R solved
+once over K.  Only i N goes into L = Q(sigma(K), i), built from a primitive
+element of K[y]/(y^2 + 1) and the factor of its minimal polynomial that
+vanishes at the base embedding; L is a field whether or not i lies in K.
+The real values of I are then expressed in F = Q(entries) by their
+coordinates in the power span of a generator, and F's embedding is
+certified real.  Every decision is exact; enclosures only pick which root
+or embedding a value is.  Every Q-span question is one `kernel_rows` call,
+through `_coordinates`.
 
 The certificate searches End^0(T), which each torus computes once
 (`ComplexTorusData.end`); it and the metric search share one seeded search.
@@ -328,15 +329,14 @@ def cm_torus(inp: CmInput):
     if len(auto_by_emb) != d:
         raise UnsupportedField("automorphisms do not separate the embeddings")
 
-    # rows sigma_j(a) for j in Phi, then their complex conjugates, in L;
-    # I = R^-1 D R with D = diag(i, .., i, -i, .., -i)
+    # R's rows sigma_j(a), j in Phi, then their conjugates, over K (read at the
+    # base embedding); I = R^-1 D R = i N with N = R^-1 S R, S = diag(1, -1)
+    rows = [[k.evaluate(a.coords, auto_by_emb[idx]) for a in inp.basis] for idx in inp.phi]
+    rows += [[k.conj(x) for x in row] for row in rows]
+    sr = [[x if n < g else -x for x in row] for n, row in enumerate(rows)]
+    n_k = FieldMatrix(k, rows).solve(FieldMatrix(k, sr))
     lf, lemb, gen_l, i_l = _value_field(base)
-    images = [[k.evaluate(a.coords, auto_by_emb[idx]) for a in inp.basis] for idx in inp.phi]
-    images += [[k.conj(x) for x in row] for row in images]
-    r = FieldMatrix(lf, [[lf.evaluate(x.coords, gen_l) for x in row] for row in images])
-    dr = FieldMatrix(lf, [[x * (i_l if n < g else -i_l) for x in r.row(n)] for n in range(d)])
-    i_l_mat = r.solve(dr)
-    flat = [e for row in i_l_mat.entries for e in row]
+    flat = [lf.evaluate(x.coords, gen_l) * i_l for row in n_k.entries for x in row]
     f, femb, values = _real_value_field(lemb, flat)
     i_f = FieldMatrix(f, [[values[i * d + j] for j in range(d)] for i in range(d)])
     return ComplexTorusData(g, f, i_f, femb), e_m, g_m

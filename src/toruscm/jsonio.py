@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from .cm import CmInput, check_polarization
 from .exactla import FieldMatrix
-from .numfield import FieldElement, NumberField, make_field, require_irreducible
+from .numfield import FieldElement, NumberField, _rational_pair, make_field, require_irreducible
 from .torus import ComplexTorusData, KahlerData
 
 
@@ -19,11 +19,8 @@ def encode_rational(x) -> str:
 
 
 def decode_rational(raw) -> Fraction:
-    if isinstance(raw, str):
-        return Fraction(raw)
-    if isinstance(raw, int) and not isinstance(raw, bool):  # JSON true is no number
-        return Fraction(raw)
-    raise ValueError(f"not a rational encoding: {raw!r}")
+    """A JSON integer or string, read by `numfield._rational_pair`."""
+    return Fraction(*_rational_pair(raw))
 
 
 def decode_int(raw) -> int:
@@ -41,11 +38,7 @@ def encode_field(f: NumberField) -> dict:
 
 
 def decode_field(doc: dict) -> NumberField:
-    conj = doc.get("conj")
-    return make_field(
-        [decode_rational(c) for c in doc["minpoly"]],
-        [decode_rational(c) for c in conj] if conj is not None else None,
-    )
+    return make_field(doc["minpoly"], doc.get("conj"))
 
 
 def encode_element(e: FieldElement) -> list:

@@ -19,6 +19,7 @@ from .torus import (
     KahlerData,
     ij_rational,
     induce_gks,
+    q_matrix,
 )
 
 
@@ -55,17 +56,13 @@ class MirrorMap:
         return row_lattice_index(self.phi, len(self.phi)) == 1
 
     def q_compatible(self) -> bool:
-        """phi^T q phi = q on the integer rows: with h = n/2, entry (i, j) of
-        phi^T q phi is -sum_k (phi[k][i] phi[k+h][j] + phi[k+h][i] phi[k][j])."""
+        """phi^T q phi = q over Q, with q from `torus.q_matrix`; False when
+        phi is not square of even size."""
         n = len(self.phi)
-        h = n // 2
-        cols = list(zip(*self.phi))
-        return len(cols) == n == 2 * h and all(
-            -sum(ci[k] * cj[k + h] + ci[k + h] * cj[k] for k in range(h))
-            == (-1 if abs(i - j) == h else 0)
-            for i, ci in enumerate(cols)
-            for j, cj in enumerate(cols)
-        )
+        if n % 2 or any(len(r) != n for r in self.phi):
+            return False
+        phi, q = self.as_field_matrix(rationals()), q_matrix(rationals(), n // 2)
+        return phi.transpose() * q * phi == q
 
 
 @dataclass(frozen=True)
@@ -153,8 +150,7 @@ def construct_mirror(a_m: FieldMatrix, rho_rows, embedding=None) -> MirrorPair:
         a_inv = a_m.inverse()
     except Singular:
         raise Singular("A is singular")
-    rho = rho_q.lift(fld)
-    rho_inv = rho.inverse()
+    rho, rho_inv = rho_q.lift(fld), rho_q.inverse().lift(fld)
     zero = FieldMatrix.zeros(fld, g, g)
 
     left_t = ComplexTorusData(
@@ -248,7 +244,7 @@ def verify_isogeny_certificate(
     is then an isogeny)."""
     if t.field != t_prime.field:
         raise DimensionMismatch("tori live over different fields")
-    gamma = gamma.lift(t.field) if gamma.field != t.field else gamma
+    gamma = gamma.lift(t.field)
     try:
         gamma.inverse()
     except Singular:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactla import FieldMatrix, rational_kernel, saturate_integer_solutions
-from .numfield import FieldElement
+from .numfield import FieldElement, _rational_pair
 from .torus import ComplexTorusData, KahlerData, q_matrix
 
 
@@ -109,7 +109,8 @@ def _as_column(lat: PairingLattice, h) -> FieldMatrix:
 
 
 def supercommutator(lat: PairingLattice, kind: str, h, mode_a, hp, mode_b) -> FieldElement:
-    """Structure constants of the mode algebra.
+    """Structure constants of the mode algebra; a mode is an int, a
+    Fraction or a rational string, read by `numfield._rational_pair`.
 
     Bosonic: [h_n, h'_m] = n delta_{n,-m} q(h, h') with the sign flipped on
     the zbar side; fermionic: {f_r, f'_s} = delta_{r,-s} q(f, f'), same
@@ -117,7 +118,7 @@ def supercommutator(lat: PairingLattice, kind: str, h, mode_a, hp, mode_b) -> Fi
     """
     if kind not in ("boson", "fermion"):
         raise ValueError("kind must be 'boson' or 'fermion'")
-    ma, mb = Fraction(mode_a), Fraction(mode_b)
+    ma, mb = (Fraction(*_rational_pair(m)) for m in (mode_a, mode_b))
     for m in (ma, mb):
         if kind == "boson" and m.denominator != 1:
             raise ModeParityMismatch("bosonic modes must be integers")

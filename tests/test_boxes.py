@@ -3,6 +3,7 @@ every enclosure holds the exact value and lands on the dyadic grid, and a
 dyadic point is evaluated exactly.  Rational boxes enter through `Box.of`,
 which rounds non-dyadic ends outward."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -166,3 +167,14 @@ def test_root_product_encloses_the_exact_coefficients():
         assert exact_points == [Box.point(*c) for c in _product(grid)]
 
     check()
+
+
+def test_approx_reads_a_midpoint_beyond_float_range_as_inf():
+    # roots +-10^200 i are in float range, but exact subdivision may leave
+    # one of them a box as wide as the Cauchy bound
+    from toruscm.numfield import make_field
+
+    z = polyq.RootSet((10**400, 0, 1)).boxes[0].approx()
+    assert math.isinf(abs(z))
+    assert "inf" in repr(make_field([10**400, 0, 1]).embeddings()[0])
+    assert Box.of(-(10**400), -(10**400), 1, 1).approx() == complex(-math.inf, 1)

@@ -3,13 +3,14 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from toruscm import fixtures, jsonio, torus
+from toruscm import fixtures, jsonio, torus, valattice
 from toruscm.cli import run
 from toruscm.exactla import FieldMatrix
-from toruscm.numfield import rationals
+from toruscm.numfield import make_field, rationals
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -599,3 +600,88 @@ def test_one_process_runs_each_argv_as_a_fresh_process_does(capsys, fixture_dir,
     for argv in (fail, succeed, fail):
         assert invoke(capsys, argv) == _run_in_fresh_process(argv), argv
     assert invoke(capsys, fail)[0] == 2 and invoke(capsys, succeed)[0] == 0
+
+
+# One table of spellings for every rational read from outside the library,
+# (spelling, value) with value None where the spelling is refused: a string
+# in Fraction's syntax or a JSON integer; floats, bools and null are refused.
+RATIONAL_SPELLINGS = [
+    ("3", 3),
+    ("-12", -12),
+    ("+3", 3),
+    (" 3 ", 3),
+    ("1_0", 10),
+    ("1e3", 1000),
+    ("1.5", Fraction(3, 2)),
+    ("3/1", 3),
+    (3, 3),
+    ("²", None),
+    ("", None),
+    ("-", None),
+    ("0x10", None),
+    ("3/0", None),
+    ("9" * 5000, None),
+    (1.5, None),
+    (True, None),
+    (None, None),
+]
+
+
+def _library_refuses(spelling, call):
+    # a value of the wrong type is a TypeError, a string outside the syntax a
+    # ValueError or ZeroDivisionError; the CLI turns each into exit 2
+    with pytest.raises((ValueError, ZeroDivisionError) if isinstance(spelling, str) else TypeError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "spelling, value", RATIONAL_SPELLINGS, ids=[ascii(s)[:12] for s, _ in RATIONAL_SPELLINGS]
+)
+def test_every_outside_rational_is_read_by_one_rule(capsys, fixture_dir, spelling, value):
+    enc = jsonio.encode_rational
+    integral = value is not None and value.denominator == 1
+    # make_field: v is the coefficient of x in x^2 + v x - 1, which must be
+    # an integer
+    if value is None:
+        _library_refuses(spelling, lambda: make_field([-1, spelling, 1]))
+    elif integral:
+        assert make_field([-1, spelling, 1]).minpoly[1] == value
+    else:
+        with pytest.raises(ValueError, match="integer coefficients"):
+            make_field([-1, spelling, 1])
+    # a JSON matrix entry over Q: I = [[0, -1/v], [v, 0]] squares to -Id
+    # only if the entry is read as v
+    doc = {
+        "g": 1,
+        "field": {"minpoly": ["0", "1"], "conj": None},
+        "embedding": 1,
+        "I": [["0", enc(Fraction(-1) / value) if value else "0"], [spelling, "0"]],
+    }
+    code, out = invoke(capsys, ["torus", "validate", "--torus", json.dumps(doc)])
+    assert code == (0 if value is not None else 2)
+    assert value is not None or "I^2" not in json.loads(out)["error"]
+    # a JSON minpoly coefficient: in x^2 + v x - 1, 1/x = x + v, so
+    # I = [[0, -x - v], [x, 0]] squares to -Id only if it is read as v
+    doc["field"]["minpoly"] = ["-1", spelling, "1"]
+    doc["I"] = [[["0"], [enc(-value) if integral else "0", "-1"]], [["0", "1"], ["0"]]]
+    code, out = invoke(capsys, ["torus", "validate", "--torus", json.dumps(doc)])
+    assert code == (0 if integral else 2)
+    if not integral:
+        error = json.loads(out)["error"]
+        assert ("integer coefficients" in error) == (value is not None) and "I^2" not in error
+    # a mode: [h_n, h_-n] = 2n for bosons, {f_r, f_-r} = 2 for fermions
+    kind = "boson" if value is None or integral else "fermion"
+    coefficient = None if value is None else 2 * value if integral else 2
+    lat = valattice.build_pairing_lattice(*fixtures.tau_i_torus()[:2])
+    h = [1, 0, -1, 0]  # on the z side, q(h, h) = 2
+    if value is None:
+        _library_refuses(spelling, lambda: valattice.supercommutator(lat, kind, h, spelling, h, 0))
+    else:
+        c = valattice.supercommutator(lat, kind, h, spelling, h, -value)
+        assert c.as_rational() == coefficient
+    if isinstance(spelling, str):  # a flag is a string
+        argv = ["va", "commutator", "--torus", str(fixture_dir / "tau_i.json"), "--kind", kind]
+        argv += ["--h", json.dumps(h), "--mode-a", spelling, "--hp", json.dumps(h)]
+        code, out = invoke(capsys, argv + ["--mode-b", enc(-value) if value else "0"])
+        assert code == (0 if value is not None else 2)
+        assert value is None or json.loads(out)["coefficient"] == enc(coefficient)

@@ -22,7 +22,7 @@ from toruscm.cm import (
     simplicity_check,
 )
 from toruscm.exactla import FieldMatrix, positive_definite
-from toruscm.fixtures import _embedding_near, tau_2pow14_torus, tau_i_torus
+from toruscm.fixtures import _embedding_near, tau_2pow14_torus, tau_i_torus, zeta5_cm_input
 from toruscm.numfield import make_field, rationals
 from toruscm.torus import ComplexTorusData
 
@@ -106,6 +106,28 @@ def test_cm_torus_identities(make, f_degree, request, mult_matrix):
     # multiplication by the generator of K commutes with I exactly
     m_gen = mult_matrix(inp.field.gen(), inp.basis).lift(t.field)
     assert m_gen * t.I == t.I * m_gen
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(zeta5_cm_input, id="zeta5"),
+        pytest.param(lambda: _sqrt_minus_d_input(7), id="sqrt-7"),
+    ],
+)
+def test_cm_torus_solves_the_period_system_once_over_k(make, monkeypatch):
+    # I = i N with N = R^-1 S R over K: one solve, over K, and none over L
+    inp = make()
+    fields = []
+    solve = FieldMatrix.solve
+
+    def counted(self, b):
+        fields.append(self.field)
+        return solve(self, b)
+
+    monkeypatch.setattr(FieldMatrix, "solve", counted)
+    cm_torus(inp)
+    assert fields == [inp.field]
 
 
 def test_cm_torus_zeta5_matches_fixture_numerically(zeta5_cm, zeta5_mirror):

@@ -10,7 +10,8 @@ kernel, never by a rational solve;
 the one integer xgcd elimination is `_hnf`, modulo D too, and
 `valattice` reads the module count off the index, not a Smith form; the
 box kernel and the L0 refinement loop never touch `Fraction` outside the
-boundary `Box.of` and the readers; every
+boundary `Box.of` and the readers; the JSON decoders, the CLI and
+`valattice` read an outside rational by `numfield._rational_pair` alone; every
 function the benchmark traces is defined; and every dataclass that checks
 itself or caches derived data is frozen.
 
@@ -236,6 +237,59 @@ def test_box_kernel_and_refinement_loop_never_touch_fraction():
     assert touching == []
 
 
+def test_outside_rationals_are_read_by_the_one_reader():
+    # JSON values and CLI flags become rationals through
+    # `numfield._rational_pair` alone: the decoders, the CLI and the mode
+    # algebra build a Fraction from the pair it returns or from integer
+    # literals, so no second parser with its own accepted set comes back
+    jsonio = _parse(SRC / "jsonio.py")
+    scopes = {
+        f"jsonio.{n.name}": n
+        for n in jsonio.body
+        if isinstance(n, ast.FunctionDef) and n.name.startswith("decode_")
+    }
+    assert {"jsonio.decode_rational", "jsonio.decode_int"} <= set(scopes)
+    scopes.update((f"{name}.py", _parse(SRC / f"{name}.py")) for name in ("cli", "valattice"))
+
+    def from_the_reader(call):
+        if call is None or call.keywords:
+            return False
+        if all(isinstance(a, ast.Constant) and type(a.value) is int for a in call.args):
+            return True
+        (arg,) = call.args if len(call.args) == 1 else (None,)
+        return (
+            isinstance(arg, ast.Starred)
+            and isinstance(arg.value, ast.Call)
+            and getattr(arg.value.func, "id", None) == "_rational_pair"
+        )
+
+    def uses(scope):
+        # each naming of Fraction outside an annotation, with the call it makes
+        notes = {
+            id(n)
+            for f in ast.walk(scope)
+            if isinstance(f, ast.FunctionDef)
+            for a in [f.returns, *(x.annotation for x in f.args.args)]
+            if a is not None
+            for n in ast.walk(a)
+        }
+        calls = {id(c.func): c for c in ast.walk(scope) if isinstance(c, ast.Call)}
+        for node in ast.walk(scope):
+            if id(node) not in notes and (
+                (isinstance(node, ast.Name) and node.id == "Fraction")
+                or (isinstance(node, ast.Attribute) and node.attr == "Fraction")
+            ):
+                yield node, calls.get(id(node))
+
+    stray = [
+        f"{name}:{node.lineno}"
+        for name, scope in scopes.items()
+        for node, call in uses(scope)
+        if not from_the_reader(call)
+    ]
+    assert stray == []
+
+
 def test_inverse_and_trace_read_the_multiplication_matrix():
     # a field inverse is solved by the one elimination on the integer matrix
     # of multiplication, and the trace is read off the same matrix, so no
@@ -264,7 +318,7 @@ def test_inverse_and_trace_read_the_multiplication_matrix():
 def test_cm_reads_span_questions_off_the_one_kernel():
     # coordinates, span membership and independence in cm come from
     # kernel_rows, so no solve-and-catch-Inconsistent comes back; the one
-    # solve left is the period construction over L in cm_torus
+    # solve left is the period construction N = R^-1 S R over K in cm_torus
     tree = ast.parse((SRC / "cm.py").read_text(encoding="utf-8"))
     naming = [
         node.lineno

@@ -132,6 +132,10 @@ def test_q_compatible_rejects_a_unimodular_non_isometry():
     assert not MirrorMap(phi).q_compatible()
     swap = [[int(j == (i + 2) % 4) for j in range(4)] for i in range(4)]
     assert MirrorMap(swap).q_compatible()
+    # the shape guard: a row longer than the others, or an odd size, is not
+    # q-compatible
+    assert not MirrorMap([swap[0] + [5]] + swap[1:]).q_compatible()
+    assert not MirrorMap([[int(i == j) for j in range(3)] for i in range(3)]).q_compatible()
     # criterion-6 maps and unimodular perturbations of them, against the
     # Fraction oracle: one row addition breaks q; the two row additions of a
     # B-field transform [[1, 0], [S, 1]], S antisymmetric, keep it
