@@ -187,6 +187,8 @@ def _mul(x, y, shift):
     a, b, c, d = x
     e, f, g, h = y
     rl, rh = _span(a, b, e, f)
+    if not (c or d or g or h):  # both real: one span
+        return rl >> shift, -(-rh >> shift), 0, 0
     il, ih = _span(c, d, g, h)
     sl, sh = _span(a, b, g, h)
     tl, th = _span(c, d, e, f)

@@ -12,18 +12,22 @@ Horner; variations count a zero as half (Eisermann, Amer. Math. Monthly 119
 `RootSet` holds certified, pairwise-disjoint boxes for the roots of one
 squarefree polynomial, and is the one place that decides which root a value
 is (`locate`) and whether a polynomial vanishes at a root (`vanishes_at`).
-Real roots: Sturm counts, then Newton cuts, bisecting by signs where Newton
-fails.  Complex roots: interval Newton seeded by Durand-Kerner, or else
-exact counts (`_root_count`, the argument principle on one Sturm chain per
-line x = const or y = const, kept per `RootSet`, so a cut costs one new
-chain).  Boxes are dyadic and evaluated in outward-rounded fixed point
+Real roots: Sturm counts, then the point m, or [m - 1, m + 1] / 2^k, at a
+float Newton iterate that integer signs certify (`_seeded_real`); where
+floats miss, Newton cuts, bisecting by signs where Newton fails.  Complex
+roots: interval Newton seeded by Durand-Kerner, or else exact counts
+(`_root_count`, the argument principle on one Sturm chain per line x =
+const or y = const, kept per `RootSet`, so a cut costs one new chain).
+Boxes are dyadic and evaluated in outward-rounded fixed point
 (:mod:`toruscm.boxes`); floats only pick where to *try* a certificate.
-`_factor_at` certifies the irreducible factor at a root, trying unions of
-conjugation orbits in ascending size.  The loops that wait for a certificate
-or a width raise `NotConverged` after `MAX_ROUNDS` rounds; exact subdivision,
-real isolation and the separation of overlapping boxes raise it past
-Mahler's root separation bound (`_gap`).  Refinement leaves an exact-point
-box as it is.
+`_factor_at` certifies the irreducible factor at a root, trying at most
+`MAX_UNIONS` unions of conjugation orbits in ascending size: one whose
+trace holds no rational of bounded denominator fails before any root
+product, and the union of all orbits is the polynomial made monic.  The
+loops that wait for a certificate or a width raise `NotConverged` after
+`MAX_ROUNDS` rounds; exact subdivision, real isolation and the separation
+of overlapping boxes raise it past Mahler's root separation bound (`_gap`).
+Refinement leaves an exact-point box as it is.
 
 Boxes are made dyadic here, never rounded afterwards, which could let a
 neighbouring root in: isolation cuts [-2^k, 2^k] at midpoints, or beside a
@@ -50,6 +54,7 @@ class NotConverged(ArithmeticError):
 # rounds of a refine-and-retry loop before it gives up; each round at least
 # halves a box or an enclosure width
 MAX_ROUNDS = 400
+MAX_UNIONS = 1 << 16  # orbit unions per `_factor_at` call; L = Q(zeta17, i) needs 2^15
 
 # the width below which real boxes are built, and the width to which a
 # certified complex box is refined once and `locate` first asks for
@@ -217,9 +222,7 @@ def _durand_kerner(p, iters=400):
     for _ in range(iters):
         moved = 0.0
         for i in range(d):
-            num = 0j
-            for c in reversed(cs):
-                num = num * zs[i] + c
+            num = _float_eval(cs, zs[i])
             den = math.prod(zs[i] - zs[j] for j in range(d) if j != i) or 1e-30
             step = num / den
             zs[i] -= step
@@ -373,6 +376,35 @@ def _coarsest(lo, hi) -> int:
     return lo if lo & ((1 << k) - 1) == 0 else hi >> k - 1 << k - 1
 
 
+def _seeded_real(p, dp, box: Box) -> Box | None:
+    """The box on the grid 2^-k, k = max(12, e + 2), of the one root of p in
+    an isolating interval `box`, at the point m a float Newton iterate from
+    its midpoint picks: [m - 1, m + 1] inside `box` if p has opposite nonzero
+    signs at its ends (m if p(m) = 0), else None.  Floats only pick m."""
+    a, b, k = box.m[0], box.m[1], max(12, box.e + 2)
+    try:
+        x = (a + b) / (2 << box.e)
+        for _ in range(64):
+            step = _float_eval(p, x) / _float_eval(dp, x)
+            x -= step
+            if abs(step) < max(1e-15 * abs(x), 2.0 ** -(k + 8)):
+                break
+        m = round(x * (1 << k))
+    except (OverflowError, ValueError, ZeroDivisionError):  # inf or nan
+        return None
+    a, b, q = a << k - box.e, b << k - box.e, 1 << k
+    if not a < m - 1 < m + 1 < b or _sign(p, m - 1, q) * _sign(p, m + 1, q) >= 0:
+        return None
+    return Box((m, m, 0, 0) if _sign(p, m, q) == 0 else (m - 1, m + 1, 0, 0), k)
+
+
+def _float_eval(cs, x):
+    acc = 0.0
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
+
+
 def _min_separation(approx, reals):
     pts = list(approx) + [z.conjugate() for z in approx] + [b.approx() for b in reals]
     return max(min([1.0] + [abs(a - b) for a, b in itertools.combinations(pts, 2)]), 1e-12)
@@ -432,6 +464,7 @@ def _isolate_all_roots(p, dp, lines=None):
     d = degree(p)
     reals = []
     for box in isolate_real_roots(p):  # p changes sign across it: no end is a root
+        box = _seeded_real(p, dp, box) or box
         while not box.narrower(REAL_WIDTH):
             box = _refine_box_once(p, dp, box)
         reals.append(box)
@@ -566,30 +599,43 @@ def _orbit_unions(roots: RootSet, target: int):
 def _factor_at(roots: RootSet, target: int):
     """The monic irreducible rational factor of `roots.poly` that vanishes
     at root `target`: the first union of conjugation orbits around it whose
-    root product certifies.  The factor at a root is unique, so the order
-    within a size cannot change the answer."""
+    root product certifies, or else the whole polynomial.  The factor at a
+    root is unique, so the order within a size cannot change the answer."""
     den_bound = abs(roots.poly[-1])  # bounds a monic factor's denominators (Gauss)
-    for subset in _orbit_unions(roots, target):
+    for n, subset in enumerate(_orbit_unions(roots, target)):
+        if n == MAX_UNIONS:
+            raise NotConverged(f"no factor among the first {MAX_UNIONS} orbit unions")
+        if len(subset) == len(roots.boxes):  # the last union: no smaller one divides
+            return poly([Fraction(c, roots.poly[-1]) for c in roots.poly])
         cand = _candidate_factor(roots, subset, den_bound, target)
         if cand is not None:
             return cand
-    raise AssertionError("no factor found")
+
+
+def _bounded_rational(box: Box, den_bound):
+    """The rational of denominator <= den_bound closest to the box's real
+    midpoint, if the box holds it; else none of them is in the box."""
+    r = box.re.mid().limit_denominator(den_bound)
+    return None if box.disjoint(Box.point(r)) else r  # r enters through the boundary
 
 
 def _candidate_factor(roots: RootSet, subset, den_bound, target):
     """prod_{i in subset} (x - root_i) if it is a factor, else None: rounded
     from coefficient boxes, confirmed by exact division and a certified zero
-    at the target; rejected when a box holds no rational of bounded
-    denominator, or when a division fails at the uniqueness width."""
+    at the target; rejected when a box (the trace's first) holds no rational
+    of bounded denominator, or when a division fails at the uniqueness width."""
     unique_width = Fraction(1, 2 * den_bound * den_bound)
     for _ in range(MAX_ROUNDS):
-        coeffs = root_product([roots.boxes[i] for i in subset])
+        boxes = [roots.boxes[i] for i in subset]
+        e = max(b.e for b in boxes)
+        lo, hi = (sum(b.m[j] << e - b.e for b in boxes) for j in (0, 1))
+        if _bounded_rational(Box((lo, hi, 0, 0), e), den_bound) is None:
+            return None  # a factor's trace is such a rational
+        coeffs = root_product(boxes)
         cand = []
         for cbox in coeffs[:-1]:
-            # limit_denominator returns the closest bounded-denominator
-            # rational, so a miss rules out every such rational in the box
-            r = cbox.re.mid().limit_denominator(den_bound)
-            if cbox.disjoint(Box.point(r)):  # r enters through the boundary
+            r = _bounded_rational(cbox, den_bound)
+            if r is None:
                 return None  # a factor has such rational coefficients
             cand.append(r)
         candidate = poly(cand + [Fraction(1)])

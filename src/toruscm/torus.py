@@ -34,8 +34,10 @@ class NotPositiveDefinite(ValueError):
 
 def q_matrix(fld: NumberField, two_g: int) -> FieldMatrix:
     """The pseudo-Euclidean pairing [[0, -Id], [-Id, 0]] on Gamma + Gamma*."""
-    zero, ident = FieldMatrix.zeros(fld, two_g, two_g), FieldMatrix.identity(fld, two_g)
-    return FieldMatrix.block([[zero, -ident], [-ident, zero]])
+    n, zero = 2 * two_g, (0,) * fld.degree
+    minus = (-1,) + zero[1:]  # one integer block: -1 at (i, i + 2g) and (i + 2g, i)
+    cols = [*range(two_g, n), *range(two_g)]
+    return FieldMatrix._of(fld, tuple(zero * j + minus + zero * (n - 1 - j) for j in cols))
 
 
 @dataclass(frozen=True)

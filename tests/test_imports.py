@@ -4,7 +4,8 @@ named elsewhere in `src/` or by the benchmark (tests do not count), and
 every other definition is used somewhere; only `numfield` reads the
 private reduction mod the minpoly or builds elements from their
 numerators; the product kernel, the one elimination, the integer HNF and
-saturation, the Sturm chains and the root counts never touch `Fraction`; a field inverse and the trace read the integer multiplication
+saturation, the Sturm chains, the root counts and the seeded real boxes never
+touch `Fraction`; a field inverse and the trace read the integer multiplication
 matrix, never `polyq`; `cm` asks its Q-span questions through the one
 kernel, never by a rational solve;
 the one integer xgcd elimination is `_hnf`, modulo D too, and
@@ -190,9 +191,10 @@ def test_product_kernel_and_elimination_never_touch_fraction():
 
 def test_sturm_chains_and_counts_never_touch_fraction():
     # L0 runs on primitive integer polynomials and reads signs by integer
-    # Horner; Fraction stays at the boundary where a minpoly enters
+    # Horner; Fraction stays at the boundary where a minpoly enters.  A
+    # seeded real box is picked by floats and decided by integer signs
     polyq = ast.parse((SRC / "polyq.py").read_text(encoding="utf-8"))
-    names = ("sturm_chain", "variations", "_root_count", "_line", "_prem", "_sign")
+    names = ("sturm_chain", "variations", "_root_count", "_line", "_prem", "_sign", "_seeded_real")
     touching = [
         name
         for name in names

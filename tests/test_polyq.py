@@ -1,9 +1,12 @@
 """L0 in `polyq`: integer Sturm chains and counts against sympy, a mutant
-that must miscount, one chain per line, Newton before bisection, one
-`RootSet` per polynomial and the orbit-union factor search."""
+that must miscount, one chain per line, Newton before bisection, seeded real
+boxes, one `RootSet` per polynomial, and the orbit-union factor search with
+its trace test, its whole-set rule and its budget."""
 
 import itertools
+import json
 import math
+import pathlib
 import random
 import time
 from fractions import Fraction
@@ -337,3 +340,129 @@ def test_factor_search_tries_only_orbit_unions(factors, monkeypatch):
         # one draw per union and at most one per choice of real orbits, never
         # the 2^d - 1 root subsets of a scan
         assert len(yielded) <= 2 * len(unions) < 2 ** len(roots.boxes) - 1
+
+
+@pytest.mark.parametrize("p", [[5, 0, -5, 0, 1], [2000, 0, -100, 0, 1]], ids=["K", "F"])
+def test_seeded_real_roots_take_no_newton_step(p, monkeypatch):
+    # the real fields of Q(zeta5): every real box comes from the float seed,
+    # certified by integer signs, so no interval-Newton step runs
+    calls = []
+    real = polyq.newton_step
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(polyq, "newton_step", counted)
+    roots = RootSet(p)
+    assert roots.nreal == 4 and not calls
+
+
+@pytest.mark.parametrize(
+    "factors, seeded",
+    [
+        ([[-(10**400), 0, 1]], False),  # the float seed overflows
+        ([[-1, 3], [-2, 0, 1]], True),  # 1/3 stays a box that is not a point
+        ([[0, 1], [-1, 1]], True),  # x^2 - x: exact points 0 and 1
+        ([[-3, 1]], True),  # the exact point 3
+    ],
+    ids=["x^2-10^400", "(3x-1)(x^2-2)", "x^2-x", "x-3"],
+)
+def test_seeded_real_boxes_match_sympy(factors, seeded, monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    seeds = []
+    real = polyq._seeded_real
+
+    def recorded(p, dp, box):
+        seeds.append(real(p, dp, box))
+        return seeds[-1]
+
+    monkeypatch.setattr(polyq, "_seeded_real", recorded)
+    p = _product([polyq.poly(f) for f in factors])
+    roots = RootSet(p)
+    exact = sympy.Poly([int(c) for c in reversed(roots.poly)], x).real_roots()
+    assert roots.nreal == len(exact) == len(seeds)
+    assert all((s is not None) == seeded for s in seeds)
+    boxes = roots.boxes[: roots.nreal]
+    assert all(a.disjoint(b) for a, b in itertools.combinations(boxes, 2))
+    for box, r in zip(boxes, exact):
+        assert box.width() < polyq.REAL_WIDTH and box.im == Box.point(0).im
+        r = Fraction(int(r.p), int(r.q)) if r.is_rational else None
+        if r is None:  # sqrt 2 and -sqrt 2: a sign change across the box
+            assert polyq._sign(roots.poly, *box.re.lo.as_integer_ratio()) * polyq._sign(
+                roots.poly, *box.re.hi.as_integer_ratio()
+            ) < 0
+        else:  # a seeded box is a point exactly at an integer root
+            assert box.re.lo <= r <= box.re.hi
+            assert not seeded or box.is_point() == (r.denominator == 1)
+
+
+@pytest.mark.parametrize("p", [[5, 0, -5, 0, 1], [2, -6, -1, 3]], ids=["K", "(3x-1)(x^2-2)"])
+def test_a_float_seed_that_misses_falls_back(p, monkeypatch):
+    # floats that converge 0.01 off each root only pick grid points: the
+    # integer signs refuse every seeded box, and Newton cuts take over
+    sympy = pytest.importorskip("sympy")
+    real, seed, seeds = polyq._float_eval, polyq._seeded_real, []
+
+    def recorded(p, dp, box):
+        seeds.append(seed(p, dp, box))
+        return seeds[-1]
+
+    monkeypatch.setattr(polyq, "_float_eval", lambda cs, x: real(cs, x - 0.01))
+    monkeypatch.setattr(polyq, "_seeded_real", recorded)
+    roots = RootSet(p)
+    exact = sympy.Poly(list(reversed(p)), sympy.Symbol("x")).real_roots()
+    assert roots.nreal == len(exact) == len(seeds) == len(p) - 1
+    assert seeds == [None] * len(seeds)
+    for box, r in zip(roots.boxes, exact):
+        lo, hi = (sympy.Rational(v.numerator, v.denominator) for v in (box.re.lo, box.re.hi))
+        assert box.width() < polyq.REAL_WIDTH and lo <= r <= hi
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        [[16, 16, 8, 0, -4, 0, 2, 2, 1]],  # L for Q(zeta5)
+        [[-1, 1], [2, 1], [1, 0, 1], [3, 0, 1]],  # the mixed product above
+        [[1, 1, 1, 1, 1]],  # Phi5
+        [[5, 0, -5, 0, 1]],  # Q(2 sin 2pi/5)
+        [[-1, 3], [-2, 0, 1]],  # a leading coefficient 3: den_bound 3
+    ],
+    ids=["L_zeta5", "mixed", "Phi5", "K", "(3x-1)(x^2-2)"],
+)
+def test_root_products_pass_the_trace_test_and_never_take_the_whole_set(factors, monkeypatch):
+    factors = [polyq.poly(f) for f in factors]
+    monic = [polyq.poly([c / f[-1] for c in f]) for f in factors]
+    roots = RootSet(_product(factors))
+    den_bound = abs(roots.poly[-1])
+    products = []
+    real = polyq.root_product
+
+    def recorded(zs):
+        products.append(list(zs))
+        return real(zs)
+
+    monkeypatch.setattr(polyq, "root_product", recorded)
+    for target in range(len(roots.boxes)):
+        factor = polyq._factor_at(roots, target)
+        assert factor in monic and roots.vanishes_at(factor, target)
+    for zs in products:
+        assert len(zs) < len(roots.boxes)
+        # the trace interval holds a rational of denominator <= den_bound
+        lo, hi = sum(z.re.lo for z in zs), sum(z.re.hi for z in zs)
+        assert any(math.ceil(lo * q) <= math.floor(hi * q) for q in range(1, den_bound + 1))
+    assert products or len(factors) == 1
+
+
+def test_orbit_union_budget_raises_and_the_cli_exits_2(monkeypatch, capsys):
+    from toruscm.cli import run
+    from toruscm.numfield import make_field
+
+    monkeypatch.setattr(polyq, "MAX_UNIONS", 1)
+    with pytest.raises(polyq.NotConverged, match="orbit unions"):
+        make_field([5, 0, -5, 0, 1]).irreducible
+    fixture = pathlib.Path(__file__).resolve().parents[1] / "fixtures" / "zeta5.json"
+    assert run(["torus", "validate", "--torus", str(fixture)]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is False and report["error"].startswith("NotConverged")

@@ -238,6 +238,17 @@ def test_eigenspace_graphs_identity(square_torus):
     assert (p_plus * p_minus).is_zero()
 
 
+@pytest.mark.parametrize("minpoly", [[0, 1], [5, 0, -5, 0, 1]], ids=["Q", "quartic"])
+@pytest.mark.parametrize("two_g", [2, 4, 6])
+def test_q_matrix_is_the_block_assembly(minpoly, two_g):
+    fld = make_field(minpoly)
+    zero, ident = FieldMatrix.zeros(fld, two_g, two_g), FieldMatrix.identity(fld, two_g)
+    blocks = FieldMatrix.block([[zero, -ident], [-ident, zero]])
+    q = q_matrix(fld, two_g)
+    assert (q.num, q.den) == (blocks.num, blocks.den) and q == blocks
+    assert q.rows == q.cols == 2 * two_g
+
+
 def test_q_positive_on_c_plus(square_torus):
     # q((e1,-e1),(e1,-e1)) = 2 = +2 G(e1,e1) for G = Id
     q = q_matrix(QQ, 2)
