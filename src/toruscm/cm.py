@@ -4,15 +4,17 @@ checks, and the simplicity criterion.
 
 The complex structure I of C^g / Phi(O) is R^-1 D R, where R holds the
 images sigma_j(a) of the basis for j in Phi and their complex conjugates,
-and D = diag(i, .., i, -i, .., -i) = i S; so I = i N, N = R^-1 S R solved
-once over K.  Only i N goes into L = Q(sigma(K), i), built from a primitive
+and D = diag(i, .., i, -i, .., -i) = i S; so I = i N, N = R^-1 S R.  As
+R^T R is the trace form T = (Tr(a_k a_l)), N = 2 T^-1 R_Phi^T R_Phi - Id
+with no elimination over K, and E and G come from the power basis's trace
+form T0 too.  Only i N goes into L = Q(sigma(K), i), built from a primitive
 element of K[y]/(y^2 + 1) and the factor of its minimal polynomial that
-vanishes at the base embedding; L is a field whether or not i lies in K.
-The real values of I are then expressed in F = Q(entries) by their
-coordinates in the power span of a generator, and F's embedding is
-certified real.  Every decision is exact; enclosures only pick which root
-or embedding a value is.  Every Q-span question is one `kernel_rows` call,
-through `_coordinates`.
+vanishes at the base embedding; L is a field whether or not i lies in K,
+and its root boxes are the images of K's.  The real values of I are then
+expressed in F = Q(entries) by their coordinates in the power span of a
+generator, and F's embedding is certified real.  Every decision is exact;
+enclosures only pick which root or embedding a value is.  Every Q-span
+question is one `kernel_rows` call, through `_coordinates`.
 
 The certificate searches End^0(T), which each torus computes once
 (`ComplexTorusData.end`); it and the metric search share one seeded search.
@@ -42,7 +44,6 @@ from .numfield import (
     _powers,
     exact_sign_imag,
     rationals,
-    trace_q,
 )
 from .polyq import RootSet, _factor_at
 from .torus import ComplexTorusData, EndAlgebra, _rational_solutions
@@ -233,7 +234,7 @@ def _value_field(base: Embedding):
         return base.enclosure(w) * Box.point(1, c)  # sigma(gen) * (1 + c*i)
 
     # A is a field when m is its own factor at u: L keeps the roots of m
-    lf = NumberField(m)
+    lf = NumberField(m, roots=RootSet(m, ([], _image_boxes(k.roots, m, c))))
     at = lf.roots.locate(u_value)
     factor = _factor_at(lf.roots, at)
     if factor != m:
@@ -245,6 +246,26 @@ def _value_field(base: Embedding):
     sol = _coordinates(cols[:-1], [k.gen().coords + zero, zero + k.one().coords])
     gen_l, i_l = (lf.evaluate(x, lf.gen()) for x in sol)
     return lf, lemb, gen_l, i_l
+
+
+def _image_boxes(roots: RootSet, m, c):
+    """Boxes for the d roots of m with Im > 0, ordered by (re, im), when m's
+    2d roots are the distinct images sigma_j(gen)(1 +- ci), none real (it
+    would equal its conjugate, another map's image): d disjoint ones above
+    the axis among K's boxes times the points 1 +- ci, K's refined until
+    there are, which boxes below half of m's gap (`_gap`) decide."""
+    gap = polyq._gap(polyq._primitive(m)) / 2
+    while True:
+        images = [b * Box.point(1, s * c) for b in roots.boxes for s in (1, -1)]
+        ups = [b for b in images if b.im.sign() == 1]
+        if len(ups) == len(roots.boxes) and all(
+            a.disjoint(b) for a, b in itertools.combinations(ups, 2)
+        ):
+            return sorted(ups, key=lambda b: (b.re.mid(), b.im.mid()))
+        if all(b.narrower(gap) for b in images):
+            raise polyq.NotConverged("the images of K's roots do not separate")
+        for i in range(len(roots.boxes)):
+            roots.refine(i, roots.boxes[i].width() / 2)
 
 
 def _real_value_field(lemb: Embedding, entries):
@@ -283,63 +304,69 @@ def _real_value_field(lemb: Embedding, entries):
 # cm_torus
 
 
-def cm_torus(inp: CmInput):
-    """Build the CM torus: (ComplexTorusData, E, G) with E, G rational.
-
-    E_kl = Tr(beta a_k conj(a_l)) is the Riemann form; G_kl =
-    Tr(-beta^2 a_k conj(a_l)) the rational Kahler metric; I is the
-    multiplication-by-i matrix from the period construction.  The input
-    checks (conj is complex conjugation and conj(beta) = -beta, so -beta^2
-    is totally positive) make E antisymmetric and G = E M_beta symmetric,
-    positive definite and, with E, I-compatible, so none of these is
-    checked again here.
-    """
-    inp.validate()
-    if inp.beta is None:
-        raise BetaNotAdmissible("cm_torus needs beta")
-    k = inp.field
-    d = k.degree
-    g = d // 2
-    beta = inp.beta
-    abar = [k.conj(a) for a in inp.basis]
-    qq = rationals()
-    e_rows = [[trace_q(beta * a * ab) for ab in abar] for a in inp.basis]
-    g_rows = [[trace_q(-(beta * beta) * a * ab) for ab in abar] for a in inp.basis]
-    e_m = FieldMatrix(qq, e_rows)
-    g_m = FieldMatrix(qq, g_rows)
-
+def _period_n(inp: CmInput) -> FieldMatrix:
+    """N = R^-1 S R over K, S = diag(1, .., -1, ..), for R = [R_Phi; conj
+    R_Phi], R_Phi = (tau_j(a_k)) = P A^T: row j of P holds the powers tau_j^m
+    (m < d) of the automorphism that the base embedding turns into Phi's
+    j-th, and A the basis's coordinates.  Phi and its conjugates are every
+    embedding, so R^T R = T = (Tr(a_k a_l)) = A T0 A^T, T0 the power basis's
+    trace form, and N = T^-1 R^T S R = 2 T^-1 R_Phi^T R_Phi - Id."""
+    k, d = inp.field, inp.field.degree
     autos = inp.automorphisms
     if autos is None:
         if d == 2:
             autos = [k.gen(), k.conj(k.gen())]
         else:
             raise UnsupportedField("no automorphisms supplied for a degree>2 field")
-    for tau in autos:
-        if k.evaluate(k.minpoly, tau):
-            raise UnsupportedField("supplied automorphism image is not a root of minpoly")
+    powers = [_powers(k.one(), tau, d + 1) for tau in autos]
+    if any(k.dot([k.from_rational(c) for c in k.minpoly], p) for p in powers):
+        raise UnsupportedField("supplied automorphism image is not a root of minpoly")
     if len(autos) != d or len({tau.coords for tau in autos}) != d:
         raise UnsupportedField("need the full set of distinct automorphisms (Galois)")
-
-    embs = k.embeddings()
-    base = embs[inp.phi[0] - 1]
-    auto_by_emb = {}
-    for tau in autos:
-        idx = k.roots.locate(lambda w, t=tau: t.enclosure(base, w)) + 1
-        auto_by_emb[idx] = tau
-    if len(auto_by_emb) != d:
+    base = k.embeddings()[inp.phi[0] - 1]
+    by_emb = {k.roots.locate(lambda w, t=p[1]: t.enclosure(base, w)) + 1: p[:d] for p in powers}
+    if len(by_emb) != d:
         raise UnsupportedField("automorphisms do not separate the embeddings")
+    a_t = FieldMatrix(rationals(), [a.coords for a in inp.basis]).transpose()
+    t = a_t.transpose() * FieldMatrix(rationals(), k.trace_gram) * a_t
+    r_phi = FieldMatrix(k, [by_emb[idx] for idx in inp.phi]) * a_t.lift(k)
+    n = (t.inverse().lift(k) * r_phi.transpose() * r_phi).scale(2)
+    return n - FieldMatrix.identity(k, d)
 
-    # R's rows sigma_j(a), j in Phi, then their conjugates, over K (read at the
-    # base embedding); I = R^-1 D R = i N with N = R^-1 S R, S = diag(1, -1)
-    rows = [[k.evaluate(a.coords, auto_by_emb[idx]) for a in inp.basis] for idx in inp.phi]
-    rows += [[k.conj(x) for x in row] for row in rows]
-    sr = [[x if n < g else -x for x in row] for n, row in enumerate(rows)]
-    n_k = FieldMatrix(k, rows).solve(FieldMatrix(k, sr))
-    lf, lemb, gen_l, i_l = _value_field(base)
-    flat = [lf.evaluate(x.coords, gen_l) * i_l for row in n_k.entries for x in row]
+
+def cm_torus(inp: CmInput):
+    """Build the CM torus: (ComplexTorusData, E, G) with E, G rational.
+
+    E_kl = Tr(beta a_k conj(a_l)) is the Riemann form, X_beta T0 conj(A)^T
+    (rows of X_y: the coordinates of y a_k; T0 = (Tr(x^(i+j)))); G, with
+    -beta^2 for beta, the rational Kahler metric; I = i N the complex
+    structure, N = 2 T^-1 R_Phi^T R_Phi - Id (`_period_n`), whose d^2 entries,
+    a d^2 x d block of coordinates, enter L in one product with the column
+    (i gen^m), m < d; L's root boxes are K's times 1 +- ci (`_image_boxes`).
+    The input checks (conj is complex conjugation and conj(beta) = -beta,
+    so -beta^2 is totally positive) make E antisymmetric and G = E M_beta
+    symmetric, positive definite and, with E, I-compatible, so none of these
+    is checked again here.
+    """
+    inp.validate()
+    if inp.beta is None:
+        raise BetaNotAdmissible("cm_torus needs beta")
+    k, qq = inp.field, rationals()
+    d = k.degree
+    conj_a = FieldMatrix(qq, [k.conj(a).coords for a in inp.basis]).transpose()
+    gram = FieldMatrix(qq, k.trace_gram) * conj_a
+    e_m, g_m = (
+        FieldMatrix(qq, [(x * a).coords for a in inp.basis]) * gram
+        for x in (inp.beta, -(inp.beta * inp.beta))
+    )
+    n_k = _period_n(inp)
+    lf, lemb, gen_l, i_l = _value_field(k.embeddings()[inp.phi[0] - 1])
+    coords = tuple(row[j : j + d] for row in n_k.num for j in range(0, d * d, d))
+    column = FieldMatrix(lf, [[x] for x in _powers(i_l, gen_l, d)])
+    flat = [x for (x,) in (FieldMatrix._of(qq, coords, n_k.den).lift(lf) * column).entries]
     f, femb, values = _real_value_field(lemb, flat)
     i_f = FieldMatrix(f, [[values[i * d + j] for j in range(d)] for i in range(d)])
-    return ComplexTorusData(g, f, i_f, femb), e_m, g_m
+    return ComplexTorusData(d // 2, f, i_f, femb), e_m, g_m
 
 
 # ---------------------------------------------------------------------------

@@ -217,10 +217,15 @@ class FieldMatrix:
         return [[Fraction(x, self.den) for x in coords[0]] for coords in self._coordinate_rows()]
 
     def lift(self, field: NumberField) -> "FieldMatrix":
-        """A rational matrix over another field."""
+        """A rational matrix over another field: its block, each numerator
+        padded with zeros to the field's degree."""
         if self.field == field:
             return self
-        return FieldMatrix(field, self.rational_entries())
+        if not self.is_rational():
+            raise ValueError("element is not rational")
+        d, pad = self.field.degree, (0,) * (field.degree - 1)
+        num = tuple(tuple(c for x in row[::d] for c in (x, *pad)) for row in self.num)
+        return FieldMatrix._of(field, num, self.den)
 
     def __repr__(self):
         return f"FieldMatrix({self.rows}x{self.cols} over deg-{self.field.degree})"

@@ -79,7 +79,7 @@ class Embedding:
 class NumberField:
     """Q[x]/(m) for monic squarefree integer m, with optional conjugation."""
 
-    def __init__(self, minpoly, conj_image=None):
+    def __init__(self, minpoly, conj_image=None, roots: RootSet | None = None):
         m = polyq.poly([Fraction(*_rational_pair(c)) for c in minpoly])
         if polyq.degree(m) < 1:
             raise ValueError("minpoly must have degree >= 1")
@@ -94,7 +94,7 @@ class NumberField:
         self._red = [tuple(-c.numerator for c in m[:-1])]  # x^d mod m, for `_mul_columns`
         self._red = self._mul_columns(self._red[0])  # x^d .. x^(2d - 1) mod m
         self._embeddings = None
-        self._roots = None
+        self._roots = roots  # certified boxes of m's roots, if a caller has them
         self.conj_image = None
         self._conj_powers = None
         if conj_image is not None:
@@ -255,7 +255,7 @@ class NumberField:
 
     def embeddings(self, width=None):
         if self._embeddings is None:
-            self._roots = RootSet(self.minpoly)
+            self._roots = self._roots or RootSet(self.minpoly)
             self._embeddings = [Embedding(self, self._roots, i) for i in range(self.degree)]
         if width is not None:
             for e in self._embeddings:
@@ -273,6 +273,12 @@ class NumberField:
         """Whether m is its own factor at a root (so at all), i.e. Q[x]/(m)
         is a field."""
         return self.degree == 1 or _factor_at(self.roots, 0) == self.minpoly
+
+    @cached_property
+    def trace_gram(self):
+        """(Tr(x^(i+j))) for i, j < d, the power basis's trace form, as rows."""
+        tr = [trace_q(p) for p in _powers(self.one(), self.gen(), 2 * self.degree - 1)]
+        return [tr[i : i + self.degree] for i in range(self.degree)]
 
     @cached_property
     def conj_fault(self) -> int | None:

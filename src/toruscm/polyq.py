@@ -13,9 +13,12 @@ Horner; variations count a zero as half (Eisermann, Amer. Math. Monthly 119
 squarefree polynomial, and is the one place that decides which root a value
 is (`locate`) and whether a polynomial vanishes at a root (`vanishes_at`).
 Real roots: Sturm counts, then the point m, or [m - 1, m + 1] / 2^k, at a
-float Newton iterate that integer signs certify (`_seeded_real`); where
-floats miss, Newton cuts, bisecting by signs where Newton fails.  Complex
-roots: interval Newton seeded by Durand-Kerner, or else exact counts
+float Newton iterate that integer signs certify (`_seeded_real`), or, where
+floats overflow, at exact Newton steps from the root's binade, found by bit
+lengths (`_exact_seed`); where the seed misses, Newton cuts, bisecting by
+signs where Newton fails.  A caller that has certified boxes, such as L's
+roots as the images of K's, hands them to `RootSet` in place of isolation.
+Complex roots: interval Newton seeded by Durand-Kerner, or else exact counts
 (`_root_count`, the argument principle on one Sturm chain per line x =
 const or y = const, kept per `RootSet`, so a cut costs one new chain).
 Boxes are dyadic and evaluated in outward-rounded fixed point
@@ -128,14 +131,20 @@ def cauchy_bound(p) -> int:
     return 1 << (-(-max(abs(c) for c in p[:-1]) // abs(p[-1]))).bit_length()
 
 
-def _sign(f, a, q=1) -> int:
-    """Sign of the integer polynomial f at a/q, q > 0: the sign of
-    q^n f(a/q), by homogeneous Horner on integers."""
+def _value(f, a, q=1) -> int:
+    """q^n f(a/q) for the integer polynomial f of degree n, by homogeneous
+    Horner on integers."""
     acc, qk = 0, 1
     for c in reversed(f):
         acc = acc * a + c * qk
         qk *= q
-    return (acc > 0) - (acc < 0)
+    return acc
+
+
+def _sign(f, a, q=1) -> int:
+    """Sign of the integer polynomial f at a/q, q > 0."""
+    v = _value(f, a, q)
+    return (v > 0) - (v < 0)
 
 
 def sturm_chain(p, q=None):
@@ -379,8 +388,9 @@ def _coarsest(lo, hi) -> int:
 def _seeded_real(p, dp, box: Box) -> Box | None:
     """The box on the grid 2^-k, k = max(12, e + 2), of the one root of p in
     an isolating interval `box`, at the point m a float Newton iterate from
-    its midpoint picks: [m - 1, m + 1] inside `box` if p has opposite nonzero
-    signs at its ends (m if p(m) = 0), else None.  Floats only pick m."""
+    its midpoint picks (or, where floats overflow, `_exact_seed`): [m - 1,
+    m + 1] inside `box` if p has opposite nonzero signs at its ends (m if
+    p(m) = 0), else None.  Floats only pick m."""
     a, b, k = box.m[0], box.m[1], max(12, box.e + 2)
     try:
         x = (a + b) / (2 << box.e)
@@ -391,11 +401,32 @@ def _seeded_real(p, dp, box: Box) -> Box | None:
                 break
         m = round(x * (1 << k))
     except (OverflowError, ValueError, ZeroDivisionError):  # inf or nan
-        return None
+        m = _exact_seed(p, dp, a << k - box.e, b << k - box.e, 1 << k)
     a, b, q = a << k - box.e, b << k - box.e, 1 << k
     if not a < m - 1 < m + 1 < b or _sign(p, m - 1, q) * _sign(p, m + 1, q) >= 0:
         return None
     return Box((m, m, 0, 0) if _sign(p, m, q) == 0 else (m - 1, m + 1, 0, 0), k)
+
+
+def _exact_seed(p, dp, a, b, q) -> int:
+    """A grid point m near the root of p in (a, b] / q, on integers: the far
+    end of the binade (2^(j-1), 2^j] / q, or its mirror below 0, that holds
+    the root, by bisecting on bit lengths by signs, then rounded exact Newton
+    steps m - q^n p / (q^(n-1) p') at m / q."""
+    s = 1 if a >= 0 or b > 0 and _sign(p, 0) != _sign(p, b, q) else -1
+    lo, hi = (max(a, 0), b) if s > 0 else (max(-b, 0), -a)
+    at_hi = _sign(p, s * hi, q)
+    while (hi - 1).bit_length() > lo.bit_length() + 1:
+        t = 1 << (lo.bit_length() + (hi - 1).bit_length()) // 2  # lo < t < hi
+        lo, hi = (lo, t) if _sign(p, s * t, q) == at_hi else (t, hi)
+    m = s * hi
+    for _ in range(64):
+        d = 2 * _value(dp, m, q)
+        step = (2 * _value(p, m, q) + d // 2) // d if d else 0
+        if not step:
+            break
+        m -= step
+    return m
 
 
 def _float_eval(cs, x):
@@ -493,11 +524,11 @@ class RootSet:
     each root with Im > 0 followed by its complex conjugate.
     """
 
-    def __init__(self, p):
+    def __init__(self, p, isolated=None):  # `isolated`: as `_isolate_all_roots` gives
         self.poly = _primitive(p)
         self._dpoly = pderiv(self.poly)
         self._lines = {}  # the Sturm chains of `_line`, for every later count
-        reals, uppers = _isolate_all_roots(self.poly, self._dpoly, self._lines)
+        reals, uppers = isolated or _isolate_all_roots(self.poly, self._dpoly, self._lines)
         self.nreal = len(reals)
         self.boxes = list(reals)
         for b in uppers:

@@ -401,3 +401,5 @@ def test_rational_matrices_lift_and_read_back():
     assert not irrational.is_rational()
     with pytest.raises(ValueError):
         irrational.rational_entries()
+    with pytest.raises(ValueError):
+        irrational.lift(make_field([1, 0, 1]))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -21,9 +22,17 @@ from toruscm.cm import (
     rational_kahler_search,
     simplicity_check,
 )
+from toruscm.boxes import Box
 from toruscm.exactla import FieldMatrix, positive_definite
-from toruscm.fixtures import _embedding_near, tau_2pow14_torus, tau_i_torus, zeta5_cm_input
-from toruscm.numfield import make_field, rationals
+from toruscm.fixtures import (
+    _embedding_near,
+    gaussian_cm_input,
+    tau_2pow14_torus,
+    tau_i_torus,
+    zeta5_cm_input,
+)
+from toruscm.numfield import make_field, rationals, trace_q
+from toruscm.polyq import RootSet, _factor_at
 from toruscm.torus import ComplexTorusData
 
 QQ = rationals()
@@ -115,8 +124,9 @@ def test_cm_torus_identities(make, f_degree, request, mult_matrix):
         pytest.param(lambda: _sqrt_minus_d_input(7), id="sqrt-7"),
     ],
 )
-def test_cm_torus_solves_the_period_system_once_over_k(make, monkeypatch):
-    # I = i N with N = R^-1 S R over K: one solve, over K, and none over L
+def test_cm_torus_solves_once_over_q_and_never_over_k_or_l(make, monkeypatch):
+    # I = i N with N = 2 T^-1 R_Phi^T R_Phi - Id over K: the one solve is the
+    # rational T^-1, and none runs over K or L
     inp = make()
     fields = []
     solve = FieldMatrix.solve
@@ -127,7 +137,115 @@ def test_cm_torus_solves_the_period_system_once_over_k(make, monkeypatch):
 
     monkeypatch.setattr(FieldMatrix, "solve", counted)
     cm_torus(inp)
-    assert fields == [inp.field]
+    assert fields == [QQ]
+
+
+def _zeta7_input():
+    """Q(zeta7) with the power basis, Phi = {zeta -> zeta^j : j = 1, 2, 3}."""
+    k = make_field([1] * 7, conj_image=[-1] * 6)
+    phi = [
+        _embedding_near(k, math.cos(2 * math.pi * j / 7), math.sin(2 * math.pi * j / 7))
+        for j in (1, 2, 3)
+    ]
+    autos = [k.gen() ** j for j in range(1, 7)]
+    return CmInput(k, [k.gen() ** j for j in range(6)], phi, k.element([1, 2, 0, 2, 0, 2]), autos)
+
+
+TRACE_FORM_INPUTS = [
+    pytest.param(zeta5_cm_input, id="zeta5"),
+    pytest.param(lambda: _sqrt_minus_d_input(7), id="sqrt-7"),
+    pytest.param(gaussian_cm_input, id="gaussian"),  # i in K: M is reducible
+    pytest.param(_zeta7_input, id="zeta7"),
+]
+
+
+@pytest.mark.parametrize("make", TRACE_FORM_INPUTS)
+def test_period_n_and_the_forms_match_the_entrywise_definitions(make):
+    # the oracle: R = (tau_j(a_k)) over K for j in Phi, then its conjugate
+    # rows, and N = R^-1 S R by an elimination over K; E and G entry by entry
+    inp = make()
+    k, basis, beta = inp.field, inp.basis, inp.beta
+    d = k.degree
+    base = k.embeddings()[inp.phi[0] - 1]
+    autos = inp.automorphisms or [k.gen(), k.conj(k.gen())]
+    tau = {k.roots.locate(lambda w, t=t: t.enclosure(base, w)) + 1: t for t in autos}
+    r_phi = [[k.evaluate(a.coords, tau[j]) for a in basis] for j in inp.phi]
+    r = FieldMatrix(k, r_phi + [[k.conj(x) for x in row] for row in r_phi])
+    s = FieldMatrix(k, [[(i == j) * (1 if i < d // 2 else -1) for j in range(d)] for i in range(d)])
+    assert cm._period_n(inp) == r.solve(s * r)
+    t = FieldMatrix(QQ, [[trace_q(a * b) for b in basis] for a in basis])
+    assert r.transpose() * r == t.lift(k)
+    _, e_m, g_m = cm_torus(inp)
+    conj = [k.conj(a) for a in basis]
+    assert e_m == FieldMatrix(QQ, [[trace_q(beta * a * c) for c in conj] for a in basis])
+    assert g_m == FieldMatrix(QQ, [[trace_q(-(beta * beta) * a * c) for c in conj] for a in basis])
+
+
+def _recorded_images(monkeypatch, inp):
+    """cm_torus(inp), and the (m, c, upper boxes) of its one `_image_boxes` call."""
+    seen, images = [], cm._image_boxes
+
+    def recorded(roots, m, c):
+        seen.append((m, c, images(roots, m, c)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(cm, "_image_boxes", recorded)
+    cm_torus(inp)
+    (got,) = seen
+    return got
+
+
+def _match_isolated(m, uppers):
+    """The index of the one box of an independent RootSet(m) that each box of
+    RootSet(m, ([], uppers)) meets, and both RootSets."""
+    imaged, isolated = RootSet(m, ([], uppers)), RootSet(m)
+    assert imaged.nreal == isolated.nreal == 0 and all(b.im.sign() == 1 for b in uppers)
+    assert all(a.disjoint(b) for a, b in itertools.combinations(imaged.boxes, 2))
+    hits = [[j for j, b in enumerate(isolated.boxes) if not a.disjoint(b)] for a in imaged.boxes]
+    assert sorted(hits) == [[j] for j in range(len(isolated.boxes))]
+    return [j for (j,) in hits], imaged, isolated
+
+
+@pytest.mark.parametrize("make", TRACE_FORM_INPUTS)
+def test_l_root_boxes_are_the_images_of_k_roots(make, monkeypatch):
+    # M's roots enter as K's boxes times 1 +- ci: a certified isolation that
+    # matches an independent one root for root, with the same factor at each
+    inp = make()
+    m, _, uppers = _recorded_images(monkeypatch, inp)
+    d = inp.field.degree
+    assert polyq.degree(m) == 2 * d and len(uppers) == d
+    hits, imaged, isolated = _match_isolated(m, uppers)
+    for i, j in enumerate(hits):
+        assert _factor_at(imaged, i) == _factor_at(isolated, j)
+    # L = K(i) is K itself, of degree d, exactly when i lies in K
+    degrees = {polyq.degree(_factor_at(imaged, i)) for i in range(2 * d)}
+    assert degrees == {d if make is gaussian_cm_input else 2 * d}
+
+
+@pytest.mark.parametrize(
+    "a, b, signed",
+    [(Fraction(1, 5), Fraction(3, 200), True), (Fraction(1, 4), Fraction(1, 4), False)],
+    ids=["overlap", "straddle"],
+)
+def test_image_boxes_refine_k_boxes_until_the_upper_images_separate(a, b, signed, monkeypatch):
+    # Q(zeta5)'s upper boxes widened to 2a x 2b: either every image has a
+    # definite Im sign but two upper images overlap, or some image straddles
+    # the real axis; K's boxes are refined until neither holds
+    m, c, _ = _recorded_images(monkeypatch, zeta5_cm_input())
+    roots = RootSet([1, 1, 1, 1, 1])
+    for i in (0, 2):  # the upper roots, at Im 0.59 and 0.95
+        x, y = roots.boxes[i].re.mid(), roots.boxes[i].im.mid()
+        wide = Box.of(x - a, x + a, y - b, y + b)
+        roots.boxes[i], roots.boxes[i + 1] = wide, wide.conj()
+    products = [z * Box.point(1, s * c) for z in roots.boxes for s in (1, -1)]
+    assert all(z.im.sign() in (1, -1) for z in products) == signed
+    if signed:
+        ups = [z for z in products if z.im.sign() == 1]
+        assert not all(u.disjoint(v) for u, v in itertools.combinations(ups, 2))
+    uppers = cm._image_boxes(roots, m, c)
+    assert all(u.disjoint(v) for u, v in itertools.combinations(uppers, 2))
+    assert len(uppers) == 4 and all(z.narrower(2 * a) for z in roots.boxes)
+    _match_isolated(m, uppers)
 
 
 def test_cm_torus_zeta5_matches_fixture_numerically(zeta5_cm, zeta5_mirror):

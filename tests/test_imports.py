@@ -7,7 +7,7 @@ numerators; the product kernel, the one elimination, the integer HNF and
 saturation, the Sturm chains, the root counts and the seeded real boxes never
 touch `Fraction`; a field inverse and the trace read the integer multiplication
 matrix, never `polyq`; `cm` asks its Q-span questions through the one
-kernel, never by a rational solve;
+kernel, never by a rational solve, and calls no `solve` at all;
 the one integer xgcd elimination is `_hnf`, modulo D too, and
 `valattice` reads the module count off the index, not a Smith form; the
 box kernel and the L0 refinement loop never touch `Fraction` outside the
@@ -192,9 +192,13 @@ def test_product_kernel_and_elimination_never_touch_fraction():
 def test_sturm_chains_and_counts_never_touch_fraction():
     # L0 runs on primitive integer polynomials and reads signs by integer
     # Horner; Fraction stays at the boundary where a minpoly enters.  A
-    # seeded real box is picked by floats and decided by integer signs
+    # seeded real box is picked by floats, or by exact Newton steps on
+    # integers where floats overflow, and decided by integer signs
     polyq = ast.parse((SRC / "polyq.py").read_text(encoding="utf-8"))
-    names = ("sturm_chain", "variations", "_root_count", "_line", "_prem", "_sign", "_seeded_real")
+    names = (
+        "sturm_chain", "variations", "_root_count", "_line", "_prem", "_value", "_sign",
+        "_seeded_real", "_exact_seed",
+    )
     touching = [
         name
         for name in names
@@ -319,8 +323,9 @@ def test_inverse_and_trace_read_the_multiplication_matrix():
 
 def test_cm_reads_span_questions_off_the_one_kernel():
     # coordinates, span membership and independence in cm come from
-    # kernel_rows, so no solve-and-catch-Inconsistent comes back; the one
-    # solve left is the period construction N = R^-1 S R over K in cm_torus
+    # kernel_rows, so no solve-and-catch-Inconsistent comes back; and the
+    # period construction N = 2 T^-1 R_Phi^T R_Phi - Id needs no solve, only
+    # the rational inverse of the trace form T
     tree = ast.parse((SRC / "cm.py").read_text(encoding="utf-8"))
     naming = [
         node.lineno
@@ -338,7 +343,7 @@ def test_cm_reads_span_questions_off_the_one_kernel():
         and isinstance(node.func, ast.Attribute)
         and node.func.attr == "solve"
     ]
-    assert solving == ["cm_torus"]
+    assert solving == []
 
 
 def test_the_one_integer_elimination_is_hnf():

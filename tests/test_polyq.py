@@ -272,17 +272,27 @@ def test_real_roots_take_newton_before_bisection(monkeypatch):
     assert len(calls) <= 10
 
 
-def test_zeta5_cm_torus_builds_one_rootset_of_l(monkeypatch):
-    degrees = []
-    init = RootSet.__init__
+def test_zeta5_cm_torus_isolates_no_rootset_of_l(monkeypatch):
+    # L = Q(zeta5, i) takes its roots as the images of K's: its degree-8
+    # RootSet is built once, from boxes, and never isolated
+    isolated, built = [], []
+    init, isolate = RootSet.__init__, polyq._isolate_all_roots
 
-    def counted(self, p):
-        init(self, p)
-        degrees.append(polyq.degree(self.poly))
+    def counted(self, p, *rest):
+        init(self, p, *rest)
+        built.append(self)
+
+    def isolating(p, *rest):
+        isolated.append(polyq.degree(p))
+        return isolate(p, *rest)
 
     monkeypatch.setattr(RootSet, "__init__", counted)
+    monkeypatch.setattr(polyq, "_isolate_all_roots", isolating)
     cm_torus(fixtures.zeta5_cm_input())
-    assert degrees.count(8) == 1  # L = Q(zeta5, i) keeps the roots that located u
+    assert 8 not in isolated
+    (roots,) = [r for r in built if polyq.degree(r.poly) == 8]
+    assert len(roots.boxes) == 8 and roots.nreal == 0
+    assert all(a.disjoint(b) for a, b in itertools.combinations(roots.boxes, 2))
 
 
 def _closed_unions(roots, target):
@@ -359,9 +369,28 @@ def test_seeded_real_roots_take_no_newton_step(p, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "p, nreal", [([-(10**400), 0, 1], 2), ([-(10**401), 0, 0, 1], 1)], ids=["2", "3"]
+)
+def test_real_roots_beyond_float_range_take_few_newton_steps(p, nreal, monkeypatch):
+    # the float seed overflows; bisecting on bit lengths and exact Newton
+    # steps seed the roots 10^200 (an exact point) and -10^200, or 10^(401/3),
+    # where some 1300 interval-Newton steps used to run
+    calls = []
+    real = polyq.newton_step
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(polyq, "newton_step", counted)
+    roots = RootSet(p)
+    assert roots.nreal == nreal and len(calls) <= 20
+
+
+@pytest.mark.parametrize(
     "factors, seeded",
     [
-        ([[-(10**400), 0, 1]], False),  # the float seed overflows
+        ([[-(10**400), 0, 1]], True),  # floats overflow: an exact seed
         ([[-1, 3], [-2, 0, 1]], True),  # 1/3 stays a box that is not a point
         ([[0, 1], [-1, 1]], True),  # x^2 - x: exact points 0 and 1
         ([[-3, 1]], True),  # the exact point 3
