@@ -3,23 +3,24 @@
 A FieldMatrix is one integer block under one denominator (FLINT's
 `fmpq_mat`): rows of numerators, d per entry over a field of degree d, and
 one positive denominator, in lowest terms.  A product is one call of the
-field's block kernel, `NumberField.matmul` (integer dot products over Q,
-Kronecker-packed ones otherwise), and one gcd; entries become FieldElements
-only where a caller reads them.  One row reduction, `_rref`, backs every
-rank, kernel, solve, inverse and determinant, and every field inverse
-(`FieldElement.inverse` solves its integer multiplication matrix by
-`kernel_rows`): integer rows (a block over Q as it is, other rational rows
-scaled) are reduced fraction-free by cross-multiplication and content
-division; over a larger field each pivot row is divided by its pivot.  One
-integer row reduction, `_hnf`, gives the Hermite form, the Hermite form
-with its transform (on [M | Id]) and, in alternating row and column passes,
-the Smith form; a lattice index is the product of the HNF diagonal.
-Integrality conditions are saturated on integer blocks by the same `_hnf`
-modulo the lcm D of their denominators, which keeps every entry below D,
-because the solution lattice contains D*Z^n.  Positive definiteness is certified by exact LDL pivots:
-over Q by Bareiss's fraction-free steps on the block, each pivot signed by
-an integer leading minor; over a larger field on elements, each signed
-through a designated embedding.  No floating point is used.
+field's packed, zero-skipping block kernel, `NumberField.matmul` (integer
+entries over Q, Kronecker-packed ones otherwise, zero entries skipped), and
+one gcd; entries become FieldElements only where a caller reads them.  One
+row reduction, `_rref`, backs every rank, kernel, solve, inverse and
+determinant, and every field inverse (`FieldElement.inverse` solves its
+integer multiplication matrix by `kernel_rows`): integer rows (a block over
+Q as it is, other rational rows scaled) are reduced fraction-free by
+cross-multiplication and content division; over a larger field each pivot
+row is divided by its pivot.  One integer row reduction, `_hnf`, gives the
+Hermite form, the Hermite form with its transform (on [M | Id]) and, in
+alternating row and column passes, the Smith form; a lattice index is the
+product of the HNF diagonal.  Integrality conditions are saturated on
+integer blocks by the same `_hnf` modulo the lcm D of their denominators,
+which keeps every entry below D, because the solution lattice contains
+D*Z^n.  Positive definiteness is certified by exact LDL pivots: over Q by
+Bareiss's fraction-free steps on the block, each pivot signed by an integer
+leading minor; over a larger field on elements, each signed through a
+designated embedding.  No floating point is used.
 """
 
 from __future__ import annotations

@@ -3,17 +3,15 @@
 A field is given by a monic squarefree integer polynomial; an element is its
 integer power-basis numerators over one denominator, in lowest terms.
 Element products go through one kernel, `NumberField.dot`, and the integer
-blocks of exactla's matrices through another, `NumberField.matmul`, which
-packs each entry into one integer (Kronecker substitution) and reduces each
-output entry mod m once.  An inverse solves y u = 1
-on the integer matrix of multiplication by y, by exactla's one row reduction;
-the trace reads the same matrix.  `make_field` also accepts a reducible
-squarefree m, whose algebra has zero divisors: inverting one raises
-`ZeroDivisor`, and `require_irreducible` (every torus document and CM input)
-raises `ReducibleMinpoly`.  An embedding is a view on one root of the field's
-`RootSet` (L0, :mod:`toruscm.polyq`), refined on demand.  A rational signs
-itself; any other sign is an exact zero test, then enclosures refined until
-it shows.  No float decides anything.
+blocks of exactla's matrices through another, packed and zero-skipping,
+`NumberField.matmul`.  An inverse solves y u = 1 on the integer matrix of
+multiplication by y, by exactla's one row reduction; the trace reads it too.
+`make_field` also accepts a reducible squarefree m, whose algebra has zero
+divisors: inverting one raises `ZeroDivisor`, and `require_irreducible`
+(every torus document and CM input) raises `ReducibleMinpoly`.  An embedding
+is a view on one root of the field's `RootSet` (L0, :mod:`toruscm.polyq`),
+refined on demand.  A rational signs itself; any other sign is an exact zero
+test, then enclosures refined until it shows.  No float decides anything.
 """
 
 from __future__ import annotations
@@ -21,8 +19,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain
-from operator import lshift, mul
+from itertools import chain, compress, repeat
+from operator import add, lshift, mul
 
 from . import polyq
 from .boxes import Box, poly_eval_box
@@ -160,33 +158,30 @@ class NumberField:
     def matmul(self, a, b):
         """The numerator block of a * b for integer blocks a (r x n) and b
         (n x c), whose rows hold the d numerators of each entry in turn: the
-        one block product kernel.  Over Q an entry is an integer dot
-        product.  Over degree d > 1 (Kronecker substitution) each entry is
-        packed into one integer at 2^w, an output entry is one sum of n
-        packed products, and its 2d - 1 slots, each `_slot_bits` wide and
-        read above an offset that makes them nonnegative, are reduced mod m
-        once."""
+        one block product kernel, packed and zero-skipping (`_row_products`).
+        Over degree d > 1 (Kronecker substitution) a nonzero entry is packed
+        into one integer at 2^w, a zero one is 0, and an output entry whose
+        2d - 1 slots (`_slot_bits` wide, read above an offset that makes them
+        nonnegative) are not all zero is reduced mod m once."""
         d = self.degree
         if d == 1:
-            cols = list(zip(*b))
-            return tuple(tuple([sum(map(mul, row, col)) for col in cols]) for row in a)
+            return tuple(map(tuple, _row_products(a, b, 0)))
         bits = [max(map(abs, chain(*m)), default=0).bit_length() for m in (a, b)]
         w = _slot_bits(*bits, len(b) * d)
         slots = range(0, (2 * d - 1) * w, w)
-        half, mask = 1 << (w - 1), (1 << w) - 1
+        half, mask, zero = 1 << (w - 1), (1 << w) - 1, (0,) * d
         off = sum(half << s for s in slots)  # lifts every slot of a sum into [0, 2^w)
 
         def packed(m):
-            return [[sum(map(lshift, row[k : k + d], slots)) for k in range(0, len(row), d)]
+            return [[sum(map(lshift, e, slots)) if any(e) else 0 for e in zip(*[iter(row)] * d)]
                     for row in m]
 
-        cols, out = list(zip(*packed(b))), []
-        for row in packed(a):
-            entries = []
-            for col in cols:
-                p = sum(map(mul, row, col), off)
-                entries += self._reduce([(p >> s & mask) - half for s in slots])
-            out.append(tuple(entries))
+        out = []
+        for sums in _row_products(packed(a), packed(b), off):
+            row = []
+            for p in sums:  # p == off exactly when every slot is 0
+                row += zero if p == off else self._reduce([(p >> s & mask) - half for s in slots])
+            out.append(tuple(row))
         return tuple(out)
 
     def evaluate(self, p, x: "FieldElement") -> "FieldElement":
@@ -251,7 +246,8 @@ class NumberField:
     def conj(self, x: "FieldElement") -> "FieldElement":
         if self._conj_powers is None:
             raise ValueError("field has no conjugation")
-        return self.dot([self.from_rational(n) for n in x.num], self._conj_powers) / x.den
+        y = self.dot([self.from_rational(n) for n in x.num], self._conj_powers)
+        return FieldElement(self, y.num, y.den * x.den)
 
     def embeddings(self, width=None):
         if self._embeddings is None:
@@ -341,6 +337,20 @@ def _slot_bits(a_bits, b_bits, terms):
     with |x| < 2^a_bits and |y| < 2^b_bits lies strictly between -2^(w-1)
     and 2^(w-1)."""
     return a_bits + b_bits + terms.bit_length() + 1
+
+
+def _row_products(a, b, off):
+    """Rows of a * b plus off for integer rows: a row of a half nonzero or more
+    by dot products, a sparser one as a sum of scaled rows of b (Gustavson)."""
+    cols = list(zip(*b))
+    for row in a:
+        if 2 * row.count(0) <= len(row):
+            yield [sum(map(mul, row, col), off) for col in cols]
+            continue
+        acc = [off] * len(cols)
+        for x, y in compress(zip(row, b), row):  # the nonzero entries x of the row
+            acc = list(map(add, acc, map(mul, y, repeat(x))))
+        yield acc
 
 
 def _powers(one, x, n):

@@ -388,9 +388,10 @@ def _coarsest(lo, hi) -> int:
 def _seeded_real(p, dp, box: Box) -> Box | None:
     """The box on the grid 2^-k, k = max(12, e + 2), of the one root of p in
     an isolating interval `box`, at the point m a float Newton iterate from
-    its midpoint picks (or, where floats overflow, `_exact_seed`): [m - 1,
-    m + 1] inside `box` if p has opposite nonzero signs at its ends (m if
-    p(m) = 0), else None.  Floats only pick m."""
+    its midpoint picks (or, where floats overflow, `_exact_seed`, which may
+    take a finer k from the root's binade): [m - 1, m + 1] inside `box` if p
+    has opposite nonzero signs at its ends (m if p(m) = 0), else None.
+    Floats only pick m."""
     a, b, k = box.m[0], box.m[1], max(12, box.e + 2)
     try:
         x = (a + b) / (2 << box.e)
@@ -401,32 +402,36 @@ def _seeded_real(p, dp, box: Box) -> Box | None:
                 break
         m = round(x * (1 << k))
     except (OverflowError, ValueError, ZeroDivisionError):  # inf or nan
-        m = _exact_seed(p, dp, a << k - box.e, b << k - box.e, 1 << k)
+        m, k = _exact_seed(p, dp, a, b, box.e, k)
     a, b, q = a << k - box.e, b << k - box.e, 1 << k
     if not a < m - 1 < m + 1 < b or _sign(p, m - 1, q) * _sign(p, m + 1, q) >= 0:
         return None
     return Box((m, m, 0, 0) if _sign(p, m, q) == 0 else (m - 1, m + 1, 0, 0), k)
 
 
-def _exact_seed(p, dp, a, b, q) -> int:
-    """A grid point m near the root of p in (a, b] / q, on integers: the far
-    end of the binade (2^(j-1), 2^j] / q, or its mirror below 0, that holds
-    the root, by bisecting on bit lengths by signs, then rounded exact Newton
-    steps m - q^n p / (q^(n-1) p') at m / q."""
+def _exact_seed(p, dp, a, b, e, k):
+    """(m, k') for a grid point m / 2^k' near the root of p in (a, b] / 2^e,
+    on integers: the far end h of the binade (2^(j-1), 2^j] / 2^f, or its
+    mirror below 0, that holds the root, by bisecting on bit lengths by signs
+    at a grid 2^-f below every nonzero root; then the grid k' >= k at 2^-12
+    of h, and rounded exact Newton steps m - q^n p / (q^(n-1) p') at m / q."""
+    f = e + max(map(abs, p)).bit_length()  # a nonzero root exceeds 1 / (1 + height)
+    a, b, q = a << f - e, b << f - e, 1 << f
     s = 1 if a >= 0 or b > 0 and _sign(p, 0) != _sign(p, b, q) else -1
     lo, hi = (max(a, 0), b) if s > 0 else (max(-b, 0), -a)
     at_hi = _sign(p, s * hi, q)
     while (hi - 1).bit_length() > lo.bit_length() + 1:
         t = 1 << (lo.bit_length() + (hi - 1).bit_length()) // 2  # lo < t < hi
         lo, hi = (lo, t) if _sign(p, s * t, q) == at_hi else (t, hi)
-    m = s * hi
+    k = max(k, f + 12 - hi.bit_length())
+    m, q = (s * hi << k) >> f, 1 << k
     for _ in range(64):
         d = 2 * _value(dp, m, q)
         step = (2 * _value(p, m, q) + d // 2) // d if d else 0
         if not step:
             break
         m -= step
-    return m
+    return m, k
 
 
 def _float_eval(cs, x):
@@ -468,20 +473,27 @@ def _gap(p) -> Fraction:
 
 def _subdivision_upper_roots(p, count, lines):
     """Boxes strictly above the real axis, one per root with Im > 0: the
-    Cauchy box above a floor y > 0, once it counts all `count` upper roots,
-    split by counts (`_split`).  With `gap` < sep(p) / 2, an upper root a
-    has Im a >= sep(p) / 2, so a floor below `gap` counts every upper root;
-    a count that says otherwise is wrong and raises `NotConverged`."""
+    Cauchy box above the highest floor y = bound / 2^e that counts all
+    `count` upper roots (e doubled, then bisected: the count grows as the
+    floor falls), split by counts (`_split`).  With `gap` < sep(p) / 2, an
+    upper root a has Im a >= sep(p) / 2, so a floor below `gap` counts every
+    upper root; a count that says otherwise is wrong and raises
+    `NotConverged`."""
     bound, gap = cauchy_bound(p), _gap(p)
-    e, n = 0, None
-    while n != count:
-        if Box((0, bound, 0, 0), e).narrower(gap):  # the floor bound / 2^e
+
+    def top(e):
+        return Box((-bound << e, bound << e, bound, bound << e), e)
+
+    lo, hi = 0, 1  # the box at lo (flat at e = 0) misses an upper root
+    while _root_count(p, top(hi), lines) != count:
+        if Box((0, bound, 0, 0), hi).narrower(gap):  # the floor bound / 2^hi
             raise NotConverged("the upper roots are not all above the separation bound")
-        e += 1
-        top = Box((-bound << e, bound << e, bound, bound << e), e)
-        n = _root_count(p, top, lines)
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _root_count(p, top(mid), lines) == count else (mid, hi)
     # a part's boundary holds no root, so `_cut` gives a count
-    return _split(top, count, gap, lambda box: _cut(p, box, lines))
+    return _split(top(hi), count, gap, lambda box: _cut(p, box, lines))
 
 
 def _isolate_all_roots(p, dp, lines=None):

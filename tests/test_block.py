@@ -123,6 +123,79 @@ def test_products_match_the_fraction_oracle(minpoly):
         assert got == FieldMatrix(f, got.entries) and hash(got) == hash(FieldMatrix(f, got.entries))
 
 
+def _masked(rng, f, r, c, keep, bits=0):
+    """An r x c matrix, zero where keep(i, j) is false and elsewhere a nonzero
+    entry, with `bits`-bit numerators if bits."""
+
+    def entry():
+        if bits:
+            num = [rng.getrandbits(bits) - (1 << bits - 1) for _ in range(f.degree)]
+            return f.element([Fraction(n, rng.choice(DENS)) for n in num]) or f.one()
+        return _entry(rng, f) or f.element([rng.choice([-2, -1, 1, 3])] * f.degree)
+
+    return FieldMatrix(f, [[entry() if keep(i, j) else 0 for j in range(c)] for i in range(r)])
+
+
+def _signed_permutation(rng, f, n):
+    perm = rng.sample(range(n), n)
+    rows = [[rng.choice([1, -1]) * (j == perm[i]) for j in range(n)] for i in range(n)]
+    return FieldMatrix(f, rows)
+
+
+def _sparse_pairs(rng, f):
+    """(name, a, b) with a * b a 6 x c product of sparse or dense shapes."""
+    n, full = 6, lambda i, j: True
+    yield "zero rows and columns", _masked(rng, f, n, n, lambda i, j: i % 3 and j % 2), _masked(
+        rng, f, n, 4, lambda i, j: i != 1 and j != 2
+    )
+    yield "permutation on the left", _signed_permutation(rng, f, n), _masked(rng, f, n, 5, full)
+    yield "permutation on the right", _masked(rng, f, n, n, full), _signed_permutation(rng, f, n)
+    yield "zero on the left", FieldMatrix.zeros(f, n, n), _masked(rng, f, n, 4, full)
+    yield "zero on the right", _masked(rng, f, n, n, full), FieldMatrix.zeros(f, n, 3)
+    yield "one nonzero per row", _masked(rng, f, n, n, lambda i, j: j == 2 * i % n), _masked(
+        rng, f, n, n, lambda i, j: j == (i + 1) % n
+    )
+    # a's support is columns 0-2 and b's rows 3-5: every product term is zero
+    yield "supports that miss", _masked(rng, f, n, n, lambda i, j: j < 3), _masked(
+        rng, f, n, 4, lambda i, j: i >= 3
+    )
+    # row i of a has i nonzero entries: both sides of the half-nonzero rule
+    yield "every row density", _masked(rng, f, n, n, lambda i, j: j < i), _masked(
+        rng, f, n, n, lambda i, j: (i + j) % 3 == 0
+    )
+    yield "dense", _masked(rng, f, n, n, full), _masked(rng, f, n, 5, full)
+    yield "300-bit numerators", _masked(rng, f, n, n, lambda i, j: j <= i, 300), _masked(
+        rng, f, n, 4, full, 300
+    )
+
+
+@pytest.mark.parametrize("minpoly", FIELDS, ids=IDS)
+def test_sparse_and_dense_products_match_the_fraction_oracle(minpoly):
+    f, o = make_field(minpoly), Oracle(minpoly)
+    rng = random.Random(23 + len(minpoly))
+    for name, a, b in _sparse_pairs(rng, f):
+        got = a * b
+        assert (got.rows, got.cols) == (a.rows, b.cols), name
+        assert _coords(got) == o.matmul(_coords(a), _coords(b)), name
+        assert got == FieldMatrix(f, got.entries), name
+    assert name == "300-bit numerators" and max(map(abs, a.num[-1])).bit_length() > 300
+
+
+def test_a_signed_permutation_reduces_only_the_nonzero_entries(monkeypatch):
+    # the mirror map is a signed permutation: its product with M over Q(zeta5)
+    # reduces one output entry per nonzero entry of M, not all 64
+    f, o = make_field([1] * 5), Oracle([1] * 5)
+    rng = random.Random(29)
+    m, perm = _matrix(rng, f, 8, 8), _signed_permutation(rng, f, 8)
+    nnz = sum(map(bool, itertools.chain(*m.entries)))
+    calls = []
+    real = NumberField._reduce
+    monkeypatch.setattr(NumberField, "_reduce", lambda f, raw: calls.append(1) or real(f, raw))
+    got = perm * m
+    assert len(calls) == nnz < 64
+    assert _coords(got) == o.matmul(_coords(perm), _coords(m))
+
+
 @pytest.mark.parametrize("minpoly", FIELDS, ids=IDS)
 def test_kernels_match_the_fraction_oracle(minpoly):
     f, o = make_field(minpoly), Oracle(minpoly)

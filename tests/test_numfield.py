@@ -12,6 +12,7 @@ from toruscm.numfield import (
     ConjNotAutomorphism,
     ConjNotInvolution,
     Embedding,
+    FieldElement,
     NotConverged,
     NotSquarefree,
     RootSet,
@@ -238,6 +239,26 @@ def test_trace_linear_and_conj_invariant():
         assert trace_q(x + y) == trace_q(x) + trace_q(y)
         assert trace_q(f.conj(x)) == trace_q(x)
         assert trace_q(f.conj(x) * f.conj(y)) == trace_q(x * y)
+
+
+def test_conj_divides_by_the_denominator_without_an_inverse(monkeypatch):
+    # conj(num / den) is conj(num) over den: the conjugate of a non-integral
+    # element takes no inverse of den, where it used to take one each
+    f = zeta5()
+    rng = random.Random(13)
+    xs = [
+        f.element([Fraction(rng.randint(-5, 5), rng.randint(1, 9)) for _ in range(4)])
+        for _ in range(20)
+    ]
+    cg = f.conj(f.gen())  # xi^4
+    want = [f.evaluate(x.coords, cg) for x in xs]
+    calls = []
+    real = FieldElement.inverse
+    monkeypatch.setattr(FieldElement, "inverse", lambda self: calls.append(1) or real(self))
+    got = [f.conj(x) for x in xs]
+    assert got == want and not calls
+    assert sum(x.den > 1 for x in xs) > 10
+    assert all(math.gcd(y.den, *y.num) == 1 and f.conj(y) == x for x, y in zip(xs, got))
 
 
 def test_element_inverse_and_pow():

@@ -369,12 +369,15 @@ def test_seeded_real_roots_take_no_newton_step(p, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "p, nreal", [([-(10**400), 0, 1], 2), ([-(10**401), 0, 0, 1], 1)], ids=["2", "3"]
+    "p, nreal",
+    [([-(10**400), 0, 1], 2), ([-(10**401), 0, 0, 1], 1), ([-1, 0, 10**400], 2)],
+    ids=["2", "3", "1/10^400"],
 )
 def test_real_roots_beyond_float_range_take_few_newton_steps(p, nreal, monkeypatch):
     # the float seed overflows; bisecting on bit lengths and exact Newton
     # steps seed the roots 10^200 (an exact point) and -10^200, or 10^(401/3),
-    # where some 1300 interval-Newton steps used to run
+    # where some 1300 interval-Newton steps used to run; the roots +-10^-200
+    # are seeded on a grid taken from their binade, far finer than 2^-12
     calls = []
     real = polyq.newton_step
 
@@ -391,11 +394,12 @@ def test_real_roots_beyond_float_range_take_few_newton_steps(p, nreal, monkeypat
     "factors, seeded",
     [
         ([[-(10**400), 0, 1]], True),  # floats overflow: an exact seed
+        ([[-1, 0, 10**400]], True),  # the same, for roots +-10^-200
         ([[-1, 3], [-2, 0, 1]], True),  # 1/3 stays a box that is not a point
         ([[0, 1], [-1, 1]], True),  # x^2 - x: exact points 0 and 1
         ([[-3, 1]], True),  # the exact point 3
     ],
-    ids=["x^2-10^400", "(3x-1)(x^2-2)", "x^2-x", "x-3"],
+    ids=["x^2-10^400", "10^400x^2-1", "(3x-1)(x^2-2)", "x^2-x", "x-3"],
 )
 def test_seeded_real_boxes_match_sympy(factors, seeded, monkeypatch):
     sympy = pytest.importorskip("sympy")
@@ -425,6 +429,32 @@ def test_seeded_real_boxes_match_sympy(factors, seeded, monkeypatch):
         else:  # a seeded box is a point exactly at an integer root
             assert box.re.lo <= r <= box.re.hi
             assert not seeded or box.is_point() == (r.denominator == 1)
+
+
+@pytest.mark.parametrize(
+    "p", [[2, 10**300, 0, 1], [-1, 0, 0, 10**400], [1, 0, 10**400]], ids=["a", "b", "c"]
+)
+def test_the_subdivision_floor_is_bisected_by_its_exponent(p, monkeypatch):
+    # floats overflow, so no Durand-Kerner seed: the upper roots come from
+    # exact subdivision, under a floor bound / 2^e with e doubled and then
+    # bisected, where one halving per count used to take 499, 445 and 666
+    # counts; every box holds one root, by sympy's exact count
+    sympy = pytest.importorskip("sympy")
+    calls = []
+    real = polyq._root_count
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(polyq, "_root_count", counted)
+    roots = RootSet(p)
+    assert len(calls) <= 40
+    sp = sympy.Poly(list(reversed(p)), sympy.Symbol("x"))
+    assert roots.nreal == len(sp.real_roots()) and len(roots.boxes) == len(p) - 1
+    for box in roots.boxes:
+        rl, rh, il, ih = (sympy.Rational(m, 2**box.e) for m in box.m)
+        assert sp.count_roots(rl + il * sympy.I, rh + ih * sympy.I) == 1
 
 
 @pytest.mark.parametrize("p", [[5, 0, -5, 0, 1], [2, -6, -1, 3]], ids=["K", "(3x-1)(x^2-2)"])
