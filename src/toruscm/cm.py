@@ -12,7 +12,8 @@ element of K[y]/(y^2 + 1) and the factor of its minimal polynomial that
 vanishes at the base embedding; L is a field whether or not i lies in K,
 and its root boxes are the images of K's.  The real values of I are then
 expressed in F = Q(entries) by their coordinates in the power span of a
-generator, and F's embedding is certified real.  Every decision is exact;
+generator from the entries' moment curve within the primitive element
+bound, and F's embedding is certified real.  Every decision is exact;
 enclosures only pick which root or embedding a value is.  Every Q-span
 question is one `kernel_rows` call, through `_coordinates`.
 
@@ -190,14 +191,6 @@ class CmInput:
 # The field L = Q(sigma(K), i) and the real value field F
 
 
-def _integral(p):
-    """(s, q): q is the monic integer minimal polynomial of s*x when the
-    monic rational p is that of x, with s the lcm of p's denominators."""
-    s = math.lcm(*[c.denominator for c in p])
-    n = len(p) - 1
-    return s, [int(c * s ** (n - i)) for i, c in enumerate(p)]
-
-
 def _value_field(base: Embedding):
     """L = Q(sigma(K), i) as a NumberField with its embedding, and the images
     in L of the generator of K and of i.
@@ -271,33 +264,37 @@ def _image_boxes(roots: RootSet, m, c):
 def _real_value_field(lemb: Embedding, entries):
     """F = Q(entries) with a real embedding, and the entries as F-elements.
 
-    The distinct irrational entries are tried in order as a generator gamma,
-    then seeded combinations of them; gamma is accepted when every entry
-    has coordinates in the Q-span of its powers.  F's generator is the
-    integral multiple of gamma from `_integral`.
+    Candidates gamma: the distinct irrational entries b_1 .. b_r, then the
+    moment curve x(t) = sum over k < r of t^k b_(k+1) at t = 1, 2, ..; gamma
+    generates F when its powers span every entry.  Two distinct embeddings of
+    F (at most n = [L:Q]) differ on some b_k, so agree at x(t) for at most
+    r - 1 values of t; as b_1 = x(0), one of the first r + C(n, 2)(r - 1)
+    candidates generates F (Lang, Algebra, V 4).  F's generator is s gamma,
+    s = gcd(gamma's denominator, the lcm of its minimal polynomial's): each
+    makes gamma integral, as L's generator is, so the gcd does.
     """
     qq = rationals()
     if all(e.is_rational() for e in entries):
         return qq, qq.embeddings()[0], [qq.from_rational(e.as_rational()) for e in entries]
     lf = lemb.field
-    irrational = list(dict.fromkeys(e for e in entries if not e.is_rational()))
-    rng = random.Random(20250809)
-    combos = (
-        sum((e * rng.randint(-3, 3) for e in irrational), lf.zero()) for _ in range(8)
-    )
+    basis = list(dict.fromkeys(e for e in entries if not e.is_rational()))
+    r, n = len(basis), lf.degree
+    curve = (_combine(lf.zero(), [t**k for k in range(r)], basis) for t in itertools.count(1))
     targets = [e.coords for e in entries]
-    for gamma in itertools.chain(irrational, combos):
-        s, p = _integral(element_minpoly(gamma))
-        gamma = gamma * s
-        sol = _coordinates([x.coords for x in _powers(lf.one(), gamma, len(p) - 1)], targets)
+    for gamma in itertools.islice(itertools.chain(basis, curve), r + math.comb(n, 2) * (r - 1)):
+        powers = [x.coords for x in _powers(lf.one(), gamma, n + 1)]
+        p = krylov_minpoly(powers)
+        m = polyq.degree(p)
+        sol = _coordinates(powers[:m], targets)
         if sol is None:
             continue
-        f = NumberField(p)
-        femb = f.embeddings()[f.roots.locate(lambda w: gamma.enclosure(lemb, w))]
+        s = math.gcd(gamma.den, math.lcm(*[c.denominator for c in p]))
+        f = NumberField([c * s ** (m - i) for i, c in enumerate(p)])
+        femb = f.embeddings()[f.roots.locate(lambda w: (gamma * s).enclosure(lemb, w))]
         if not femb.is_real:
             raise AssertionError("I has an entry that is not real")
-        return f, femb, [f.element(x) for x in sol]
-    raise UnsupportedField("no generator of the value field of I was found")
+        return f, femb, [f.element([c / s**i for i, c in enumerate(x)]) for x in sol]
+    raise AssertionError("no generator of F within the primitive element bound")
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +472,8 @@ def rational_kahler_search(t: ComplexTorusData, trials: int = 200, seed: int = 0
     Since I^-1 = -I, I^T G I = G is G I = -I^T G: the space is the kernel
     of G -> G I + I^T G over the upper-triangular unknowns G[a, b], a <= b.
     Returns (G or None, solution_space_dimension).  Sampling: the basis,
-    then its sum, then seeded coefficients with numerators in [-8, 8] and
+    (Id + I^T I) / 2 if I is rational (a positive definite solution), the
+    basis's sum, then seeded coefficients with numerators in [-8, 8] and
     denominators in [1, 8].  On a line Q.b, b and -b decide the question.
     """
     n = 2 * t.g
@@ -491,10 +489,12 @@ def rational_kahler_search(t: ComplexTorusData, trials: int = 200, seed: int = 0
     basis = [
         FieldMatrix(qq, [[flat[col(i, j)] for j in range(n)] for i in range(n)]) for flat in ker
     ]
+    i_q = [FieldMatrix(qq, t.I.rational_entries())] if t.I.is_rational() else []
+    sym = [(FieldMatrix.identity(qq, n) + i.transpose() * i).scale(Fraction(1, 2)) for i in i_q]
     rng = random.Random(seed)
     g, _ = _seeded_search(
         basis,
-        [sum(basis[1:], basis[0]) if len(basis) > 1 else -basis[0]],
+        sym + [sum(basis[1:], basis[0]) if len(basis) > 1 else -basis[0]],
         lambda: Fraction(rng.randint(-8, 8), rng.randint(1, 8)),
         trials,
         lambda g: positive_definite(g, qq.embeddings()[0]),
@@ -571,7 +571,7 @@ def simplicity_check(inp: CmInput, subfield_data) -> bool:
     for u in subfield_data:
         if not isinstance(u, FieldElement) or u.field != k:
             raise SubfieldDataNotClosed("subfield generator is not an element of K")
-        basis_l = _power_span_basis(u)
+        basis_l = _powers(k.one(), u, polyq.degree(element_minpoly(u)))
         l_dim = len(basis_l)
         if l_dim in (1, k.degree):
             continue  # Q itself or not proper
@@ -592,10 +592,6 @@ def simplicity_check(inp: CmInput, subfield_data) -> bool:
         if collapse:
             return False
     return True
-
-
-def _power_span_basis(u: FieldElement):
-    return _powers(u.field.one(), u, polyq.degree(element_minpoly(u)))
 
 
 def _fixed_subbasis(k: NumberField, basis_l):

@@ -14,8 +14,8 @@ squarefree polynomial, and is the one place that decides which root a value
 is (`locate`) and whether a polynomial vanishes at a root (`vanishes_at`).
 Real roots: Sturm counts, then the point m, or [m - 1, m + 1] / 2^k, at a
 float Newton iterate that integer signs certify (`_seeded_real`), or, where
-floats overflow, at exact Newton steps from the root's binade, found by bit
-lengths (`_exact_seed`); where the seed misses, Newton cuts, bisecting by
+floats overflow or miss, at exact Newton steps from the root's binade, found
+by bit lengths (`_exact_seed`); where both miss, Newton cuts, bisecting by
 signs where Newton fails.  A caller that has certified boxes, such as L's
 roots as the images of K's, hands them to `RootSet` in place of isolation.
 Complex roots: interval Newton seeded by Durand-Kerner, or else exact counts
@@ -388,11 +388,18 @@ def _coarsest(lo, hi) -> int:
 def _seeded_real(p, dp, box: Box) -> Box | None:
     """The box on the grid 2^-k, k = max(12, e + 2), of the one root of p in
     an isolating interval `box`, at the point m a float Newton iterate from
-    its midpoint picks (or, where floats overflow, `_exact_seed`, which may
-    take a finer k from the root's binade): [m - 1, m + 1] inside `box` if p
-    has opposite nonzero signs at its ends (m if p(m) = 0), else None.
-    Floats only pick m."""
+    its midpoint picks, or else at the point of `_exact_seed`, which may take
+    a finer k from the root's binade, where floats overflow or the float's m
+    fails: [m - 1, m + 1] inside `box` if p has opposite nonzero signs at its
+    ends (m if p(m) = 0), else None.  Floats only pick m."""
     a, b, k = box.m[0], box.m[1], max(12, box.e + 2)
+
+    def grid_box(m, j):
+        lo, hi, q = a << j - box.e, b << j - box.e, 1 << j
+        if not lo < m - 1 < m + 1 < hi or _sign(p, m - 1, q) * _sign(p, m + 1, q) >= 0:
+            return None
+        return Box((m, m, 0, 0) if _sign(p, m, q) == 0 else (m - 1, m + 1, 0, 0), j)
+
     try:
         x = (a + b) / (2 << box.e)
         for _ in range(64):
@@ -400,13 +407,10 @@ def _seeded_real(p, dp, box: Box) -> Box | None:
             x -= step
             if abs(step) < max(1e-15 * abs(x), 2.0 ** -(k + 8)):
                 break
-        m = round(x * (1 << k))
+        found = grid_box(round(x * (1 << k)), k)
     except (OverflowError, ValueError, ZeroDivisionError):  # inf or nan
-        m, k = _exact_seed(p, dp, a, b, box.e, k)
-    a, b, q = a << k - box.e, b << k - box.e, 1 << k
-    if not a < m - 1 < m + 1 < b or _sign(p, m - 1, q) * _sign(p, m + 1, q) >= 0:
-        return None
-    return Box((m, m, 0, 0) if _sign(p, m, q) == 0 else (m - 1, m + 1, 0, 0), k)
+        found = None
+    return found or grid_box(*_exact_seed(p, dp, a, b, box.e, k))
 
 
 def _exact_seed(p, dp, a, b, e, k):

@@ -78,6 +78,45 @@ def test_cm_torus_large_discriminant(d):
     assert t.I == FieldMatrix(f, [[f.zero(), s], [-s / d, f.zero()]])
 
 
+def _cyclotomic_input(p):
+    """Q(zeta_p) with the power basis, Phi = {zeta -> zeta^j : j < p/2} and
+    `find_beta`'s beta at budget 3."""
+    k = make_field([1] * p, conj_image=[-1] * (p - 1))
+    phi = [
+        _embedding_near(k, math.cos(2 * math.pi * j / p), math.sin(2 * math.pi * j / p))
+        for j in range(1, (p + 1) // 2)
+    ]
+    basis = [k.gen() ** j for j in range(p - 1)]
+    return CmInput(k, basis, phi, find_beta(k, basis, phi, 3), [k.gen() ** j for j in range(1, p)])
+
+
+@pytest.mark.parametrize(
+    "p, minpoly", [(5, [5, 0, -10, 0, 1]), (7, [-7, 0, 35, 0, -21, 0, 1])], ids=["zeta5", "zeta7"]
+)
+def test_value_field_generator_is_scaled_by_the_gcd_rule(p, minpoly):
+    # s gamma is integral for s = gamma's denominator and for s = the lcm of
+    # its minimal polynomial's denominators, so for their gcd: F's minimal
+    # polynomial has 4 and 6 bits, where the lcm alone gave
+    # x^4 - 6250x^2 + 1953125 and a sextic of 71 bits
+    t, _, _ = cm_torus(_cyclotomic_input(p))
+    assert list(t.field.minpoly) == minpoly
+
+
+def test_value_field_generator_within_the_primitive_element_bound(monkeypatch):
+    # neither sqrt 2 nor sqrt 3 generates F = Q(sqrt 2, sqrt 3); the moment
+    # curve's first point sqrt 2 + sqrt 3 does, the third candidate of at
+    # most r + C(n, 2)(r - 1) = 2 + 6 (r = 2 irrational entries, n = [L:Q] = 4)
+    lf = make_field([1, 0, -10, 0, 1])
+    lemb = lf.embeddings()[3]  # the largest root, x = sqrt 2 + sqrt 3
+    x = lf.gen()
+    sqrt2, sqrt3 = (x**3 - 9 * x) / 2, (11 * x - x**3) / 2
+    minpolys = _calls(monkeypatch, "krylov_minpoly")
+    f, femb, values = cm._real_value_field(lemb, [sqrt2, sqrt3, lf.one()])
+    assert list(f.minpoly) == [1, 0, -10, 0, 1] and len(minpolys) == 3
+    assert femb.is_real and values[0] + values[1] == f.gen() and values[2] == f.one()
+    assert values[0] * values[0] == f.from_rational(2) and values[1] * values[1] == f.from_rational(3)
+
+
 @pytest.mark.parametrize(
     "make, f_degree",
     [
@@ -422,6 +461,36 @@ def test_product_without_cm_has_no_rational_metric(monkeypatch):
     assert len(checks) == 4
     assert rational_kahler_search(t, trials=1) == (None, 1)
     assert len(checks) == 5
+
+
+def _e_i_power(g):
+    """E_i^g: I block-diagonal in [[0, -1], [1, 0]] over Q."""
+    rows = [[0] * (2 * g) for _ in range(2 * g)]
+    for b in range(0, 2 * g, 2):
+        rows[b][b + 1], rows[b + 1][b] = -1, 1
+    return ComplexTorusData(g, QQ, FieldMatrix(QQ, rows), QEMB)
+
+
+def test_cm_certificate_finds_a_witness_on_e_i_squared():
+    # End^0(E_i x E_i) = M_2(Q(i)), of dimension 8: no basis element is a
+    # witness, and a seeded draw finds one of degree 4, squarefree
+    t = _e_i_power(2)
+    v = cm_certificate(t)
+    assert (v.verdict, v.end_dim) == ("CM", 8)
+    assert polyq.degree(v.minpoly) == 4 and polyq.is_squarefree(v.minpoly)
+    assert matrix_minpoly(v.witness) == v.minpoly
+    assert v.witness.lift(t.field) * t.I == t.I * v.witness.lift(t.field)
+
+
+def test_kahler_search_tries_the_symmetrized_identity_on_a_rational_i(monkeypatch):
+    # E_i^3 has CM, but its 9 basis elements are not definite and 200 trials
+    # of seeded draws missed a metric; with I rational, (Id + I^T I) / 2 = Id
+    # is the tenth candidate, right after the basis
+    t = _e_i_power(3)
+    assert cm_certificate(t).verdict == "CM"
+    checks = _calls(monkeypatch, "positive_definite")
+    g, dim = rational_kahler_search(t)
+    assert dim == 9 and g == FieldMatrix.identity(QQ, 6) and len(checks) == 10
 
 
 def test_matrix_minpoly_of_mult_by_xi(zeta5_cm, mult_matrix):

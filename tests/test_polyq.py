@@ -370,14 +370,21 @@ def test_seeded_real_roots_take_no_newton_step(p, monkeypatch):
 
 @pytest.mark.parametrize(
     "p, nreal",
-    [([-(10**400), 0, 1], 2), ([-(10**401), 0, 0, 1], 1), ([-1, 0, 10**400], 2)],
-    ids=["2", "3", "1/10^400"],
+    [
+        ([-(10**400), 0, 1], 2),
+        ([-(10**401), 0, 0, 1], 1),
+        ([-1, 0, 10**400], 2),
+        ([-1, 0, 10**250], 2),
+    ],
+    ids=["2", "3", "1/10^400", "1/10^250"],
 )
 def test_real_roots_beyond_float_range_take_few_newton_steps(p, nreal, monkeypatch):
     # the float seed overflows; bisecting on bit lengths and exact Newton
     # steps seed the roots 10^200 (an exact point) and -10^200, or 10^(401/3),
     # where some 1300 interval-Newton steps used to run; the roots +-10^-200
-    # are seeded on a grid taken from their binade, far finer than 2^-12
+    # are seeded on a grid taken from their binade, far finer than 2^-12; at
+    # +-10^-125 floats do not overflow but miss, and the exact seed takes
+    # over where 834 interval-Newton steps used to run
     calls = []
     real = polyq.newton_step
 
@@ -395,11 +402,12 @@ def test_real_roots_beyond_float_range_take_few_newton_steps(p, nreal, monkeypat
     [
         ([[-(10**400), 0, 1]], True),  # floats overflow: an exact seed
         ([[-1, 0, 10**400]], True),  # the same, for roots +-10^-200
+        ([[-1, 0, 10**250]], True),  # floats miss the roots +-10^-125: an exact seed
         ([[-1, 3], [-2, 0, 1]], True),  # 1/3 stays a box that is not a point
         ([[0, 1], [-1, 1]], True),  # x^2 - x: exact points 0 and 1
         ([[-3, 1]], True),  # the exact point 3
     ],
-    ids=["x^2-10^400", "10^400x^2-1", "(3x-1)(x^2-2)", "x^2-x", "x-3"],
+    ids=["x^2-10^400", "10^400x^2-1", "10^250x^2-1", "(3x-1)(x^2-2)", "x^2-x", "x-3"],
 )
 def test_seeded_real_boxes_match_sympy(factors, seeded, monkeypatch):
     sympy = pytest.importorskip("sympy")
@@ -459,7 +467,8 @@ def test_the_subdivision_floor_is_bisected_by_its_exponent(p, monkeypatch):
 
 @pytest.mark.parametrize("p", [[5, 0, -5, 0, 1], [2, -6, -1, 3]], ids=["K", "(3x-1)(x^2-2)"])
 def test_a_float_seed_that_misses_falls_back(p, monkeypatch):
-    # floats that converge 0.01 off each root only pick grid points: the
+    # floats that converge 0.01 off each root only pick grid points, and the
+    # exact seed is made to miss too (it picks the interval's end): the
     # integer signs refuse every seeded box, and Newton cuts take over
     sympy = pytest.importorskip("sympy")
     real, seed, seeds = polyq._float_eval, polyq._seeded_real, []
@@ -469,6 +478,7 @@ def test_a_float_seed_that_misses_falls_back(p, monkeypatch):
         return seeds[-1]
 
     monkeypatch.setattr(polyq, "_float_eval", lambda cs, x: real(cs, x - 0.01))
+    monkeypatch.setattr(polyq, "_exact_seed", lambda p, dp, a, b, e, k: (a << k - e, k))
     monkeypatch.setattr(polyq, "_seeded_real", recorded)
     roots = RootSet(p)
     exact = sympy.Poly(list(reversed(p)), sympy.Symbol("x")).real_roots()
