@@ -33,8 +33,9 @@ of overlapping boxes raise it past Mahler's root separation bound (`_gap`).
 Refinement leaves an exact-point box as it is.
 
 Boxes are made dyadic here, never rounded afterwards, which could let a
-neighbouring root in: isolation cuts [-2^k, 2^k] at midpoints, or beside a
-midpoint that is a root, and `_cut` at d + 1 dyadic fractions in [1/4, 1/2].
+neighbouring root in: isolation starts from [-2^k, 2^k] (`root_bound`), and
+`_cut` takes the first of the d + 1 dyadic cuts of `_cut_point` (at a side's
+middle bit length across scales) that misses the roots.
 A root is an exact point only at a dyadic value (an integer, for a monic
 minpoly); another rational root is held by shrinking boxes, as an
 irrational one is, and `_certify` and `vanishes_at` decide it without one.
@@ -123,12 +124,15 @@ def is_squarefree(p) -> bool:
     return degree(pgcd(p, pderiv(p))) == 0
 
 
-def cauchy_bound(p) -> int:
-    """The power of two at or above Cauchy's bound 1 + max |c_i| / |c_n|
-    for the integer p: all complex roots have modulus below it."""
+def root_bound(p) -> int:
+    """A power of two above the modulus of every root of the integer p:
+    Fujiwara's 2 max_k |c_(n-k) / c_n|^(1/k), the last term halved (Tohoku
+    Math. J. 10 (1916)), read from bit lengths."""
     if degree(p) < 1:
         raise ValueError("need degree >= 1")
-    return 1 << (-(-max(abs(c) for c in p[:-1]) // abs(p[-1]))).bit_length()
+    top = abs(p[-1]).bit_length() - 1  # |c_(n-k) / c_n| < 2^(len c_(n-k) - top)
+    cs = [abs(p[0]) >> 1, *p[1:-1]][::-1]  # c_(n-1), ..., c_1 and the halved |c_0|
+    return 2 << max(0, *(-((top - abs(c).bit_length()) // k) for k, c in enumerate(cs, 1)))
 
 
 def _value(f, a, q=1) -> int:
@@ -166,39 +170,31 @@ def variations(chain, a, q=1) -> int:
     return sum(abs(s - t) for s, t in zip(signs, signs[1:]))
 
 
-def count_roots(chain, a, b, q=1) -> int:
-    """Number of distinct real roots in (a/q, b/q), for ends not roots."""
-    return (variations(chain, a, q) - variations(chain, b, q)) // 2
+def count_roots(chain, a, b, q=1) -> int | None:
+    """Number of distinct real roots in (a/q, b/q), or None at an end that is a simple root."""
+    va, vb = variations(chain, a, q), variations(chain, b, q)  # odd just at a simple root
+    return None if (va | vb) & 1 else (va - vb) // 2
 
 
 def isolate_real_roots(p):
-    """Ascending real boxes (a, b] / 2^e, one simple real root each and no
-    end a root: the Cauchy interval cut at midpoints m, or at m + (b - a) /
-    2^j where m is a root.  p must be squarefree: the chain ends in
-    gcd(p, p')."""
+    """Ascending real boxes (a, b) / 2^e, one simple real root each and no
+    end a root: `_cut` splits (-B, B), B = `root_bound`, from the grid 2^-f,
+    f the height's bit length, whose step (the floor of a part at 0) is below
+    every nonzero root.  p must be squarefree: the chain ends in gcd(p, p')."""
     chain = sturm_chain(p)
     if degree(chain[-1]) > 0:
         raise ValueError("polynomial must be squarefree")
-    p, bound = chain[0], cauchy_bound(chain[0])
-
-    def cut(box):
-        a, b = box.m[:2]
-        j, m = 1, a + b  # the midpoint, at 2^-(e + j)
-        while _sign(p, m, 1 << box.e + j) == 0:  # cut beside a root, not at it
-            j += 1
-            m = ((a + b) << j - 1) + b - a
-        a, b, e = a << j, b << j, box.e + j
-        return Box((a, m, 0, 0), e), Box((m, b, 0, 0), e), count_roots(chain, a, m, 1 << e)
-
-    return _split(Box((-bound, bound, 0, 0), 0), count_roots(chain, -bound, bound), _gap(p), cut)
+    p, bound = chain[0], root_bound(chain[0])
+    f = max(map(abs, p)).bit_length()  # a nonzero root exceeds 1 / (1 + height)
+    box = Box((-bound << f, bound << f, 0, 0), f)
+    return _split(p, box, count_roots(chain, -bound, bound), _gap(p), {None: chain})
 
 
-def _split(box, n, gap, cut):
+def _split(p, box, n, gap, lines):
     """Boxes holding one root each, in (re, im) order: the parts of `box`,
-    which holds n roots, under repeated `cut(part)` = (low, high, count of
-    low).  With `gap` < sep(p) / 2 a part narrower than `gap` holds at most
-    one root; a count that says otherwise is wrong and raises
-    `NotConverged`, as does a cut whose counts do not add up."""
+    which holds n roots of p, under repeated `_cut`.  With `gap` < sep(p) / 2
+    a part narrower than `gap` holds at most one root; a count that says
+    otherwise raises `NotConverged`, as does a cut whose counts do not add up."""
     found, queue = [], [(box, n)] if n else []
     while queue:
         box, n = queue.pop()
@@ -207,7 +203,7 @@ def _split(box, n, gap, cut):
             continue
         if box.narrower(gap):
             raise NotConverged("a box narrower than the root separation counts several roots")
-        low, high, k = cut(box)
+        low, high, k = _cut(p, box, lines)
         if k is None or not 0 <= k <= n:
             raise NotConverged("the counts of a cut do not add up")
         queue += [(h, c) for h, c in ((low, k), (high, n - k)) if c]
@@ -259,36 +255,45 @@ def _newton_cut(p, dp, box: Box) -> Box | None:
 
 
 def _bisect_certified(p, dp, box: Box, lines=None) -> Box:
-    """A strict half of a box holding one root of p that keeps the root: a
-    half of the midpoint cut that interval Newton certifies, else the half
+    """A strict part of a box holding one root of p that keeps the root: a
+    part of the first cut that interval Newton certifies, else the part
     that the exact count gives the root."""
-    for h in _halves(box, 1, 1):
+    for h in _halves(box, 0, 1):
         if _certify(p, dp, h) is not None:
             return h
     low, high, n = _cut(p, box, lines)
     return high if n == 0 else low
 
 
-def _halves(box: Box, num: int, s: int) -> tuple[Box, Box]:
-    """The two parts of a box cut across its wider side at num / 2^s of it."""
-    a, b, c, d = (x << s for x in box.m)
-    e = box.e + s
-    if b - a >= d - c:
-        x = a + ((b - a) >> s) * num
-        return Box((a, x, c, d), e), Box((x, b, c, d), e)
-    y = c + ((d - c) >> s) * num
-    return Box((a, b, c, y), e), Box((a, b, y, d), e)
+def _halves(box: Box, j: int, s: int) -> tuple[Box, Box]:
+    """The two parts of a box cut across its wider side at `_cut_point` j."""
+    i = 0 if box.m[1] - box.m[0] >= box.m[3] - box.m[2] else 2  # the wider side
+    low, high = [x << s for x in box.m], [x << s for x in box.m]
+    low[i + 1] = high[i] = _cut_point(box.m[i], box.m[i + 1], j, s)
+    return Box(tuple(low), box.e + s), Box(tuple(high), box.e + s)
+
+
+def _cut_point(lo, hi, j, s) -> int:
+    """The j-th cut of the side [lo, hi] / 2^e, 2^s > 4j, on the grid
+    2^-(e + s): at 2^k (1 - j / 2^s), k the middle bit length, if the side
+    has one sign (0 may be an end) and spans 3 binades or more, so cuts halve
+    the binades between scales (Sagraloff and Mehlhorn, J. Symb. Comput. 73
+    (2016)); else at (2^(s-1) - j) / 2^s of it.  Each is strictly inside."""
+    small, large = sorted((abs(lo).bit_length(), abs(hi).bit_length()))
+    if (lo >= 0 or hi <= 0) and large - small >= 3:
+        x = ((1 << s) - j) << (small + large) // 2
+        return x if hi > 0 else -x
+    return (lo << s) + (hi - lo) * ((1 << s - 1) - j)
 
 
 def _cut(p, box: Box, lines=None):
-    """(low, high, count of low) for the first cut at (2^(s-1) - j) / 2^s,
-    j = 0 .. d, 2^s > 4d, with no root on low's boundary.  One of these
-    d + 1 lines in [1/4, 1/2] misses the d roots, so the count is None only
-    when a root lies on the part of the box's boundary that every low part
-    shares (and keeps)."""
+    """(low, high, count of low) for the first cut at `_cut_point` j = 0 ..
+    d, 2^s > 4d, with no root on low's boundary.  One of these d + 1 lines
+    (points, in a real box) misses the d roots, so the count is None only when
+    a root lies on the part of the box's boundary that every low part keeps."""
     s = degree(p).bit_length() + 2
     for j in range(degree(p) + 1):
-        low, high = _halves(box, (1 << s - 1) - j, s)
+        low, high = _halves(box, j, s)
         n = _root_count(p, low, lines)
         if n is not None:
             break
@@ -325,15 +330,18 @@ def _lin(s, f, t, g) -> list:
 
 
 def _root_count(p, box: Box, lines=None) -> int | None:
-    """Number of roots of squarefree p in the open box, or None when p
-    vanishes on its boundary (the argument principle; Wilf, J. ACM 25 (1978)):
-    minus half the sum of the Cauchy indices of V/U along the edges,
-    counterclockwise, with p = (U + iV) / q^n on each edge's line (`_line`,
-    kept in `lines`); a root on an edge is a root of gcd(U, V) there."""
-    p = _primitive(p)
+    """Number of roots of squarefree p in the open box, or None when p vanishes
+    on its boundary: in a real box, by the Sturm chain kept in `lines` under
+    None; else by the argument principle (Wilf, J. ACM 25 (1978)): minus half
+    the sum of the Cauchy indices of V/U along the edges, counterclockwise,
+    with p = (U + iV) / q^n on each edge's line (`_line`, kept in `lines`); a
+    root on an edge is a root of gcd(U, V) there."""
     lines = {} if lines is None else lines
     rl, rh, il, ih = box.m
     q = 1 << box.e
+    if il == ih == 0:
+        return count_roots(lines[None], rl, rh, q)
+    p = _primitive(p)
     index = 0
     edges = ((False, il, rl, rh), (True, rh, il, ih), (False, ih, rh, rl), (True, rl, ih, il))
     for vertical, c, start, end in edges:
@@ -387,21 +395,23 @@ def _coarsest(lo, hi) -> int:
 
 def _seeded_real(p, dp, box: Box) -> Box | None:
     """The box on the grid 2^-k, k = max(12, e + 2), of the one root of p in
-    an isolating interval `box`, at the point m a float Newton iterate from
-    its midpoint picks, or else at the point of `_exact_seed`, which may take
-    a finer k from the root's binade, where floats overflow or the float's m
-    fails: [m - 1, m + 1] inside `box` if p has opposite nonzero signs at its
-    ends (m if p(m) = 0), else None.  Floats only pick m."""
-    a, b, k = box.m[0], box.m[1], max(12, box.e + 2)
+    an isolating interval (a, b) / 2^e in lowest terms, at the point m a
+    float Newton iterate from its midpoint picks, or else at the point of
+    `_exact_seed`, which may take a finer k from the root's binade, where
+    floats overflow or the float's m fails: [m - 1, m + 1] inside it if p has
+    opposite nonzero signs at its ends (m if p(m) = 0), else None."""
+    t = min(box.e, ((box.m[0] | box.m[1]) & -(box.m[0] | box.m[1])).bit_length() - 1)
+    a, b, e = box.m[0] >> t, box.m[1] >> t, box.e - t  # (a, b) / 2^e in lowest terms
+    k = max(12, e + 2)
 
     def grid_box(m, j):
-        lo, hi, q = a << j - box.e, b << j - box.e, 1 << j
+        lo, hi, q = a << j - e, b << j - e, 1 << j
         if not lo < m - 1 < m + 1 < hi or _sign(p, m - 1, q) * _sign(p, m + 1, q) >= 0:
             return None
         return Box((m, m, 0, 0) if _sign(p, m, q) == 0 else (m - 1, m + 1, 0, 0), j)
 
     try:
-        x = (a + b) / (2 << box.e)
+        x = (a + b) / (2 << e)
         for _ in range(64):
             step = _float_eval(p, x) / _float_eval(dp, x)
             x -= step
@@ -410,7 +420,7 @@ def _seeded_real(p, dp, box: Box) -> Box | None:
         found = grid_box(round(x * (1 << k)), k)
     except (OverflowError, ValueError, ZeroDivisionError):  # inf or nan
         found = None
-    return found or grid_box(*_exact_seed(p, dp, a, b, box.e, k))
+    return found or grid_box(*_exact_seed(p, dp, a, b, e, k))
 
 
 def _exact_seed(p, dp, a, b, e, k):
@@ -477,27 +487,17 @@ def _gap(p) -> Fraction:
 
 def _subdivision_upper_roots(p, count, lines):
     """Boxes strictly above the real axis, one per root with Im > 0: the
-    Cauchy box above the highest floor y = bound / 2^e that counts all
-    `count` upper roots (e doubled, then bisected: the count grows as the
-    floor falls), split by counts (`_split`).  With `gap` < sep(p) / 2, an
-    upper root a has Im a >= sep(p) / 2, so a floor below `gap` counts every
-    upper root; a count that says otherwise is wrong and raises
-    `NotConverged`."""
-    bound, gap = cauchy_bound(p), _gap(p)
-
-    def top(e):
-        return Box((-bound << e, bound << e, bound, bound << e), e)
-
-    lo, hi = 0, 1  # the box at lo (flat at e = 0) misses an upper root
-    while _root_count(p, top(hi), lines) != count:
-        if Box((0, bound, 0, 0), hi).narrower(gap):  # the floor bound / 2^hi
-            raise NotConverged("the upper roots are not all above the separation bound")
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if _root_count(p, top(mid), lines) == count else (mid, hi)
+    root bound's box above the highest floor y = bound / 2^e below `gap`,
+    split by counts (`_split`), whose exponent cuts reach the floor's binade
+    in O(log e) counts.  An upper root a has Im a >= sep(p) / 2 > `gap`, so
+    the box holds every upper root; a count that says otherwise raises."""
+    bound, gap = root_bound(p), _gap(p)
+    e = (bound * gap.denominator // gap.numerator).bit_length()  # 2^e > bound / gap
+    box = Box((-bound << e, bound << e, bound, bound << e), e)
+    if _root_count(p, box, lines) != count:
+        raise NotConverged("the upper roots are not all above the separation bound")
     # a part's boundary holds no root, so `_cut` gives a count
-    return _split(top(hi), count, gap, lambda box: _cut(p, box, lines))
+    return _split(p, box, count, gap, lines)
 
 
 def _isolate_all_roots(p, dp, lines=None):

@@ -170,11 +170,11 @@ def test_root_product_encloses_the_exact_coefficients():
 
 
 def test_approx_reads_a_midpoint_beyond_float_range_as_inf():
-    # roots +-10^200 i are in float range, but exact subdivision may leave
-    # one of them a box as wide as the Cauchy bound
+    # the roots +-10^400 i lie beyond float range, so the midpoint of a box
+    # around one of them reads as inf
     from toruscm.numfield import make_field
 
-    z = polyq.RootSet((10**400, 0, 1)).boxes[0].approx()
+    z = polyq.RootSet((10**800, 0, 1)).boxes[0].approx()
     assert math.isinf(abs(z))
-    assert "inf" in repr(make_field([10**400, 0, 1]).embeddings()[0])
+    assert "inf" in repr(make_field([10**800, 0, 1]).embeddings()[0])
     assert Box.of(-(10**400), -(10**400), 1, 1).approx() == complex(-math.inf, 1)

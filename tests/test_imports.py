@@ -194,11 +194,12 @@ def test_sturm_chains_and_counts_never_touch_fraction():
     # L0 runs on primitive integer polynomials and reads signs by integer
     # Horner; Fraction stays at the boundary where a minpoly enters.  A
     # seeded real box is picked by floats, or by exact Newton steps on
-    # integers where floats overflow, and decided by integer signs
+    # integers where floats overflow, and decided by integer signs; the root
+    # bound and every cut point are read from integer bit lengths
     polyq = ast.parse((SRC / "polyq.py").read_text(encoding="utf-8"))
     names = (
         "sturm_chain", "variations", "_root_count", "_line", "_prem", "_value", "_sign",
-        "_seeded_real", "_exact_seed",
+        "_seeded_real", "_exact_seed", "root_bound", "_cut_point",
     )
     touching = [
         name
@@ -228,7 +229,7 @@ def test_box_kernel_and_refinement_loop_never_touch_fraction():
     bodies = {f"Box.{k}": n for k, n in members.items() if k not in boundary_and_readers}
     bodies.update((f"boxes.{n.name}", n) for n in boxes.body if isinstance(n, ast.FunctionDef))
     loop = ("_refine_box_once", "_newton_cut", "_bisect_certified", "_bisect_real")
-    loop += ("_halves", "_cut")
+    loop += ("_halves", "_cut_point", "_cut")
     bodies.update((f"polyq.{name}", _function(polyq, name)) for name in loop)
     for name in ("refine", "locate"):
         bodies[f"RootSet.{name}"] = _function(polyq, name, "RootSet")

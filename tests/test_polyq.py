@@ -440,13 +440,16 @@ def test_seeded_real_boxes_match_sympy(factors, seeded, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "p", [[2, 10**300, 0, 1], [-1, 0, 0, 10**400], [1, 0, 10**400]], ids=["a", "b", "c"]
+    "p",
+    [[2, 10**300, 0, 1], [-1, 0, 0, 10**400], [1, 0, 10**400], [3, 0, 10**300, 0, 1]],
+    ids=["a", "b", "c", "d"],
 )
-def test_the_subdivision_floor_is_bisected_by_its_exponent(p, monkeypatch):
-    # floats overflow, so no Durand-Kerner seed: the upper roots come from
-    # exact subdivision, under a floor bound / 2^e with e doubled and then
-    # bisected, where one halving per count used to take 499, 445 and 666
-    # counts; every box holds one root, by sympy's exact count
+def test_the_subdivision_reaches_its_floor_by_exponent_cuts(p, monkeypatch):
+    # floats overflow, or lose d's upper root near 1.7 10^-150 i, so the
+    # upper roots come from exact subdivision of the box above a floor below
+    # the separation bound, found with no search; one halving per count used
+    # to take 499, 445 and 666 counts, and 1026 for d; every box holds one
+    # root, by sympy's exact count
     sympy = pytest.importorskip("sympy")
     calls = []
     real = polyq._root_count
@@ -463,6 +466,48 @@ def test_the_subdivision_floor_is_bisected_by_its_exponent(p, monkeypatch):
     for box in roots.boxes:
         rl, rh, il, ih = (sympy.Rational(m, 2**box.e) for m in box.m)
         assert sp.count_roots(rl + il * sympy.I, rh + ih * sympy.I) == 1
+
+
+def test_real_isolation_cuts_across_scales_by_exponent(monkeypatch):
+    # the roots 10^-150, 10^-149 and 1: the Sturm counts cut a side of one
+    # sign at its middle bit length, where one halving per count used to
+    # take 500 counts; every real box holds one root, by sympy's exact count
+    sympy = pytest.importorskip("sympy")
+    calls = []
+    real = polyq.count_roots
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(polyq, "count_roots", counted)
+    p = _product([[-1, 10**150], [-1, 10**149], [-1, 1]])
+    roots = RootSet(p)
+    assert len(calls) <= 20
+    sp = sympy.Poly([int(c) for c in reversed(roots.poly)], sympy.Symbol("x"))
+    assert roots.nreal == 3 == len(roots.boxes)
+    for box in roots.boxes:
+        lo, hi = (sympy.Rational(m, 2**box.e) for m in box.m[:2])
+        assert sp.count_roots(lo, hi) == 1
+
+
+def test_root_bound_holds_every_root_by_sympy_count():
+    # Fujiwara's bound from bit lengths: every root of a seeded squarefree
+    # polynomial with coefficients of 1 to 30 digits lies in the closed
+    # square [-B, B]^2, by sympy's exact count
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(11)
+    checked = 0
+    while checked < 400:
+        d = rng.randint(1, 9)
+        p = [rng.choice((-1, 1)) * rng.randint(0, 10 ** rng.randint(0, 30)) for _ in range(d)]
+        p.append(rng.choice((-1, 1)) * rng.randint(1, 10 ** rng.randint(0, 30)))
+        if not polyq.is_squarefree(p):
+            continue
+        b = polyq.root_bound(p)
+        assert sympy.Poly(list(reversed(p)), x).count_roots(-b - b * sympy.I, b + b * sympy.I) == d
+        checked += 1
 
 
 @pytest.mark.parametrize("p", [[5, 0, -5, 0, 1], [2, -6, -1, 3]], ids=["K", "(3x-1)(x^2-2)"])
