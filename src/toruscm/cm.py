@@ -7,15 +7,14 @@ images sigma_j(a) of the basis for j in Phi and their complex conjugates,
 and D = diag(i, .., i, -i, .., -i) = i S; so I = i N, N = R^-1 S R.  As
 R^T R is the trace form T = (Tr(a_k a_l)), N = 2 T^-1 R_Phi^T R_Phi - Id
 with no elimination over K, and E and G come from the power basis's trace
-form T0 too.  Only i N goes into L = Q(sigma(K), i), built from a primitive
-element of K[y]/(y^2 + 1) and the factor of its minimal polynomial that
-vanishes at the base embedding; L is a field whether or not i lies in K,
-and its root boxes are the images of K's.  The real values of I are then
-expressed in F = Q(entries) by their coordinates in the power span of a
-generator from the entries' moment curve within the primitive element
-bound, and F's embedding is certified real.  Every decision is exact;
-enclosures only pick which root or embedding a value is.  Every Q-span
-question is one `kernel_rows` call, through `_coordinates`.
+form T0 too.  I is real, so N's entries are conj-antifixed, and on them
+i sigma = phi, the real ring map Re sigma - Im sigma from K with the twisted
+product x * y = xy - 2 x^- y^-, x^- = (x - conj x) / 2.  The real values of
+I are then expressed in F = Q(entries of I) by their coordinates in the
+*-power span of a generator from the entries' moment curve within the
+primitive element bound; no field beyond K and F is built.  Every decision
+is exact; enclosures only pick which root or embedding a value is.  Every
+Q-span question is one `kernel_rows` call, through `_coordinates`.
 
 The certificate searches End^0(T), which each torus computes once
 (`ComplexTorusData.end`); it and the metric search share one seeded search.
@@ -188,112 +187,73 @@ class CmInput:
 
 
 # ---------------------------------------------------------------------------
-# The field L = Q(sigma(K), i) and the real value field F
+# The real value field F, read in K through the twisted product
 
 
-def _value_field(base: Embedding):
-    """L = Q(sigma(K), i) as a NumberField with its embedding, and the images
-    in L of the generator of K and of i.
+def _star_powers(gamma: FieldElement, n):
+    """[gamma^0, .., gamma^(n-1)] under the twisted product x * y = xy -
+    2 x^- y^-, x^- = (x - conj x) / 2, for conj-antifixed gamma: then
+    gamma^- = gamma, so x * gamma = xy - (x - conj x) gamma = conj(x) gamma."""
+    k = gamma.field
+    out = [k.one()]
+    for _ in range(n - 1):
+        out.append(k.conj(out[-1]) * gamma)
+    return out
 
-    L is the image of A = K[y]/(y^2+1) under sigma and y -> i.  The element
-    u = gen*(1 + c*y) has 2d distinct images under the 2d maps A -> C
-    (sigma_j with y -> +-i) for all but at most d^2 values of c, so its
-    minimal polynomial M has degree 2d for some c <= d^2 + 1 and the powers
-    of u are a Q-basis of A.  L's generator is the image of u, an algebraic
-    integer as gen is, so the factor of M vanishing there is integral (Gauss);
-    L is a field whether or not i lies in K.
+
+def _real_value_field(base: Embedding, entries):
+    """F = Q(i sigma(x) : x in entries) with a real embedding, and those
+    values as F-elements, for conj-antifixed entries of K and sigma = base.
+
+    phi(x) = Re sigma(x) - Im sigma(x) is a ring map from K with the twisted
+    product (`_star_powers`) to R, and phi(x) = i sigma(x) on antifixed x, so
+    F is phi's image of the *-algebra the entries generate.  (K, *) =
+    K+[y]/(y^2 + beta^2), for any antifixed beta != 0, is etale, and a field
+    exactly when i is not in K.
+    Candidates gamma: the distinct nonzero entries b_1 .. b_r, then the moment
+    curve x(t) = sum over k < r of t^k b_(k+1) at t = 1, 2, ..; gamma
+    generates the algebra when its *-powers span every entry.  Two distinct
+    maps of it to C (at most n = [K:Q]) differ on some b_k, so agree at x(t)
+    for at most r - 1 values of t; as b_1 = x(0), one of the first
+    r + C(n, 2)(r - 1) candidates generates it (Lang, Algebra, V 4).  F is
+    then Q[x] modulo the factor at phi(s gamma) of gamma's *-minimal
+    polynomial p, scaled to s gamma, and an entry's value is its coordinate
+    row at F's generator over s.  s = gcd(gamma's denominator, the lcm of
+    p's): each root of p is i tau(gamma) for an embedding tau, and
+    i tau(gamma.den gamma) is integral, as gamma.den gamma lies in Z[gen];
+    the lcm makes every root of p integral too, so the gcd does.
     """
-    k = base.field
-    d = k.degree
-    gpow = _powers(k.one(), k.gen(), 2 * d + 1)
-    for c in range(1, d * d + 2):
-        # A-coordinates (re | im) of u^n = gen^n * (a + b*y), a + b*i = (1 + c*i)^n
-        gauss = [(1, 0)]
-        for _ in range(2 * d):
-            a, b = gauss[-1]
-            gauss.append((a - c * b, b + c * a))
-
-        cols = [
-            [a * x for x in gp.coords] + [b * x for x in gp.coords]
-            for (a, b), gp in zip(gauss, gpow)
-        ]
-        m = krylov_minpoly(cols)
-        if polyq.degree(m) == 2 * d:
-            break
-    else:
-        raise AssertionError("no primitive element gen*(1 + c*y) of A")
-
-    def u_value(w):
-        return base.enclosure(w) * Box.point(1, c)  # sigma(gen) * (1 + c*i)
-
-    # A is a field when m is its own factor at u: L keeps the roots of m
-    lf = NumberField(m, roots=RootSet(m, ([], _image_boxes(k.roots, m, c))))
-    at = lf.roots.locate(u_value)
-    factor = _factor_at(lf.roots, at)
-    if factor != m:
-        lf = NumberField(factor)
-        at = lf.roots.locate(u_value)
-    lemb = lf.embeddings()[at]
-    # gen and y as rational combinations of u^0 .. u^(2d-1), mapped into L
-    zero = (0,) * d
-    sol = _coordinates(cols[:-1], [k.gen().coords + zero, zero + k.one().coords])
-    gen_l, i_l = (lf.evaluate(x, lf.gen()) for x in sol)
-    return lf, lemb, gen_l, i_l
-
-
-def _image_boxes(roots: RootSet, m, c):
-    """Boxes for the d roots of m with Im > 0, ordered by (re, im), when m's
-    2d roots are the distinct images sigma_j(gen)(1 +- ci), none real (it
-    would equal its conjugate, another map's image): d disjoint ones above
-    the axis among K's boxes times the points 1 +- ci, K's refined until
-    there are, which boxes below half of m's gap (`_gap`) decide."""
-    gap = polyq._gap(polyq._primitive(m)) / 2
-    while True:
-        images = [b * Box.point(1, s * c) for b in roots.boxes for s in (1, -1)]
-        ups = [b for b in images if b.im.sign() == 1]
-        if len(ups) == len(roots.boxes) and all(
-            a.disjoint(b) for a, b in itertools.combinations(ups, 2)
-        ):
-            return sorted(ups, key=lambda b: (b.re.mid(), b.im.mid()))
-        if all(b.narrower(gap) for b in images):
-            raise polyq.NotConverged("the images of K's roots do not separate")
-        for i in range(len(roots.boxes)):
-            roots.refine(i, roots.boxes[i].width() / 2)
-
-
-def _real_value_field(lemb: Embedding, entries):
-    """F = Q(entries) with a real embedding, and the entries as F-elements.
-
-    Candidates gamma: the distinct irrational entries b_1 .. b_r, then the
-    moment curve x(t) = sum over k < r of t^k b_(k+1) at t = 1, 2, ..; gamma
-    generates F when its powers span every entry.  Two distinct embeddings of
-    F (at most n = [L:Q]) differ on some b_k, so agree at x(t) for at most
-    r - 1 values of t; as b_1 = x(0), one of the first r + C(n, 2)(r - 1)
-    candidates generates F (Lang, Algebra, V 4).  F's generator is s gamma,
-    s = gcd(gamma's denominator, the lcm of its minimal polynomial's): each
-    makes gamma integral, as L's generator is, so the gcd does.
-    """
-    qq = rationals()
-    if all(e.is_rational() for e in entries):
-        return qq, qq.embeddings()[0], [qq.from_rational(e.as_rational()) for e in entries]
-    lf = lemb.field
-    basis = list(dict.fromkeys(e for e in entries if not e.is_rational()))
-    r, n = len(basis), lf.degree
-    curve = (_combine(lf.zero(), [t**k for k in range(r)], basis) for t in itertools.count(1))
+    k, qq = base.field, rationals()
+    if any(not (k.conj(x) + x).is_zero() for x in entries):
+        raise AssertionError("I has an entry that is not real")
+    basis = list(dict.fromkeys(e for e in entries if not e.is_zero()))
+    r, n = len(basis), k.degree
+    curve = (_combine(k.zero(), [t**j for j in range(r)], basis) for t in itertools.count(1))
     targets = [e.coords for e in entries]
     for gamma in itertools.islice(itertools.chain(basis, curve), r + math.comb(n, 2) * (r - 1)):
-        powers = [x.coords for x in _powers(lf.one(), gamma, n + 1)]
+        powers = [x.coords for x in _star_powers(gamma, n + 1)]
         p = krylov_minpoly(powers)
         m = polyq.degree(p)
         sol = _coordinates(powers[:m], targets)
         if sol is None:
             continue
         s = math.gcd(gamma.den, math.lcm(*[c.denominator for c in p]))
+
+        def value(w):
+            return (gamma * s).enclosure(base, w) * Box.point(0, 1)  # i sigma(s gamma)
+
         f = NumberField([c * s ** (m - i) for i, c in enumerate(p)])
-        femb = f.embeddings()[f.roots.locate(lambda w: (gamma * s).enclosure(lemb, w))]
-        if not femb.is_real:
-            raise AssertionError("I has an entry that is not real")
-        return f, femb, [f.element([c / s**i for i, c in enumerate(x)]) for x in sol]
+        at = f.roots.locate(value)
+        factor, root = _factor_at(f.roots, at), f.gen()
+        if factor != f.minpoly:  # (K, *) is not a field: i lies in K
+            if polyq.degree(factor) == 1:
+                f, at, root = qq, 0, qq.from_rational(-factor[0])
+            else:
+                f = NumberField(factor)
+                at, root = f.roots.locate(value), f.gen()
+        row_basis = _powers(f.one(), root * Fraction(1, s), m)
+        values = [_combine(f.zero(), x, row_basis) for x in sol]
+        return f, f.embeddings()[at], values
     raise AssertionError("no generator of F within the primitive element bound")
 
 
@@ -337,9 +297,9 @@ def cm_torus(inp: CmInput):
     E_kl = Tr(beta a_k conj(a_l)) is the Riemann form, X_beta T0 conj(A)^T
     (rows of X_y: the coordinates of y a_k; T0 = (Tr(x^(i+j)))); G, with
     -beta^2 for beta, the rational Kahler metric; I = i N the complex
-    structure, N = 2 T^-1 R_Phi^T R_Phi - Id (`_period_n`), whose d^2 entries,
-    a d^2 x d block of coordinates, enter L in one product with the column
-    (i gen^m), m < d; L's root boxes are K's times 1 +- ci (`_image_boxes`).
+    structure, N = 2 T^-1 R_Phi^T R_Phi - Id (`_period_n`), whose d^2 entries
+    are conj-antifixed, so F and the values of I are read in K
+    (`_real_value_field`).
     The input checks (conj is complex conjugation and conj(beta) = -beta,
     so -beta^2 is totally positive) make E antisymmetric and G = E M_beta
     symmetric, positive definite and, with E, I-compatible, so none of these
@@ -357,12 +317,9 @@ def cm_torus(inp: CmInput):
         for x in (inp.beta, -(inp.beta * inp.beta))
     )
     n_k = _period_n(inp)
-    lf, lemb, gen_l, i_l = _value_field(k.embeddings()[inp.phi[0] - 1])
-    coords = tuple(row[j : j + d] for row in n_k.num for j in range(0, d * d, d))
-    column = FieldMatrix(lf, [[x] for x in _powers(i_l, gen_l, d)])
-    flat = [x for (x,) in (FieldMatrix._of(qq, coords, n_k.den).lift(lf) * column).entries]
-    f, femb, values = _real_value_field(lemb, flat)
-    i_f = FieldMatrix(f, [[values[i * d + j] for j in range(d)] for i in range(d)])
+    base = k.embeddings()[inp.phi[0] - 1]
+    f, femb, values = _real_value_field(base, [x for row in n_k.entries for x in row])
+    i_f = FieldMatrix(f, [values[i * d : i * d + d] for i in range(d)])
     return ComplexTorusData(d // 2, f, i_f, femb), e_m, g_m
 
 

@@ -77,7 +77,7 @@ class Embedding:
 class NumberField:
     """Q[x]/(m) for monic squarefree integer m, with optional conjugation."""
 
-    def __init__(self, minpoly, conj_image=None, roots: RootSet | None = None):
+    def __init__(self, minpoly, conj_image=None):
         m = polyq.poly([Fraction(*_rational_pair(c)) for c in minpoly])
         if polyq.degree(m) < 1:
             raise ValueError("minpoly must have degree >= 1")
@@ -92,7 +92,7 @@ class NumberField:
         self._red = [tuple(-c.numerator for c in m[:-1])]  # x^d mod m, for `_mul_columns`
         self._red = self._mul_columns(self._red[0])  # x^d .. x^(2d - 1) mod m
         self._embeddings = None
-        self._roots = roots  # certified boxes of m's roots, if a caller has them
+        self._roots = None
         self.conj_image = None
         self._conj_powers = None
         if conj_image is not None:
@@ -251,7 +251,7 @@ class NumberField:
 
     def embeddings(self, width=None):
         if self._embeddings is None:
-            self._roots = self._roots or RootSet(self.minpoly)
+            self._roots = RootSet(self.minpoly)
             self._embeddings = [Embedding(self, self._roots, i) for i in range(self.degree)]
         if width is not None:
             for e in self._embeddings:

@@ -16,8 +16,7 @@ Real roots: Sturm counts, then the point m, or [m - 1, m + 1] / 2^k, at a
 float Newton iterate that integer signs certify (`_seeded_real`), or, where
 floats overflow or miss, at exact Newton steps from the root's binade, found
 by bit lengths (`_exact_seed`); where both miss, Newton cuts, bisecting by
-signs where Newton fails.  A caller that has certified boxes, such as L's
-roots as the images of K's, hands them to `RootSet` in place of isolation.
+signs where Newton fails.
 Complex roots: interval Newton seeded by Durand-Kerner, or else exact counts
 (`_root_count`, the argument principle on one Sturm chain per line x =
 const or y = const, kept per `RootSet`, so a cut costs one new chain).
@@ -58,7 +57,7 @@ class NotConverged(ArithmeticError):
 # rounds of a refine-and-retry loop before it gives up; each round at least
 # halves a box or an enclosure width
 MAX_ROUNDS = 400
-MAX_UNIONS = 1 << 16  # orbit unions per `_factor_at` call; L = Q(zeta17, i) needs 2^15
+MAX_UNIONS = 1 << 16  # orbit unions per `_factor_at` call; Q(zeta17)'s degree-16 F needs 2^15
 
 # the width below which real boxes are built, and the width to which a
 # certified complex box is refined once and `locate` first asks for
@@ -540,11 +539,11 @@ class RootSet:
     each root with Im > 0 followed by its complex conjugate.
     """
 
-    def __init__(self, p, isolated=None):  # `isolated`: as `_isolate_all_roots` gives
+    def __init__(self, p):
         self.poly = _primitive(p)
         self._dpoly = pderiv(self.poly)
         self._lines = {}  # the Sturm chains of `_line`, for every later count
-        reals, uppers = isolated or _isolate_all_roots(self.poly, self._dpoly, self._lines)
+        reals, uppers = _isolate_all_roots(self.poly, self._dpoly, self._lines)
         self.nreal = len(reals)
         self.boxes = list(reals)
         for b in uppers:

@@ -23,7 +23,7 @@ from toruscm.exactla import (
 from toruscm.numfield import FieldElement, NumberField, make_field, rationals
 from toruscm.torus import _rational_solutions
 
-# Q, Q(sqrt 5), Q(zeta5) and L = Q(sigma(K), i) for K = Q(zeta5)
+# Q, Q(sqrt 5), Q(zeta5) and the degree-8 field Q(zeta5, i)
 FIELDS = [[0, 1], [-5, 0, 1], [1] * 5, [16, 16, 8, 0, -4, 0, 2, 2, 1]]
 IDS = ["Q", "sqrt5", "zeta5", "L8"]
 

@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -22,7 +21,6 @@ from toruscm.cm import (
     rational_kahler_search,
     simplicity_check,
 )
-from toruscm.boxes import Box
 from toruscm.exactla import FieldMatrix, positive_definite
 from toruscm.fixtures import (
     _embedding_near,
@@ -31,8 +29,7 @@ from toruscm.fixtures import (
     tau_i_torus,
     zeta5_cm_input,
 )
-from toruscm.numfield import make_field, rationals, trace_q
-from toruscm.polyq import RootSet, _factor_at
+from toruscm.numfield import exact_sign, make_field, rationals, trace_q
 from toruscm.torus import ComplexTorusData
 
 QQ = rationals()
@@ -78,16 +75,20 @@ def test_cm_torus_large_discriminant(d):
     assert t.I == FieldMatrix(f, [[f.zero(), s], [-s / d, f.zero()]])
 
 
-def _cyclotomic_input(p):
-    """Q(zeta_p) with the power basis, Phi = {zeta -> zeta^j : j < p/2} and
-    `find_beta`'s beta at budget 3."""
-    k = make_field([1] * p, conj_image=[-1] * (p - 1))
+def _cyclotomic_input(n, minpoly=None):
+    """Q(zeta_n) with the power basis, Phi = {zeta -> zeta^u : u < n/2, u
+    prime to n}, the automorphisms zeta -> zeta^u and `find_beta`'s beta at
+    budget 3; the minpoly defaults to a prime n's 1 + x + .. + x^(n - 1)."""
+    m = minpoly or [1] * n
+    k = make_field(m, conj_image=list((make_field(m).gen() ** (n - 1)).coords))
+    units = [u for u in range(1, n) if math.gcd(u, n) == 1]
     phi = [
-        _embedding_near(k, math.cos(2 * math.pi * j / p), math.sin(2 * math.pi * j / p))
-        for j in range(1, (p + 1) // 2)
+        _embedding_near(k, math.cos(2 * math.pi * u / n), math.sin(2 * math.pi * u / n))
+        for u in units
+        if 2 * u < n
     ]
-    basis = [k.gen() ** j for j in range(p - 1)]
-    return CmInput(k, basis, phi, find_beta(k, basis, phi, 3), [k.gen() ** j for j in range(1, p)])
+    basis = [k.gen() ** j for j in range(k.degree)]
+    return CmInput(k, basis, phi, find_beta(k, basis, phi, 3), [k.gen() ** u for u in units])
 
 
 @pytest.mark.parametrize(
@@ -102,19 +103,35 @@ def test_value_field_generator_is_scaled_by_the_gcd_rule(p, minpoly):
     assert list(t.field.minpoly) == minpoly
 
 
+@pytest.mark.parametrize("d, c, minpoly", [(3, 3, [-3, 0, 1]), (2, 2, [-2, 0, 1])])
+def test_value_field_generator_is_scaled_by_its_denominator_in_k(d, c, minpoly):
+    # Q(sqrt -d) with basis {1, 1 + c sqrt -d} and beta = sqrt -d: gamma's
+    # denominator in K's power basis gives F = Q(sqrt d) at its own height,
+    # where its denominator in the degree-4 field Q(sqrt -d, i) gave x^2 - c^2 d
+    k = make_field([d, 0, 1], conj_image=[0, -1])
+    basis = [k.one(), 1 + c * k.gen()]
+    inp = CmInput(k, basis, [_embedding_near(k, 0.0, math.sqrt(d))], k.gen())
+    t, _, _ = cm_torus(inp)
+    assert list(t.field.minpoly) == minpoly
+
+
 def test_value_field_generator_within_the_primitive_element_bound(monkeypatch):
-    # neither sqrt 2 nor sqrt 3 generates F = Q(sqrt 2, sqrt 3); the moment
-    # curve's first point sqrt 2 + sqrt 3 does, the third candidate of at
-    # most r + C(n, 2)(r - 1) = 2 + 6 (r = 2 irrational entries, n = [L:Q] = 4)
-    lf = make_field([1, 0, -10, 0, 1])
-    lemb = lf.embeddings()[3]  # the largest root, x = sqrt 2 + sqrt 3
-    x = lf.gen()
-    sqrt2, sqrt3 = (x**3 - 9 * x) / 2, (11 * x - x**3) / 2
+    # K = Q(sqrt -2, sqrt -3) = Q[x]/(x^4 + 10x^2 + 1), conj x = -x and
+    # sigma(x) = i(sqrt 2 + sqrt 3): neither sqrt -2 nor sqrt -3 generates
+    # F = Q(sqrt 2, sqrt 3); the moment curve's first point x does, the third
+    # candidate of at most r + C(n, 2)(r - 1) = 2 + 6 (r = 2 nonzero
+    # entries, n = [K:Q] = 4)
+    k = make_field([1, 0, 10, 0, 1], conj_image=[0, -1])
+    base = k.embeddings()[_embedding_near(k, 0.0, math.sqrt(2) + math.sqrt(3)) - 1]
+    x = k.gen()
+    root2, root3 = -(x**3 + 9 * x) / 2, (x**3 + 11 * x) / 2
+    assert root2 * root2 == -2 and root3 * root3 == -3
     minpolys = _calls(monkeypatch, "krylov_minpoly")
-    f, femb, values = cm._real_value_field(lemb, [sqrt2, sqrt3, lf.one()])
+    f, femb, values = cm._real_value_field(base, [root2, root3, k.zero()])
     assert list(f.minpoly) == [1, 0, -10, 0, 1] and len(minpolys) == 3
-    assert femb.is_real and values[0] + values[1] == f.gen() and values[2] == f.one()
+    assert femb.is_real and values[0] + values[1] == f.gen() and values[2] == f.zero()
     assert values[0] * values[0] == f.from_rational(2) and values[1] * values[1] == f.from_rational(3)
+    assert exact_sign(values[0], femb) == -1  # i sigma(sqrt -2) = -sqrt 2
 
 
 @pytest.mark.parametrize(
@@ -124,6 +141,9 @@ def test_value_field_generator_within_the_primitive_element_bound(monkeypatch):
         pytest.param("zeta5_cm", 4, id="zeta5"),
         pytest.param(lambda: _sqrt_minus_d_input(10**15 + 37), 2, id="disc15"),
         pytest.param(lambda: _sqrt_minus_d_input(10**30 + 57), 2, id="disc30"),
+        # i lies in K: (K, *) is not a field, and F is a proper quotient
+        pytest.param(lambda: _cyclotomic_input(8, [1, 0, 0, 0, 1]), 2, id="zeta8"),
+        pytest.param(lambda: _cyclotomic_input(12, [1, 0, -1, 0, 1]), 1, id="zeta12"),
         *(
             pytest.param(lambda s=s: _seeded_cm_input(s), None, id=f"seed{s}")
             for s in range(1, 5)
@@ -165,7 +185,7 @@ def test_cm_torus_identities(make, f_degree, request, mult_matrix):
 )
 def test_cm_torus_solves_once_over_q_and_never_over_k_or_l(make, monkeypatch):
     # I = i N with N = 2 T^-1 R_Phi^T R_Phi - Id over K: the one solve is the
-    # rational T^-1, and none runs over K or L
+    # rational T^-1, and none runs over K or F
     inp = make()
     fields = []
     solve = FieldMatrix.solve
@@ -218,73 +238,6 @@ def test_period_n_and_the_forms_match_the_entrywise_definitions(make):
     conj = [k.conj(a) for a in basis]
     assert e_m == FieldMatrix(QQ, [[trace_q(beta * a * c) for c in conj] for a in basis])
     assert g_m == FieldMatrix(QQ, [[trace_q(-(beta * beta) * a * c) for c in conj] for a in basis])
-
-
-def _recorded_images(monkeypatch, inp):
-    """cm_torus(inp), and the (m, c, upper boxes) of its one `_image_boxes` call."""
-    seen, images = [], cm._image_boxes
-
-    def recorded(roots, m, c):
-        seen.append((m, c, images(roots, m, c)))
-        return seen[-1][2]
-
-    monkeypatch.setattr(cm, "_image_boxes", recorded)
-    cm_torus(inp)
-    (got,) = seen
-    return got
-
-
-def _match_isolated(m, uppers):
-    """The index of the one box of an independent RootSet(m) that each box of
-    RootSet(m, ([], uppers)) meets, and both RootSets."""
-    imaged, isolated = RootSet(m, ([], uppers)), RootSet(m)
-    assert imaged.nreal == isolated.nreal == 0 and all(b.im.sign() == 1 for b in uppers)
-    assert all(a.disjoint(b) for a, b in itertools.combinations(imaged.boxes, 2))
-    hits = [[j for j, b in enumerate(isolated.boxes) if not a.disjoint(b)] for a in imaged.boxes]
-    assert sorted(hits) == [[j] for j in range(len(isolated.boxes))]
-    return [j for (j,) in hits], imaged, isolated
-
-
-@pytest.mark.parametrize("make", TRACE_FORM_INPUTS)
-def test_l_root_boxes_are_the_images_of_k_roots(make, monkeypatch):
-    # M's roots enter as K's boxes times 1 +- ci: a certified isolation that
-    # matches an independent one root for root, with the same factor at each
-    inp = make()
-    m, _, uppers = _recorded_images(monkeypatch, inp)
-    d = inp.field.degree
-    assert polyq.degree(m) == 2 * d and len(uppers) == d
-    hits, imaged, isolated = _match_isolated(m, uppers)
-    for i, j in enumerate(hits):
-        assert _factor_at(imaged, i) == _factor_at(isolated, j)
-    # L = K(i) is K itself, of degree d, exactly when i lies in K
-    degrees = {polyq.degree(_factor_at(imaged, i)) for i in range(2 * d)}
-    assert degrees == {d if make is gaussian_cm_input else 2 * d}
-
-
-@pytest.mark.parametrize(
-    "a, b, signed",
-    [(Fraction(1, 5), Fraction(3, 200), True), (Fraction(1, 4), Fraction(1, 4), False)],
-    ids=["overlap", "straddle"],
-)
-def test_image_boxes_refine_k_boxes_until_the_upper_images_separate(a, b, signed, monkeypatch):
-    # Q(zeta5)'s upper boxes widened to 2a x 2b: either every image has a
-    # definite Im sign but two upper images overlap, or some image straddles
-    # the real axis; K's boxes are refined until neither holds
-    m, c, _ = _recorded_images(monkeypatch, zeta5_cm_input())
-    roots = RootSet([1, 1, 1, 1, 1])
-    for i in (0, 2):  # the upper roots, at Im 0.59 and 0.95
-        x, y = roots.boxes[i].re.mid(), roots.boxes[i].im.mid()
-        wide = Box.of(x - a, x + a, y - b, y + b)
-        roots.boxes[i], roots.boxes[i + 1] = wide, wide.conj()
-    products = [z * Box.point(1, s * c) for z in roots.boxes for s in (1, -1)]
-    assert all(z.im.sign() in (1, -1) for z in products) == signed
-    if signed:
-        ups = [z for z in products if z.im.sign() == 1]
-        assert not all(u.disjoint(v) for u, v in itertools.combinations(ups, 2))
-    uppers = cm._image_boxes(roots, m, c)
-    assert all(u.disjoint(v) for u, v in itertools.combinations(uppers, 2))
-    assert len(uppers) == 4 and all(z.narrower(2 * a) for z in roots.boxes)
-    _match_isolated(m, uppers)
 
 
 def test_cm_torus_zeta5_matches_fixture_numerically(zeta5_cm, zeta5_mirror):
@@ -499,8 +452,7 @@ def test_matrix_minpoly_of_mult_by_xi(zeta5_cm, mult_matrix):
     assert list(matrix_minpoly(m)) == [1, 1, 1, 1, 1]
 
 
-# Q(zeta5), Q(2 sin 2pi/5) and the degree-8 L = Q(sigma(K), i) of the
-# Q(zeta5) CM pipeline
+# Q(zeta5), Q(2 sin 2pi/5) and the degree-8 field Q(zeta5, i)
 _SPAN_MINPOLYS = [[1] * 5, [5, 0, -5, 0, 1], [16, 16, 8, 0, -4, 0, 2, 2, 1]]
 
 

@@ -539,7 +539,7 @@ def test_refine_leaves_an_exact_point_box():
     assert roots.refine(0, point.width() / 2) == point
 
 
-# the fields of the CM pipeline: L = Q(sigma zeta5, i), Q(zeta5), a real
+# the degree-8 field Q(zeta5, i), Q(zeta5), a real
 # quartic and Q(sqrt(-(10^27 + 57))), whose |p'|^2 ~ 4 10^27 asks for a
 # Newton quotient with relative precision
 _CM_FIELD_POLYS = {
@@ -796,8 +796,8 @@ def test_field_products_match_sympy_remainders(minpoly):
             assert got[i, j].coords == want
 
 
-# Q(i), Q(sqrt 5), Q(2 sin 2pi/5), Q(zeta5), the degree-8 L = Q(sigma(K), i) of
-# the Q(zeta5) CM pipeline, Q(zeta13)
+# Q(i), Q(sqrt 5), Q(2 sin 2pi/5), Q(zeta5), the degree-8 field Q(zeta5, i),
+# Q(zeta13)
 _INVERSE_MINPOLYS = [
     [1, 0, 1],
     [-5, 0, 1],

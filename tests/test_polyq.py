@@ -16,6 +16,7 @@ import pytest
 from toruscm import fixtures, polyq
 from toruscm.boxes import Box
 from toruscm.cm import cm_torus
+from toruscm.numfield import NumberField
 from toruscm.polyq import RootSet, _line, _root_count, count_roots, sturm_chain
 
 
@@ -272,27 +273,25 @@ def test_real_roots_take_newton_before_bisection(monkeypatch):
     assert len(calls) <= 10
 
 
-def test_zeta5_cm_torus_isolates_no_rootset_of_l(monkeypatch):
-    # L = Q(zeta5, i) takes its roots as the images of K's: its degree-8
-    # RootSet is built once, from boxes, and never isolated
-    isolated, built = [], []
-    init, isolate = RootSet.__init__, polyq._isolate_all_roots
+def test_zeta5_cm_torus_builds_nothing_above_the_degree_of_k(monkeypatch):
+    # I is read in K = Q(zeta5) and F: no RootSet or NumberField of degree
+    # above [K:Q] = 4 is built, such as one for Q(zeta5, i)
+    degrees = []
+    roots_init, field_init = RootSet.__init__, NumberField.__init__
 
-    def counted(self, p, *rest):
-        init(self, p, *rest)
-        built.append(self)
+    def roots_counted(self, p, *rest):
+        roots_init(self, p, *rest)
+        degrees.append(polyq.degree(self.poly))
 
-    def isolating(p, *rest):
-        isolated.append(polyq.degree(p))
-        return isolate(p, *rest)
+    def field_counted(self, minpoly, *rest, **kw):
+        field_init(self, minpoly, *rest, **kw)
+        degrees.append(self.degree)
 
-    monkeypatch.setattr(RootSet, "__init__", counted)
-    monkeypatch.setattr(polyq, "_isolate_all_roots", isolating)
-    cm_torus(fixtures.zeta5_cm_input())
-    assert 8 not in isolated
-    (roots,) = [r for r in built if polyq.degree(r.poly) == 8]
-    assert len(roots.boxes) == 8 and roots.nreal == 0
-    assert all(a.disjoint(b) for a, b in itertools.combinations(roots.boxes, 2))
+    inp = fixtures.zeta5_cm_input()
+    monkeypatch.setattr(RootSet, "__init__", roots_counted)
+    monkeypatch.setattr(NumberField, "__init__", field_counted)
+    cm_torus(inp)
+    assert degrees and max(degrees) <= 4
 
 
 def _closed_unions(roots, target):

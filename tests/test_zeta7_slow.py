@@ -1,7 +1,7 @@
 """Degree-6 cyclotomic stress test (g = 3): the full CM pipeline on Q(zeta7).
 
-The complex structure is computed over L = Q(sigma(K), i) of degree 12; the
-test takes about 0.1 s, despite the file's name."""
+The complex structure is read in K and its real value field F of degree 6;
+the test takes about 0.1 s, despite the file's name."""
 
 import math
 
