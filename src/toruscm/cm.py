@@ -27,6 +27,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import polyq
 from .boxes import Box
@@ -97,9 +98,27 @@ def krylov_minpoly(powers):
 
 
 def matrix_minpoly(m: FieldMatrix):
-    """Minimal polynomial of a rational square matrix."""
-    powers = _powers(FieldMatrix.identity(m.field, m.rows), m, m.rows + 1)  # Cayley-Hamilton
-    return krylov_minpoly([e for row in p.rational_entries() for e in row] for p in powers)
+    """Minimal polynomial of a rational square matrix M = A / den, A its
+    integer block.  A's is the lcm of those of e_0, e_1, .. under A, as they
+    span Q^n (Wiedemann, IEEE Trans. Inf. Theory 32, 1986): p <- p q, q that
+    of p(A) e_j, until deg p = n, so a cyclic e_0 takes one `krylov_minpoly`.
+    p is integral (Gauss), and M's is p(den x) / den^deg p."""
+    if not m.is_rational():
+        raise ValueError("matrix is not rational")
+    n, a, p = m.rows, [row[:: m.field.degree] for row in m.num], [1]
+    for j in range(n):
+        seq = [e := [int(i == j) for i in range(n)]]
+        for c in reversed(p[:-1]):  # p(A) e_j by Horner
+            seq = [[sum(map(mul, row, seq[0])) + c * y for row, y in zip(a, e)]]
+        if any(seq[0]):
+            for _ in range(n + 1 - len(p)):  # deg q <= n - deg p
+                seq.append([sum(map(mul, row, seq[-1])) for row in a])
+            q = [int(c) for c in krylov_minpoly(seq)]
+            p = [sum(x * q[k - i] for i, x in enumerate(p) if 0 <= k - i < len(q))
+                 for k in range(len(p) + len(q) - 1)]
+        if len(p) == n + 1:
+            break
+    return polyq.poly(Fraction(c, m.den ** (len(p) - 1 - i)) for i, c in enumerate(p))
 
 
 def element_minpoly(x: FieldElement):
@@ -209,7 +228,7 @@ def _real_value_field(base: Embedding, entries):
     product (`_star_powers`) to R, and phi(x) = i sigma(x) on antifixed x, so
     F is phi's image of the *-algebra the entries generate.  (K, *) =
     K+[y]/(y^2 + beta^2), for any antifixed beta != 0, is etale, and a field
-    exactly when i is not in K.
+    exactly when i is not in K (so at an odd disc(m): `odd_discriminant`).
     Candidates gamma: the distinct nonzero entries b_1 .. b_r, then the moment
     curve x(t) = sum over k < r of t^k b_(k+1) at t = 1, 2, ..; gamma
     generates the algebra when its *-powers span every entry.  Two distinct
@@ -244,7 +263,7 @@ def _real_value_field(base: Embedding, entries):
 
         f = NumberField([c * s ** (m - i) for i, c in enumerate(p)])
         at = f.roots.locate(value)
-        factor, root = _factor_at(f.roots, at), f.gen()
+        factor, root = (f.minpoly if k.odd_discriminant else _factor_at(f.roots, at)), f.gen()
         if factor != f.minpoly:  # (K, *) is not a field: i lies in K
             if polyq.degree(factor) == 1:
                 f, at, root = qq, 0, qq.from_rational(-factor[0])

@@ -3,18 +3,18 @@
 A FieldMatrix is one integer block under one denominator (FLINT's
 `fmpq_mat`): rows of numerators, d per entry over a field of degree d, and
 one positive denominator, in lowest terms.  A product is one call of the
-field's packed, zero-skipping block kernel, `NumberField.matmul` (integer
-entries over Q, Kronecker-packed ones otherwise, zero entries skipped), and
+field's block kernel, `NumberField.matmul` (one integer product for a
+rational left factor, Kronecker-packed otherwise, zero entries skipped), and
 one gcd; entries become FieldElements only where a caller reads them.  One
 row reduction, `_rref`, backs every rank, kernel, solve, inverse and
 determinant, and every field inverse (`FieldElement.inverse` solves its
 integer multiplication matrix by `kernel_rows`): integer rows (a block over
-Q as it is, other rational rows scaled) are reduced fraction-free by
-cross-multiplication and content division; over a larger field each pivot
-row is divided by its pivot.  One integer row reduction, `_hnf`, gives the
-Hermite form, the Hermite form with its transform (on [M | Id]) and, in
-alternating row and column passes, the Smith form; a lattice index is the
-product of the HNF diagonal.  Integrality conditions are saturated on
+Q as it is, other rational rows scaled) pivot on a least |entry|, clear a
++-1 pivot's column unscaled and another's fraction-free; over a larger field
+each pivot row is divided by its pivot.  One integer row reduction, `_hnf`,
+gives the Hermite form, the Hermite form with its transform (on [M | Id])
+and, in alternating row and column passes, the Smith form; a lattice index
+is the product of the HNF diagonal.  Integrality conditions are saturated on
 integer blocks by the same `_hnf` modulo the lcm D of their denominators,
 which keeps every entry below D, because the solution lattice contains
 D*Z^n.  Positive definiteness is certified by exact LDL pivots: over Q by
@@ -302,16 +302,16 @@ def _rref(rows, ncols, ring=None):
     """Reduced row echelon form of a copy of `rows`, pivoting in the first
     `ncols` columns (later columns ride along, as in an augmented system).
 
-    Integer rows (`ring` None: a rational system) are reduced fraction-free:
-    a pivot p clears its column from every other row as p * row - f * pivot
-    row, and each row is divided by the gcd of its entries, which bounds
-    coefficient growth.  Rows of elements of `ring`, a field of degree > 1,
-    where such rows would grow exponentially, divide a pivot row by its
-    pivot at once.  Returns (rows, piv, (up, down)): row r spans the
-    reduced row, with its pivot at column piv[r] (over `ring`, one; over Q
-    an int left for the caller to divide out); the row operations and those
-    divisions multiply the determinant by prod(up) / prod(down).  A
-    zero-divisor pivot raises ZeroDivisor.
+    Integer rows (`ring` None: a rational system) pivot on a least |entry| of
+    the column, the first +-1 if any, which clears its column unscaled, as
+    row - f p * pivot row on the pivot row's nonzero columns; another p clears
+    it fraction-free, as p * row - f * pivot row over its content, which
+    bounds coefficient growth.  Rows over `ring`, a field of degree > 1, where
+    such rows would grow exponentially, divide a pivot row by its pivot.
+    Returns (rows, piv, (up, down)): row r spans the reduced row, its pivot
+    at column piv[r] (over `ring`, one; over Q an int left for the caller to
+    divide out); the row operations and divisions multiply the determinant
+    by prod(up) / prod(down).  A zero-divisor pivot raises ZeroDivisor.
     """
     up, down = [], []
     work = [list(row) if ring else _primitive(list(row), down) for row in rows]
@@ -324,6 +324,12 @@ def _rref(rows, ncols, ring=None):
         sel = next((i for i in range(r, m) if work[i][c]), None)
         if sel is None:
             continue
+        if ring is None:  # over Q a least |entry|, the first +-1
+            for i in range(sel + 1, m):
+                if abs(work[sel][c]) == 1:
+                    break
+                if work[i][c] and abs(work[i][c]) < abs(work[sel][c]):
+                    sel = i
         if sel != r:
             work[r], work[sel] = work[sel], work[r]
             down.append(-1)
@@ -333,17 +339,21 @@ def _rref(rows, ncols, ring=None):
             down.append(p)
             inv = p.inverse()
             prow = work[r] = [x * inv if x else x for x in prow]
+            p = 1
+        nz = [j for j, y in enumerate(prow) if y] if p in (1, -1) else None
         for i in range(m):
             f = work[i][c]
             if i == r or not f:
                 continue
-            if ring is None:
+            if nz is None:  # fraction-free
                 g = math.gcd(p, f)
                 a, b = p // g, f // g
                 up.append(a)
                 work[i] = _primitive([a * x - b * y for x, y in zip(work[i], prow)], down)
-            else:
-                work[i] = [x - f * y if y else x for x, y in zip(work[i], prow)]
+            else:  # a unit pivot p = 1 / p: row - f p prow, unscaled and with no gcd
+                row, f = work[i], f if p == 1 else -f
+                for j in nz:
+                    row[j] -= f * prow[j]
         piv.append(c)
     return work, piv, (up, down + [work[r][c] for r, c in enumerate(piv)])
 

@@ -3,8 +3,8 @@
 A field is given by a monic squarefree integer polynomial; an element is its
 integer power-basis numerators over one denominator, in lowest terms.
 Element products go through one kernel, `NumberField.dot`, and the integer
-blocks of exactla's matrices through another, packed and zero-skipping,
-`NumberField.matmul`.  An inverse solves y u = 1 on the integer matrix of
+blocks of exactla's matrices through another, `NumberField.matmul`, integer
+for a rational left block.  An inverse solves y u = 1 on the integer matrix of
 multiplication by y, by exactla's one row reduction; the trace reads it too.
 `make_field` also accepts a reducible squarefree m, whose algebra has zero
 divisors: inverting one raises `ZeroDivisor`, and `require_irreducible`
@@ -158,14 +158,14 @@ class NumberField:
     def matmul(self, a, b):
         """The numerator block of a * b for integer blocks a (r x n) and b
         (n x c), whose rows hold the d numerators of each entry in turn: the
-        one block product kernel, packed and zero-skipping (`_row_products`).
-        Over degree d > 1 (Kronecker substitution) a nonzero entry is packed
-        into one integer at 2^w, a zero one is 0, and an output entry whose
-        2d - 1 slots (`_slot_bits` wide, read above an offset that makes them
-        nonnegative) are not all zero is reduced mod m once."""
+        one block product kernel, zero-skipping (`_row_products`).  A rational
+        a (any a over Q) is its numerators times b; another packs (Kronecker)
+        a nonzero entry into one integer at 2^w, a zero one as 0, and reduces
+        mod m once an output entry whose 2d - 1 slots (`_slot_bits` wide, read
+        above an offset that makes them nonnegative) are not all zero."""
         d = self.degree
-        if d == 1:
-            return tuple(map(tuple, _row_products(a, b, 0)))
+        if d == 1 or not any(any(row[k::d]) for k in range(1, d) for row in a):
+            return tuple(map(tuple, _row_products(a if d == 1 else [row[::d] for row in a], b, 0)))
         bits = [max(map(abs, chain(*m)), default=0).bit_length() for m in (a, b)]
         w = _slot_bits(*bits, len(b) * d)
         slots = range(0, (2 * d - 1) * w, w)
@@ -277,6 +277,13 @@ class NumberField:
         return [tr[i : i + self.degree] for i in range(self.degree)]
 
     @cached_property
+    def odd_discriminant(self) -> bool:
+        """Whether disc(m) = det(`trace_gram`) is odd.  Then i is not in K: disc K
+        divides disc m, so 2 is unramified in K, and it ramifies in Q(i)."""
+        from .exactla import FieldMatrix  # exactla imports this module
+        return FieldMatrix(rationals(), self.trace_gram).det().num[0] % 2 == 1
+
+    @cached_property
     def conj_fault(self) -> int | None:
         """A CM field's own checks, made once: `require_irreducible`, then
         the first embedding (1-based) where conj is not complex conjugation."""
@@ -317,11 +324,15 @@ def rationals() -> NumberField:
 
 def _rational_pair(r):
     """(numerator, denominator > 0) of an int, a Fraction or a rational
-    string in `Fraction`'s syntax (plain digits, after one optional "-", by
-    `int`); a float (0.1 is not 1/10) or a bool raises TypeError.  The one
-    reader of rationals from outside: JSON values and CLI flags."""
+    string in `Fraction`'s syntax ("p/q" and "p" of plain digits after one
+    optional "-", by `int`); a float (0.1 is not 1/10) or a bool raises
+    TypeError.  The one reader of rationals from outside: JSON and CLI flags."""
     if isinstance(r, str):
-        r = int(r) if r.removeprefix("-").isdecimal() else Fraction(r)
+        n, slash, q = r.partition("/")
+        if n.removeprefix("-").isdecimal() and (not slash or q.isdecimal() and int(q)):
+            n, q = int(n), int(q or 1)
+            return n // (g := math.gcd(n, q)), q // g
+        r = Fraction(r)
     elif isinstance(r, bool) or not isinstance(r, (int, Fraction)):
         raise TypeError(f"a rational is an int, a Fraction or a string, not {type(r).__name__}")
     return r.numerator, r.denominator

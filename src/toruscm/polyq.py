@@ -57,7 +57,7 @@ class NotConverged(ArithmeticError):
 # rounds of a refine-and-retry loop before it gives up; each round at least
 # halves a box or an enclosure width
 MAX_ROUNDS = 400
-MAX_UNIONS = 1 << 16  # orbit unions per `_factor_at` call; Q(zeta17)'s degree-16 F needs 2^15
+MAX_UNIONS = 1 << 16  # orbit unions per `_factor_at` call; a totally real degree-16 m needs 2^15
 
 # the width below which real boxes are built, and the width to which a
 # certified complex box is refined once and `locate` first asks for

@@ -123,15 +123,18 @@ def test_products_match_the_fraction_oracle(minpoly):
         assert got == FieldMatrix(f, got.entries) and hash(got) == hash(FieldMatrix(f, got.entries))
 
 
-def _masked(rng, f, r, c, keep, bits=0):
+def _masked(rng, f, r, c, keep, bits=0, rational=False):
     """An r x c matrix, zero where keep(i, j) is false and elsewhere a nonzero
-    entry, with `bits`-bit numerators if bits."""
+    entry, with `bits`-bit numerators if bits, and only its rational
+    coordinate if rational."""
 
     def entry():
         if bits:
             num = [rng.getrandbits(bits) - (1 << bits - 1) for _ in range(f.degree)]
-            return f.element([Fraction(n, rng.choice(DENS)) for n in num]) or f.one()
-        return _entry(rng, f) or f.element([rng.choice([-2, -1, 1, 3])] * f.degree)
+            x = f.element([Fraction(n, rng.choice(DENS)) for n in num])
+        else:
+            x = _entry(rng, f) or f.element([rng.choice([-2, -1, 1, 3])] * f.degree)
+        return (f.from_rational(x.coords[0]) if rational else x) or f.one()
 
     return FieldMatrix(f, [[entry() if keep(i, j) else 0 for j in range(c)] for i in range(r)])
 
@@ -164,17 +167,32 @@ def _sparse_pairs(rng, f):
         rng, f, n, n, lambda i, j: (i + j) % 3 == 0
     )
     yield "dense", _masked(rng, f, n, n, full), _masked(rng, f, n, 5, full)
+    # a rational left factor is one integer product, with no packing
+    yield "rational on the left", _masked(rng, f, n, n, full, rational=True), _masked(
+        rng, f, n, 5, full
+    )
+    yield "rational with zero rows on the left", _masked(
+        rng, f, n, n, lambda i, j: i % 2, rational=True
+    ), _masked(rng, f, n, 4, full)
+    yield "rational 300-bit numerators on the left", _masked(
+        rng, f, n, n, full, 300, rational=True
+    ), _masked(rng, f, n, 4, full, 300)
     yield "300-bit numerators", _masked(rng, f, n, n, lambda i, j: j <= i, 300), _masked(
         rng, f, n, 4, full, 300
     )
 
 
 @pytest.mark.parametrize("minpoly", FIELDS, ids=IDS)
-def test_sparse_and_dense_products_match_the_fraction_oracle(minpoly):
+def test_sparse_and_dense_products_match_the_fraction_oracle(minpoly, monkeypatch):
     f, o = make_field(minpoly), Oracle(minpoly)
     rng = random.Random(23 + len(minpoly))
+    calls = []
+    real = NumberField._reduce
+    monkeypatch.setattr(NumberField, "_reduce", lambda f, raw: calls.append(1) or real(f, raw))
     for name, a, b in _sparse_pairs(rng, f):
+        calls.clear()
         got = a * b
+        assert not (a.is_rational() and calls), name  # a rational left factor reduces nothing
         assert (got.rows, got.cols) == (a.rows, b.cols), name
         assert _coords(got) == o.matmul(_coords(a), _coords(b)), name
         assert got == FieldMatrix(f, got.entries), name
@@ -182,8 +200,10 @@ def test_sparse_and_dense_products_match_the_fraction_oracle(minpoly):
 
 
 def test_a_signed_permutation_reduces_only_the_nonzero_entries(monkeypatch):
-    # the mirror map is a signed permutation: its product with M over Q(zeta5)
-    # reduces one output entry per nonzero entry of M, not all 64
+    # the mirror map is a signed permutation: on the left it is rational, so
+    # its product with M over Q(zeta5) reduces nothing; on the right the
+    # product is packed and reduces one output entry per nonzero entry of M,
+    # not all 64
     f, o = make_field([1] * 5), Oracle([1] * 5)
     rng = random.Random(29)
     m, perm = _matrix(rng, f, 8, 8), _signed_permutation(rng, f, 8)
@@ -192,8 +212,11 @@ def test_a_signed_permutation_reduces_only_the_nonzero_entries(monkeypatch):
     real = NumberField._reduce
     monkeypatch.setattr(NumberField, "_reduce", lambda f, raw: calls.append(1) or real(f, raw))
     got = perm * m
-    assert len(calls) == nnz < 64
+    assert len(calls) == 0
     assert _coords(got) == o.matmul(_coords(perm), _coords(m))
+    got = m * perm
+    assert len(calls) == nnz < 64
+    assert _coords(got) == o.matmul(_coords(m), _coords(perm))
 
 
 @pytest.mark.parametrize("minpoly", FIELDS, ids=IDS)
@@ -264,6 +287,62 @@ def test_solve_with_negative_pivots_and_a_fractional_right_side(minpoly):
         # lowest terms, so the results equal the same matrices read entry by entry
         assert x == FieldMatrix(f, x.entries) and inv == FieldMatrix(f, inv.entries)
     assert negative > 2 or f.degree > 1
+
+
+def _fraction_rref(rows, ncols):
+    """The reduced rows of Gauss-Jordan on Fractions, each pivot one,
+    pivoting in the first ncols columns."""
+    a, r = [[Fraction(x) for x in row] for row in rows], 0
+    for c in range(ncols):
+        sel = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if sel is None:
+            continue
+        a[r], a[sel] = a[sel], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                a[i] = [x - a[i][c] * y for x, y in zip(a[i], a[r])]
+        r += 1
+    return a[:r]
+
+
+# integer entries for `_rref` over Q: columns with no unit, with -1 as the
+# only unit, and with several unit candidates
+PIVOT_ENTRIES = {
+    "no unit": [0, 0, 2, -2, 3, -3, 4, 6, -9],
+    "minus one": [0, -1, -1, 2, 3, -5],
+    "several units": [0, 1, -1, 1, 4, -6],
+}
+
+
+@pytest.mark.parametrize("case", PIVOT_ENTRIES)
+def test_unit_and_least_pivots_match_the_fraction_oracle(case):
+    # over Q the pivot is a least |entry| of its column, the first +-1 if
+    # any, and a unit pivot clears its column unscaled; RREF is unique, so
+    # the rows over their pivots, the kernel, the solve and the det all
+    # equal the oracle's
+    o, qq, choices = Oracle([0, 1]), rationals(), PIVOT_ENTRIES[case]
+    rng = random.Random(31 + len(case))
+    minus = 0
+    for n, extra in [(2, 1), (3, 2), (4, 1), (5, 2), (6, 3)] * 4:
+        rows = [[rng.choice(choices) for _ in range(n + extra)] for _ in range(n)]
+        if case == "no unit":
+            assert all(abs(x) != 1 for row in rows for x in row[:n])
+        red, piv, _ = _rref(rows, n)
+        minus += sum(row[c] == -1 for row, c in zip(red, piv))
+        want = _fraction_rref(rows, n)
+        assert [[Fraction(x, row[c]) for x in row] for row, c in zip(red, piv)] == want
+        assert not any(x for row in red[len(piv) :] for x in row[:n])
+        a = FieldMatrix(qq, [row[:n] for row in rows])
+        b = FieldMatrix(qq, [row[n:] for row in rows]).scale(Fraction(1, 3))
+        assert a.det() == o.det(_coords(a))[0] and a.rank() == len(want)
+        ker = a.kernel()
+        assert ker.rows == n - len(want)
+        if ker.rows:
+            assert o.matmul(_coords(a), _coords(ker.transpose())) == [[o.zero] * ker.rows] * n
+        else:
+            assert o.matmul(_coords(a), _coords(a.solve(b))) == _coords(b)
+    assert minus > 0 or case != "minus one"
 
 
 def _boundary(f, n, sign):

@@ -660,6 +660,105 @@ def test_matrix_minpoly_matches_sympy_factorization():
             assert any(e != 0 for r in _matrix_at(q, rows) for e in r)
 
 
+def _last_invariant_factor(sympy, x, rows):
+    """The minimal polynomial of M by its definition through minors: the
+    characteristic polynomial of M over the gcd of the (n - 1)-minors of
+    x Id - M (the adjugate's entries), made monic."""
+    m = sympy.Matrix([[sympy.Rational(str(e)) for e in r] for r in rows])
+    xm = x * sympy.eye(len(rows)) - m
+    g = 0
+    for e in xm.adjugate():
+        g = sympy.gcd(g, e)
+    p = sympy.Poly(sympy.cancel(xm.det() / g), x).monic()
+    return tuple(Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs()))
+
+
+def test_matrix_minpoly_of_derogatory_matrices_matches_sympy(monkeypatch):
+    # several unit vectors are needed when e_0 is not cyclic: the lcm of
+    # their Krylov minimal polynomials is the matrix's
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(43)
+    b = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(2)] for _ in range(2)]
+    c = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(3)] for _ in range(3)]
+
+    def nilpotent(k):
+        return [[int(j == i + 1) for j in range(k)] for i in range(k)]
+
+    cases = {
+        "identity": [[int(i == j) for j in range(4)] for i in range(4)],
+        "scalar": [[Fraction(3, 2) * (i == j) for j in range(3)] for i in range(3)],
+        "nilpotent 3 + 2": _block_diag(nilpotent(3), nilpotent(2)),
+        "nilpotent 2 + 2": _block_diag(nilpotent(2), nilpotent(2)),
+        "nilpotent 1 + 3": _block_diag(nilpotent(1), nilpotent(3)),
+        "B + B + C": _block_diag(_block_diag(b, b), c),
+        "C + B + C": _block_diag(_block_diag(c, b), c),
+        "diagonal 2, 2, 1": [[[2, 2, 1][i] * (i == j) for j in range(3)] for i in range(3)],
+    }
+    for j, m in enumerate(_e_i_power(2).end.basis):
+        cases[f"End E_i^2 #{j}"] = m.rational_entries()
+    krylov = _calls(monkeypatch, "krylov_minpoly")
+    k5, sequences = make_field([1] * 5), {}
+    for name, rows in cases.items():
+        m = FieldMatrix(QQ, rows)
+        krylov.clear()
+        got = matrix_minpoly(m)
+        assert got == _last_invariant_factor(sympy, x, rows), name
+        sequences[name] = len(krylov)
+        assert matrix_minpoly(m.lift(k5)) == got, name  # the rational block of a lift
+    # one sequence while e_0 is cyclic, else one per unit vector that p misses
+    assert sequences["identity"] == 1 and sequences["nilpotent 1 + 3"] == 3
+    assert all(1 <= k <= len(cases[name]) for name, k in sequences.items())
+    with pytest.raises(ValueError):
+        matrix_minpoly(FieldMatrix(k5, [[k5.gen()]]))
+
+
+def test_a_cyclic_matrix_takes_one_krylov_sequence(zeta5_cm, mult_matrix, monkeypatch):
+    # e_0 is cyclic for multiplication by a generator of K, and for every
+    # CM witness of the workloads: one Krylov sequence, one kernel
+    inp = zeta5_cm["input"]
+    krylov = _calls(monkeypatch, "krylov_minpoly")
+    assert list(matrix_minpoly(mult_matrix(inp.field.gen(), inp.basis))) == [1, 1, 1, 1, 1]
+    assert len(krylov) == 1
+    krylov.clear()
+    v = cm_certificate(zeta5_cm["torus"])
+    assert v.verdict == "CM" and len(krylov) == 1
+
+
+_F_PINNED = {
+    "gaussian": [0, 1],
+    "zeta8": [-2, 0, 1],
+    "zeta12": [0, 1],
+    "zeta5": [5, 0, -10, 0, 1],
+    "zeta7": [-7, 0, 35, 0, -21, 0, 1],
+    "zeta13": [13, 0, -286, 0, 1287, 0, -1716, 0, 715, 0, -78, 0, 1],
+}
+
+
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        pytest.param(gaussian_cm_input, "gaussian", id="gaussian"),
+        pytest.param(lambda: _cyclotomic_input(8, [1, 0, 0, 0, 1]), "zeta8", id="zeta8"),
+        pytest.param(lambda: _cyclotomic_input(12, [1, 0, -1, 0, 1]), "zeta12", id="zeta12"),
+        pytest.param(lambda: _cyclotomic_input(5), "zeta5", id="zeta5"),
+        pytest.param(lambda: _cyclotomic_input(7), "zeta7", id="zeta7"),
+        pytest.param(lambda: _cyclotomic_input(13), "zeta13", id="zeta13"),
+    ],
+)
+def test_value_field_factors_only_at_an_even_discriminant(make, name, monkeypatch):
+    # disc(m) odd: 2 is unramified in K, so i is not in K, (K, *) is a field
+    # and gamma's *-minimal polynomial is F's, with no `_factor_at` on F; Q(i),
+    # Q(zeta8) and Q(zeta12) (even discriminants, i in K) keep it
+    inp = make()
+    odd = name in ("zeta5", "zeta7", "zeta13")
+    assert inp.field.odd_discriminant == odd
+    factors = _calls(monkeypatch, "_factor_at")
+    t, _, _ = cm_torus(inp)
+    assert len(factors) == (0 if odd else 1)
+    assert list(t.field.minpoly) == _F_PINNED[name]
+
+
 @pytest.mark.parametrize(
     "minpoly, conj",
     [([1, 1, 1, 1, 1], [-1, -1, -1, -1]), ([-2, 0, 0, 0, 1], None), ([-5, 0, 1], None)],

@@ -170,10 +170,12 @@ def test_product_kernel_and_elimination_never_touch_fraction():
         "NumberField.dot": _function(numfield, "dot", "NumberField"),
         "NumberField._reduce": _function(numfield, "_reduce", "NumberField"),
         "exactla._rref": _function(exactla, "_rref"),
-        # the block product: the packed kernel, its slot width, and the
+        # the block product: the kernel (integer for a rational left
+        # factor, else packed), its slot width, its row products, and the
         # product's one gcd
         "NumberField.matmul": _function(numfield, "matmul", "NumberField"),
         "numfield._slot_bits": _function(numfield, "_slot_bits"),
+        "numfield._row_products": _function(numfield, "_row_products"),
         "FieldMatrix.__mul__": _function(exactla, "__mul__", "FieldMatrix"),
         "FieldMatrix._lowest": _function(exactla, "_lowest", "FieldMatrix"),
         # the integer lattice layer: HNF (modulo D too) and saturation

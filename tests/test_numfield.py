@@ -290,6 +290,62 @@ def test_rational_constructors_refuse_floats_and_bools(bad):
     assert qq.from_rational("-3/6") == Fraction(-1, 2)
 
 
+def _read(reader, s):
+    """reader(s), or the type and message of what it raised."""
+    try:
+        return reader(s)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _by_fraction(s):
+    r = Fraction(s)
+    return r.numerator, r.denominator
+
+
+def test_rational_strings_read_as_fraction_reads_them():
+    # "p/q" and plain digits take an integer path, and every string gives
+    # Fraction's (numerator, denominator), or its exception type and message
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # no exponent: Fraction("1e999999") is a million-digit integer
+    pieces = st.sampled_from(["", "0", "-", "+", " ", "_", ".", "/", "\u0663", "1_0"])
+    part = st.text("0123456789", min_size=1, max_size=6) | pieces
+    text = st.lists(part, max_size=6).map("".join)
+    text |= st.text("0123456789-+/ ._\u0663\u00b2x", max_size=8)
+
+    @hypothesis.settings(max_examples=500, deadline=None, derandomize=True)
+    @hypothesis.given(text)
+    def check(s):
+        got, want = _read(numfield._rational_pair, s), _read(_by_fraction, s)
+        assert got == want and list(map(type, got)) == list(map(type, want))
+
+    check()
+    huge = "1" * 5000
+    cases = ["-6/4", "0/5", "-0", "007/3", "3/0", "0/0", "3/-4", "3//4", "-/4", " 3/4", "1e3"]
+    for s in cases:
+        assert _read(numfield._rational_pair, s) == _read(_by_fraction, s), s
+    for s in [huge, "-" + huge + "/3", "2/" + huge, huge + "/0"]:  # int's digit limit
+        assert _read(numfield._rational_pair, s) == _read(_by_fraction, s)
+    assert numfield._rational_pair("-6/4") == (-3, 2)
+
+
+def test_odd_discriminant_matches_sympy():
+    # m is squarefree mod 2 exactly when disc(m) is odd
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(53)
+    seen = []
+    for _ in range(150):
+        m = [rng.randint(-6, 6) for _ in range(rng.randint(1, 8))] + [1]
+        if not polyq.is_squarefree(polyq.poly(m)):
+            continue
+        odd = sympy.discriminant(sympy.Poly(m[::-1], x)) % 2 == 1
+        assert make_field(m).odd_discriminant == odd, m
+        seen.append(odd)
+    assert 30 < seen.count(True) and 30 < seen.count(False)
+
+
 def test_rational_elements_hash_as_their_value():
     for f in (rationals(), make_field([-5, 0, 1]), zeta5()):
         assert len({f.one(), 1}) == 1 and hash(f.one()) == hash(1)

@@ -10,7 +10,7 @@ import os
 
 import pytest
 
-from toruscm import polyq
+from toruscm import cm, polyq
 from toruscm.cm import (
     CmInput,
     cm_certificate,
@@ -29,7 +29,7 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-def test_zeta17_cm_pipeline():
+def test_zeta17_cm_pipeline(monkeypatch):
     k = make_field([1] * 17, conj_image=[-1] * 16)
     phi = [
         _embedding_near(k, math.cos(2 * math.pi * j / 17), math.sin(2 * math.pi * j / 17))
@@ -38,9 +38,13 @@ def test_zeta17_cm_pipeline():
     basis = [k.gen() ** j for j in range(16)]
     beta = find_beta(k, basis, phi, 3)
     inp = CmInput(k, basis, phi, beta, [k.gen() ** j for j in range(1, 17)])
+    factors = []
+    monkeypatch.setattr(cm, "_factor_at", lambda *args: factors.append(args))
     torus, _, _ = cm_torus(inp)
     assert torus.g == 8
-    # (K, *) is a field, as i is not in K, so F has degree 16
+    # (K, *) is a field, as i is not in K (disc(m) = 17^15 is odd), so F has
+    # degree 16, and no orbit union of its roots is tried
+    assert k.odd_discriminant and factors == []
     f_minpoly = [17, 0, -680, 0, 6188, 0, -19448, 0, 24310, 0, -12376, 0, 2380, 0, -136, 0, 1]
     assert list(torus.field.minpoly) == f_minpoly
     assert endomorphism_algebra(torus).dim == 16
