@@ -324,15 +324,11 @@ def rationals() -> NumberField:
 
 def _rational_pair(r):
     """(numerator, denominator > 0) of an int, a Fraction or a rational
-    string in `Fraction`'s syntax ("p/q" and "p" of plain digits after one
-    optional "-", by `int`); a float (0.1 is not 1/10) or a bool raises
-    TypeError.  The one reader of rationals from outside: JSON and CLI flags."""
+    string in `Fraction`'s syntax (plain digits, after one optional "-", by
+    `int`); a float (0.1 is not 1/10) or a bool raises TypeError.  The one
+    reader of rationals from outside: JSON values and CLI flags."""
     if isinstance(r, str):
-        n, slash, q = r.partition("/")
-        if n.removeprefix("-").isdecimal() and (not slash or q.isdecimal() and int(q)):
-            n, q = int(n), int(q or 1)
-            return n // (g := math.gcd(n, q)), q // g
-        r = Fraction(r)
+        r = int(r) if r.removeprefix("-").isdecimal() else Fraction(r)
     elif isinstance(r, bool) or not isinstance(r, (int, Fraction)):
         raise TypeError(f"a rational is an int, a Fraction or a string, not {type(r).__name__}")
     return r.numerator, r.denominator

@@ -304,8 +304,8 @@ def _by_fraction(s):
 
 
 def test_rational_strings_read_as_fraction_reads_them():
-    # "p/q" and plain digits take an integer path, and every string gives
-    # Fraction's (numerator, denominator), or its exception type and message
+    # plain digits take an integer path, and every string gives Fraction's
+    # (numerator, denominator), or its exception type and message
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     # no exponent: Fraction("1e999999") is a million-digit integer
