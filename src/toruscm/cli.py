@@ -214,7 +214,7 @@ def _cmd_gks_induce(args) -> int:
 
 def _cmd_gks_rationality(args) -> int:
     k = _need_kahler(_torus_bundle(args.torus))
-    report = {"ij_rational": k.ij.is_rational()}
+    report = {"ij_rational": k.ij_rational}
     _emit(report)
     return _expect_check(report, "ij_rational", args.expect)
 

@@ -514,7 +514,8 @@ def check_polarization(t: ComplexTorusData, omega: FieldMatrix) -> FieldMatrix:
 def eta_checks(
     t: ComplexTorusData, g_m: FieldMatrix, omega0: FieldMatrix, end: EndAlgebra
 ) -> EtaReport:
-    """Checks (i), (ii), (iv) for eta defined by G(.,.) = omega0(eta., .)."""
+    """Checks (i), (ii), (iv) for eta defined by G(.,.) = omega0(eta., .);
+    (iv) always holds: eta = -omega0^-1 G gives eta^-1 rosati(f) eta = G^-1 f^T G."""
     om_inv = check_polarization(t, omega0)
     if not g_m.is_symmetric():
         raise ValueError("G must be symmetric")

@@ -15,12 +15,12 @@ each pivot row is divided by its pivot.  One integer row reduction, `_hnf`,
 gives the Hermite form, the Hermite form with its transform (on [M | Id])
 and, in alternating row and column passes, the Smith form; a lattice index
 is the product of the HNF diagonal.  Integrality conditions are saturated on
-integer blocks by the same `_hnf` modulo the lcm D of their denominators,
-which keeps every entry below D, because the solution lattice contains
-D*Z^n.  Positive definiteness is certified by exact LDL pivots: over Q by
-Bareiss's fraction-free steps on the block, each pivot signed by an integer
-leading minor; over a larger field on elements, each signed through a
-designated embedding.  No floating point is used.
+integer blocks by one `_hnf` modulo the lcm D of their denominators and one
+size-reducing back substitution, which keep every entry below D, because
+the solution lattice contains D*Z^n.  Positive definiteness is certified by
+exact LDL pivots: over Q by Bareiss's fraction-free steps on the block, each
+pivot signed by an integer leading minor; over a larger field on elements,
+each signed through a designated embedding.  No floating point is used.
 """
 
 from __future__ import annotations
@@ -545,12 +545,14 @@ def saturate_integer_solutions(conditions: FieldMatrix):
     are y.  What is left says R y in Z^t for R = [V^T ; C V^T] (x itself
     and the rational coordinates C), an integer block over dv * den that
     one gcd brings to the lcm D of R's denominators.  So the solutions y
-    form D * dual(M), M spanned by D*Z^s and the rows of D*R.  Both M and
-    the solutions contain D*Z^s, so each gets its HNF modulo D, and the dual
-    is one exact inverse of a triangular matrix.  Returns basis rows,
-    possibly empty, in canonical HNF: a row of V is 1 at its free column, 0
-    at the other free columns, and has its rightmost nonzero there, so
-    x = y V keeps y's pivots and the reduced entries beneath them.
+    form D * dual(M), M spanned by D*Z^s and the rows of D*R.  One `_hnf`
+    modulo D on reversed columns gives M an upper triangular basis U; the
+    columns of D*U^-1, as rows lower triangular with diagonal D/u_ii, span
+    the solutions, and back substitution that reduces each entry as it is
+    found gives their HNF, unique as they contain D*Z^s.  Returns basis
+    rows, possibly empty, in canonical HNF: a row of V is 1 at its free
+    column, 0 at the other free columns, and has its rightmost nonzero
+    there, so x = y V keeps y's pivots and the reduced entries beneath them.
     """
     n = conditions.cols
     coords = conditions._coordinate_rows()
@@ -565,14 +567,14 @@ def saturate_integer_solutions(conditions: FieldMatrix):
     den = dv * conditions.den
     g = math.gcd(den, *chain.from_iterable(r))
     den //= g
-    m, _ = _hnf([[x // g for x in row] for row in r], s, den)
-    # den * M^-1 is integral because den*Z^s lies in M; its columns span the solutions
-    inv = [[0] * s for _ in range(s)]
-    for i in range(s):
-        inv[i][i] = den // m[i][i]
+    h, _ = _hnf([[x // g for x in row[::-1]] for row in r], s, den)
+    u = [row[::-1] for row in h[s - 1 :: -1]]  # M's upper triangular basis
+    # row i of y: column i of the integral den * U^-1, reduced as it is found
+    y = [[0] * s for _ in range(s)]
+    for i, row in enumerate(y):
+        row[i] = den // u[i][i]
         for j in range(i - 1, -1, -1):
-            inv[i][j] = -sum(inv[i][k] * m[k][j] for k in range(j + 1, i + 1)) // m[j][j]
-    y = _hnf(list(zip(*inv)), s, den)[0][:s]
+            row[j] = -sum(u[j][k] * row[k] for k in range(j + 1, i + 1)) // u[j][j] % y[j][j]
     return [[sum(a * b for a, b in zip(row, col) if a and b) // dv for col in cols] for row in y]
 
 

@@ -17,6 +17,7 @@ test, then enclosures refined until it shows.  No float decides anything.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, compress, repeat
@@ -325,10 +326,17 @@ def rationals() -> NumberField:
 def _rational_pair(r):
     """(numerator, denominator > 0) of an int, a Fraction or a rational
     string in `Fraction`'s syntax (plain digits, after one optional "-", by
-    `int`); a float (0.1 is not 1/10) or a bool raises TypeError.  The one
+    `int`), an exponent past int's digit limit refused before Fraction;
+    a float (0.1 is not 1/10) or a bool raises TypeError.  The one
     reader of rationals from outside: JSON values and CLI flags."""
     if isinstance(r, str):
-        r = int(r) if r.removeprefix("-").isdecimal() else Fraction(r)
+        if r.removeprefix("-").isdecimal():
+            return int(r), 1
+        head, _, exp = r.lower().rpartition("e")
+        exp = exp.strip().lstrip("+-").replace("_", "")
+        if head and exp.isdecimal() and int(exp) > sys.get_int_max_str_digits() > 0:
+            raise ValueError(f"exponent of {r!r} is past int's digit limit")
+        r = Fraction(r)
     elif isinstance(r, bool) or not isinstance(r, (int, Fraction)):
         raise TypeError(f"a rational is an int, a Fraction or a string, not {type(r).__name__}")
     return r.numerator, r.denominator

@@ -7,7 +7,7 @@ Data is checked where it enters: `ComplexTorusData` checks I, and
 are frozen, so checked data cannot be swapped out.  End^0(T) is the cached
 `ComplexTorusData.end`, from the one Sylvester kernel, which the metric
 search of `cm` shares.  IJ is read off (G, B) in one place, `KahlerData.ij`,
-once per metric; J, q(., IJ.) and the rationality verdict derive from it.
+once per metric; J and q(., IJ.) derive from it, its rationality from G and B.
 The pair's axioms and the charge isometry follow from checked data and are
 held by the tests; `GksPair.verify` checks both for a report that states
 them.  The eigenspace projector (1 + IJ)/2 is the pairing lattice's `p_plus`
@@ -134,6 +134,13 @@ class KahlerData:
             [[g_inv_b, -g_inv], [self.B * g_inv_b - self.G, -(self.B * g_inv)]]
         )
 
+    @property
+    def ij_rational(self) -> bool:
+        """IJ is rational iff G and B are: -G^-1 is IJ's upper right block, so
+        a rational IJ has a rational G^-1, hence G, and B = G (G^-1 B); each
+        block of IJ is a product of G, G^-1 and B."""
+        return self.G.is_rational() and self.B.is_rational()
+
 
 @dataclass
 class GksPair:
@@ -186,8 +193,8 @@ def induce_gks(k: KahlerData) -> GksPair:
 
 
 def ij_rational(p: GksPair) -> bool:
-    """True iff IJ preserves the rational lattice (all entries rational)."""
-    return p.ij.is_rational()
+    """True iff IJ preserves the rational lattice: `KahlerData.ij_rational`."""
+    return p.kahler.ij_rational
 
 
 def charge_isometry_check(k: KahlerData) -> bool:

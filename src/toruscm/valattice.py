@@ -59,14 +59,16 @@ def chiral_sublattice(lat: PairingLattice) -> ChiralReport:
     basis is a canonical HNF, lower triangular at full rank, so the index is
     the product of its diagonal (inf below full rank).  If lambda_z
     is in Lambda then so is lambda_zbar = lambda - lambda_z, so Lambda_ch is
-    the sum of its z and zbar parts and the zbar part rank is the rest.
+    the sum of its z and zbar parts and the zbar part rank is the rest.  At
+    full rank P+ maps a Q-basis into Q^n, so P- = 1 - P+ is rational, of
+    rank n/2 over Q as over R (onto graph(G + B)), and so is its kernel.
     """
     conditions = lat.q * lat.p_plus
     basis = saturate_integer_solutions(conditions)
     rank = len(basis)
     rational = rank == lat.n
     index = math.prod(row[i] for i, row in enumerate(basis)) if rational else math.inf
-    zr = _part_rank(lat)
+    zr = lat.n // 2 if rational else _part_rank(lat)
     return ChiralReport(basis, lat.n, rank, index, rational, zr, rank - zr)
 
 

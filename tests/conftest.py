@@ -1,3 +1,4 @@
+import json
 import pathlib
 from fractions import Fraction
 
@@ -61,3 +62,26 @@ def mult_matrix():
 def fixture_dir():
     """The shipped `fixtures/` directory; tests read it and never write to it."""
     return pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+
+
+@pytest.fixture(scope="session")
+def document_sides(fixture_dir):
+    """(name, KahlerData) for every metric a shipped fixture or test data
+    document holds: each torus document's, both sides of a mirror pair, and
+    both sides of the mirror that `prop44_g1.json`'s input constructs."""
+    from toruscm import jsonio
+    from toruscm.mirror import construct_mirror
+
+    data = fixture_dir.parent / "tests" / "data"
+    sides = []
+    for path in sorted([*fixture_dir.glob("*.json"), *data.glob("*.json")]):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        if "left" in doc:
+            pair = jsonio.decode_pair(doc)
+        elif "rho" in doc:
+            pair = construct_mirror(jsonio.decode_matrix(rationals(), doc["A"]), doc["rho"])
+        else:
+            sides.append((path.name, jsonio.decode_torus(doc)["kahler"]))
+            continue
+        sides += [(f"{path.name}:left", pair.left.kahler), (f"{path.name}:right", pair.right.kahler)]
+    return sides

@@ -532,12 +532,12 @@ def _mirror_commands():
 
 
 # (checks, IJs, induce_gks calls, End^0(T)s): one check per metric a
-# command reads, one IJ per metric whose IJ it needs, and End^0(T) only for
-# the CM certificate
+# command reads, one IJ per metric whose IJ it needs (IJ's rationality is
+# read off G and B), and End^0(T) only for the CM certificate
 EXPECTED_COUNTS = {
     "torus validate": (1, 0, 0, 0),
     "gks induce": (1, 1, 1, 0),
-    "gks rationality": (1, 1, 0, 0),
+    "gks rationality": (1, 0, 0, 0),
     "cm certificate": (1, 0, 0, 1),
     "cm metric-search": (1, 0, 0, 0),
     "va chiral": (1, 1, 0, 0),
@@ -558,6 +558,19 @@ def test_each_metric_is_checked_once_per_command(capsys, fixture_dir, counts):
         assert code == 0, argv
         seen[" ".join(argv[:2])] = tuple(counts[k] - before[k] for k in counts)
     assert seen == EXPECTED_COUNTS
+
+
+def test_va_chiral_eliminates_for_the_z_part_only_below_full_rank(capsys, fixture_dir, monkeypatch):
+    # at full rank the z part rank is n/2, so P- is not eliminated
+    calls = []
+    part_rank = valattice._part_rank
+    monkeypatch.setattr(valattice, "_part_rank", lambda lat: calls.append(lat) or part_rank(lat))
+    seeded = GOLDEN.parent / "data" / "g3_rational_seed1.json"
+    for path, want in [(fixture_dir / "tau_i.json", 0), (seeded, 0), (fixture_dir / "zeta5.json", 1)]:
+        calls.clear()
+        code, out = invoke(capsys, ["va", "chiral", "--torus", str(path)])
+        assert code == 0 and json.loads(out)["rational"] == (want == 0)
+        assert len(calls) == want, path.name
 
 
 def test_section4_checks_and_derives_each_side_once(counts):
@@ -621,6 +634,8 @@ RATIONAL_SPELLINGS = [
     ("0x10", None),
     ("3/0", None),
     ("9" * 5000, None),
+    ("1e999999", None),
+    ("1E-999999", None),
     (1.5, None),
     (True, None),
     (None, None),

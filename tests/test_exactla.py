@@ -9,7 +9,9 @@ from toruscm.exactla import (
     FieldMatrix,
     Inconsistent,
     Singular,
+    _block,
     _hnf,
+    _pair,
     hnf,
     int_hnf_with_transform,
     kernel_rows,
@@ -20,6 +22,7 @@ from toruscm.exactla import (
     snf,
 )
 from toruscm.numfield import ZeroDivisor, make_field, rationals
+from toruscm.valattice import build_pairing_lattice
 
 QQ = rationals()
 
@@ -560,6 +563,61 @@ def test_saturate_matches_smith_and_brute_force_oracles():
             inv = [abs(int(d[i, i])) if i < m else 0 for i in range(n)]
             want = math.prod(den // math.gcd(den, x) for x in inv)
             assert row_lattice_index(basis, n) == want
+
+
+def _two_pass_saturation(conditions: FieldMatrix):
+    """Saturation as it was before one modular HNF sufficed: M's HNF modulo
+    D, the exact inverse of its triangular basis, and a second HNF modulo D
+    of that inverse's columns."""
+    n = conditions.cols
+    coords = conditions._coordinate_rows()
+    v = kernel_rows([r for c in coords for r in c[1:] if any(r)], n)
+    s = len(v)
+    if not s:
+        return []
+    w, dv = _block([[_pair(x) for x in row] for row in v])
+    cols = list(zip(*w))
+    r = [[conditions.den * x for x in col] for col in cols]
+    r += [[sum(a * b for a, b in zip(c[0], row) if a and b) for row in w] for c in coords]
+    den = dv * conditions.den
+    g = math.gcd(den, *itertools.chain.from_iterable(r))
+    den //= g
+    m, _ = _hnf([[x // g for x in row] for row in r], s, den)
+    inv = [[0] * s for _ in range(s)]
+    for i in range(s):
+        inv[i][i] = den // m[i][i]
+        for j in range(i - 1, -1, -1):
+            inv[i][j] = -sum(inv[i][k] * m[k][j] for k in range(j + 1, i + 1)) // m[j][j]
+    y = _hnf(list(zip(*inv)), s, den)[0][:s]
+    return [[sum(a * b for a, b in zip(row, col) if a and b) // dv for col in cols] for row in y]
+
+
+def test_saturation_matches_the_two_pass_oracle(document_sides):
+    f5 = make_field([-5, 0, 1])
+    rng = random.Random(3501)
+
+    def q():
+        return Fraction(rng.choice([0, 0, rng.randint(-40, 40)]), rng.randint(1, 12))
+
+    ranks = set()
+    for trial in range(600):
+        m, n = rng.randint(1, 12), rng.randint(1, 12)
+        if trial % 2:
+            cond = qmat([[q() for _ in range(n)] for _ in range(m)])
+        else:
+            irr = rng.random()
+            cond = FieldMatrix(
+                f5, [[f5.element([q(), q() if rng.random() < irr else 0]) for _ in range(n)]
+                     for _ in range(m)]
+            )
+        basis = saturate_integer_solutions(cond)
+        assert basis == _two_pass_saturation(cond), trial
+        ranks.add((len(basis) == n, len(basis) == 0))
+    assert ranks == {(True, False), (False, False), (False, True)}
+    for name, k in document_sides:
+        lat = build_pairing_lattice(k.torus, k)
+        conditions = lat.q * lat.p_plus
+        assert saturate_integer_solutions(conditions) == _two_pass_saturation(conditions), name
 
 
 def test_positive_definite_identity():

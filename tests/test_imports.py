@@ -351,7 +351,7 @@ def test_cm_reads_span_questions_off_the_one_kernel():
 
 
 def test_the_one_integer_elimination_is_hnf():
-    # HNF, HNF with transform, the Smith form and both modular passes of
+    # HNF, HNF with transform, the Smith form and the modular pass of
     # saturation all reduce through `_hnf`
     callers = {
         getattr(scope, "name", "<module>")

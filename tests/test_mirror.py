@@ -12,6 +12,7 @@ from toruscm.mirror import (
     MirrorMap,
     MirrorPair,
     RhoNotNegativeDefinite,
+    SingularGamma,
     construct_mirror,
     isogeny_from_mirror,
     psi_maps,
@@ -226,6 +227,20 @@ def test_isogeny_certificate_examples(zeta5_mirror):
     gamma = FieldMatrix.block([[rho_inv, zero], [zero, FieldMatrix.identity(f, 2)]])
     pair = zeta5_mirror["pair"]
     assert verify_isogeny_certificate(pair.left.torus, pair.right.torus, gamma)
+
+
+def test_isogeny_certificate_refuses_a_singular_or_non_square_gamma(zeta5_mirror):
+    t1 = construct_mirror(qmat([[1]]), [[-1]]).left.torus
+    with pytest.raises(SingularGamma, match="^gamma is singular$"):
+        verify_isogeny_certificate(t1, t1, qmat([[1, 2], [2, 4]]))
+    with pytest.raises(ValueError, match="^not square$"):
+        verify_isogeny_certificate(t1, t1, qmat([[1, 0]]))
+    f = zeta5_mirror["field"]
+    x = f.gen()
+    sides = zeta5_mirror["pair"].left.torus, zeta5_mirror["pair"].right.torus
+    rows = [[1, x, 0, 0], [x, x * x, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]  # rank 3 over the field
+    with pytest.raises(SingularGamma, match="^gamma is singular$"):
+        verify_isogeny_certificate(*sides, FieldMatrix(f, rows))
 
 
 def test_mirror_of_mirror_isogenous_to_original():

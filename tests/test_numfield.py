@@ -1,6 +1,8 @@
 import cmath
 import math
 import random
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -308,10 +310,16 @@ def test_rational_strings_read_as_fraction_reads_them():
     # (numerator, denominator), or its exception type and message
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    # no exponent: Fraction("1e999999") is a million-digit integer
+    # exponents up to 60 in size, last but for a trailing piece that is no
+    # digit: Fraction("1e999999") is a million-digit integer
     pieces = st.sampled_from(["", "0", "-", "+", " ", "_", ".", "/", "\u0663", "1_0"])
     part = st.text("0123456789", min_size=1, max_size=6) | pieces
-    text = st.lists(part, max_size=6).map("".join)
+    digits = st.integers(0, 60).map(str) | st.sampled_from(["007", "1_0", "\u0663", "", "_1"])
+    exponent = st.tuples(st.sampled_from("eE"), st.sampled_from(["", "+", "-", " "]), digits)
+    tail = st.sampled_from(["", " ", "_", ".", "/", "e"])
+    text = st.tuples(
+        st.lists(part, max_size=6).map("".join), exponent.map("".join) | st.just(""), tail
+    ).map("".join)
     text |= st.text("0123456789-+/ ._\u0663\u00b2x", max_size=8)
 
     @hypothesis.settings(max_examples=500, deadline=None, derandomize=True)
@@ -323,11 +331,27 @@ def test_rational_strings_read_as_fraction_reads_them():
     check()
     huge = "1" * 5000
     cases = ["-6/4", "0/5", "-0", "007/3", "3/0", "0/0", "3/-4", "3//4", "-/4", " 3/4", "1e3"]
+    cases += ["1.5e-3", "-2E+60", " 1e1_0 ", "1e", "e5", "1e5/2", "1e 5", "1e0x10", "1.e4300"]
     for s in cases:
         assert _read(numfield._rational_pair, s) == _read(_by_fraction, s), s
     for s in [huge, "-" + huge + "/3", "2/" + huge, huge + "/0"]:  # int's digit limit
         assert _read(numfield._rational_pair, s) == _read(_by_fraction, s)
     assert numfield._rational_pair("-6/4") == (-3, 2)
+
+
+def test_an_exponent_past_the_digit_limit_is_refused_before_fraction_expands_it():
+    # Fraction("1e999999") takes a third of a second for a 3.3-million-bit
+    # numerator; an exponent is bounded as int bounds a string of digits
+    limit = sys.get_int_max_str_digits()
+    for s in ["1e999999", "1E-999999", f"2.5e{limit + 1}", f" -1e-{limit + 1} ", "1e9_999_999"]:
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="exponent"):
+            numfield._rational_pair(s)
+        assert time.perf_counter() - start < 0.005, s
+    assert numfield._rational_pair(f"1e{limit}") == (10**limit, 1)
+    assert numfield._rational_pair(f"-1e-{limit}") == (-1, 10**limit)
+    spellings = {"1e3": (1000, 1), "1.5": (3, 2), " 3 ": (3, 1), "+3": (3, 1), "1_0": (10, 1)}
+    assert {s: numfield._rational_pair(s) for s in spellings} == spellings
 
 
 def test_odd_discriminant_matches_sympy():

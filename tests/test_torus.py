@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -326,3 +327,41 @@ def test_a_built_torus_cannot_be_changed():
     with pytest.raises(dataclasses.FrozenInstanceError):
         t.I = FieldMatrix.identity(QQ, 2)
     assert t.I == qmat([[0, -1], [1, 0]]) and t.end is end
+
+
+def _sqrt5_kahler(rng, g, rational_g, rational_b):
+    """(G, B) over Q(sqrt5) on the product of g square tori, each rational
+    or not: G averages M M^T + Id with its I-conjugate, positive under every
+    real embedding, and B is antisymmetric."""
+    f5 = make_field([-5, 0, 1])
+    n = 2 * g
+
+    def entry(rational):
+        return f5.element([Fraction(rng.randint(-4, 4), rng.randint(1, 3)), 0 if rational else 1])
+
+    zero, ident = FieldMatrix.zeros(f5, g, g), FieldMatrix.identity(f5, g)
+    t = ComplexTorusData(g, f5, FieldMatrix.block([[zero, -ident], [ident, zero]]), f5.embeddings()[1])
+    m = FieldMatrix(f5, [[entry(rational_g) for _ in range(n)] for _ in range(n)])
+    g0 = m * m.transpose() + FieldMatrix.identity(f5, n)
+    b = [[f5.zero()] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            b[i][j] = entry(rational_b)
+            b[j][i] = -b[i][j]
+    return KahlerData(t, (g0 + t.I.transpose() * g0 * t.I).scale(Fraction(1, 2)), FieldMatrix(f5, b))
+
+
+def test_ij_rational_is_read_off_g_and_b(document_sides):
+    # oracle: the rationality of the IJ that `KahlerData.ij` forms
+    rng = random.Random(3535)
+    seen = set()
+    for rational_g, rational_b, g in itertools.product((True, False), (True, False), (1, 2, 3)):
+        k = _sqrt5_kahler(rng, g, rational_g, rational_b)
+        assert k.ij_rational == k.ij.is_rational() == (rational_g and rational_b)
+        seen.add((k.G.is_rational(), k.B.is_rational()))
+    assert len(seen) == 4
+    verdicts = set()
+    for name, k in document_sides:
+        assert k.ij_rational == k.ij.is_rational(), name
+        verdicts.add(k.ij_rational)
+    assert verdicts == {True, False}
